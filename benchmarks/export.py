@@ -56,12 +56,14 @@ QAOA workload sampled end to end on the dense, serial and pool-tcp
 executors (pool-shm when available), with the sample streams and
 mid-circuit outcome records checked bitwise across executors, writing
 ``BENCH_sampling.json``.  Absolute shots/s is machine-dependent, so
-the regression gate binds on two hardware-independent facts instead:
-bit-identity must hold in both the baseline and the current run, and
-the marginal per-shot cost of the exact sampler must stay sub-linear
-in the state size (the two-level cumulative descent scales ~log with
-amplitudes; a regression to a linear per-shot scan blows the measured
-small-to-large ratio past the 8x acceptance ceiling).
+the regression gate binds on three hardware-independent facts instead:
+bit-identity must hold in both the baseline and the current run; the
+marginal per-shot cost of the exact sampler must stay sub-linear in the
+state size (per-shot work is two bisects over exact cumulative sums; a
+regression to a linear per-shot scan blows the measured small-to-large
+ratio past the 8x acceptance ceiling); and that per-shot cost, divided
+by the same run's median ``mix64`` draw time, must stay under 10 draws
+(the bisect search costs ~1.5; a per-shot big-int scan ~200).
 
 Baselines for the wall-clock suites (``parallel``, ``scaleout``) are
 only honest on parallel hardware: a baseline-producing run (one without
@@ -516,6 +518,20 @@ def _marginal_shot_ns(amps, shots_lo, shots_hi, seed, repeats) -> float:
     return (leg(shots_hi) - leg(shots_lo)) / (shots_hi - shots_lo) * 1e9
 
 
+def _median_draw_ns(seed, repeats, draws=4096) -> float:
+    """Median ns of one shot's ``mix64`` draw: the per-shot cost floor."""
+    from repro.faults.rng import mix64
+    from repro.statevector.exact import SAMPLE_STREAM
+
+    runs = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        for s in range(draws):
+            mix64(seed, SAMPLE_STREAM, s)
+        runs.append(time.perf_counter() - t0)
+    return statistics.median(runs) / draws * 1e9
+
+
 def run_sampling(quick: bool) -> dict:
     """Shot throughput per executor, bit-identity, per-shot scaling."""
     import os
@@ -570,6 +586,7 @@ def run_sampling(quick: bool) -> dict:
         for q in _SAMPLING_SCALE_QUBITS
     }
     small_q, large_q = _SAMPLING_SCALE_QUBITS
+    draw_ns = _median_draw_ns(seed, max(3, repeats))
     return {
         "schema": "repro-bench-sampling/1",
         "python": platform.python_version(),
@@ -604,25 +621,34 @@ def run_sampling(quick: bool) -> dict:
             },
             "state_scale_ratio": round(marginal[large_q] / marginal[small_q], 3),
             "amps_ratio": 1 << (large_q - small_q),
+            "draw_ns": round(draw_ns, 1),
+            "draws_per_shot": round(marginal[small_q] / draw_ns, 3),
         },
     }
 
 
 #: A linear per-shot scan would track the 64x amplitude growth between
-#: the two probe widths; the two-level descent stays near 1x.  8x is the
-#: ceiling the gate (and the committed baseline) must stay under.
+#: the two probe widths; the bisect search stays a few x (lazy per-block
+#: prefix builds amortise into the larger probe).  8x is the ceiling the
+#: gate (and the committed baseline) must stay under.
 _SAMPLING_SCALE_CEILING = 8.0
+
+#: Marginal per-shot cost at 2**12 amps in units of one ``mix64`` draw,
+#: which every shot must pay: the bisect search measures ~1.5 draws on a
+#: 2-vCPU x86 host, the former per-shot big-int scan ~200.
+_SAMPLING_DRAWS_CEILING = 10.0
 
 
 def check_sampling_against(current: dict, baseline_path: str) -> list[str]:
-    """Sampling regressions: bit-identity always, descent stays sub-linear.
+    """Sampling regressions: bit-identity, sub-linear and cheap shots.
 
-    Both checks are hardware-independent, so they bind on the committed
+    All checks are hardware-independent, so they bind on the committed
     baseline *and* the current run: executor sample streams must agree
-    bitwise with dense, and the exact sampler's marginal per-shot cost
-    ratio between the two fixed probe widths must stay under the 8x
-    acceptance ceiling (a per-shot linear scan would track the 64x
-    amplitude growth).
+    bitwise with dense, the exact sampler's marginal per-shot cost ratio
+    between the two fixed probe widths must stay under the 8x acceptance
+    ceiling (a per-shot linear scan would track the 64x amplitude
+    growth), and the small-state per-shot cost must stay under
+    ``_SAMPLING_DRAWS_CEILING`` ``mix64`` draws of the same run.
     """
     with open(baseline_path) as fh:
         baseline = json.load(fh)
@@ -640,6 +666,16 @@ def check_sampling_against(current: dict, baseline_path: str) -> list[str]:
                 f"{tag}: per-shot cost grew {ratio:.2f}x from 2**12 to "
                 f"2**18 amps (ceiling {_SAMPLING_SCALE_CEILING:.0f}x -- "
                 f"the exact sampler is no longer sub-linear in state size)"
+            )
+        draws = report["exact"].get("draws_per_shot")
+        if draws is None:
+            failures.append(
+                f"{tag}: no draws_per_shot recorded (regenerate the report)"
+            )
+        elif draws >= _SAMPLING_DRAWS_CEILING:
+            failures.append(
+                f"{tag}: a shot costs {draws:.1f} mix64 draws at 2**12 "
+                f"amps (ceiling {_SAMPLING_DRAWS_CEILING:.0f})"
             )
     return failures
 
@@ -1221,7 +1257,8 @@ def main(argv: list[str] | None = None) -> int:
         print(
             f"exact sampler marginal cost: {marginals}  "
             f"(scale ratio {exact['state_scale_ratio']:.2f}x over "
-            f"{exact['amps_ratio']}x amps)"
+            f"{exact['amps_ratio']}x amps; {exact['draws_per_shot']:.2f} "
+            f"mix64 draws of {exact['draw_ns']:.0f} ns per shot)"
         )
         print(f"wrote {output}")
         if any(v is False for v in work["bit_identical"].values()):

@@ -8,11 +8,13 @@ and a threshold draw near the boundary flips.  Instead every squared
 component is converted *exactly* to an integer in units of ``2**-1074``
 (the smallest positive subnormal): a finite float64 ``x`` decomposes via
 ``frexp`` as ``mant * 2**(e-53)`` with ``mant`` a 53-bit integer, so
-``x / 2**-1074 == mant << (e + 1021)`` -- an exact (possibly shifted
-down, see :func:`_group_value`) Python integer.  Integer sums are
+``x / 2**-1074 == mant << (e + 1021)`` -- an exact (for subnormals
+shifted down, see :func:`_decompose`) Python integer.  Integer sums are
 associative, so every partition of the amplitudes yields the *same*
 total, and outcome decisions / cumulative searches on those totals are
-reproducible bit-for-bit however the state is sharded.
+reproducible bit-for-bit however the state is sharded.  Sums bin the
+mantissas per exponent with ``np.bincount`` (exact, see ``_HALF_BITS``)
+and fold only the non-empty bins into big ints.
 
 The per-element float work (component squaring) is elementwise and
 therefore partition-independent; only the *summation* needed rescuing.
@@ -25,6 +27,10 @@ stream so the k-th measurement (or shot) of a run depends only on
 from __future__ import annotations
 
 import math
+import numbers
+from bisect import bisect_left, bisect_right
+from itertools import accumulate
+from operator import mul
 
 import numpy as np
 
@@ -34,7 +40,6 @@ from repro.faults.rng import mix64
 __all__ = [
     "MEASURE_STREAM",
     "SAMPLE_STREAM",
-    "exact_sq_norm",
     "partial_norms",
     "measure_outcome",
     "collapse_scale",
@@ -52,22 +57,29 @@ SAMPLE_STREAM = 0x53414D50
 #: ``2**53`` -- frexp mantissas scale to integers by this factor.
 _MANT_SCALE = float(1 << 53)
 
-#: Mantissas are < 2**53; chunks of 512 summed in int64 stay < 2**62.
-_SUM_CHUNK = 512
+#: Mantissas (< 2**53) are binned as a 27-bit high and a 26-bit low
+#: half, so a float64 bin summing at most ``2**26`` halves stays below
+#: ``2**53`` and is therefore exact.
+_HALF_BITS = 26
+_HALF_MASK = (1 << _HALF_BITS) - 1
+
+#: Values per ``np.bincount`` pass in :func:`_units_sums`.  Must stay
+#: <= ``2**26`` (see ``_HALF_BITS``); smaller also bounds the
+#: (run x exponent) bin table.
+_SUM_CHUNK = 1 << 20
 
 
 def _sq_components(amps: np.ndarray) -> np.ndarray:
     """Squared real and imaginary components of a slice, as float64.
 
-    The returned order is irrelevant: callers only ever *sum* these
-    exactly, and exact sums are permutation-invariant.  Components are
-    widened to float64 *before* squaring so complex64 states square the
-    same values the dense reference does.
+    Components are interleaved -- element ``i`` owns entries ``2i`` and
+    ``2i + 1`` -- so a run of ``B`` elements is a run of ``2B``
+    components.  They are widened to float64 *before* squaring so
+    complex64 states square the same values the dense reference does.
     """
-    c = np.asarray(amps)
-    re = np.asarray(c.real, dtype=np.float64)
-    im = np.asarray(c.imag, dtype=np.float64)
-    sq = np.concatenate([np.ravel(re * re), np.ravel(im * im)])
+    c = np.ascontiguousarray(np.ravel(amps), dtype=np.complex128)
+    parts = c.view(np.float64)
+    sq = parts * parts
     if not np.all(np.isfinite(sq)):
         raise SimulationError(
             "non-finite amplitude encountered while measuring"
@@ -76,62 +88,56 @@ def _sq_components(amps: np.ndarray) -> np.ndarray:
 
 
 def _decompose(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(mantissa, shift) with ``value == mant * 2**shift`` exactly.
+    """(mantissa, shift) with ``value == mant << shift`` exactly.
 
-    ``mant`` is an int64 in ``[2**52, 2**53)`` (0 for zero values) and
-    ``shift`` is the exponent in units of ``2**-1074``.
+    ``mant`` is an int64 below ``2**53`` (0 for zero values) and
+    ``shift >= 0`` is the exponent in units of ``2**-1074``.  A negative
+    exponent only arises for subnormal squares, whose mantissas carry at
+    least that many trailing zero bits (every float64 is a multiple of
+    ``2**-1074``), so folding it into the mantissa loses nothing.
     """
     m, e = np.frexp(values)
     mant = np.rint(m * _MANT_SCALE).astype(np.int64)
     shift = e.astype(np.int64) + 1021
+    if shift.min() < 0:
+        low = shift < 0
+        mant[low] >>= -shift[low]
+        shift[low] = 0
     return mant, shift
 
 
-def _group_value(mants: np.ndarray, shift: int) -> int:
-    """Exact sum of one equal-shift mantissa group, as a Python int.
+def _units_sums(values: np.ndarray, run: int) -> list[int]:
+    """Exact sums of each consecutive ``run``-long run of ``values``.
 
-    A negative shift only arises for subnormal squares, whose mantissas
-    carry at least ``-shift`` trailing zero bits (the value is a
-    multiple of ``2**-1074`` by construction), so the group total is
-    exactly divisible and the right-shift below loses nothing.
+    ``values`` are non-negative float64s; the sums are Python ints in
+    ``2**-1074`` units.  Each pass bins both mantissa halves by
+    ``(run, exponent)`` with ``np.bincount`` -- exact, see
+    ``_HALF_BITS`` -- and folds the non-zero bins into big ints.
     """
-    total = 0
-    for off in range(0, len(mants), _SUM_CHUNK):
-        total += int(
-            np.add.reduce(mants[off : off + _SUM_CHUNK], dtype=np.int64)
-        )
-    return (total << shift) if shift >= 0 else (total >> -shift)
+    n = len(values)
+    totals = [0] * -(-n // run)
+    for off in range(0, n, _SUM_CHUNK):
+        mant, shift = _decompose(values[off : off + _SUM_CHUNK])
+        base = int(shift.min())
+        width = int(shift.max()) - base + 1
+        first = off // run
+        key = shift - base
+        if run < n:
+            key += (np.arange(off, off + len(key)) // run - first) * width
+        hi = np.bincount(key, weights=(mant >> _HALF_BITS).astype(float))
+        lo = np.bincount(key, weights=(mant & _HALF_MASK).astype(float))
+        bins = np.flatnonzero(hi + lo)
+        his, los = hi[bins].tolist(), lo[bins].tolist()
+        for b, h, l in zip(bins.tolist(), his, los):
+            g, k = divmod(b, width)
+            part = (int(h) << _HALF_BITS) + int(l)
+            totals[first + g] += part << (base + k)
+    return totals
 
 
 def _units_sum(values: np.ndarray) -> int:
     """Exact integer sum of non-negative float64s, in ``2**-1074`` units."""
-    if values.size == 0:
-        return 0
-    mant, shift = _decompose(values)
-    order = np.argsort(shift, kind="stable")
-    mant = mant[order]
-    shift = shift[order]
-    bounds = np.flatnonzero(np.diff(shift)) + 1
-    starts = np.concatenate(([0], bounds))
-    ends = np.concatenate((bounds, [len(shift)]))
-    total = 0
-    for a, b in zip(starts, ends):
-        total += _group_value(mant[a:b], int(shift[a]))
-    return total
-
-
-def _unit_values(values: np.ndarray) -> list[int]:
-    """Per-element exact integer values (``2**-1074`` units)."""
-    mant, shift = _decompose(values)
-    return [
-        (mt << sh) if sh >= 0 else (mt >> -sh)
-        for mt, sh in zip(mant.tolist(), shift.tolist())
-    ]
-
-
-def exact_sq_norm(arrays) -> int:
-    """Exact squared norm of a sequence of slices, in ``2**-1074`` units."""
-    return sum(_units_sum(_sq_components(a)) for a in arrays)
+    return sum(_units_sums(values, max(len(values), 1)))
 
 
 def partial_norms(
@@ -201,10 +207,77 @@ def collapse_slice(
         amps *= amps.dtype.type(scale)
 
 
-#: Elements per search block in :func:`sample_exact`; block partials are
-#: exact, so any block size yields identical samples -- this one keeps
-#: the per-shot Python-level scan short.
+#: Elements per search block in :func:`sample_exact`.  Both search
+#: levels are exact, so any block size yields identical samples; this
+#: one keeps the block-level table short while bounding the one-off
+#: element table a shot builds on first landing in a block.
 _SAMPLE_BLOCK = 4096
+
+#: Limb width of the element prefix sums.  A mantissa (< 2**53) at any
+#: bit offset spans three 31-bit limbs; a limb cell sums at most two
+#: pieces (re and im), and a block's running sums stay far inside int64.
+_LIMB = 31
+_LIMB_MASK = (1 << _LIMB) - 1
+
+
+def _element_table(amps: np.ndarray):
+    """Exact element prefix sums of one block, searchable by bisect.
+
+    Returns ``(keys, key_shift, limbs, low)`` for :func:`_first_above`.
+    Element ``i``'s inclusive prefix sum, in units of ``2**low``, is
+    ``P_i = sum(limbs[i, q] << (31 * q))`` -- computed in int64 limbs
+    (pieces scattered per limb, running sums, then carries), never per
+    element in Python.  ``keys[i] == P_i >> key_shift`` holds its top 62
+    bits or fewer, as a list for ``bisect``.
+    """
+    mant, shift = _decompose(_sq_components(amps))
+    nonzero = mant != 0
+    low = int(shift[nonzero].min())
+    q0, r = np.divmod(np.where(nonzero, shift - low, 0), _LIMB)
+    nlimbs = int(q0.max()) + 4
+    pieces = (
+        (mant & (_LIMB_MASK >> r)) << r,
+        (mant >> (_LIMB - r)) & _LIMB_MASK,
+        mant >> (2 * _LIMB - r),
+    )
+    cells = (np.arange(len(mant)) >> 1) * nlimbs + q0
+    size = len(mant) // 2 * nlimbs
+    limbs = np.zeros(size)
+    for p, piece in enumerate(pieces):
+        limbs += np.bincount(
+            cells + p, weights=piece.astype(float), minlength=size
+        )
+    limbs = limbs.astype(np.int64).reshape(-1, nlimbs)
+    np.cumsum(limbs, axis=0, out=limbs)
+    for q in range(nlimbs - 1):
+        limbs[:, q + 1] += limbs[:, q] >> _LIMB
+        limbs[:, q] &= _LIMB_MASK
+    top = int(np.flatnonzero(limbs[-1])[-1])
+    if top == 0:
+        return limbs[:, 0].tolist(), 0, limbs, low
+    keys = (limbs[:, top] << _LIMB) | limbs[:, top - 1]
+    return keys.tolist(), _LIMB * (top - 1), limbs, low
+
+
+def _first_above(table, target: int) -> int:
+    """The first element of a block whose prefix sum exceeds ``target``.
+
+    ``target`` is in ``2**-1074`` units relative to the block start; the
+    prefix sums are multiples of ``2**low``, so comparing against
+    ``target >> low`` is exact.  Keys order the prefix sums exactly
+    except among equal keys, so only a run of keys equal to the target's
+    is resolved with exact ints.
+    """
+    keys, key_shift, limbs, low = table
+    target >>= low
+    key = target >> key_shift
+    i = bisect_right(keys, key)
+    if i and keys[i - 1] == key:
+        a = bisect_left(keys, key, 0, i)
+        weights = [1 << (_LIMB * q) for q in range(limbs.shape[1])]
+        exact = [sum(map(mul, p, weights)) for p in limbs[a:i].tolist()]
+        i = a + bisect_right(exact, target)
+    return i
 
 
 def sample_exact(slices, shots: int, seed: int) -> np.ndarray:
@@ -212,70 +285,53 @@ def sample_exact(slices, shots: int, seed: int) -> np.ndarray:
 
     Shot ``s`` draws ``u = mix64(seed, SAMPLE_STREAM, s) >> 11`` and
     returns the smallest global index ``j`` whose exact cumulative
-    squared norm satisfies ``cum(j) << 53 > u * N_total`` -- a two-level
-    (slice totals, then 4096-element block partials, then elements)
-    descent over exact integers, so the result is independent of how the
-    state is sharded.  ``u < 2**53`` guarantees the target always lands
-    before the final cumulative.
+    squared norm satisfies ``cum(j) << 53 > u * N_total`` -- equivalently
+    ``cum(j) > t`` with ``t = (u * N_total) >> 53``, since ``cum(j)`` is
+    an integer.  The search is two bisects over exact running sums: once
+    over the 4096-element block totals of every slice in global order,
+    then over the landed block's element prefix sums (built on first
+    landing and cached).  Zero-weight blocks and elements never hold the
+    first sum above ``t``, so they are never chosen, and the result is
+    independent of how the state is sharded.  ``u < 2**53`` guarantees
+    ``t < N_total``.
     """
+    if isinstance(shots, bool) or not isinstance(shots, numbers.Integral):
+        raise SimulationError(f"shots must be an integer, got {shots!r}")
     if shots < 0:
         raise SimulationError(f"shots must be >= 0, got {shots}")
     arrays = [np.ravel(np.asarray(a)) for a in slices]
     if not arrays:
         raise SimulationError("sample_exact needs at least one slice")
     slice_len = len(arrays[0])
-    slice_totals = [_units_sum(_sq_components(a)) for a in arrays]
-    ntotal = sum(slice_totals)
+    if any(len(a) != slice_len for a in arrays):
+        raise SimulationError(
+            f"sample_exact needs equal-length slices, got lengths "
+            f"{sorted({len(a) for a in arrays})}"
+        )
+    blocks = [
+        (r * slice_len + off, a[off : off + _SAMPLE_BLOCK])
+        for r, a in enumerate(arrays)
+        for off in range(0, slice_len, _SAMPLE_BLOCK)
+    ]
+    block_cum = list(
+        accumulate(
+            total
+            for a in arrays
+            for total in _units_sums(_sq_components(a), 2 * _SAMPLE_BLOCK)
+        )
+    )
+    ntotal = block_cum[-1] if block_cum else 0
     if ntotal <= 0:
         raise SimulationError("cannot sample a zero-norm state")
 
-    block_cache: dict[int, list[int]] = {}
-    elem_cache: dict[tuple[int, int], list[int]] = {}
-
-    def block_totals(r: int) -> list[int]:
-        got = block_cache.get(r)
-        if got is None:
-            a = arrays[r]
-            got = [
-                _units_sum(_sq_components(a[off : off + _SAMPLE_BLOCK]))
-                for off in range(0, len(a), _SAMPLE_BLOCK)
-            ]
-            block_cache[r] = got
-        return got
-
-    def elem_units(r: int, k: int) -> list[int]:
-        got = elem_cache.get((r, k))
-        if got is None:
-            a = arrays[r][k * _SAMPLE_BLOCK : (k + 1) * _SAMPLE_BLOCK]
-            re = np.asarray(a.real, dtype=np.float64)
-            im = np.asarray(a.imag, dtype=np.float64)
-            res = _unit_values(re * re)
-            ims = _unit_values(im * im)
-            got = [x + y for x, y in zip(res, ims)]
-            elem_cache[(r, k)] = got
-        return got
-
-    out = np.empty(shots, dtype=np.uint64)
+    tables: dict[int, tuple] = {}
+    out = []
     for s in range(shots):
-        u = mix64(seed, SAMPLE_STREAM, s) >> 11
-        target = u * ntotal
-        acc = 0
-        r = 0
-        for r, tr in enumerate(slice_totals):
-            if ((acc + tr) << 53) <= target:
-                acc += tr
-            else:
-                break
-        k = 0
-        for k, bk in enumerate(block_totals(r)):
-            if ((acc + bk) << 53) <= target:
-                acc += bk
-            else:
-                break
-        base = r * slice_len + k * _SAMPLE_BLOCK
-        for i, ev in enumerate(elem_units(r, k)):
-            acc += ev
-            if (acc << 53) > target:
-                out[s] = base + i
-                break
-    return out
+        t = ((mix64(seed, SAMPLE_STREAM, s) >> 11) * ntotal) >> 53
+        k = bisect_right(block_cum, t)
+        table = tables.get(k)
+        if table is None:
+            table = tables[k] = _element_table(blocks[k][1])
+        rest = t - block_cum[k - 1] if k else t
+        out.append(blocks[k][0] + _first_above(table, rest))
+    return np.array(out, dtype=np.uint64)

@@ -15,6 +15,7 @@ on the post-measurement amplitudes bit for bit as well.
 
 from __future__ import annotations
 
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -97,6 +98,8 @@ def sample(
     routes a pool run over the TCP mesh).  All backends agree bit for
     bit on both the samples and the mid-circuit outcome record.
     """
+    if isinstance(shots, bool) or not isinstance(shots, numbers.Integral):
+        raise ValidationError(f"shots must be an integer, got {shots!r}")
     if shots < 0:
         raise ValidationError(f"shots must be >= 0, got {shots}")
     if executor in (None, "dense"):
