@@ -143,8 +143,10 @@ def _gate_token(gate) -> tuple:
 
 
 # Fingerprints keyed on circuit identity (same idiom as the compiled
-# apply-plan cache): the stored gate tuple guards against in-place
-# mutation, a weakref finaliser evicts collected circuits.
+# apply-plan cache): the stored name and gate tuple guard against
+# in-place mutation, a weakref finaliser evicts collected circuits.
+# ``Circuit.gates`` builds a fresh tuple per access, so the guard must
+# compare by value; tuple equality short-circuits on identical gates.
 _fingerprints: dict[int, tuple] = {}
 
 
@@ -157,18 +159,24 @@ def circuit_fingerprint(circuit) -> str:
     is memoised per circuit object: sweeping the same circuit through
     many configurations hashes its gates once.
     """
+    gates = circuit.gates
     entry = _fingerprints.get(id(circuit))
-    if entry is not None and entry[0]() is circuit and entry[1] is circuit.gates:
-        return entry[2]
+    if (
+        entry is not None
+        and entry[0]() is circuit
+        and entry[1] == circuit.name
+        and entry[2] == gates
+    ):
+        return entry[3]
     token = (
         circuit.num_qubits,
         circuit.name or "",
-        tuple(_gate_token(g) for g in circuit.gates),
+        tuple(_gate_token(g) for g in gates),
     )
     digest = hashlib.sha256(repr(token).encode()).hexdigest()
     cid = id(circuit)
     ref = weakref.ref(circuit, lambda _r, cid=cid: _fingerprints.pop(cid, None))
-    _fingerprints[cid] = (ref, circuit.gates, digest)
+    _fingerprints[cid] = (ref, circuit.name, gates, digest)
     return digest
 
 

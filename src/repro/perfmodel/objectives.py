@@ -8,9 +8,9 @@ candidate configuration reduced to a comparable vector of objectives.
 :func:`fusion_local_factor` prices the one lever the closed-form trace
 model cannot see -- gate fusion, which reshapes the *kernel* stream
 without changing the gate stream -- as a multiplicative factor on the
-local (memory + arithmetic) share of the run, derived from the compiled
-:class:`~repro.statevector.apply_plan.ApplyPlan` and the fusion cost
-model's calibrated ns-per-amplitude rates.
+local (memory + arithmetic) share of the run, derived from the plan's
+fusion units (:func:`~repro.statevector.apply_plan.fusion_units`) and
+the fusion cost model's calibrated ns-per-amplitude rates.
 
 The factor folds into runtime and energy exactly the way
 :func:`~repro.perfmodel.trace.cost_trace` would have priced shorter
@@ -29,6 +29,8 @@ from repro.errors import CalibrationError
 from repro.machine.cu import DEFAULT_CU_RATES, CuRates, cu_cost
 from repro.perfmodel.predictor import Prediction
 from repro.perfmodel.trace import CostedTrace
+from repro.statevector.apply_plan import fusion_units
+from repro.statevector.fusion import unit_cost
 
 __all__ = [
     "ObjectiveVector",
@@ -135,22 +137,6 @@ def objective_vector(
     )
 
 
-def _step_ns_per_amp(step) -> float:
-    """Estimated ns/amp of one compiled apply step (fusion cost model)."""
-    from repro.statevector import fusion as fmod
-    from repro.statevector.apply_plan import StepKind
-
-    if step.kind is StepKind.REMAP:
-        return fmod.perm_cost()
-    if step.kind is StepKind.FUSED:
-        scale = 0.5 ** len(step.controls)
-        return max(
-            fmod.MIN_STEP_NS,
-            fmod.block_cost(len(step.targets), step.targets) * scale,
-        )
-    return fmod.gate_cost(step.gate)
-
-
 def fusion_local_factor(
     circuit,
     fusion: str | None,
@@ -159,26 +145,26 @@ def fusion_local_factor(
 ) -> float:
     """Local-update time multiplier of a fusion mode vs ``off``.
 
-    Compiles the circuit twice -- once unfused, once under ``fusion``
-    (``"off"`` | ``"diag"`` | ``"full[:k]"``) -- and prices each step
-    stream with the calibrated kernel-class rates of
+    Takes the circuit's fusion units twice -- once unfused, once under
+    ``fusion`` (``"off"`` | ``"diag"`` | ``"full[:k]"``) -- and prices
+    each unit stream with the calibrated kernel-class rates of
     :mod:`repro.statevector.fusion`.  The ratio (fused / unfused) is
     what the tuner multiplies into the memory + arithmetic share of a
     costed run; ``"off"`` returns exactly 1.0.  ``local_qubits`` bounds
     block/permutation fusion the way the distributed executors do.
+    Only gate structure is read: no plan is compiled and no fused
+    operator is built.
     """
-    from repro.statevector.apply_plan import compile_plan
-
     if fusion is None or fusion == "off":
         return 1.0
-    baseline = compile_plan(
-        circuit, fusion="off", local_qubits=local_qubits, cache=False
-    )
-    fused = compile_plan(
-        circuit, fusion=fusion, local_qubits=local_qubits, cache=False
-    )
-    base_ns = sum(_step_ns_per_amp(s) for s in baseline.steps)
-    fused_ns = sum(_step_ns_per_amp(s) for s in fused.steps)
+    base_ns = _units_ns_per_amp(circuit, "off", local_qubits)
+    fused_ns = _units_ns_per_amp(circuit, fusion, local_qubits)
     if base_ns <= 0:
         return 1.0
     return fused_ns / base_ns
+
+
+def _units_ns_per_amp(circuit, fusion: str, local_qubits: int | None) -> float:
+    """Summed unit cost of the plan ``compile_plan`` would build."""
+    units = fusion_units(circuit, fusion, local_qubits=local_qubits)
+    return sum(unit_cost(gate) for gate, _covered in units)

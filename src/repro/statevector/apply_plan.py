@@ -32,6 +32,13 @@ step per rank (reducing fused diagonals over the rank-index bits).
 Plans are cached per circuit, so re-applying the same circuit object --
 the common pattern in parameter sweeps and the property suite -- skips
 compilation entirely.
+
+Compilation has a structural half and a materialising half.
+:func:`fusion_units` decides which gates merge into which steps, from
+gate structure alone; :func:`compile_plan` then builds each step's
+operator.  The tuner prices fusion modes from the structural half only
+(:func:`~repro.statevector.fusion.unit_cost`), since a step's kernel
+class depends only on its unit gate.
 """
 
 from __future__ import annotations
@@ -59,6 +66,7 @@ __all__ = [
     "ApplyPlan",
     "compile_plan",
     "compile_gate_step",
+    "fusion_units",
     "fused_circuit",
     "reduce_diagonal",
     "clear_plan_cache",
@@ -279,9 +287,9 @@ def _widen_diag_step(step: ApplyStep, num_qubits: int) -> ApplyStep:
     return replace(step, targets=widened, diag=step.diag[sub])
 
 
-# A fusion *unit*: the gate the executors will see, plus the original
-# circuit gates it covers (for observers and num_fused accounting).
-_Unit = tuple[Gate, tuple[Gate, ...]]
+#: A fusion *unit*: the gate the executors will see, plus the original
+#: circuit gates it covers (for observers and num_fused accounting).
+FusionUnit = tuple[Gate, tuple[Gate, ...]]
 
 
 def _unit_step(gate: Gate, covered: tuple[Gate, ...]) -> ApplyStep:
@@ -294,7 +302,7 @@ def _unit_step(gate: Gate, covered: tuple[Gate, ...]) -> ApplyStep:
 
 def _diag_fusion_units(
     circuit: Circuit, fuse_diagonals: bool, diag_qubits: int
-) -> list[_Unit]:
+) -> list[FusionUnit]:
     """Stage 1: greedy merge of adjacent diagonal runs into fused_diag.
 
     Diagonal fusion needs no locality bound -- diagonal gates never
@@ -302,7 +310,7 @@ def _diag_fusion_units(
     over its rank-index bits -- only the ``diag_qubits`` cap on the
     materialised ``2**k`` vector.
     """
-    units: list[_Unit] = []
+    units: list[FusionUnit] = []
     run: list[Gate] = []
     run_qubits: set[int] = set()
 
@@ -345,8 +353,8 @@ def _blockable(gate: Gate, local_qubits: int | None) -> bool:
 
 
 def _block_fusion_units(
-    units: list[_Unit], config: FusionConfig, local_qubits: int | None
-) -> list[_Unit]:
+    units: list[FusionUnit], config: FusionConfig, local_qubits: int | None
+) -> list[FusionUnit]:
     """Stage 2 (``full`` mode): cost-gated block and permutation fusion.
 
     Left-to-right scan over the stage-1 units.  At each position it
@@ -357,7 +365,7 @@ def _block_fusion_units(
     either fires only when :mod:`~repro.statevector.fusion`'s cost model
     says the fused kernel beats the per-unit kernels.
     """
-    out: list[_Unit] = []
+    out: list[FusionUnit] = []
     i = 0
     while i < len(units):
         gate, _covered = units[i]
@@ -408,6 +416,34 @@ def _block_fusion_units(
         out.append(units[i])
         i += 1
     return out
+
+
+def fusion_units(
+    circuit: Circuit,
+    fusion: str | FusionConfig | None = None,
+    *,
+    max_fused_qubits: int = MAX_FUSED_QUBITS,
+    local_qubits: int | None = None,
+) -> list[FusionUnit]:
+    """The structural half of :func:`compile_plan`: its fusion units.
+
+    Runs the diagonal-run stage and, in ``full`` mode, the block and
+    permutation stage, and returns one ``(gate, covered)`` unit per
+    step the plan will have -- ``gate`` is the (possibly synthetic)
+    gate the step executes, ``covered`` the circuit gates it absorbs.
+    No fused diagonal or block matrix is built, so pricing a fusion
+    mode from the unit gates (:func:`~repro.statevector.fusion.unit_cost`)
+    costs only the structural scan.  Arguments mean what they mean for
+    :func:`compile_plan`.
+    """
+    config = resolve_fusion(fusion)
+    diag_qubits = (
+        config.diag_qubits if config.diag_qubits is not None else max_fused_qubits
+    )
+    units = _diag_fusion_units(circuit, config.fuse_diagonals, diag_qubits)
+    if config.fuse_blocks:
+        units = _block_fusion_units(units, config, local_qubits)
+    return units
 
 
 # Plans are cached keyed on the circuit's identity; the stored gate tuple
@@ -467,12 +503,12 @@ def compile_plan(
         ):
             return entry[3]
 
-    diag_qubits = (
-        config.diag_qubits if config.diag_qubits is not None else max_fused_qubits
+    units = fusion_units(
+        circuit,
+        config,
+        max_fused_qubits=max_fused_qubits,
+        local_qubits=local_qubits,
     )
-    units = _diag_fusion_units(circuit, config.fuse_diagonals, diag_qubits)
-    if config.fuse_blocks:
-        units = _block_fusion_units(units, config, local_qubits)
     steps = tuple(_unit_step(gate, covered) for gate, covered in units)
     if config.fuse_blocks:
         steps = tuple(

@@ -53,6 +53,7 @@ __all__ = [
     "gate_cost",
     "block_cost",
     "perm_cost",
+    "unit_cost",
     "should_fuse_block",
     "should_fuse_perm",
 ]
@@ -189,6 +190,11 @@ BLOCK_SCATTER_PER_QUBIT_NS = 3.0
 #: Unfused generic k-target kernel: 2**k slab copies + row combines.
 GENERIC_BASE_NS = 2.0
 GENERIC_PER_DIM_NS = 1.2
+#: Mid-circuit measurement: one read sweep for the norm reduction plus
+#: a read + write collapse -- three passes, as the trace model's
+#: measurement plan counts its traffic.  Never fused, so it only
+#: dilutes a fusion ratio, never flips a fuse decision.
+MEASURE_NS = 3.6
 #: Per-step floor: dispatch + slab-view construction overhead never
 #: vanishes, however few amplitudes a heavily controlled gate touches.
 MIN_STEP_NS = 0.3
@@ -210,9 +216,12 @@ def gate_cost(gate: Gate) -> float:
     """Estimated unfused cost of one gate, in ns per local amplitude.
 
     This prices the step the gate would compile to on its own: the
-    diagonal sweep, a 2x2 fast path, the SWAP exchange-in-place, or the
-    generic k-target kernel.  Controls halve the touched region each.
+    diagonal sweep, a 2x2 fast path, the SWAP exchange-in-place, the
+    generic k-target kernel, or a measurement's norm sweep and collapse.
+    Controls halve the touched region each.
     """
+    if gate.name == "measure":
+        return MEASURE_NS
     scale = 0.5 ** len(gate.controls)
     if gate.is_diagonal():
         return max(MIN_STEP_NS, DIAG_SWEEP_NS * scale)
@@ -248,6 +257,25 @@ def block_cost(k: int, targets: tuple[int, ...]) -> float:
 def perm_cost() -> float:
     """Estimated cost of one index-gather permutation pass."""
     return PERM_NS
+
+
+def unit_cost(gate: Gate) -> float:
+    """Estimated cost of the step one fusion unit compiles to, in ns/amp.
+
+    ``gate`` is a unit gate from
+    :func:`~repro.statevector.apply_plan.fusion_units`.  A multi-qubit
+    ``fused_block`` runs the batched matmul, a ``remap`` the index
+    gather, and everything else prices as the unfused gate it is --
+    a ``fused_diag`` as the diagonal sweep, a one-qubit block as the
+    2x2 kernel its composed matrix selects.  The step's kernel class
+    depends only on this gate, so the price equals that of the compiled
+    step without building the step's operator.
+    """
+    if gate.name == "remap":
+        return perm_cost()
+    if gate.name == "fused_block" and len(gate.targets) > 1:
+        return max(MIN_STEP_NS, block_cost(len(gate.targets), gate.targets))
+    return gate_cost(gate)
 
 
 def should_fuse_block(gates: tuple[Gate, ...], support: tuple[int, ...]) -> bool:

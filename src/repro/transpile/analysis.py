@@ -76,9 +76,16 @@ class CommutationAnalysis(AnalysisPass):
     Writes ``commutation_dag``: a list where entry ``i`` is the set of
     earlier gate indices gate ``i`` must stay after (every ``j < i``
     that does not commute with it).  Transitively redundant edges are
-    kept -- the reorder pass only needs *a* correct partial order, and
-    the quadratic scan is trivial at the scales the numeric and model
-    executors handle.
+    kept -- the reorder pass only needs *a* correct partial order.
+
+    One sweep builds it.  Per qubit the pass keeps every earlier gate
+    touching the qubit and, separately, those acting non-diagonally on
+    it.  Gate ``i`` conflicts with ``j`` exactly when some shared qubit
+    is non-diagonal in one of them, so its predecessors are the union
+    over its qubits of the non-diagonal list (where ``i`` acts
+    diagonally) or the full list (where it does not).  The cost is the
+    total size of those lists; :func:`gates_commute` states the same
+    rule pairwise.
     """
 
     name = "commutation"
@@ -86,11 +93,20 @@ class CommutationAnalysis(AnalysisPass):
     def analyse(
         self, circuit: Circuit, partition: Partition, properties: PropertySet
     ) -> None:
-        gates = list(circuit)
+        touching: dict[int, list[int]] = {}
+        mixing: dict[int, list[int]] = {}
         dag: list[set[int]] = []
-        for i, gate in enumerate(gates):
-            preds = {
-                j for j in range(i) if not gates_commute(gates[j], gate)
-            }
+        for i, gate in enumerate(circuit):
+            diagonal = gate.is_diagonal()
+            preds: set[int] = set()
+            for q in gate.targets + gate.controls:
+                on_q = touching.setdefault(q, [])
+                mixing_q = mixing.setdefault(q, [])
+                if diagonal or q in gate.controls:
+                    preds.update(mixing_q)
+                else:
+                    preds.update(on_q)
+                    mixing_q.append(i)
+                on_q.append(i)
             dag.append(preds)
         properties["commutation_dag"] = dag

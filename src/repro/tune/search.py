@@ -5,9 +5,11 @@ module inverts that.  :func:`tune` takes a workload (any circuit, or a
 zoo entry from :mod:`repro.tune.workloads`), a :class:`Constraint`
 (deadline, energy budget and/or node-hour cost cap, optionally a fault
 rate), and a :class:`~repro.tune.levers.LeverSpace`, and sweeps the
-cross-product with the cached analytic predictor -- microseconds per
-point once the :class:`~repro.parallel.cache.PredictionCache` is warm
--- emitting the Pareto frontier of (energy, runtime, cost) vectors.
+cross-product with the cached analytic predictor -- about a
+millisecond per point once the
+:class:`~repro.parallel.cache.PredictionCache` is warm, mostly the
+unpickle -- emitting the Pareto frontier of (energy, runtime, cost)
+vectors.
 
 The chosen frontier is then *spot-checked*: each frontier point is
 replayed on the discrete-event backend, and any point where the DES

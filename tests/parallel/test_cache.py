@@ -48,9 +48,30 @@ class TestFingerprints:
         b = Circuit(2).rz(0.5 + 1e-15, 0)
         assert circuit_fingerprint(a) != circuit_fingerprint(b)
 
-    def test_fingerprint_memoised_per_object(self):
+    def test_fingerprint_memoised_per_object(self, monkeypatch):
+        from repro.parallel import cache as cache_mod
+
         circuit = qft_circuit(6)
-        assert circuit_fingerprint(circuit) == circuit_fingerprint(circuit)
+        first = circuit_fingerprint(circuit)
+        calls = []
+        real_token = cache_mod._gate_token
+
+        def counting_token(gate):
+            calls.append(gate)
+            return real_token(gate)
+
+        monkeypatch.setattr(cache_mod, "_gate_token", counting_token)
+        # An unchanged circuit is a memo hit: no gate is re-tokenised.
+        assert circuit_fingerprint(circuit) == first
+        assert calls == []
+        # Appending a gate invalidates the memo and changes the digest.
+        circuit.h(0)
+        assert circuit_fingerprint(circuit) != first
+        assert len(calls) == len(circuit)
+        # Renaming does too: the name is part of the content hash.
+        renamed = circuit_fingerprint(circuit)
+        circuit.name = "renamed"
+        assert circuit_fingerprint(circuit) != renamed
 
     def test_config_fingerprint_sensitive_to_options(self):
         from repro.mpi import CommMode
