@@ -35,6 +35,7 @@ from repro.obs.core import (
     counter,
     disable,
     enable,
+    env_enabled,
     export_state,
     gauge,
     histogram,
@@ -66,6 +67,7 @@ __all__ = [
     "counter",
     "disable",
     "enable",
+    "env_enabled",
     "export_state",
     "gauge",
     "histogram",

@@ -42,6 +42,7 @@ __all__ = [
     "enable",
     "disable",
     "is_enabled",
+    "env_enabled",
     "reset",
     "swallowed",
     "spans",
@@ -145,9 +146,14 @@ class SpanRecord:
 # -- module state --------------------------------------------------------------
 
 
+def env_enabled() -> bool:
+    """True when ``REPRO_OBS=1``: the enabled state a process starts with."""
+    return os.environ.get(OBS_ENV, "") == "1"
+
+
 class _ObsState:
     def __init__(self) -> None:
-        self.enabled = os.environ.get(OBS_ENV, "") == "1"
+        self.enabled = env_enabled()
         self.max_spans = DEFAULT_MAX_SPANS
         self.metrics: dict[tuple, Counter | Gauge | Histogram] = {}
         self.spans: list[SpanRecord] = []

@@ -4,13 +4,16 @@ The package has six pieces:
 
 * :mod:`repro.parallel.shm` -- named shared-memory segments with
   crash-safe unlink (finalizers + atexit sweep);
-* :mod:`repro.parallel.pool` -- a persistent pool of spawn-safe worker
-  processes with an SPMD mode (barrier lockstep) and a task-farm mode;
+* :mod:`repro.parallel.pool` -- a persistent pool of worker processes
+  with an SPMD mode (barrier lockstep) and a task-farm mode, and the
+  one ``forkserver`` start context
+  (:func:`~repro.parallel.pool.start_context`) from which both pools
+  fork their workers;
 * :mod:`repro.parallel.transport` -- the rank-transport seam: how a
   distributed step's pair exchanges move between ranks (shared memory
   or a TCP mesh), with chunked delivery for compute/comm overlap;
 * :mod:`repro.parallel.tcp` -- the multi-host transport: a coordinator
-  plus TCP workers (spawned on loopback, joined from other hosts via
+  plus TCP workers (started on loopback, joined from other hosts via
   ``python -m repro.parallel.tcp``) with checkpoint streaming and
   worker-loss restart;
 * :mod:`repro.parallel.stepper` -- the worker-side replay of compiled

@@ -1,4 +1,4 @@
-"""A persistent pool of spawn-safe worker processes.
+"""A persistent pool of worker processes started from one forkserver.
 
 One pool serves two call shapes:
 
@@ -8,10 +8,23 @@ One pool serves two call shapes:
 * :meth:`WorkerPool.map_tasks` -- a task farm that fans independent
   items across workers (the experiment harness' grid fan-out).
 
-Workers are spawned once and reused: the pool is module-global and
+Workers are started once and reused: the pool is module-global and
 lives for the process (closed by ``atexit``), so repeated
-``apply_circuit`` calls and whole experiment sweeps pay the interpreter
-start-up cost exactly once.
+``apply_circuit`` calls and whole experiment sweeps pay worker start-up
+once.  Both this pool and the TCP loopback pool
+(:mod:`repro.parallel.tcp`) start their workers from
+:func:`start_context`, a ``forkserver`` context whose server imports
+numpy and the worker modules once; each worker is a fork of that warm
+interpreter, which never ran pool or user code, so a pool (re)build
+costs a fork per worker rather than an interpreter boot and a numpy
+import per worker.  Where the forkserver cannot run the context falls
+back to ``spawn``.
+
+A forked worker inherits the *server's* environment, which is frozen
+when the first pool starts.  Every worker is therefore handed a
+snapshot of the parent's ``os.environ`` and adopts it first thing
+(:func:`adopt_environment`), so it sees the same environment a spawned
+worker would.
 
 Failure handling is explicit: a worker that raises aborts the shared
 barrier so its peers unblock, and a worker that *dies* (SIGKILL, OOM)
@@ -29,7 +42,7 @@ import signal
 import time
 import traceback
 from dataclasses import dataclass
-from multiprocessing import connection
+from multiprocessing import connection, util
 from typing import Any, Callable
 
 from repro import obs
@@ -50,7 +63,79 @@ POOL_WORKERS_ENV = "REPRO_POOL_WORKERS"
 #: Set inside worker processes so nested code never re-enters the pool.
 _IN_WORKER_ENV = "_REPRO_POOL_WORKER"
 
-_SPAWN = mp.get_context("spawn")
+#: Modules the forkserver imports before it forks any worker: the two
+#: worker entry points and the plan stepper (which pull in numpy and
+#: the kernels).
+_PRELOAD = ["repro.parallel.pool", "repro.parallel.stepper", "repro.parallel.tcp"]
+
+#: Longest Unix socket path the OS can bind (``sun_path`` less its NUL).
+_SUN_PATH_MAX = 107
+
+#: Length of the forkserver's socket name in the multiprocessing temp
+#: directory: ``/listener-`` plus eight random characters.
+_LISTENER_NAME_LEN = 18
+
+_context = None
+
+
+def start_context():
+    """The one multiprocessing context every pool starts workers from.
+
+    Chosen on first use: ``forkserver``, preloading the worker modules,
+    unless the server cannot run here.  That is when the start method
+    is missing, or when the server's Unix socket, created in the
+    multiprocessing temp directory (under ``TMPDIR``), would have a
+    path too long to bind; then ``spawn``.
+    """
+    global _context
+    if _context is None:
+        _context = _choose_context(util.get_temp_dir())
+    return _context
+
+
+def _choose_context(temp_dir: str):
+    if (
+        "forkserver" not in mp.get_all_start_methods()
+        or len(temp_dir) + _LISTENER_NAME_LEN > _SUN_PATH_MAX
+    ):
+        return mp.get_context("spawn")
+    # The preload list is process-global: any other forkserver user in
+    # this process shares the server and its (harmless) extra imports.
+    context = mp.get_context("forkserver")
+    context.set_forkserver_preload(_PRELOAD)
+    return context
+
+
+def adopt_environment(env: dict) -> None:
+    """Make this worker's environment the parent's ``env`` snapshot.
+
+    Runs first in every worker.  State that modules derived from the
+    environment at import time, inside the forkserver, is derived again
+    here: today that is whether :mod:`repro.obs` traces (``REPRO_OBS``).
+    """
+    os.environ.clear()
+    os.environ.update(env)
+    if obs.env_enabled():
+        obs.enable()
+    else:
+        obs.disable()
+
+
+def _alive(proc) -> bool:
+    """Whether the worker behind ``proc`` still runs.
+
+    ``proc.is_alive()`` alone is not enough: a forkserver child reports
+    its exit through the server, so if the server is killed every
+    worker it forked reads as exited while it still serves.  A worker
+    that reads as exited is asked about once more, by pid.
+    """
+    if proc.is_alive():
+        return True
+    try:
+        os.kill(proc.pid, 0)
+    except (ProcessLookupError, PermissionError):
+        return False
+    return True
 
 
 def in_worker() -> bool:
@@ -96,7 +181,9 @@ class WorkerContext:
         self.events.put(event)
 
 
-def _worker_main(worker_id: int, num_workers: int, conn, barrier, events) -> None:
+def _worker_main(
+    worker_id: int, num_workers: int, conn, barrier, events, env: dict
+) -> None:
     """Worker loop: execute commands from the parent until told to exit.
 
     Commands whose fourth element is truthy run with observability
@@ -106,6 +193,7 @@ def _worker_main(worker_id: int, num_workers: int, conn, barrier, events) -> Non
     flag mirrors the *parent's* enabled state at dispatch time, so
     workers never pay tracing overhead the parent did not ask for.
     """
+    adopt_environment(env)
     os.environ[_IN_WORKER_ENV] = "1"
     # Ctrl-C is delivered to the whole foreground process group, so
     # without this every worker dies mid-``recv`` on an interactive
@@ -176,23 +264,25 @@ def _probe_worker(ctx: "WorkerContext", rounds: int):
 
 
 class WorkerPool:
-    """``num_workers`` persistent spawn processes plus their plumbing."""
+    """``num_workers`` persistent worker processes plus their plumbing."""
 
     def __init__(self, num_workers: int):
         if num_workers < 1:
             raise ValidationError(f"num_workers must be >= 1, got {num_workers}")
         self.num_workers = num_workers
-        self.barrier = _SPAWN.Barrier(num_workers)
-        self.events = _SPAWN.SimpleQueue()
+        context = start_context()
+        self.barrier = context.Barrier(num_workers)
+        self.events = context.SimpleQueue()
         self._pipes = []
         self._procs = []
         self._broken = False
         self._closing = False
+        env = dict(os.environ)
         for i in range(num_workers):
-            parent_end, child_end = _SPAWN.Pipe()
-            proc = _SPAWN.Process(
+            parent_end, child_end = context.Pipe()
+            proc = context.Process(
                 target=_worker_main,
-                args=(i, num_workers, child_end, self.barrier, self.events),
+                args=(i, num_workers, child_end, self.barrier, self.events, env),
                 daemon=True,
                 name=f"repro-pool-{i}",
             )
@@ -206,7 +296,7 @@ class WorkerPool:
     @property
     def broken(self) -> bool:
         """True once a worker died or the pool was shut down."""
-        return self._broken or any(not p.is_alive() for p in self._procs)
+        return self._broken or not all(_alive(p) for p in self._procs)
 
     @property
     def closing(self) -> bool:
@@ -304,7 +394,7 @@ class WorkerPool:
             self._drain_events(on_event)
             if not ready:
                 for i in list(pending):
-                    if not self._procs[i].is_alive():
+                    if not _alive(self._procs[i]):
                         dead.add(i)
                         pending.discard(i)
                 if dead:
@@ -408,7 +498,7 @@ class WorkerPool:
             self._drain_events(None)
             if not ready:
                 for i in list(inflight):
-                    if not self._procs[i].is_alive():
+                    if not _alive(self._procs[i]):
                         self._broken = True
                         self._note_dead()
                         raise PoolError(
@@ -452,7 +542,7 @@ class WorkerPool:
         self._broken = True
         for pipe, proc in zip(self._pipes, self._procs):
             try:
-                if proc.is_alive():
+                if _alive(proc):
                     pipe.send(("close",))
             except (BrokenPipeError, OSError) as exc:
                 obs.swallowed("pool.close_send", exc)

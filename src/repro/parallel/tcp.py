@@ -12,9 +12,10 @@ module lets the same SPMD plan replay span hosts:
   chunked, length-prefixed binary frames.
 
 Workers on loopback entries (``127.0.0.1`` / ``localhost`` / ``local``)
-are spawned by the coordinator itself -- the single-host mode tests and
-CI exercise.  Remote entries are *waited for*: start them on the other
-host with::
+are started by the coordinator itself, from the forkserver context the
+shared-memory pool uses (:func:`repro.parallel.pool.start_context`) --
+the single-host mode tests and CI exercise.  Remote entries are *waited
+for*: start them on the other host with::
 
     python -m repro.parallel.tcp --connect COORD_HOST:PORT \
         --worker-id K --token TOKEN [--bind HOST[:PORT]]
@@ -64,7 +65,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro import obs
+from repro.core.runner import NUMERIC_QUBIT_LIMIT
 from repro.errors import PoolError, ValidationError
+from repro.parallel.pool import (
+    _IN_WORKER_ENV,
+    adopt_environment,
+    in_worker,
+    start_context,
+)
 from repro.parallel.transport import (
     LOCAL,
     PAIR,
@@ -131,6 +139,15 @@ _KIND_BLOB = 3
 #: before they can make us read an attacker-chosen byte count).
 _TOKEN_MAX_BYTES = 1024
 
+#: Upper bound on a control frame: the largest rank slice, a whole
+#: ``NUMERIC_QUBIT_LIMIT``-qubit state owned by one worker, plus an
+#: allowance for the pickled plan and message envelope.
+_MSG_MAX_BYTES = (_AMP_BYTES << NUMERIC_QUBIT_LIMIT) + (64 << 20)
+
+#: Upper bound on the registration frame, the one frame read before
+#: the sender is authenticated (``("register", id, token, address)``).
+_REGISTER_MAX_BYTES = 4 * _TOKEN_MAX_BYTES
+
 _CONNECT_TIMEOUT_S = 30.0
 _DRAIN_TIMEOUT_S = 5.0
 
@@ -143,8 +160,6 @@ _DRAIN_TIMEOUT_S = 5.0
 _MESH_STALL_TIMEOUT_S = 300.0
 
 _LOOPBACK_NAMES = frozenset({"127.0.0.1", "localhost", "::1", "local", ""})
-
-_SPAWN = mp.get_context("spawn")
 
 
 # -- host specs ---------------------------------------------------------------
@@ -209,14 +224,16 @@ def parse_hosts(spec) -> tuple[HostSpec, ...]:
 # -- control-channel framing ---------------------------------------------------
 
 
-def _recv_exact(sock: socket.socket, count: int) -> bytes:
-    buf = bytearray()
-    while len(buf) < count:
-        chunk = sock.recv(count - len(buf))
-        if not chunk:
+def _recv_exact(sock: socket.socket, count: int) -> bytearray:
+    buf = bytearray(count)
+    view = memoryview(buf)
+    got = 0
+    while got < count:
+        n = sock.recv_into(view[got:])
+        if not n:
             raise EOFError("peer closed the connection")
-        buf.extend(chunk)
-    return bytes(buf)
+        got += n
+    return buf
 
 
 def _send_msg(sock: socket.socket, message) -> None:
@@ -224,8 +241,13 @@ def _send_msg(sock: socket.socket, message) -> None:
     sock.sendall(_MSG_LEN.pack(len(data)) + data)
 
 
-def _recv_msg(sock: socket.socket):
+def _recv_msg(sock: socket.socket, max_bytes: int = _MSG_MAX_BYTES):
+    """One control frame, unpickled; a length above ``max_bytes`` raises."""
     (length,) = _MSG_LEN.unpack(_recv_exact(sock, _MSG_LEN.size))
+    if length > max_bytes:
+        raise PoolError(
+            f"control frame of {length} bytes exceeds the {max_bytes}-byte bound"
+        )
     return pickle.loads(_recv_exact(sock, length))
 
 
@@ -905,10 +927,9 @@ def _connect_and_serve(
 
 
 def _spawned_worker_main(
-    coord_host: str, coord_port: int, worker_id: int, token: str
+    coord_host: str, coord_port: int, worker_id: int, token: str, env: dict
 ) -> None:
-    from repro.parallel.pool import _IN_WORKER_ENV
-
+    adopt_environment(env)
     os.environ[_IN_WORKER_ENV] = "1"
     # Same contract as the shm pool's workers: Ctrl-C hits the whole
     # process group, but the interrupt belongs to the coordinator,
@@ -926,6 +947,29 @@ def _spawned_worker_main(
 
 
 # -- coordinator side ----------------------------------------------------------
+
+
+def _recv_registration(sock: socket.socket) -> tuple:
+    """A would-be worker's first frame: ``("register", id, token, address)``.
+
+    Any other message raises ``ValueError``; garbage bytes raise from
+    the length bound or from unpickling.
+    """
+    message = _recv_msg(sock, _REGISTER_MAX_BYTES)
+    if not (
+        isinstance(message, tuple)
+        and len(message) == 4
+        and message[0] == "register"
+    ):
+        raise ValueError("not a registration message")
+    return message
+
+
+def _reject(sock: socket.socket, reason: str, message: str, *args) -> None:
+    """Close a would-be worker's connection; log and count why."""
+    obs.counter("repro_pool_rejected_connections_total", reason=reason).inc()
+    obs.log.warning(message, *args)
+    sock.close()
 
 
 class _WorkerLost(Exception):
@@ -984,16 +1028,20 @@ class TcpPool:
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         listener.bind(self._bind_address())
-        listener.listen(self.num_workers)
+        # The default backlog, not one slot per worker: stray
+        # connections queued during registration must not crowd out a
+        # worker's connect.
+        listener.listen()
         listener.settimeout(_CONNECT_TIMEOUT_S)
         self._listener = listener
         coord_host, coord_port = listener.getsockname()[:2]
         self._procs = {}
+        env = dict(os.environ)
         for wid, spec in enumerate(self.hosts):
             if spec.is_local:
-                proc = _SPAWN.Process(
+                proc = start_context().Process(
                     target=_spawned_worker_main,
-                    args=(coord_host, coord_port, wid, token),
+                    args=(coord_host, coord_port, wid, token, env),
                     daemon=True,
                     name=f"repro-tcp-{wid}",
                 )
@@ -1030,23 +1078,40 @@ class TcpPool:
             _tune_socket(sock)
             sock.settimeout(_CONNECT_TIMEOUT_S)
             try:
-                message = _recv_msg(sock)
+                message = _recv_registration(sock)
             except (EOFError, OSError):
                 sock.close()
                 continue
-            if (
-                len(message) != 4
-                or message[0] != "register"
-                or not isinstance(message[2], str)
-                or not secrets.compare_digest(message[2], token)
+            except Exception as exc:  # noqa: BLE001 - any garbage frame
+                _reject(
+                    sock,
+                    "malformed",
+                    "rejecting malformed registration frame (%s)",
+                    type(exc).__name__,
+                )
+                continue
+            if not (
+                isinstance(message[2], str)
+                and secrets.compare_digest(message[2], token)
             ):
-                obs.log.warning("rejecting unauthenticated pool connection")
-                sock.close()
+                _reject(
+                    sock,
+                    "unauthenticated",
+                    "rejecting unauthenticated pool connection",
+                )
                 continue
             wid, mesh_addr = message[1], message[3]
-            if not (0 <= wid < self.num_workers) or wid in self._ctrl:
-                obs.log.warning("rejecting duplicate/out-of-range worker %r", wid)
-                sock.close()
+            if (
+                type(wid) is not int
+                or not (0 <= wid < self.num_workers)
+                or wid in self._ctrl
+            ):
+                _reject(
+                    sock,
+                    "worker_id",
+                    "rejecting duplicate/out-of-range worker %r",
+                    wid,
+                )
                 continue
             _send_msg(sock, ("welcome", self.num_workers))
             sock.settimeout(None)
@@ -1292,8 +1357,6 @@ _pools: dict[tuple[HostSpec, ...], TcpPool] = {}
 
 def get_tcp_pool(hosts) -> TcpPool:
     """The process-wide TCP pool for this host list (rebuilt on breakage)."""
-    from repro.parallel.pool import in_worker
-
     if in_worker():
         raise PoolError(
             "nested pools are not allowed: code running inside a pool "
@@ -1361,8 +1424,6 @@ def main(argv=None) -> int:
         parser.error(f"--token (or env {POOL_TOKEN_ENV}) is required")
     host, _, port_s = args.connect.partition(":")
     bind_host, _, bind_port_s = args.bind.partition(":")
-    from repro.parallel.pool import _IN_WORKER_ENV
-
     os.environ[_IN_WORKER_ENV] = "1"
     _connect_and_serve(
         host,

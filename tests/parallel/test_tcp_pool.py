@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import pickle
 import socket
 import threading
 
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.circuits.qft import qft_circuit
 from repro.errors import PoolError
 from repro.parallel import tcp as tcp_mod
@@ -216,6 +218,74 @@ def _loop_transport(owned, worker_of, slice_len=4):
         slice_len,
     )
     return transport, theirs
+
+
+def _frame(payload: bytes) -> bytes:
+    return tcp_mod._MSG_LEN.pack(len(payload)) + payload
+
+
+class _GarbageFirst:
+    """Start context whose first ``Process`` lets garbage clients in first.
+
+    Each client connects to the coordinator and sends one frame before
+    any worker starts, so the registration loop reads every garbage
+    frame before the first real registration.
+    """
+
+    def __init__(self, context, frames):
+        self._context = context
+        self._frames = list(frames)
+        self.clients = []
+
+    def Process(self, *args, **kwargs):
+        coord_host, coord_port = kwargs["args"][:2]
+        while self._frames:
+            client = socket.create_connection((coord_host, coord_port), timeout=5)
+            client.sendall(self._frames.pop(0))
+            self.clients.append(client)
+        return self._context.Process(*args, **kwargs)
+
+
+class TestControlFrames:
+    @pytest.mark.parametrize(
+        "prefix",
+        [b"\xff" * 8, tcp_mod._MSG_LEN.pack(1 << 62)],
+        ids=["all-ones", "2**62"],
+    )
+    def test_oversized_length_rejected_before_reading(self, prefix):
+        ours, theirs = socket.socketpair()
+        try:
+            theirs.sendall(prefix)
+            with pytest.raises(PoolError, match="exceeds"):
+                tcp_mod._recv_msg(ours)
+        finally:
+            ours.close()
+            theirs.close()
+
+    def test_garbage_connections_do_not_abort_build(self, monkeypatch):
+        # Regression: one frame with an absurd length prefix, non-pickle
+        # bytes or a non-tuple message escaped the registration loop and
+        # failed the whole build.
+        frames = [
+            b"\xff" * 8,
+            _frame(b"junk!"),
+            _frame(pickle.dumps(42)),
+        ]
+        context = _GarbageFirst(tcp_mod.start_context(), frames)
+        monkeypatch.setattr(tcp_mod, "start_context", lambda: context)
+        rejected = obs.counter(
+            "repro_pool_rejected_connections_total", reason="malformed"
+        )
+        before = rejected.value
+        pool = TcpPool(LOOPBACK2)
+        try:
+            assert len(pool.probe(1)) == 1
+        finally:
+            pool.close()
+            for client in context.clients:
+                client.close()
+        assert len(context.clients) == 3
+        assert rejected.value - before == 3
 
 
 class TestMeshProtocol:
