@@ -33,6 +33,7 @@ from repro.errors import DesError
 from repro.mpi.chunking import split_message
 from repro.perfmodel.gate_cost import local_cost
 from repro.perfmodel.trace import ExecutionTrace, RunConfiguration
+from repro.statevector.plan import GatePlan
 from repro.utils.bits import log2_exact
 
 __all__ = [
@@ -215,16 +216,21 @@ def export_schedules(trace: ExecutionTrace) -> ScheduleSet:
         block_lo = None
         block_seconds = None
 
+    # A plan's local update time depends only on the plan and the
+    # configuration: price each distinct plan once.
+    local_seconds: dict[GatePlan, float] = {}
     for index, plan in enumerate(trace.plans):
-        local = local_cost(
-            plan,
-            partition,
-            config.node_type,
-            config.frequency,
-            calib,
-            ranks_per_node=rpn,
-        )
-        local_s = local.mem_s + local.cpu_s
+        local_s = local_seconds.get(plan)
+        if local_s is None:
+            local = local_cost(
+                plan,
+                partition,
+                config.node_type,
+                config.frequency,
+                calib,
+                ranks_per_node=rpn,
+            )
+            local_s = local_seconds[plan] = local.mem_s + local.cpu_s
 
         if not plan.communicates:
             if local_s <= 0:

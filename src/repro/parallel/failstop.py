@@ -67,8 +67,11 @@ def checkpoint_cadence_steps(
     transport, ``mtbf_s`` the job-level mean time between failures and
     ``step_duration_s`` the measured (or predicted) per-step wall time.
     The returned cadence is clamped to at least 1 step and -- when
-    ``num_steps`` is given -- at most the whole plan, so short plans
-    still checkpoint once rather than never.
+    ``num_steps`` is given -- at most the whole plan.  The stepper
+    streams a checkpoint before step ``idx`` when ``idx % cadence == 0``
+    and ``idx > resume_step``, so a cadence equal to the plan length
+    never fires: such a plan streams no checkpoint and a worker loss
+    restarts it from step 0.
     """
     if not step_duration_s > 0:
         raise FaultError(

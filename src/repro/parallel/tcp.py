@@ -21,8 +21,10 @@ for*: start them on the other host with::
         --worker-id K --token TOKEN [--bind HOST[:PORT]]
 
 Fault tolerance: workers stream their owned slices to the coordinator
-every ``checkpoint_steps`` plan steps (cadence from PR 3's Young/Daly
-machinery via :mod:`repro.parallel.failstop`).  When a worker dies
+every ``checkpoint_steps`` plan steps.  The task's own cadence wins;
+otherwise ``REPRO_POOL_CHECKPOINT_STEPS`` sets it (``0`` disables
+streaming), and when that is unset plans of 8 or more steps stream four
+checkpoints (cadence ``len(steps) // 4``).  When a worker dies
 mid-run the coordinator tears the pool down, respawns it, and
 re-dispatches from the last *complete* checkpoint (falling back to the
 original input state) instead of aborting -- up to
@@ -706,7 +708,7 @@ def _checkpoint_steps_from_env() -> int | None:
         ) from None
     if value < 0:
         raise ValidationError(f"{CHECKPOINT_STEPS_ENV} must be >= 0, got {value}")
-    return value or None
+    return value
 
 
 # -- worker side ---------------------------------------------------------------
@@ -1217,6 +1219,9 @@ class TcpPool:
         if self._broken:
             raise PoolError("TCP pool is broken; call get_tcp_pool() again")
         if task.checkpoint_steps is None:
+            # An explicit 0 from the environment disables streaming (the
+            # stepper treats a zero cadence as "never"); only an unset
+            # variable falls back to the default.
             env_steps = _checkpoint_steps_from_env()
             if env_steps is None and len(task.plan.steps) >= 8:
                 # Default cadence: four checkpoints across the plan.

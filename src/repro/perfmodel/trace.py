@@ -8,13 +8,17 @@ stream for the same configuration, which integration tests assert.
 
 :func:`cost_trace` prices a trace on a machine configuration, yielding a
 :class:`CostedTrace` with per-gate and aggregate time/energy and the
-MPI/memory/compute profile of fig. 5.
+MPI/memory/compute profile of fig. 5.  A gate's cost depends only on
+its plan and the configuration, so each distinct plan is priced once per
+call and equal plans share one frozen :class:`GateCost` (a pickled
+prediction then stores each distinct cost once).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro import obs
 from repro.circuits.circuit import Circuit
 from repro.gates import Gate
 from repro.machine.frequency import CpuFrequency
@@ -26,7 +30,7 @@ from repro.perfmodel.calibration import DEFAULT_CALIBRATION, Calibration
 from repro.perfmodel.comm_cost import exchange_time
 from repro.perfmodel.gate_cost import local_cost
 from repro.statevector.partition import Partition
-from repro.statevector.plan import GatePlan, plan_gate, sampling_plan
+from repro.statevector.plan import GatePlan, plan_circuit, sampling_plan
 
 __all__ = [
     "RunConfiguration",
@@ -170,18 +174,19 @@ def trace_circuit(circuit: Circuit, config: RunConfiguration) -> ExecutionTrace:
     """The model executor: plan every gate without touching amplitudes.
 
     Works at any scale -- a 44-qubit circuit over 4,096 ranks plans in
-    milliseconds because only sizes flow through.
+    milliseconds because only sizes flow through.  Inside a
+    :func:`~repro.statevector.plan.plan_reuse` scope the plans come from
+    the scope when the circuit was already planned on this partition.
     """
-    trace = ExecutionTrace(config)
-    for gate in circuit:
-        trace.append(
-            plan_gate(
-                gate,
-                config.partition,
-                halved_swaps=config.halved_swaps,
-                max_message=config.max_message,
-            )
-        )
+    trace = ExecutionTrace(
+        config,
+        plan_circuit(
+            circuit,
+            config.partition,
+            halved_swaps=config.halved_swaps,
+            max_message=config.max_message,
+        ),
+    )
     if config.shots:
         trace.append(sampling_plan(config.partition, config.shots))
     return trace
@@ -253,7 +258,11 @@ class CostedTrace:
 
 
 def cost_trace(trace: ExecutionTrace) -> CostedTrace:
-    """Price every gate of a trace on its configuration."""
+    """Price every gate of a trace on its configuration.
+
+    Each distinct plan is priced once; every later gate with an equal
+    plan reuses the same :class:`GateCost` object.
+    """
     config = trace.config
     calib = config.calibration
     topo = config.topology
@@ -264,7 +273,12 @@ def cost_trace(trace: ExecutionTrace) -> CostedTrace:
     nodes = config.num_nodes
 
     costs: list[GateCost] = []
+    priced: dict[GatePlan, GateCost] = {}
     for plan in trace.plans:
+        cost = priced.get(plan)
+        if cost is not None:
+            costs.append(cost)
+            continue
         comm_s = 0.0
         if plan.communicates:
             if plan.comm_rounds > 1:
@@ -342,14 +356,18 @@ def cost_trace(trace: ExecutionTrace) -> CostedTrace:
             active * busy_power + (1 - active) * idle_power
         )
         total_s = comm_s + mem_s + cpu_s
-        costs.append(
-            GateCost(
-                plan=plan,
-                comm_s=comm_s,
-                mem_s=mem_s,
-                cpu_s=cpu_s,
-                node_energy_j=comm_energy + busy_energy,
-                switch_energy_j=switch_power * total_s,
-            )
+        cost = GateCost(
+            plan=plan,
+            comm_s=comm_s,
+            mem_s=mem_s,
+            cpu_s=cpu_s,
+            node_energy_j=comm_energy + busy_energy,
+            switch_energy_j=switch_power * total_s,
         )
+        priced[plan] = cost
+        costs.append(cost)
+    obs.counter("repro_model_pricings_total", outcome="priced").inc(len(priced))
+    obs.counter("repro_model_pricings_total", outcome="shared").inc(
+        len(costs) - len(priced)
+    )
     return CostedTrace(config=config, gates=costs)

@@ -14,7 +14,8 @@ id, which yields the paper's key structural facts:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property
 
 from repro.errors import PartitionError
 from repro.gates import Gate, GateLocality, classify_gate
@@ -46,24 +47,31 @@ class Partition:
                 f"qubits, circuit has {self.num_qubits}"
             )
 
-    # -- sizes ---------------------------------------------------------------
+    def __getstate__(self) -> dict:
+        # Pickle the fields only: the cached sizes below are derived.
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
-    @property
+    # -- sizes ---------------------------------------------------------------
+    # Computed once per instance (cached_property writes the instance
+    # dict directly, which a frozen dataclass permits); they are not
+    # fields, so equality, hashing and cache fingerprints ignore them.
+
+    @cached_property
     def rank_qubits(self) -> int:
         """``d``: index bits held in the rank id."""
         return log2_exact(self.num_ranks)
 
-    @property
+    @cached_property
     def local_qubits(self) -> int:
         """``m = n - d``: index bits of the local array."""
         return self.num_qubits - self.rank_qubits
 
-    @property
+    @cached_property
     def local_amplitudes(self) -> int:
         """Amplitudes per rank."""
         return 1 << self.local_qubits
 
-    @property
+    @cached_property
     def local_bytes(self) -> int:
         """Bytes of statevector per rank (complex128)."""
         return AMPLITUDE_BYTES * self.local_amplitudes

@@ -10,12 +10,21 @@ Both executors consume plans -- the numeric executor does the amplitude
 math alongside, the model executor prices plans directly -- so the event
 stream the performance model sees is identical at test scale and at
 paper scale.  Integration tests assert exactly that.
+
+Plans are pure functions of ``(gate, partition, halved_swaps,
+max_message)``, so a search that prices one circuit under many
+configurations can plan it once: inside a :func:`plan_reuse` scope,
+:func:`plan_circuit` returns the plan list it already built for the
+same circuit object.  Outside a scope every call plans every gate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from contextlib import contextmanager
+from contextvars import ContextVar
+from dataclasses import dataclass
 
+from repro import obs
 from repro.errors import SimulationError
 from repro.gates import Gate, GateLocality
 from repro.mpi.chunking import MAX_MESSAGE_BYTES, num_chunks
@@ -25,6 +34,7 @@ __all__ = [
     "GatePlan",
     "plan_gate",
     "plan_circuit",
+    "plan_reuse",
     "sampling_plan",
     "FLOPS_PER_AMP_PAIR_UPDATE",
     "FLOPS_PER_AMP_DIAGONAL",
@@ -88,6 +98,15 @@ class GatePlan:
         return self.send_bytes > 0 and self.comm_fraction > 0
 
 
+def _finish(base: dict, **changes) -> GatePlan:
+    """The plan of the fields in ``base`` updated by ``changes``.
+
+    Branches of :func:`plan_gate` share one field dict and construct the
+    frozen plan once, instead of building a base plan and copying it.
+    """
+    return GatePlan(**{**base, **changes})
+
+
 def _control_fractions(gate: Gate, partition: Partition) -> tuple[float, float]:
     """(active rank fraction, touched local fraction) from the controls.
 
@@ -114,7 +133,7 @@ def plan_gate(
     local_amps = partition.local_amplitudes
     active_fraction, touched = _control_fractions(gate, partition)
 
-    base = GatePlan(
+    base = dict(
         gate_name=gate.name,
         locality=locality,
         active_fraction=active_fraction,
@@ -146,7 +165,7 @@ def plan_gate(
             write_fraction = touched * 0.5**local_target_bits
         traffic = int(local_bytes * (1.0 + write_fraction))
         flops = int(FLOPS_PER_AMP_DIAGONAL * local_amps * write_fraction)
-        return replace(
+        return _finish(
             base,
             traffic_bytes=traffic,
             flops=flops,
@@ -164,7 +183,7 @@ def plan_gate(
             # Per output amplitude: 2**k complex multiplies (6 flops)
             # and 2**k - 1 complex adds (2 flops) ~= 8 * 2**k flops.
             flops = int(8 * (2**k) * local_amps)
-            return replace(
+            return _finish(
                 base,
                 traffic_bytes=traffic,
                 flops=flops,
@@ -176,7 +195,7 @@ def plan_gate(
             # the slice (read + write).
             p = len(gate.swap_pairs())
             traffic = int(2 * local_bytes * (1.0 - 0.5**p))
-            return replace(
+            return _finish(
                 base,
                 traffic_bytes=traffic,
                 flops=0,
@@ -185,7 +204,7 @@ def plan_gate(
         if gate.is_swap():
             # Half the (control-selected) amplitudes move, read+write.
             traffic = int(2 * local_bytes * touched * 0.5)
-            return replace(
+            return _finish(
                 base,
                 traffic_bytes=traffic,
                 flops=0,
@@ -194,7 +213,7 @@ def plan_gate(
         pairing = gate.pairing_targets()
         traffic = int(2 * local_bytes * touched)
         flops = int(FLOPS_PER_AMP_PAIR_UPDATE * local_amps * touched)
-        return replace(
+        return _finish(
             base,
             traffic_bytes=traffic,
             flops=flops,
@@ -213,7 +232,7 @@ def plan_gate(
             # Pure rank-pair data motion: ranks whose two bits differ
             # (half of them) swap entire local arrays.
             send = local_bytes
-            return replace(
+            return _finish(
                 base,
                 active_fraction=active_fraction * 0.5,
                 comm_fraction=active_fraction * 0.5,
@@ -227,7 +246,7 @@ def plan_gate(
         # modified.  QuEST exchanges the full buffer; the paper's
         # future-work optimisation sends just the needed half.
         send = local_bytes // 2 if halved_swaps else local_bytes
-        return replace(
+        return _finish(
             base,
             comm_fraction=active_fraction,
             send_bytes=send,
@@ -246,7 +265,7 @@ def plan_gate(
     # Single-qubit gate on a rank-index bit: full-buffer exchange, then a
     # streaming row combine (read local + read remote + write local).
     send = local_bytes
-    return replace(
+    return _finish(
         base,
         comm_fraction=active_fraction,
         send_bytes=send,
@@ -257,7 +276,7 @@ def plan_gate(
     )
 
 
-def _plan_measure(partition: Partition, base: GatePlan) -> GatePlan:
+def _plan_measure(partition: Partition, base: dict) -> GatePlan:
     """Plan a mid-circuit measurement on any partition.
 
     Every rank reads its whole slice to form the exact partial norms,
@@ -276,9 +295,9 @@ def _plan_measure(partition: Partition, base: GatePlan) -> GatePlan:
     traffic = int(3 * local_bytes)
     flops = int(10 * local_amps)
     if d == 0:
-        return replace(base, traffic_bytes=traffic, flops=flops)
+        return _finish(base, traffic_bytes=traffic, flops=flops)
     if d == 1:
-        return replace(
+        return _finish(
             base,
             comm_fraction=1.0,
             send_bytes=16,
@@ -287,7 +306,7 @@ def _plan_measure(partition: Partition, base: GatePlan) -> GatePlan:
             flops=flops,
             pair_rank_bit=0,
         )
-    return replace(
+    return _finish(
         base,
         comm_fraction=1.0,
         send_bytes=16 * d,
@@ -332,7 +351,7 @@ def sampling_plan(partition: Partition, shots: int) -> GatePlan:
 def _plan_distributed_remap(
     gate: Gate,
     partition: Partition,
-    base: GatePlan,
+    base: dict,
     *,
     max_message: int,
 ) -> GatePlan:
@@ -375,7 +394,7 @@ def _plan_distributed_remap(
     traffic = int(
         4 * send + 2 * local_bytes * (1.0 - 0.5**n_local_pairs)
     )
-    return replace(
+    return _finish(
         base,
         comm_fraction=1.0,
         send_bytes=send,
@@ -389,6 +408,36 @@ def _plan_distributed_remap(
     )
 
 
+# Plan lists of the open plan_reuse() scope, keyed on circuit identity
+# plus the planning options; the stored circuit and gate tuple guard
+# against id reuse and in-place mutation (the compiled apply-plan
+# cache's idiom).  None outside a scope -- there is no process-wide plan
+# cache -- and a context variable, so a scope never leaks into another
+# thread's planning.
+_reuse: ContextVar[dict[tuple, tuple] | None] = ContextVar(
+    "repro_plan_reuse", default=None
+)
+
+
+@contextmanager
+def plan_reuse():
+    """Share :func:`plan_circuit` results for the duration of the block.
+
+    Within the block, planning the same circuit object on the same
+    partition with the same options returns the stored plans instead of
+    planning every gate again.  Nested scopes join the outer one; the
+    stored plans (and the circuits they pin) are dropped on exit.
+    """
+    if _reuse.get() is not None:
+        yield
+        return
+    token = _reuse.set({})
+    try:
+        yield
+    finally:
+        _reuse.reset(token)
+
+
 def plan_circuit(
     circuit,
     partition: Partition,
@@ -396,10 +445,29 @@ def plan_circuit(
     halved_swaps: bool = False,
     max_message: int = MAX_MESSAGE_BYTES,
 ) -> list[GatePlan]:
-    """Plan every gate of a circuit (the model executor's whole job)."""
-    return [
+    """Plan every gate of a circuit (the model executor's whole job).
+
+    Returns a fresh list the caller may extend; inside a
+    :func:`plan_reuse` scope its plans are shared with earlier calls.
+    """
+    scope = _reuse.get()
+    if scope is not None:
+        key = (id(circuit), partition, halved_swaps, max_message)
+        entry = scope.get(key)
+        if (
+            entry is not None
+            and entry[0] is circuit
+            and entry[1] == circuit.gates
+        ):
+            obs.counter("repro_model_plans_total", outcome="reused").inc()
+            return list(entry[2])
+    plans = tuple(
         plan_gate(
             gate, partition, halved_swaps=halved_swaps, max_message=max_message
         )
         for gate in circuit
-    ]
+    )
+    obs.counter("repro_model_plans_total", outcome="planned").inc()
+    if scope is not None:
+        scope[key] = (circuit, circuit.gates, plans)
+    return list(plans)

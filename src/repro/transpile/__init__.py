@@ -189,7 +189,12 @@ def transpile(
         else:
             manager = TranspilePassManager(passes)
             result, properties = manager.run(circuit, partition)
-    after = schedule_metrics(result.circuit, partition)
+    # The identity pipeline returns the input's gates unchanged, so its
+    # metrics are the input's; otherwise plan the output (inside a
+    # plan_reuse() scope, later traces of it reuse these plans).
+    after = (
+        before if not passes else schedule_metrics(result.circuit, partition)
+    )
     eliminated = max(0, before.exchange_rounds - after.exchange_rounds)
     stats = dict(result.stats)
     stats["exchange_rounds_before"] = before.exchange_rounds

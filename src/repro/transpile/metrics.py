@@ -5,6 +5,8 @@ Everything here is model-level: metrics come from
 any scale, and identical to what the numeric executors would do --
 integration tests assert that equivalence elsewhere.  The benchmark
 suite and the regression gate compare these numbers across strategies.
+Inside a :func:`~repro.statevector.plan.plan_reuse` scope the plans are
+shared with every later trace of the same circuit on the same partition.
 """
 
 from __future__ import annotations

@@ -5,11 +5,12 @@ module inverts that.  :func:`tune` takes a workload (any circuit, or a
 zoo entry from :mod:`repro.tune.workloads`), a :class:`Constraint`
 (deadline, energy budget and/or node-hour cost cap, optionally a fault
 rate), and a :class:`~repro.tune.levers.LeverSpace`, and sweeps the
-cross-product with the cached analytic predictor -- about a
+cross-product with the cached analytic predictor -- well under a
 millisecond per point once the
-:class:`~repro.parallel.cache.PredictionCache` is warm, mostly the
-unpickle -- emitting the Pareto frontier of (energy, runtime, cost)
-vectors.
+:class:`~repro.parallel.cache.PredictionCache` is warm -- emitting the
+Pareto frontier of (energy, runtime, cost) vectors.  Each distinct
+(circuit, partition) is planned once per search (a
+:func:`~repro.statevector.plan.plan_reuse` scope), not once per point.
 
 The chosen frontier is then *spot-checked*: each frontier point is
 replayed on the discrete-event backend, and any point where the DES
@@ -42,6 +43,7 @@ from repro.perfmodel.objectives import (
     objective_vector,
 )
 from repro.perfmodel.predictor import predict
+from repro.statevector.plan import plan_reuse
 from repro.transpile import transpile
 from repro.tune.levers import LeverPoint, LeverSpace
 from repro.tune.pareto import pareto_frontier
@@ -315,7 +317,10 @@ def tune(
     evaluated: dict[LeverPoint, TunePoint] = {}
     skipped = 0
 
-    with obs.span(
+    # One plan-reuse scope for the whole search: every transpile's
+    # before/after metrics and every point's trace plan each distinct
+    # (circuit, partition) once; nothing outlives the call.
+    with plan_reuse(), obs.span(
         "tune.search",
         workload=workload.name,
         qubits=num_qubits,

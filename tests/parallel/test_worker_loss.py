@@ -13,13 +13,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.circuits.qft import qft_circuit
 from repro.errors import FaultError, PoolError
 from repro.faults.checkpoint import daly_interval, young_interval
 from repro.faults.plan import FaultPlan, NodeFailure
 from repro.parallel.failstop import checkpoint_cadence_steps, failstop_steps
 from repro.parallel.stepper import PlanTask
-from repro.parallel.tcp import TcpPool, shutdown_tcp_pools
+from repro.parallel.tcp import CHECKPOINT_STEPS_ENV, TcpPool, shutdown_tcp_pools
 from repro.statevector.apply_plan import compile_plan
 from repro.statevector.distributed import DistributedStatevector
 from repro.statevector.fusion import resolve_fusion
@@ -33,11 +34,11 @@ def _teardown_pools():
     shutdown_tcp_pools()
 
 
-def _compiled_task(n, ranks, *, checkpoint_steps=None):
+def _compiled_task(n, ranks, *, checkpoint_steps=None, fusion=None):
     circuit = qft_circuit(n)
     local_qubits = n - (ranks.bit_length() - 1)
     plan = compile_plan(
-        circuit, fusion=resolve_fusion(None), local_qubits=local_qubits
+        circuit, fusion=resolve_fusion(fusion), local_qubits=local_qubits
     )
     return circuit, PlanTask(
         local_name=None,
@@ -199,6 +200,38 @@ class TestCheckpointCadence:
     def test_bad_step_duration(self):
         with pytest.raises(FaultError, match="step_duration_s"):
             checkpoint_cadence_steps(2.0, 3600.0, 0.0)
+
+
+class TestCheckpointEnv:
+    """``REPRO_POOL_CHECKPOINT_STEPS`` against the default cadence."""
+
+    @staticmethod
+    def _checkpoints_streamed(task, n, ranks):
+        counter = obs.counter("repro_pool_checkpoints_total")
+        before = counter.value
+        pool = TcpPool(LOOPBACK2)
+        try:
+            finals = pool.run_plan(task, _zero_inputs(n, ranks))
+        finally:
+            pool.close()
+        got = np.concatenate([finals[r] for r in range(ranks)])
+        return counter.value - before, got
+
+    def test_zero_disables_streaming(self, monkeypatch):
+        # QFT-10 unfused is 60 steps: without the variable the default
+        # cadence (60 // 4 = 15) would stream at steps 15, 30 and 45.
+        circuit, task = _compiled_task(10, 8, fusion="off")
+        assert len(task.plan.steps) == 60
+        monkeypatch.setenv(CHECKPOINT_STEPS_ENV, "0")
+        streamed, got = self._checkpoints_streamed(task, 10, 8)
+        assert streamed == 0
+        assert np.array_equal(_serial_amps(10, 8, circuit), got)
+
+    def test_unset_keeps_default_cadence(self, monkeypatch):
+        _, task = _compiled_task(10, 8, fusion="off")
+        monkeypatch.delenv(CHECKPOINT_STEPS_ENV, raising=False)
+        streamed, _ = self._checkpoints_streamed(task, 10, 8)
+        assert streamed == 3
 
 
 class TestRemoteLossIsFatal:

@@ -39,6 +39,21 @@ class TestSizes:
         with pytest.raises(PartitionError):
             Partition(0, 1)
 
+    def test_cached_sizes_leave_identity_alone(self):
+        # The derived sizes are cached on the instance, but equality,
+        # hashing, pickled bytes and cache fingerprints see only fields.
+        import pickle
+
+        from repro.parallel.cache import config_fingerprint
+
+        used, fresh = Partition(20, 8), Partition(20, 8)
+        assert used.local_bytes == 16 * 2**17
+        assert used == fresh and hash(used) == hash(fresh)
+        assert pickle.dumps(used) == pickle.dumps(fresh)
+        assert config_fingerprint(used) == config_fingerprint(fresh)
+        restored = pickle.loads(pickle.dumps(used))
+        assert restored == used and restored.local_qubits == 17
+
 
 class TestLocality:
     def test_is_local_boundary(self):
