@@ -10,7 +10,7 @@ communication mode:
 * ``BLOCKING`` -- one ``Sendrecv`` chunk pair in flight at a time; the
   next chunk starts only when both directions of the previous one have
   completed, paying the per-message latency every chunk (QuEST's stock
-  exchange loop, :func:`repro.mpi.exchange.exchange_arrays`).
+  exchange loop, :func:`repro.mpi.exchange.log_exchange_schedule`).
 * ``NONBLOCKING`` -- every chunk posted up front and completed by one
   wait; chunks queue back-to-back on the NIC so only the first latency
   stays on the critical path (the paper's ``Isend``/``Irecv`` rewrite).

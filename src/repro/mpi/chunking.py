@@ -8,15 +8,12 @@ gate" (paper section 2.1, for the 64 GiB per-node statevector).
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.errors import CommError, ValidationError
 from repro.utils.units import GIB
 
 __all__ = [
     "MAX_MESSAGE_BYTES",
     "split_message",
-    "chunk_array",
     "num_chunks",
     "element_chunk_bytes",
 ]
@@ -46,21 +43,6 @@ def split_message(nbytes: int, max_message: int = MAX_MESSAGE_BYTES) -> list[int
     return sizes
 
 
-def chunk_array(
-    array: np.ndarray, max_message: int = MAX_MESSAGE_BYTES
-) -> list[np.ndarray]:
-    """Split a 1-D array into contiguous views of at most ``max_message`` bytes.
-
-    Views, not copies -- the send path must not duplicate 64 GiB buffers.
-    """
-    if array.ndim != 1:
-        raise CommError(f"chunk_array expects a 1-D array, got ndim={array.ndim}")
-    per_chunk = _elements_per_chunk(array.dtype.itemsize, max_message)
-    return [array[i : i + per_chunk] for i in range(0, len(array), per_chunk)] or [
-        array
-    ]
-
-
 def _elements_per_chunk(itemsize: int, max_message: int) -> int:
     """Elements per message, validating the cap fits one element."""
     if max_message <= 0:
@@ -76,11 +58,11 @@ def _elements_per_chunk(itemsize: int, max_message: int) -> int:
 def element_chunk_bytes(
     num_elements: int, itemsize: int, max_message: int = MAX_MESSAGE_BYTES
 ) -> list[int]:
-    """Byte sizes of the messages :func:`chunk_array` would produce.
+    """Byte sizes of the messages carrying ``num_elements`` items.
 
-    Lets the pool executor's schedule logger account the exact chunk
-    sequence of an exchange without materialising (or even owning) the
-    payload arrays.
+    Every message holds as many whole items as fit in ``max_message``
+    bytes, the last one the remainder -- the exact chunk sequence the
+    schedule logger records for an exchange.
     """
     if num_elements < 0:
         raise ValidationError(f"num_elements must be >= 0, got {num_elements}")

@@ -2,9 +2,11 @@
 
 Real distributed statevector codes end every norm check, probability
 query and sampling step with a collective; QuEST uses ``MPI_Allreduce``
-for exactly these.  This module implements the classic algorithms over
-:class:`~repro.mpi.comm.SimComm`'s point-to-point primitives, SPMD in
-lockstep rounds, so the message log shows the true schedule:
+for exactly these.  This module computes the classic algorithms
+in-process, round by round in SPMD lockstep order (so every combine
+happens in the order a real run would perform it), and records each
+round's messages on :class:`~repro.mpi.comm.SimComm`, so the message
+log shows the true schedule:
 
 * **allreduce** -- recursive doubling: ``log2 P`` rounds, every rank
   sends each round (``P * log2 P`` messages);
@@ -61,10 +63,11 @@ def allreduce(
     for r in range(rounds):
         tag = _COLLECTIVE_TAG_BASE + r
         for rank in range(comm.size):
-            comm.Send(partials[rank], source=rank, dest=rank ^ (1 << r), tag=tag)
-        for rank in range(comm.size):
-            received = comm.Recv(dest=rank, source=rank ^ (1 << r), tag=tag)
-            partials[rank] = op(partials[rank], received)
+            comm.record_only(rank, rank ^ (1 << r), tag, partials[rank].nbytes)
+        partials = [
+            op(partials[rank], partials[rank ^ (1 << r)])
+            for rank in range(comm.size)
+        ]
     return partials
 
 
@@ -82,17 +85,12 @@ def bcast(comm: SimComm, payload: np.ndarray, *, root: int = 0) -> list[np.ndarr
     data: dict[int, np.ndarray] = {root: np.array(payload, copy=True)}
     for r in range(rounds - 1, -1, -1):
         tag = _COLLECTIVE_TAG_BASE + (1 << 10) + r
-        senders = list(have)
-        for rank in senders:
+        for rank in list(have):
             peer = rank ^ (1 << r)
             if peer in have:
                 continue
-            comm.Send(data[rank], source=rank, dest=peer, tag=tag)
-        for rank in senders:
-            peer = rank ^ (1 << r)
-            if peer in have or peer in data:
-                continue
-            data[peer] = comm.Recv(dest=peer, source=rank, tag=tag)
+            comm.record_only(rank, peer, tag, data[rank].nbytes)
+            data[peer] = data[rank].copy()
         have.update(data)
     return [data[rank] for rank in range(comm.size)]
 
@@ -109,15 +107,10 @@ def gather(
     if not 0 <= root < comm.size:
         raise CommError(f"root {root} out of range for {comm.size} ranks")
     tag = _COLLECTIVE_TAG_BASE + (2 << 10)
+    out = [np.array(p, copy=True) for p in payloads]
     for rank in range(comm.size):
         if rank != root:
-            comm.Send(payloads[rank], source=rank, dest=root, tag=tag + rank)
-    out = []
-    for rank in range(comm.size):
-        if rank == root:
-            out.append(np.array(payloads[rank], copy=True))
-        else:
-            out.append(comm.Recv(dest=root, source=rank, tag=tag + rank))
+            comm.record_only(rank, root, tag + rank, out[rank].nbytes)
     return out
 
 
@@ -136,16 +129,14 @@ def allgather(comm: SimComm, payloads: list[np.ndarray]) -> list[np.ndarray]:
     for r in range(rounds):
         tag = _COLLECTIVE_TAG_BASE + (3 << 10) + r
         for rank in range(comm.size):
-            comm.Send(blocks[rank][1], source=rank, dest=rank ^ (1 << r), tag=tag)
+            comm.record_only(rank, rank ^ (1 << r), tag, blocks[rank][1].nbytes)
         new_blocks: list[tuple[int, np.ndarray]] = []
         for rank in range(comm.size):
-            peer = rank ^ (1 << r)
-            received = comm.Recv(dest=rank, source=peer, tag=tag)
             my_start, mine = blocks[rank]
-            peer_start = blocks[peer][0]
+            peer_start, theirs = blocks[rank ^ (1 << r)]
             if my_start < peer_start:
-                new_blocks.append((my_start, np.concatenate([mine, received])))
+                new_blocks.append((my_start, np.concatenate([mine, theirs])))
             else:
-                new_blocks.append((peer_start, np.concatenate([received, mine])))
+                new_blocks.append((peer_start, np.concatenate([theirs, mine])))
         blocks = new_blocks
     return [b[1] for b in blocks]

@@ -5,9 +5,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-import numpy as np
-
-__all__ = ["CommMode", "Message", "Request", "CommStats"]
+__all__ = ["CommMode", "Message", "CommStats"]
 
 
 class CommMode(enum.Enum):
@@ -31,20 +29,6 @@ class Message:
     dest: int
     tag: int
     nbytes: int
-
-
-@dataclass
-class Request:
-    """Handle for a posted non-blocking operation."""
-
-    kind: str  # "send" | "recv"
-    message: Message
-    payload: np.ndarray | None = None
-    completed: bool = False
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("send", "recv"):
-            raise ValueError(f"request kind must be send/recv, got {self.kind!r}")
 
 
 @dataclass

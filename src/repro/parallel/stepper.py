@@ -1,28 +1,31 @@
-"""Worker-side SPMD execution of compiled apply plans.
+"""The one SPMD step interpreter behind every distributed executor.
 
-Each pool worker owns a static round-robin subset of the simulated
-ranks (:meth:`~repro.statevector.partition.Partition.ranks_for_worker`)
-and replays the same :class:`~repro.statevector.apply_plan.ApplyPlan`.
+Each worker owns a static round-robin subset of the simulated ranks
+(:meth:`~repro.statevector.partition.Partition.ranks_for_worker`) and
+replays the same :class:`~repro.statevector.apply_plan.ApplyPlan`.
 Local steps run with no synchronisation at all; a distributed step's
 data movement is described as a list of
 :class:`~repro.parallel.transport.CopySpec` records derived purely from
 the plan -- identical on every worker -- and handed to the worker's
 :class:`~repro.parallel.transport.RankTransport`:
 
+* in-process (``executor="serial"``) one worker owns every rank of a
+  lazy :class:`~repro.statevector.slices.RankSlices` store, and the
+  copies run through :class:`~repro.parallel.transport.ShmTransport`'s
+  loop with no peer to fence against;
 * over shared memory the copies run between two barrier fences (the
-  original two-barriers-per-step protocol, unchanged);
+  two-barriers-per-step protocol);
 * over the TCP mesh the copies become length-prefixed messages, chunked
   so the ``on_ready`` callbacks below can apply the elementwise update
   to already-received chunks while later chunks are still in flight
   (compute/communication overlap).
 
-Bit-identity with the serial executor is by construction: the update
-phase calls the *same* per-rank kernels on the same operand values in
-the same per-rank order (``repro.statevector.distributed`` exposes its
-step bodies at module level precisely so both executors share them),
-and every chunked update is elementwise, so splitting it over chunk
-boundaries performs the identical floating-point operation per
-amplitude.
+Bit-identity across executors is by construction: every executor runs
+these step bodies, and every chunked update is elementwise, so
+splitting it over chunk boundaries performs the identical
+floating-point operation per amplitude.  A lazy store's implicit zero
+slices skip their local, measure and pack work (every step is linear);
+the other stores have none, so for them the skip changes nothing.
 """
 
 from __future__ import annotations
@@ -34,17 +37,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro import obs
-from repro.gates import GateLocality
+from repro.gates import Gate, GateLocality
 from repro.statevector import exact
 from repro.statevector import gate_kernels as kernels
-from repro.statevector.apply_plan import ApplyPlan, ApplyStep, StepKind
-from repro.statevector.distributed import (
-    combine_coefficients,
-    diagonal_step_on_rank,
-    local_controls_of,
-    local_memory_step_on_rank,
-    rank_controls_satisfied,
-    remap_bucket_view,
+from repro.statevector.apply_plan import (
+    ApplyPlan,
+    ApplyStep,
+    StepKind,
+    reduce_diagonal,
 )
 from repro.statevector.partition import Partition
 from repro.parallel.transport import (
@@ -102,6 +102,151 @@ class PlanTask:
     blob_name: str | None = None
 
 
+# -- per-rank step bodies ------------------------------------------------------
+
+
+def local_controls_of(gate: Gate, local_qubits: int) -> tuple[int, ...]:
+    """The gate's control qubits that index into the local array."""
+    return tuple(c for c in gate.controls if c < local_qubits)
+
+
+def rank_controls_satisfied(gate: Gate, partition: Partition, rank: int) -> bool:
+    """True when the rank's index bits satisfy all distributed controls."""
+    m = partition.local_qubits
+    return all((rank >> (c - m)) & 1 for c in gate.controls if c >= m)
+
+
+def diagonal_step_on_rank(
+    amps: np.ndarray, step: ApplyStep, partition: Partition, rank: int
+) -> None:
+    """Fully local (diagonal) step on one rank's slice.
+
+    Distributed controls decide whether the rank participates at all;
+    distributed targets have a constant bit value per rank, so the
+    diagonal is reduced over them once and the remaining local part runs
+    through the strided kernel -- no per-rank index arrays or masks.
+    """
+    m = partition.local_qubits
+    targets, controls, diag = step.targets, step.controls, step.diag
+    dist_controls = tuple(c for c in controls if c >= m)
+    if not all((rank >> (c - m)) & 1 for c in dist_controls):
+        return
+    dist_targets = tuple(t for t in targets if t >= m)
+    if dist_targets:
+        fixed = {t: (rank >> (t - m)) & 1 for t in dist_targets}
+        local_targets, reduced = reduce_diagonal(diag, targets, fixed)
+    else:
+        local_targets, reduced = targets, diag
+    kernels.apply_diagonal(
+        amps, reduced, local_targets, tuple(c for c in controls if c < m)
+    )
+
+
+def local_memory_step_on_rank(
+    amps: np.ndarray, step: ApplyStep, partition: Partition, rank: int
+) -> None:
+    """Local-memory step (all pairing targets local) on one rank's slice."""
+    gate = step.gate
+    if not rank_controls_satisfied(gate, partition, rank):
+        return
+    controls = local_controls_of(gate, partition.local_qubits)
+    if step.kind is StepKind.REMAP:
+        # All transpositions landed local: one gather permutation (or
+        # sequential swaps for short runs -- identical either way).
+        kernels.apply_permutation(amps, gate.swap_pairs())
+    elif step.kind is StepKind.SWAP:
+        kernels.apply_swap_local(amps, step.targets[0], step.targets[1], controls)
+    elif step.kind is StepKind.FUSED:
+        kernels.apply_unitary_batched(amps, step.matrix, step.targets, controls)
+    else:
+        kernels.apply_matrix(amps, step.matrix, step.targets, controls)
+
+
+def remap_bucket_view(
+    amps: np.ndarray, l_bits: tuple[int, ...], value_bits: int
+) -> np.ndarray:
+    """Strided view of the amplitudes in one remap bucket.
+
+    The bucket is the subset of ``amps`` whose local-index bit
+    ``l_bits[j]`` equals bit ``j`` of ``value_bits`` for every ``j``.
+    Both ends of a bucket exchange ravel this view in C order, so
+    equal non-bucket bit patterns land in corresponding slots -- which
+    is exactly the permutation's within-bucket identity.
+    """
+    total = int(amps.shape[0]).bit_length() - 1
+    shape: list[int] = []
+    index: list = []
+    prev = total
+    for b in sorted(l_bits, reverse=True):
+        shape.append(1 << (prev - 1 - b))
+        shape.append(2)
+        index.append(slice(None))
+        index.append((value_bits >> l_bits.index(b)) & 1)
+        prev = b
+    shape.append(1 << prev)
+    return amps.reshape(shape)[tuple(index)]
+
+
+def combine_coefficients(
+    matrix: np.ndarray, rank_bit_value: int
+) -> tuple[complex, complex]:
+    """The (local, remote) coefficients of a distributed single-qubit gate.
+
+    Each rank's new amplitudes are the matrix row selected by its value
+    of the target bit: ``new = row[b] * local + row[1-b] * remote``.
+    """
+    if rank_bit_value == 0:
+        return matrix[0, 0], matrix[0, 1]
+    return matrix[1, 1], matrix[1, 0]
+
+
+def remap_split(
+    gate: Gate, m: int
+) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """A remap's transpositions split into (cross, purely local).
+
+    :func:`~repro.statevector.plan.plan_gate` has already rejected any
+    transposition of two distributed qubits.
+    """
+    cross: list[tuple[int, int]] = []
+    local_pairs: list[tuple[int, int]] = []
+    for a, b in gate.swap_pairs():
+        (cross if b >= m else local_pairs).append((a, b))
+    return cross, local_pairs
+
+
+# -- implicit zero slices ---------------------------------------------------------
+#
+# A lazy store (the in-process executor's RankSlices) leaves untouched
+# ranks as implicit zero vectors.  Every step is linear, so a zero rank
+# needs no local, measure or pack work, and a copy between two zero
+# ranks moves zeros onto zeros.  Shared-memory and TCP stores have no
+# zero ranks: these filters return their inputs unchanged.
+
+
+def _live(store: RankStore, ranks) -> list[int]:
+    """``ranks`` minus the implicit zero slices."""
+    return [r for r in ranks if not store.is_zero(r)]
+
+
+def _nonzero_copies(store: RankStore, copies: list[CopySpec]) -> list[CopySpec]:
+    """``copies`` minus those whose two ranks are both implicit zeros."""
+    return [
+        c
+        for c in copies
+        if not (store.is_zero(c.dst_rank) and store.is_zero(c.src_rank))
+    ]
+
+
+def _receivers(copies: list[CopySpec], owned: tuple[int, ...]) -> list[int]:
+    """Owned destination ranks of ``copies``, in copy order."""
+    mine = set(owned)
+    return [c.dst_rank for c in copies if c.dst_rank in mine]
+
+
+# -- step executors ----------------------------------------------------------------
+
+
 def _exec_local(
     step: ApplyStep,
     locality: GateLocality,
@@ -110,14 +255,13 @@ def _exec_local(
     owned: tuple[int, ...],
 ) -> None:
     """Local step: each owned rank sweeps independently, no exchanges."""
-    if locality is GateLocality.FULLY_LOCAL:
-        for rank in owned:
-            diagonal_step_on_rank(store.view(rank, LOCAL), step, partition, rank)
-    else:
-        for rank in owned:
-            local_memory_step_on_rank(
-                store.view(rank, LOCAL), step, partition, rank
-            )
+    body = (
+        diagonal_step_on_rank
+        if locality is GateLocality.FULLY_LOCAL
+        else local_memory_step_on_rank
+    )
+    for rank in _live(store, owned):
+        body(store.view(rank, LOCAL), step, partition, rank)
 
 
 def _exec_distributed_single(
@@ -139,16 +283,17 @@ def _exec_distributed_single(
     matrix = step.matrix if step.matrix is not None else gate.matrix()
     local_controls = local_controls_of(gate, partition.local_qubits)
     n = partition.local_amplitudes
-    copies = [
-        CopySpec(r, PAIR, 0, n, r ^ (1 << rank_bit), LOCAL, 0, n)
-        for r in range(partition.num_ranks)
-        if rank_controls_satisfied(gate, partition, r)
-    ]
+    copies = _nonzero_copies(
+        store,
+        [
+            CopySpec(r, PAIR, 0, n, r ^ (1 << rank_bit), LOCAL, 0, n)
+            for r in range(partition.num_ranks)
+            if rank_controls_satisfied(gate, partition, r)
+        ],
+    )
     if local_controls:
         transport.exchange(step_index, copies)
-        for rank in owned:
-            if not rank_controls_satisfied(gate, partition, rank):
-                continue
+        for rank in _receivers(copies, owned):
             coeff = combine_coefficients(matrix, (rank >> rank_bit) & 1)
             kernels.combine_distributed_single(
                 store.view(rank, LOCAL),
@@ -192,11 +337,14 @@ def _exec_distributed_swap(
         # pure overwrite, so it rides the chunk callbacks.
         bit_a, bit_b = t_low - m, t_high - m
         mask = (1 << bit_a) | (1 << bit_b)
-        copies = [
-            CopySpec(r, PAIR, 0, n, r ^ mask, LOCAL, 0, n)
-            for r in range(partition.num_ranks)
-            if ((r >> bit_a) & 1) != ((r >> bit_b) & 1)
-        ]
+        copies = _nonzero_copies(
+            store,
+            [
+                CopySpec(r, PAIR, 0, n, r ^ mask, LOCAL, 0, n)
+                for r in range(partition.num_ranks)
+                if ((r >> bit_a) & 1) != ((r >> bit_b) & 1)
+            ],
+        )
 
         def on_ready(c: CopySpec, lo: int, hi: int) -> None:
             store.view(c.dst_rank, LOCAL)[lo:hi] = store.view(
@@ -213,20 +361,26 @@ def _exec_distributed_swap(
         # Pack the half the partner needs into the front of the own
         # pair buffer, receive the partner's packed half into the back.
         # The packed stream is row-major over the target half, so the
-        # unpack applies per *complete row* as chunks arrive.
+        # unpack applies per *complete row* as chunks arrive.  Copies
+        # pair ranks symmetrically, so the owned receivers are exactly
+        # the owned senders that must pack.
         width = 1 << local_bit
-        for rank in owned:
+        copies = _nonzero_copies(
+            store,
+            [
+                CopySpec(r, PAIR, half, n, r ^ (1 << rank_bit), PAIR, 0, half)
+                for r in range(partition.num_ranks)
+            ],
+        )
+        receivers = _receivers(copies, owned)
+        for rank in receivers:
             b = (rank >> rank_bit) & 1
             view = store.view(rank, LOCAL).reshape(-1, 2, width)
             half_shape = view[:, 0, :].shape
             store.view(rank, PAIR)[:half].reshape(half_shape)[...] = view[
                 :, 1 - b, :
             ]
-        copies = [
-            CopySpec(r, PAIR, half, n, r ^ (1 << rank_bit), PAIR, 0, half)
-            for r in range(partition.num_ranks)
-        ]
-        rows_done = dict.fromkeys(owned, 0)
+        rows_done = dict.fromkeys(receivers, 0)
 
         def on_ready(c: CopySpec, lo: int, hi: int) -> None:
             rank = c.dst_rank
@@ -243,12 +397,15 @@ def _exec_distributed_swap(
 
         transport.exchange(step_index, copies, on_ready)
     else:
-        copies = [
-            CopySpec(r, PAIR, 0, n, r ^ (1 << rank_bit), LOCAL, 0, n)
-            for r in range(partition.num_ranks)
-        ]
+        copies = _nonzero_copies(
+            store,
+            [
+                CopySpec(r, PAIR, 0, n, r ^ (1 << rank_bit), LOCAL, 0, n)
+                for r in range(partition.num_ranks)
+            ],
+        )
         transport.exchange(step_index, copies)
-        for rank in owned:
+        for rank in _receivers(copies, owned):
             kernels.swap_in_halves(
                 store.view(rank, LOCAL),
                 store.view(rank, PAIR),
@@ -275,16 +432,18 @@ def _exec_measure(
     Each worker sums the exact integer partial norms of its owned
     ranks, allgathers the per-worker ``(n0, ntotal)`` pairs through the
     transport's scalar collective, and re-sums -- integer addition is
-    associative, so every worker (and the serial executor) derives the
-    identical global pair and hence the identical outcome.  Worker 0
-    reports the outcome upstream unconditionally (the parent's
-    bookkeeping needs it even with no observer attached).
+    associative, so every worker derives the identical global pair and
+    hence the identical outcome.  Implicit zero slices contribute
+    nothing and collapse to themselves.  Worker 0 reports the outcome
+    upstream unconditionally (the parent's bookkeeping needs it even
+    with no observer attached).
     """
     qubit = step.targets[0]
     m = partition.local_qubits
+    live = _live(store, owned)
     n0 = 0
     ntotal = 0
-    for rank in owned:
+    for rank in live:
         p0, pt = exact.partial_norms(store.view(rank, LOCAL), qubit, rank, m)
         n0 += p0
         ntotal += pt
@@ -298,20 +457,12 @@ def _exec_measure(
     outcome = exact.measure_outcome(seed, ordinal, n0, ntotal)
     n_sel = n0 if outcome == 0 else ntotal - n0
     scale = exact.collapse_scale(n_sel, ntotal)
-    for rank in owned:
+    for rank in live:
         exact.collapse_slice(
             store.view(rank, LOCAL), qubit, outcome, scale, rank, m
         )
     if worker_id == 0 and emit is not None:
         emit(("measure", ordinal, qubit, outcome))
-
-
-def _remap_split(step: ApplyStep, m: int):
-    cross: list[tuple[int, int]] = []
-    local_pairs: list[tuple[int, int]] = []
-    for a, b in step.gate.swap_pairs():
-        (cross if b >= m else local_pairs).append((a, b))
-    return cross, local_pairs
 
 
 def _exec_remap(
@@ -324,14 +475,15 @@ def _exec_remap(
 ) -> None:
     """Remap with cross transpositions.
 
-    Over shared memory every rank gathers all its new buckets directly
-    (one strided gather between two fences -- the pre-seam protocol);
-    over a message transport the buckets route through the serial
-    executor's ``2**g - 1`` pairwise rounds, packed contiguous on the
-    wire.  Same permutation, same amplitude values (pure copies).
+    With direct access to every rank's buffers (shared memory, or the
+    in-process executor) each rank gathers all its new buckets directly:
+    one strided gather between two fences.  Over a message transport
+    the buckets route through ``2**g - 1`` pairwise rounds, packed
+    contiguous on the wire.  Same permutation, same amplitude values
+    (pure copies).
     """
     m = partition.local_qubits
-    cross, local_pairs = _remap_split(step, m)
+    cross, local_pairs = remap_split(step.gate, m)
     g = len(cross)
     l_bits = tuple(a for a, _b in cross)
     g_bits = tuple(b - m for _a, b in cross)
@@ -347,18 +499,26 @@ def _exec_remap(
         for gb in g_bits:
             full_mask |= 1 << gb
         transport.fence()
+        gathered = []
         for rank in owned:
-            own = own_pattern(rank)
+            sources = []
             for v in range(1 << g):
                 src_rank = rank & ~full_mask
                 for j, gb in enumerate(g_bits):
                     src_rank |= ((v >> j) & 1) << gb
+                sources.append(src_rank)
+            # Ranks gather only within their group, so a group of
+            # implicit zeros stays zero and unmaterialised.
+            if not _live(store, sources):
+                continue
+            gathered.append(rank)
+            for v, src_rank in enumerate(sources):
                 dest = remap_bucket_view(store.view(rank, PAIR), l_bits, v)
                 dest[...] = remap_bucket_view(
-                    store.view(src_rank, LOCAL), l_bits, own
+                    store.view(src_rank, LOCAL), l_bits, own_pattern(rank)
                 )
         transport.fence()
-        for rank in owned:
+        for rank in gathered:
             store.view(rank, LOCAL)[:] = store.view(rank, PAIR)
             # Purely local transpositions are disjoint from the cross
             # pairs, so applying them after the routing is the same

@@ -7,12 +7,11 @@ derived purely from the compiled plan, so every worker enumerates the
 *same* list in the same order.  A :class:`RankTransport` then realises
 those copies on a concrete medium:
 
-* :class:`ShmTransport` -- the original shared-memory path.  All ranks'
-  slices live in one segment, so a copy is a direct ``ndarray``
-  assignment guarded by the pool barrier: fence (sources ready), copy,
-  fence (sources may be overwritten).  Bit-identical to the pre-seam
-  stepper by construction -- the same assignments run between the same
-  two barriers.
+* :class:`ShmTransport` -- direct ``ndarray`` assignments guarded by a
+  barrier: fence (sources ready), copy, fence (sources may be
+  overwritten).  The shared-memory pool runs it over rows of one
+  segment; the in-process executor runs the same loop with a single
+  party (no barrier), where both fences are no-ops.
 * ``TcpMeshTransport`` (:mod:`repro.parallel.tcp`) -- workers own their
   rank slices privately and move regions over a length-prefixed TCP
   mesh.  Fences are free (message arrival *is* the synchronisation) and
@@ -22,9 +21,11 @@ those copies on a concrete medium:
   flight.
 
 The two buffer kinds mirror QuEST's layout: ``"local"`` is the rank's
-amplitude slice, ``"pair"`` its reusable exchange buffer (PR 2's
+amplitude slice, ``"pair"`` its reusable exchange buffer (QuEST's
 ``pairStateVec``).  A :class:`RankStore` resolves ``(rank, kind)`` to
-the backing array so step bodies are medium-agnostic.
+the backing array so step bodies are medium-agnostic; the in-process
+executor's store is :class:`~repro.statevector.slices.RankSlices`
+itself, whose untouched ranks stay implicit zeros.
 """
 
 from __future__ import annotations
@@ -102,6 +103,10 @@ class RankStore:
     def view(self, rank: int, kind: str) -> np.ndarray:
         """The full backing array of one rank's buffer."""
         raise NotImplementedError
+
+    def is_zero(self, rank: int) -> bool:
+        """True when the rank's slice is an implicit zero (never here)."""
+        return False
 
 
 class Array2DStore(RankStore):
@@ -202,15 +207,16 @@ class RankTransport:
 
 
 class ShmTransport(RankTransport):
-    """Direct shared-memory copies fenced by the pool barrier.
+    """Direct in-memory copies fenced by the pool barrier.
 
-    This is the pre-seam stepper's exact protocol: fence (every rank's
-    source data for this step is ready), perform the owned copies as
-    in-place assignments, fence (every copy is done; sources may now be
-    overwritten).  Two barriers per distributed step, zero per local
-    step -- and every worker executes the same fence sequence derived
-    solely from the plan, so workers that own no ranks still participate
-    in lockstep.
+    Fence (every rank's source data for this step is ready), perform
+    the owned copies as in-place assignments, fence (every copy is done;
+    sources may now be overwritten).  Two barriers per distributed step,
+    zero per local step -- and every worker executes the same fence
+    sequence derived solely from the plan, so workers that own no ranks
+    still participate in lockstep.  With ``barrier=None`` there is a
+    single party (the in-process executor): fences are no-ops and record
+    no barrier wait.
     """
 
     direct_gather = True
@@ -231,7 +237,8 @@ class ShmTransport(RankTransport):
         self._blobs = blobs
 
     def fence(self) -> None:
-        _timed_wait(self.barrier)
+        if self.barrier is not None:
+            _timed_wait(self.barrier)
 
     def allgather_blob(self, tag: int, payload: bytes) -> list[bytes]:
         """Shared-segment allgather: write own row, fence, read all rows.

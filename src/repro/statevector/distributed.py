@@ -2,23 +2,27 @@
 
 Every rank of the :class:`~repro.statevector.partition.Partition` holds
 its slice of the statevector; gates are applied in SPMD lockstep, with
-distributed gates driving pairwise buffer exchanges through the
-simulated MPI layer.  All ranks live in-process, which makes the
-simulator exact and deterministic while the communication *schedule*
-(message counts, sizes, pairings, blocking vs non-blocking) matches what
-QuEST would issue on a real machine.
+distributed gates driving pairwise buffer exchanges.  The simulator is
+exact and deterministic while the communication *schedule* (message
+counts, sizes, pairings, blocking vs non-blocking) recorded in
+:class:`~repro.mpi.comm.SimComm` matches what QuEST would issue on a
+real machine.
 
-Two executors share this class:
+Every executor runs a compiled plan through the one step interpreter,
+:func:`repro.parallel.stepper.execute_plan`, and differs only in how
+that task executes:
 
-* ``executor="serial"`` (default) drives every rank in this process,
-  moving distributed payloads through :class:`~repro.mpi.comm.SimComm`;
+* ``executor="serial"`` (default) runs it in this process: one worker
+  owns every rank of a lazy :class:`~repro.statevector.slices.RankSlices`
+  store, so untouched ranks stay implicit zero slices;
 * ``executor="pool"`` places the rank slices (and the pair/exchange
-  buffers) in named shared-memory segments and replays the compiled
-  plan across a persistent worker pool (:mod:`repro.parallel`) -- local
-  sweeps run concurrently and exchanges become in-place shared-memory
-  copies.  Amplitudes are bit-identical to the serial path, and the
-  communicator still records the exact message schedule the serial
-  driver would have produced.
+  buffers) in named shared-memory segments and replays the plan across
+  a persistent worker pool (:mod:`repro.parallel`), or across a TCP
+  worker mesh when a host list is set.
+
+Whatever the executor, the parent validates every step before any runs,
+fires observer callbacks in gate order, and replays the exchange
+schedule into the communicator (:meth:`DistributedStatevector._run_plan`).
 
 Scale: functional simulation is for correctness work (tests cap out in
 the mid twenties of qubits).  Paper-scale runs use the same
@@ -28,6 +32,7 @@ the mid twenties of qubits).  Paper-scale runs use the same
 from __future__ import annotations
 
 from collections.abc import Callable
+from dataclasses import replace
 
 import numpy as np
 
@@ -35,22 +40,14 @@ from repro import obs
 from repro.circuits.circuit import Circuit
 from repro.errors import SimulationError, ValidationError
 from repro.gates import Gate, GateLocality
-from repro.mpi import (
-    CommMode,
-    MAX_MESSAGE_BYTES,
-    SimComm,
-    exchange_arrays,
-    log_exchange_schedule,
-)
+from repro.mpi import CommMode, MAX_MESSAGE_BYTES, SimComm, log_exchange_schedule
 from repro.statevector import exact
-from repro.statevector import gate_kernels as kernels
 from repro.statevector.apply_plan import (
     ApplyPlan,
     ApplyStep,
     StepKind,
     compile_gate_step,
     compile_plan,
-    reduce_diagonal,
 )
 from repro.statevector.fusion import FusionConfig, resolve_fusion
 from repro.statevector.dense import DenseStatevector
@@ -62,108 +59,6 @@ __all__ = ["DistributedStatevector"]
 
 #: Callback invoked after each gate with its plan.
 Observer = Callable[[int, Gate, GatePlan], None]
-
-
-# -- per-rank step bodies ------------------------------------------------------
-#
-# Module-level so the pool workers (repro.parallel.stepper) execute the
-# *same code objects* the serial executor runs: bit-identical local
-# sweeps are a property of shared code, not of parallel re-derivation.
-
-
-def local_controls_of(gate: Gate, local_qubits: int) -> tuple[int, ...]:
-    """The gate's control qubits that index into the local array."""
-    return tuple(c for c in gate.controls if c < local_qubits)
-
-
-def rank_controls_satisfied(gate: Gate, partition: Partition, rank: int) -> bool:
-    """True when the rank's index bits satisfy all distributed controls."""
-    m = partition.local_qubits
-    return all((rank >> (c - m)) & 1 for c in gate.controls if c >= m)
-
-
-def diagonal_step_on_rank(
-    amps: np.ndarray, step: ApplyStep, partition: Partition, rank: int
-) -> None:
-    """Fully local (diagonal) step on one rank's slice.
-
-    Distributed controls decide whether the rank participates at all;
-    distributed targets have a constant bit value per rank, so the
-    diagonal is reduced over them once and the remaining local part runs
-    through the strided kernel -- no per-rank index arrays or masks.
-    """
-    m = partition.local_qubits
-    targets, controls, diag = step.targets, step.controls, step.diag
-    dist_controls = tuple(c for c in controls if c >= m)
-    if not all((rank >> (c - m)) & 1 for c in dist_controls):
-        return
-    dist_targets = tuple(t for t in targets if t >= m)
-    if dist_targets:
-        fixed = {t: (rank >> (t - m)) & 1 for t in dist_targets}
-        local_targets, reduced = reduce_diagonal(diag, targets, fixed)
-    else:
-        local_targets, reduced = targets, diag
-    kernels.apply_diagonal(
-        amps, reduced, local_targets, tuple(c for c in controls if c < m)
-    )
-
-
-def local_memory_step_on_rank(
-    amps: np.ndarray, step: ApplyStep, partition: Partition, rank: int
-) -> None:
-    """Local-memory step (all pairing targets local) on one rank's slice."""
-    gate = step.gate
-    if not rank_controls_satisfied(gate, partition, rank):
-        return
-    controls = local_controls_of(gate, partition.local_qubits)
-    if step.kind is StepKind.REMAP:
-        # All transpositions landed local: one gather permutation (or
-        # sequential swaps for short runs -- identical either way).
-        kernels.apply_permutation(amps, gate.swap_pairs())
-    elif step.kind is StepKind.SWAP:
-        kernels.apply_swap_local(amps, step.targets[0], step.targets[1], controls)
-    elif step.kind is StepKind.FUSED:
-        kernels.apply_unitary_batched(amps, step.matrix, step.targets, controls)
-    else:
-        kernels.apply_matrix(amps, step.matrix, step.targets, controls)
-
-
-def remap_bucket_view(
-    amps: np.ndarray, l_bits: tuple[int, ...], value_bits: int
-) -> np.ndarray:
-    """Strided view of the amplitudes in one remap bucket.
-
-    The bucket is the subset of ``amps`` whose local-index bit
-    ``l_bits[j]`` equals bit ``j`` of ``value_bits`` for every ``j``.
-    Both ends of a bucket exchange ravel this view in C order, so
-    equal non-bucket bit patterns land in corresponding slots -- which
-    is exactly the permutation's within-bucket identity.
-    """
-    total = int(amps.shape[0]).bit_length() - 1
-    shape: list[int] = []
-    index: list = []
-    prev = total
-    for b in sorted(l_bits, reverse=True):
-        shape.append(1 << (prev - 1 - b))
-        shape.append(2)
-        index.append(slice(None))
-        index.append((value_bits >> l_bits.index(b)) & 1)
-        prev = b
-    shape.append(1 << prev)
-    return amps.reshape(shape)[tuple(index)]
-
-
-def combine_coefficients(
-    matrix: np.ndarray, rank_bit_value: int
-) -> tuple[complex, complex]:
-    """The (local, remote) coefficients of a distributed single-qubit gate.
-
-    Each rank's new amplitudes are the matrix row selected by its value
-    of the target bit: ``new = row[b] * local + row[1-b] * remote``.
-    """
-    if rank_bit_value == 0:
-        return matrix[0, 0], matrix[0, 1]
-    return matrix[1, 1], matrix[1, 0]
 
 
 class DistributedStatevector:
@@ -220,11 +115,6 @@ class DistributedStatevector:
         self._measure_count = 0
         #: ``(qubit, outcome)`` of every mid-circuit measurement applied.
         self.measure_outcomes: list[tuple[int, int]] = []
-        # Per-rank reusable exchange buffer (QuEST's static pairStateVec):
-        # every distributed gate receives into it -- no per-gate full-size
-        # allocation -- and the halved-SWAP path packs its outgoing half
-        # into it too.  Allocated lazily on the first distributed gate.
-        self._pair_buf: list[np.ndarray] | None = None
 
     # -- constructors --------------------------------------------------------
 
@@ -284,9 +174,9 @@ class DistributedStatevector:
     def norm(self) -> float:
         """Global 2-norm: per-rank partial sums combined by Allreduce.
 
-        Runs the actual recursive-doubling collective through the
-        simulated communicator (``P * log2 P`` scalar messages), exactly
-        as QuEST's ``calcTotalProb`` does.
+        Computes the recursive-doubling collective round by round and
+        records its ``P * log2 P`` scalar messages on the simulated
+        communicator, exactly as QuEST's ``calcTotalProb`` runs it.
         """
         if self.num_ranks == 1:
             return float(np.linalg.norm(self._local.read(0)))
@@ -407,6 +297,17 @@ class DistributedStatevector:
             out[sel] = (int(rank) << m) | local
         return out
 
+    def sample_bitstrings(self, shots: int, seed: int = 0) -> np.ndarray:
+        """Seed-deterministic basis-state samples from the current state.
+
+        Unlike :meth:`sample` (numpy-rng based, float weights), this
+        draws through the exact cumulative search shared by every
+        executor, so the shot stream depends only on ``(state, seed)``
+        -- never on the partition.
+        """
+        slices = [self._local.read(r) for r in range(self.num_ranks)]
+        return exact.sample_exact(slices, shots, seed)
+
     # -- evolution ----------------------------------------------------------------
 
     def apply_circuit(self, circuit: Circuit) -> "DistributedStatevector":
@@ -435,480 +336,64 @@ class DistributedStatevector:
             steps=len(plan.steps),
             executor=self.executor,
         ):
-            if self.executor == "pool":
-                self._run_plan_pool(plan)
-            else:
-                for step in plan.steps:
-                    self._apply_step(step)
+            self._run_plan(plan)
         return self
 
     def apply_gate(self, gate: Gate) -> "DistributedStatevector":
         """Apply one gate across all ranks (SPMD lockstep)."""
         step = compile_gate_step(gate)
-        if self.executor == "pool":
-            self._run_plan_pool(
-                ApplyPlan(num_qubits=self.num_qubits, steps=(step,), num_gates=1)
-            )
-        else:
-            self._apply_step(step)
+        self._run_plan(
+            ApplyPlan(num_qubits=self.num_qubits, steps=(step,), num_gates=1)
+        )
         return self
 
-    # -- serial executor ----------------------------------------------------------
+    # -- the one runner -----------------------------------------------------------
 
-    def _apply_step(self, step: ApplyStep) -> None:
-        """Execute one compiled step across all ranks."""
-        gate = step.gate
-        if gate.max_qubit >= self.num_qubits:
-            raise SimulationError(
-                f"gate {gate} touches qubit {gate.max_qubit} of a "
-                f"{self.num_qubits}-qubit state"
-            )
-        plan = plan_gate(
-            gate,
-            self.partition,
+    def _run_plan(self, plan: ApplyPlan) -> None:
+        """Run a compiled plan through the step interpreter.
+
+        The parent validates every step and derives its
+        :class:`~repro.statevector.plan.GatePlan` *before* any step runs
+        (so errors raise with the state untouched), then the task
+        executes in this process, across the shared-memory pool or
+        across the TCP mesh.  Meanwhile the parent turns per-step
+        completion events into in-order observer callbacks and accounts
+        the exact exchange schedule of every step.
+        """
+        from repro.parallel.stepper import PlanTask
+
+        prepared, needs_pair = self._prepare_plan(plan)
+        task = PlanTask(
+            local_name=None,
+            pair_name=None,
+            num_qubits=self.num_qubits,
+            num_ranks=self.num_ranks,
             halved_swaps=self.halved_swaps,
-            max_message=self.max_message,
+            plan=plan,
+            emit_events=self.observer is not None,
+            needs_pair=needs_pair,
+            measure_seed=self.measure_seed,
+            measure_base=self._measure_count,
         )
-        if step.kind is StepKind.MEASURE:
-            kind = "measure"
-            self._apply_measure_step(step)
-        elif plan.locality is GateLocality.FULLY_LOCAL:
-            kind = "diagonal"
-            self._apply_diagonal_step(step)
-        elif plan.locality is GateLocality.LOCAL_MEMORY:
-            kind = "local"
-            self._apply_local_memory_step(step)
-        elif step.kind is StepKind.REMAP:
-            kind = "distributed_remap"
-            self._apply_distributed_remap(gate)
-        elif step.kind is StepKind.SWAP:
-            kind = "distributed_swap"
-            self._apply_distributed_swap(gate)
+        if self.executor == "serial":
+            pool, execute = None, self._execute_in_process
+        elif self.transport == "tcp":
+            from repro.parallel.tcp import get_tcp_pool
+
+            pool, execute = get_tcp_pool(self.hosts), self._execute_tcp
         else:
-            kind = "distributed_single"
-            self._apply_distributed_single(gate, step.matrix)
-        if obs.is_enabled():
-            obs.counter("repro_kernel_dispatch_total", kind=kind).inc(
-                self.num_ranks
-            )
-        if self.observer is not None:
-            self.observer(self._gate_index, gate, plan)
-        self._gate_index += step.num_gates
+            from repro.parallel import get_pool
 
-    def _local_controls(self, gate: Gate) -> tuple[int, ...]:
-        return local_controls_of(gate, self.partition.local_qubits)
-
-    # -- measurement (mid-circuit collapse) ----------------------------------
-
-    def _log_measure_reduction(self) -> None:
-        """Record the norm-reduction collective in the message log.
-
-        Outcome decisions never ride this collective -- they use the
-        exact integer partials -- but the *schedule* must show the same
-        ``log2(R)``-round recursive-doubling scalar-pair reduction on
-        every executor, so both the serial step and the pool replay call
-        this one helper.
-        """
-        if self.num_ranks == 1:
-            return
-        from repro.mpi.collectives import allreduce
-
-        allreduce(
-            self.comm, [np.zeros(2) for _ in range(self.num_ranks)]
+            pool, execute = get_pool(), self._execute_shm
+        complete_through, on_event = self._step_replayer(
+            plan, prepared, pool.num_workers if pool is not None else 1
         )
-
-    def _apply_measure_step(self, step: ApplyStep) -> None:
-        """Collapse one qubit across all ranks (serial executor).
-
-        Exact per-rank partial norms sum to a partition-independent
-        integer total (see :mod:`repro.statevector.exact`), the outcome
-        draws from the seeded MEASURE stream, and each rank rewrites its
-        slice in place.  Implicit zero slices contribute nothing and
-        collapse to themselves, so they stay unmaterialised.
-        """
-        qubit = step.targets[0]
-        m = self.partition.local_qubits
-        n0 = 0
-        ntotal = 0
-        for rank in range(self.num_ranks):
-            if not self._local.is_materialized(rank):
-                continue
-            p0, pt = exact.partial_norms(
-                self._local.read(rank), qubit, rank, m
-            )
-            n0 += p0
-            ntotal += pt
-        self._log_measure_reduction()
-        outcome = exact.measure_outcome(
-            self.measure_seed, self._measure_count, n0, ntotal
-        )
-        n_sel = n0 if outcome == 0 else ntotal - n0
-        scale = exact.collapse_scale(n_sel, ntotal)
-        for rank in range(self.num_ranks):
-            if not self._local.is_materialized(rank):
-                continue
-            exact.collapse_slice(
-                self._local[rank], qubit, outcome, scale, rank, m
-            )
-        self.measure_outcomes.append((qubit, outcome))
-        self._measure_count += 1
-
-    def sample_bitstrings(self, shots: int, seed: int = 0) -> np.ndarray:
-        """Seed-deterministic basis-state samples from the current state.
-
-        Unlike :meth:`sample` (numpy-rng based, float weights), this
-        draws through the exact cumulative search shared by every
-        executor, so the shot stream depends only on ``(state, seed)``
-        -- never on the partition.
-        """
-        slices = [self._local.read(r) for r in range(self.num_ranks)]
-        return exact.sample_exact(slices, shots, seed)
-
-    def _pair_buffers(self) -> list[np.ndarray]:
-        """The per-rank reusable exchange buffers (allocated on first use)."""
-        if self._pair_buf is None:
-            self._pair_buf = [
-                np.empty(self.partition.local_amplitudes, dtype=np.complex128)
-                for _ in range(self.num_ranks)
-            ]
-        return self._pair_buf
-
-    # -- gate class implementations -------------------------------------------------
-
-    def _apply_diagonal_step(self, step: ApplyStep) -> None:
-        """Fully local (diagonal) gate: one strided sweep per active rank.
-
-        Unmaterialised (all-zero) slices are skipped outright: a
-        diagonal rescales amplitudes in place, and zero stays zero.
-        """
-        for rank in range(self.num_ranks):
-            if not self._local.is_materialized(rank):
-                continue
-            diagonal_step_on_rank(self._local[rank], step, self.partition, rank)
-
-    def _apply_local_memory_step(self, step: ApplyStep) -> None:
-        """All pairing targets local; distributed controls gate rank activity.
-
-        Like the diagonal case, an implicit zero slice maps to itself
-        under any linear local update, so unmaterialised ranks skip.
-        """
-        for rank in range(self.num_ranks):
-            if not self._local.is_materialized(rank):
-                continue
-            local_memory_step_on_rank(
-                self._local[rank], step, self.partition, rank
-            )
-
-    def _comm_pairs(self, rank_bit: int, gate: Gate) -> list[tuple[int, int]]:
-        """Rank pairs (low, high) differing at ``rank_bit``, controls satisfied."""
-        pairs = []
-        for rank in range(self.num_ranks):
-            if (rank >> rank_bit) & 1:
-                continue
-            peer = rank | (1 << rank_bit)
-            if rank_controls_satisfied(gate, self.partition, rank):
-                # Peer differs only at the target bit, so its control
-                # bits agree with ours.
-                pairs.append((rank, peer))
-        return pairs
-
-    def _apply_distributed_single(
-        self, gate: Gate, matrix: np.ndarray | None = None
-    ) -> None:
-        """Single-target non-diagonal gate on a rank-index bit."""
-        part = self.partition
-        target = gate.pairing_targets()[0]
-        rank_bit = part.rank_bit(target)
-        if matrix is None:
-            matrix = gate.matrix()
-        local_controls = self._local_controls(gate)
-        bufs = self._pair_buffers()
-        for rank, peer in self._comm_pairs(rank_bit, gate):
-            # A pair of still-implicit zero slices stays zero under any
-            # linear combine: exchange (the message schedule is part of
-            # the observable surface) but skip the update, leaving both
-            # slices unmaterialised.
-            compute = self._local.is_materialized(rank) or self._local.is_materialized(
-                peer
-            )
-            send_lo = self._local[rank] if compute else self._local.read(rank)
-            send_hi = self._local[peer] if compute else self._local.read(peer)
-            recv_lo, recv_hi = exchange_arrays(
-                self.comm,
-                rank,
-                send_lo,
-                peer,
-                send_hi,
-                mode=self.comm_mode,
-                max_message=self.max_message,
-                tag_base=self._gate_index << 8,
-                out_a=bufs[rank],
-                out_b=bufs[peer],
-            )
-            if not compute:
-                continue
-            # recv_lo is what the low rank received (= peer's data).
-            coeff_lo = combine_coefficients(matrix, 0)
-            coeff_hi = combine_coefficients(matrix, 1)
-            kernels.combine_distributed_single(
-                self._local[rank], recv_lo, coeff_lo[0], coeff_lo[1], local_controls
-            )
-            kernels.combine_distributed_single(
-                self._local[peer], recv_hi, coeff_hi[0], coeff_hi[1], local_controls
-            )
-
-    def _apply_distributed_swap(self, gate: Gate) -> None:
-        """SWAP with one or both targets in the rank-index bits."""
-        part = self.partition
-        m = part.local_qubits
-        if gate.controls:
-            raise SimulationError(
-                "controlled distributed SWAP is not supported (QuEST "
-                "decomposes it); remove controls or keep targets local"
-            )
-        t_low, t_high = sorted(gate.targets)
-        bufs = self._pair_buffers()
-        if t_low >= m:
-            # Both bits are rank bits: ranks with differing bit values
-            # trade entire slices.
-            bit_a, bit_b = t_low - m, t_high - m
-            # Enumerate each unordered pair once via its (1, 0) member.
-            for rank in range(self.num_ranks):
-                if ((rank >> bit_a) & 1, (rank >> bit_b) & 1) != (1, 0):
-                    continue
-                peer = rank ^ ((1 << bit_a) | (1 << bit_b))
-                # Two implicit zero slices swap to zero: log the exchange
-                # but leave both unmaterialised.
-                compute = self._local.is_materialized(
-                    rank
-                ) or self._local.is_materialized(peer)
-                send_a = self._local[rank] if compute else self._local.read(rank)
-                send_b = self._local[peer] if compute else self._local.read(peer)
-                recv_a, recv_b = exchange_arrays(
-                    self.comm,
-                    rank,
-                    send_a,
-                    peer,
-                    send_b,
-                    mode=self.comm_mode,
-                    max_message=self.max_message,
-                    tag_base=self._gate_index << 8,
-                    out_a=bufs[rank],
-                    out_b=bufs[peer],
-                )
-                if compute:
-                    self._local[rank][:] = recv_a
-                    self._local[peer][:] = recv_b
-            return
-
-        # One local target, one rank bit: each pair trades, and each rank
-        # rewrites the half of its slice whose local bit differs from its
-        # rank-bit value.
-        local_bit = t_low
-        rank_bit = t_high - m
-        half = self.partition.local_amplitudes // 2
-        for rank, peer in self._comm_pairs(rank_bit, gate):
-            compute = self._local.is_materialized(rank) or self._local.is_materialized(
-                peer
-            )
-            if self.halved_swaps:
-                # Send only the half the partner needs: the sender's
-                # amplitudes whose local bit equals the *receiver's*
-                # rank-bit value.  The outgoing half is packed into the
-                # front of the reused pair buffer (the simulated NIC
-                # copies it on send) and the reply lands in the back
-                # half, so no per-gate temporaries are allocated.
-                read_lo = self._local[rank] if compute else self._local.read(rank)
-                read_hi = self._local[peer] if compute else self._local.read(peer)
-                view_lo = read_lo.reshape(-1, 2, 1 << local_bit)
-                view_hi = read_hi.reshape(-1, 2, 1 << local_bit)
-                half_shape = view_lo[:, 0, :].shape
-                # low rank (bit value 0) needs partner's local-bit-0 half;
-                # high rank (bit value 1) needs partner's local-bit-1 half.
-                send_from_lo = bufs[rank][:half]
-                send_from_hi = bufs[peer][:half]
-                send_from_lo.reshape(half_shape)[...] = view_lo[:, 1, :]
-                send_from_hi.reshape(half_shape)[...] = view_hi[:, 0, :]
-                recv_lo, recv_hi = exchange_arrays(
-                    self.comm,
-                    rank,
-                    send_from_lo,
-                    peer,
-                    send_from_hi,
-                    mode=self.comm_mode,
-                    max_message=self.max_message,
-                    tag_base=self._gate_index << 8,
-                    out_a=bufs[rank][half:],
-                    out_b=bufs[peer][half:],
-                )
-                if compute:
-                    view_lo[:, 1, :] = recv_lo.reshape(half_shape)
-                    view_hi[:, 0, :] = recv_hi.reshape(half_shape)
-            else:
-                send_lo = self._local[rank] if compute else self._local.read(rank)
-                send_hi = self._local[peer] if compute else self._local.read(peer)
-                recv_lo, recv_hi = exchange_arrays(
-                    self.comm,
-                    rank,
-                    send_lo,
-                    peer,
-                    send_hi,
-                    mode=self.comm_mode,
-                    max_message=self.max_message,
-                    tag_base=self._gate_index << 8,
-                    out_a=bufs[rank],
-                    out_b=bufs[peer],
-                )
-                if compute:
-                    kernels.swap_in_halves(self._local[rank], recv_lo, local_bit, 0)
-                    kernels.swap_in_halves(self._local[peer], recv_hi, local_bit, 1)
-
-    def _remap_split(
-        self, gate: Gate
-    ) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-        """A remap's transpositions split into (cross, purely local)."""
-        m = self.partition.local_qubits
-        cross: list[tuple[int, int]] = []
-        local_pairs: list[tuple[int, int]] = []
-        for a, b in gate.swap_pairs():
-            if a >= m:
-                raise SimulationError(
-                    f"remap transposition ({a}, {b}) swaps two distributed "
-                    f"qubits; the transpiler only emits local/global pairs"
-                )
-            (cross if b >= m else local_pairs).append((a, b))
-        return cross, local_pairs
-
-    def _apply_distributed_remap(self, gate: Gate) -> None:
-        """Bucket routing: 2**g - 1 pairwise sub-exchanges of one bucket.
-
-        Each rank splits its slice into ``2**g`` buckets by the g local
-        bits being swapped out.  In round ``delta`` (1..2**g-1) rank
-        ``r`` trades bucket ``own_G(r) ^ delta`` with rank ``r ^
-        mask(delta)`` -- the received data lands in the very slots it
-        was sent from, and the home bucket never moves.  Total wire
-        bytes per rank: ``local_bytes * (2**g - 1) / 2**g``, strictly
-        less than one full-buffer exchange regardless of ``g``.
-        """
-        part = self.partition
-        m = part.local_qubits
-        cross, local_pairs = self._remap_split(gate)
-        # Purely local transpositions are disjoint from the cross pairs,
-        # so they commute with the routing; run them up front.
-        for rank in range(self.num_ranks):
-            if not self._local.is_materialized(rank):
-                continue
-            amps = self._local[rank]
-            for a, b in local_pairs:
-                kernels.apply_swap_local(amps, a, b, ())
-        if not cross:
-            return
-        g = len(cross)
-        l_bits = tuple(a for a, _b in cross)
-        g_bits = tuple(b - m for _a, b in cross)
-        bucket = part.local_amplitudes >> g
-        bufs = self._pair_buffers()
-
-        def own_pattern(rank: int) -> int:
-            v = 0
-            for j, gb in enumerate(g_bits):
-                v |= ((rank >> gb) & 1) << j
-            return v
-
-        for delta in range(1, 1 << g):
-            mask = 0
-            for j, gb in enumerate(g_bits):
-                if (delta >> j) & 1:
-                    mask |= 1 << gb
-            hb = 1 << (mask.bit_length() - 1)
-            for rank in range(self.num_ranks):
-                if rank & hb:
-                    continue
-                peer = rank ^ mask
-                # Two implicit zero slices route zeros: log the exchange
-                # but leave both unmaterialised.
-                compute = self._local.is_materialized(
-                    rank
-                ) or self._local.is_materialized(peer)
-                lo = self._local[rank] if compute else self._local.read(rank)
-                hi = self._local[peer] if compute else self._local.read(peer)
-                view_lo = remap_bucket_view(lo, l_bits, own_pattern(rank) ^ delta)
-                view_hi = remap_bucket_view(hi, l_bits, own_pattern(peer) ^ delta)
-                # Pack the outgoing bucket into the front of the reused
-                # pair buffer; the reply lands in the second stretch.
-                send_lo = bufs[rank][:bucket]
-                send_hi = bufs[peer][:bucket]
-                send_lo.reshape(view_lo.shape)[...] = view_lo
-                send_hi.reshape(view_hi.shape)[...] = view_hi
-                recv_lo, recv_hi = exchange_arrays(
-                    self.comm,
-                    rank,
-                    send_lo,
-                    peer,
-                    send_hi,
-                    mode=self.comm_mode,
-                    max_message=self.max_message,
-                    tag_base=self._gate_index << 8,
-                    out_a=bufs[rank][bucket : 2 * bucket],
-                    out_b=bufs[peer][bucket : 2 * bucket],
-                )
-                if compute:
-                    view_lo[...] = recv_lo.reshape(view_lo.shape)
-                    view_hi[...] = recv_hi.reshape(view_hi.shape)
-
-    # -- pool executor -------------------------------------------------------------
-
-    def _ensure_shared_pair(self) -> None:
-        """Allocate the shared pair-buffer segment (first distributed plan)."""
-        if self._shared_pair is None:
-            from repro.parallel.shm import SharedArray
-
-            self._shared_pair = SharedArray(
-                (self.num_ranks, self.partition.local_amplitudes), np.complex128
-            )
-
-    def _ensure_shared_blobs(self, num_workers: int) -> None:
-        """Allocate the per-worker blob rows the shm allgather uses."""
-        if (
-            self._shared_blobs is None
-            or self._shared_blobs.array.shape[0] != num_workers
-        ):
-            from repro.parallel.shm import SharedArray
-            from repro.parallel.transport import BLOB_SLOT_BYTES
-
-            self._shared_blobs = SharedArray(
-                (num_workers, BLOB_SLOT_BYTES), np.uint8
-            )
-
-    def _measure_event_capture(self, plan: ApplyPlan, on_event):
-        """Wrap ``on_event`` to collect worker-reported measure outcomes.
-
-        Worker 0 emits one ``("measure", ordinal, qubit, outcome)``
-        event per collapse; the wrapper stores them by ordinal (restart
-        duplicates are identical, so overwrites are benign) and forwards
-        everything else.  Returns ``(wrapped, captured)``; ``captured``
-        is None when the plan never measures.
-        """
-        if not any(s.kind is StepKind.MEASURE for s in plan.steps):
-            return on_event, None
-        captured: dict[int, tuple[int, int]] = {}
-
-        def wrapped(event: tuple) -> None:
-            if event[0] == "measure":
-                captured[event[1]] = (event[2], event[3])
-                return
-            if on_event is not None:
-                on_event(event)
-
-        return wrapped, captured
-
-    def _record_pool_measures(self, captured) -> None:
-        """Fold worker-reported outcomes into the parent's bookkeeping."""
-        if not captured:
-            return
-        for ordinal in sorted(captured):
-            self.measure_outcomes.append(captured[ordinal])
-            self._measure_count += 1
+        on_event, captured = self._measure_event_capture(plan, on_event)
+        execute(pool, task, on_event)
+        complete_through(len(prepared))
+        self._record_pool_measures(captured)
+        if prepared:
+            self._gate_index = prepared[-1][2] + prepared[-1][0].num_gates
 
     def _prepare_plan(
         self, plan: ApplyPlan
@@ -995,103 +480,145 @@ class DistributedStatevector:
 
         return complete_through, on_event
 
-    def _run_plan_pool(self, plan: ApplyPlan) -> None:
-        """Replay a compiled plan across the worker pool.
+    def _measure_event_capture(self, plan: ApplyPlan, on_event):
+        """Wrap ``on_event`` to collect worker-reported measure outcomes.
 
-        The parent validates every step and derives its
-        :class:`~repro.statevector.plan.GatePlan` *before* dispatch (so
-        errors raise without touching the state), then the workers
-        execute the plan in SPMD lockstep over the configured transport
-        -- shared segments, or the TCP mesh when a host list is set.
-        While they run, the parent turns per-step completion events into
-        in-order observer callbacks and accounts the exact exchange
-        schedule the serial driver would have produced.
+        Worker 0 emits one ``("measure", ordinal, qubit, outcome)``
+        event per collapse; the wrapper stores them by ordinal (restart
+        duplicates are identical, so overwrites are benign) and forwards
+        everything else.  Returns ``(wrapped, captured)``; ``captured``
+        is None when the plan never measures.
         """
-        if self.transport == "tcp":
-            self._run_plan_pool_tcp(plan)
-            return
-        from repro.parallel import get_pool
-        from repro.parallel.stepper import PlanTask, run_plan_worker
+        if not any(s.kind is StepKind.MEASURE for s in plan.steps):
+            return on_event, None
+        captured: dict[int, tuple[int, int]] = {}
 
-        prepared, needs_pair = self._prepare_plan(plan)
-        if needs_pair:
+        def wrapped(event: tuple) -> None:
+            if event[0] == "measure":
+                captured[event[1]] = (event[2], event[3])
+                return
+            if on_event is not None:
+                on_event(event)
+
+        return wrapped, captured
+
+    def _record_pool_measures(self, captured) -> None:
+        """Fold worker-reported outcomes into the parent's bookkeeping."""
+        if not captured:
+            return
+        for ordinal in sorted(captured):
+            self.measure_outcomes.append(captured[ordinal])
+            self._measure_count += 1
+
+    def _execute_in_process(self, _pool, task, on_event) -> None:
+        """One worker owns every rank of the lazy slice store (no pool)."""
+        from repro.parallel.stepper import execute_plan
+        from repro.parallel.transport import BLOB_SLOT_BYTES, ShmTransport
+
+        transport = ShmTransport(
+            None,
+            self._local,
+            tuple(range(self.num_ranks)),
+            worker_id=0,
+            blobs=np.zeros((1, BLOB_SLOT_BYTES), np.uint8),
+        )
+        execute_plan(
+            transport, self._local, task, worker_id=0, num_workers=1, emit=on_event
+        )
+
+    def _ensure_shared_pair(self) -> None:
+        """Allocate the shared pair-buffer segment (first distributed plan)."""
+        if self._shared_pair is None:
+            from repro.parallel.shm import SharedArray
+
+            self._shared_pair = SharedArray(
+                (self.num_ranks, self.partition.local_amplitudes), np.complex128
+            )
+
+    def _ensure_shared_blobs(self, num_workers: int) -> None:
+        """Allocate the per-worker blob rows the shm allgather uses."""
+        if (
+            self._shared_blobs is None
+            or self._shared_blobs.array.shape[0] != num_workers
+        ):
+            from repro.parallel.shm import SharedArray
+            from repro.parallel.transport import BLOB_SLOT_BYTES
+
+            self._shared_blobs = SharedArray(
+                (num_workers, BLOB_SLOT_BYTES), np.uint8
+            )
+
+    def _execute_shm(self, pool, task, on_event) -> None:
+        """Workers attach the shared segments and replay in lockstep."""
+        from repro.parallel.stepper import run_plan_worker
+
+        if task.needs_pair:
             self._ensure_shared_pair()
-        pool = get_pool()
-        has_measure = any(s.kind is StepKind.MEASURE for s in plan.steps)
+        has_measure = any(s.kind is StepKind.MEASURE for s in task.plan.steps)
         if has_measure:
             self._ensure_shared_blobs(pool.num_workers)
         obs.counter("repro_pool_plans_total").inc()
-        task = PlanTask(
+        task = replace(
+            task,
             local_name=self._shared_local.name,
-            pair_name=self._shared_pair.name if needs_pair else None,
-            num_qubits=self.num_qubits,
-            num_ranks=self.num_ranks,
-            halved_swaps=self.halved_swaps,
-            plan=plan,
-            emit_events=self.observer is not None,
-            measure_seed=self.measure_seed,
-            measure_base=self._measure_count,
+            pair_name=self._shared_pair.name if task.needs_pair else None,
             blob_name=self._shared_blobs.name if has_measure else None,
         )
-        complete_through, on_event = self._step_replayer(
-            plan, prepared, pool.num_workers
-        )
-        on_event, captured = self._measure_event_capture(plan, on_event)
         pool.spmd(run_plan_worker, task, on_event=on_event)
-        complete_through(len(prepared))
-        self._record_pool_measures(captured)
-        if prepared:
-            self._gate_index = prepared[-1][2] + prepared[-1][0].num_gates
 
-    def _run_plan_pool_tcp(self, plan: ApplyPlan) -> None:
-        """Replay a compiled plan across the TCP worker mesh.
+    def _execute_tcp(self, pool, task, on_event) -> None:
+        """Ship owned slices over the mesh and take the finals back.
 
-        The parent ships each worker its owned rank slices (implicit
-        zero slices travel as ``None``), the workers exchange regions
-        over the mesh with chunked overlap, and the final slices come
-        back over the control channel.  The message-schedule accounting
-        and observer replay are identical to the shm path -- the
-        simulated communicator records what the *modelled* machine
-        would send, independent of which real transport moved the data.
+        Implicit zero slices travel as ``None``.  The communicator still
+        records what the *modelled* machine would send, independent of
+        which real transport moved the data.
         """
-        from repro.parallel.stepper import PlanTask
-        from repro.parallel.tcp import get_tcp_pool
-
-        prepared, needs_pair = self._prepare_plan(plan)
-        pool = get_tcp_pool(self.hosts)
         obs.counter("repro_pool_plans_total").inc()
-        task = PlanTask(
-            local_name=None,
-            pair_name=None,
-            num_qubits=self.num_qubits,
-            num_ranks=self.num_ranks,
-            halved_swaps=self.halved_swaps,
-            plan=plan,
-            emit_events=self.observer is not None,
-            needs_pair=needs_pair,
-            measure_seed=self.measure_seed,
-            measure_base=self._measure_count,
-        )
         slices = {
             r: (self._local.read(r) if self._local.is_materialized(r) else None)
             for r in range(self.num_ranks)
         }
-        complete_through, on_event = self._step_replayer(
-            plan, prepared, pool.num_workers
-        )
-        on_event, captured = self._measure_event_capture(plan, on_event)
         finals = pool.run_plan(task, slices, on_event=on_event)
         for rank, amps in finals.items():
             self._local[rank][:] = amps
-        complete_through(len(prepared))
-        self._record_pool_measures(captured)
-        if prepared:
-            self._gate_index = prepared[-1][2] + prepared[-1][0].num_gates
+
+    # -- schedule replay ----------------------------------------------------------
+
+    def _log_measure_reduction(self) -> None:
+        """Record the norm-reduction collective in the message log.
+
+        Outcome decisions never ride this collective -- they use the
+        exact integer partials -- but the *schedule* shows the
+        ``log2(R)``-round recursive-doubling scalar-pair reduction a
+        real machine would run.
+        """
+        if self.num_ranks == 1:
+            return
+        from repro.mpi.collectives import allreduce
+
+        allreduce(
+            self.comm, [np.zeros(2) for _ in range(self.num_ranks)]
+        )
+
+    def _comm_pairs(self, rank_bit: int, gate: Gate) -> list[tuple[int, int]]:
+        """Rank pairs (low, high) differing at ``rank_bit``, controls satisfied."""
+        from repro.parallel.stepper import rank_controls_satisfied
+
+        pairs = []
+        for rank in range(self.num_ranks):
+            if (rank >> rank_bit) & 1:
+                continue
+            peer = rank | (1 << rank_bit)
+            if rank_controls_satisfied(gate, self.partition, rank):
+                # Peer differs only at the target bit, so its control
+                # bits agree with ours.
+                pairs.append((rank, peer))
+        return pairs
 
     def _log_step_schedule(
         self, step: ApplyStep, gate_plan: GatePlan, start_index: int
     ) -> None:
-        """Account one step's exchange messages (pool executor path)."""
+        """Account one step's exchange messages (QuEST's pairwise schedule)."""
         if step.kind is StepKind.MEASURE:
             self._log_measure_reduction()
             return
@@ -1106,8 +633,10 @@ class DistributedStatevector:
         n = part.local_amplitudes
         tag_base = start_index << 8
         if step.kind is StepKind.REMAP:
-            # Mirror _apply_distributed_remap's round/pair enumeration.
-            cross, _local_pairs = self._remap_split(gate)
+            # The 2**g - 1 bucket-routing rounds of the message transport.
+            from repro.parallel.stepper import remap_split
+
+            cross, _local_pairs = remap_split(gate, m)
             g = len(cross)
             count = n >> g
             for delta in range(1, 1 << g):

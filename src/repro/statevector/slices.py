@@ -16,6 +16,12 @@ Two backings exist:
   shared-memory segment -- where every slice is materialised by
   construction (the OS hands over zero pages, so nothing is paid
   either).
+
+:class:`RankSlices` is also the in-process executor's
+:class:`~repro.parallel.transport.RankStore`: ``view(rank, "local")``
+is write access, ``view(rank, "pair")`` the rank's exchange buffer
+(allocated on first use), and :meth:`RankSlices.is_zero` tells the
+step interpreter which ranks it may skip.
 """
 
 from __future__ import annotations
@@ -44,6 +50,7 @@ class RankSlices:
         #: Slices materialised so far (the allocation-count tests' hook).
         self.allocations = 0
         self._zero: np.ndarray | None = None
+        self._pair: list[np.ndarray | None] = [None] * num_ranks
 
     @classmethod
     def from_backing(cls, backing: np.ndarray) -> "RankSlices":
@@ -96,6 +103,21 @@ class RankSlices:
     def is_materialized(self, rank: int) -> bool:
         """True when the rank's slice has real storage behind it."""
         return self._slices[rank] is not None
+
+    # -- RankStore (repro.parallel.transport) -----------------------------------
+
+    def view(self, rank: int, kind: str) -> np.ndarray:
+        """The rank's ``"local"`` slice (materialised) or ``"pair"`` buffer."""
+        if kind != "pair":
+            return self[rank]
+        pair = self._pair[rank]
+        if pair is None:
+            pair = self._pair[rank] = np.empty(self.slice_len, np.complex128)
+        return pair
+
+    def is_zero(self, rank: int) -> bool:
+        """True when the rank's slice is still an implicit zero vector."""
+        return self._slices[rank] is None
 
     @property
     def shared(self) -> bool:

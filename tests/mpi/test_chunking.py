@@ -1,10 +1,14 @@
 """Tests for message chunking under the 2 GiB MPI cap."""
 
-import numpy as np
 import pytest
 
 from repro.errors import CommError, ValidationError
-from repro.mpi import MAX_MESSAGE_BYTES, chunk_array, num_chunks, split_message
+from repro.mpi import (
+    MAX_MESSAGE_BYTES,
+    element_chunk_bytes,
+    num_chunks,
+    split_message,
+)
 from repro.utils.units import GIB
 
 
@@ -46,42 +50,35 @@ class TestSplitMessage:
         assert split_message(64 * GIB) == [2 * GIB] * 32
 
 
-class TestChunkArray:
-    def test_views_not_copies(self):
-        arr = np.arange(8, dtype=np.complex128)
-        chunks = chunk_array(arr, 64)  # 4 elements per chunk
-        assert len(chunks) == 2
-        chunks[0][0] = 99
-        assert arr[0] == 99
-
+class TestElementChunkBytes:
     def test_reassembles(self):
-        arr = np.arange(10, dtype=np.complex128)
-        chunks = chunk_array(arr, 48)  # 3 elements per chunk
-        assert np.allclose(np.concatenate(chunks), arr)
+        # 10 amplitudes at 3 per 48-byte message.
+        assert element_chunk_bytes(10, 16, 48) == [48, 48, 48, 16]
 
     def test_single_chunk(self):
-        arr = np.arange(4, dtype=np.complex128)
-        assert len(chunk_array(arr, MAX_MESSAGE_BYTES)) == 1
+        assert element_chunk_bytes(4, 16, MAX_MESSAGE_BYTES) == [64]
 
     def test_empty_array(self):
-        arr = np.array([], dtype=np.complex128)
-        chunks = chunk_array(arr, 64)
-        assert len(chunks) == 1 and chunks[0].size == 0
+        assert element_chunk_bytes(0, 16, 64) == [0]
 
-    def test_2d_rejected(self):
-        with pytest.raises(CommError):
-            chunk_array(np.zeros((2, 2)), 64)
+    def test_partial_item_capacity_rounds_down(self):
+        # 40 bytes hold two whole 16-byte amplitudes, never a fraction.
+        assert element_chunk_bytes(5, 16, 40) == [32, 32, 16]
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValidationError, match="num_elements"):
+            element_chunk_bytes(-1, 16, 64)
 
     def test_cap_below_itemsize_rejected(self):
         # A cap below one amplitude is an argument error, not a comm
         # failure: it raises the typed ValidationError (a ValueError).
         with pytest.raises(ValidationError, match="amplitude"):
-            chunk_array(np.zeros(4, dtype=np.complex128), 8)
+            element_chunk_bytes(4, 16, 8)
 
     def test_zero_cap_rejected(self):
         with pytest.raises(ValidationError, match="max_message"):
-            chunk_array(np.zeros(4, dtype=np.complex128), 0)
+            element_chunk_bytes(4, 16, 0)
 
     def test_negative_cap_rejected(self):
         with pytest.raises(ValidationError, match="max_message"):
-            chunk_array(np.zeros(4, dtype=np.complex128), -16)
+            element_chunk_bytes(4, 16, -16)

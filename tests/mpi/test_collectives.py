@@ -24,7 +24,6 @@ class TestAllreduce:
         comm = SimComm(size)
         allreduce(comm, [np.zeros(1) for _ in range(size)])
         assert comm.stats.messages_sent == size * int(math.log2(size))
-        assert comm.pending_messages() == 0
 
     def test_vector_payloads(self, size):
         comm = SimComm(size)

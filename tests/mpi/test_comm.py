@@ -1,97 +1,16 @@
-"""Tests for the simulated communicator."""
+"""Tests for the simulated communicator's message ledger."""
 
-import numpy as np
 import pytest
 
 from repro.errors import CommError
 from repro.mpi import SimComm
 
 
-class TestBlocking:
-    def test_send_recv(self):
-        comm = SimComm(2)
-        data = np.arange(4, dtype=np.complex128)
-        comm.Send(data, source=0, dest=1, tag=7)
-        out = comm.Recv(dest=1, source=0, tag=7)
-        assert np.allclose(out, data)
-
-    def test_payload_copied(self):
-        comm = SimComm(2)
-        data = np.arange(4, dtype=np.complex128)
-        comm.Send(data, source=0, dest=1)
-        data[0] = 99
-        assert comm.Recv(dest=1, source=0)[0] == 0
-
-    def test_recv_without_message_raises(self):
-        with pytest.raises(CommError, match="no message"):
-            SimComm(2).Recv(dest=0, source=1)
-
-    def test_tag_matching(self):
-        comm = SimComm(2)
-        comm.Send(np.array([1.0]), source=0, dest=1, tag=1)
-        comm.Send(np.array([2.0]), source=0, dest=1, tag=2)
-        assert comm.Recv(dest=1, source=0, tag=2)[0] == 2.0
-        assert comm.Recv(dest=1, source=0, tag=1)[0] == 1.0
-
-    def test_fifo_per_envelope(self):
-        comm = SimComm(2)
-        comm.Send(np.array([1.0]), source=0, dest=1)
-        comm.Send(np.array([2.0]), source=0, dest=1)
-        assert comm.Recv(dest=1, source=0)[0] == 1.0
-        assert comm.Recv(dest=1, source=0)[0] == 2.0
-
-    def test_sendrecv(self):
-        comm = SimComm(2)
-        # Drive both sides: peer's send must be queued first.
-        comm.Send(np.array([5.0]), source=1, dest=0)
-        out = comm.Sendrecv(np.array([3.0]), rank=0, peer=1)
-        assert out[0] == 5.0
-        assert comm.Recv(dest=1, source=0)[0] == 3.0
-
-    def test_bad_rank_raises(self):
-        with pytest.raises(CommError):
-            SimComm(2).Send(np.array([1.0]), source=0, dest=2)
-
-    def test_bad_size_raises(self):
-        with pytest.raises(CommError):
-            SimComm(0)
-
-
-class TestNonBlocking:
-    def test_isend_irecv_wait(self):
-        comm = SimComm(2)
-        req_r = comm.Irecv(dest=1, source=0, tag=3)
-        comm.Isend(np.array([7.0]), source=0, dest=1, tag=3)
-        out = comm.Wait(req_r)
-        assert out[0] == 7.0
-
-    def test_waitall_order(self):
-        comm = SimComm(2)
-        reqs = [comm.Irecv(dest=1, source=0, tag=t) for t in range(3)]
-        for t in range(3):
-            comm.Isend(np.array([float(t)]), source=0, dest=1, tag=t)
-        outs = comm.Waitall(reqs)
-        assert [o[0] for o in outs] == [0.0, 1.0, 2.0]
-
-    def test_wait_twice_returns_same(self):
-        comm = SimComm(2)
-        req = comm.Irecv(dest=1, source=0)
-        comm.Isend(np.array([1.0]), source=0, dest=1)
-        first = comm.Wait(req)
-        second = comm.Wait(req)
-        assert first is second
-
-    def test_send_request_completed_immediately(self):
-        comm = SimComm(2)
-        req = comm.Isend(np.array([1.0]), source=0, dest=1)
-        assert req.completed
-
-
 class TestAccounting:
     def test_stats(self):
         comm = SimComm(4)
-        comm.Send(np.zeros(4, np.complex128), source=2, dest=3)
-        comm.Send(np.zeros(2, np.complex128), source=2, dest=1)
+        comm.record_only(2, 3, 0, 4 * 16)
+        comm.record_only(2, 1, 0, 2 * 16)
         assert comm.stats.messages_sent == 2
         assert comm.stats.bytes_sent == 6 * 16
         assert comm.stats.per_rank_bytes[2] == 6 * 16
@@ -99,15 +18,33 @@ class TestAccounting:
 
     def test_message_log(self):
         comm = SimComm(2)
-        comm.Send(np.zeros(1, np.complex128), source=0, dest=1, tag=9)
+        comm.record_only(0, 1, 9, 16)
         assert comm.message_log[0].tag == 9
 
-    def test_pending_and_reset(self):
+    def test_log_keeps_record_order(self):
         comm = SimComm(2)
-        comm.Send(np.zeros(1, np.complex128), source=0, dest=1)
-        assert comm.pending_messages() == 1
-        comm.Recv(dest=1, source=0)
-        assert comm.pending_messages() == 0
+        comm.record_only(1, 0, 4, 32)
+        comm.record_only(0, 1, 3, 16)
+        assert [(m.source, m.tag, m.nbytes) for m in comm.message_log] == [
+            (1, 4, 32),
+            (0, 3, 16),
+        ]
+
+    def test_reset(self):
+        comm = SimComm(2)
+        comm.record_only(0, 1, 0, 16)
         comm.reset_stats()
         assert comm.stats.messages_sent == 0
         assert comm.message_log == []
+
+    def test_bad_rank_raises(self):
+        with pytest.raises(CommError):
+            SimComm(2).record_only(0, 2, 0, 16)
+
+    def test_negative_size_raises(self):
+        with pytest.raises(CommError):
+            SimComm(2).record_only(0, 1, 0, -1)
+
+    def test_bad_size_raises(self):
+        with pytest.raises(CommError):
+            SimComm(0)

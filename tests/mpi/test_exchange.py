@@ -1,86 +1,42 @@
-"""Tests for the pairwise exchange drivers."""
+"""Tests for the recorded pairwise-exchange schedule."""
 
-import numpy as np
 import pytest
 
 from repro.errors import CommError, ValidationError
-from repro.mpi import CommMode, SimComm, exchange_arrays
+from repro.mpi import CommMode, SimComm, log_exchange_schedule
 
 
 @pytest.mark.parametrize("mode", [CommMode.BLOCKING, CommMode.NONBLOCKING])
 class TestExchange:
-    def test_swaps_payloads(self, mode):
-        comm = SimComm(2)
-        a = np.arange(8, dtype=np.complex128)
-        b = np.arange(8, 16, dtype=np.complex128)
-        ra, rb = exchange_arrays(comm, 0, a, 1, b, mode=mode)
-        assert np.allclose(ra, b)
-        assert np.allclose(rb, a)
-
     def test_chunked(self, mode):
         comm = SimComm(2)
-        a = np.arange(8, dtype=np.complex128)
-        b = -a
-        ra, rb = exchange_arrays(comm, 0, a, 1, b, mode=mode, max_message=32)
-        assert np.allclose(ra, b) and np.allclose(rb, a)
+        log_exchange_schedule(comm, 0, 1, 8, mode=mode, max_message=32)
         # 4 chunks each direction.
         assert comm.stats.messages_sent == 8
+        assert {m.nbytes for m in comm.message_log} == {32}
 
-    def test_asymmetric_sizes_equal_chunks(self, mode):
-        # Halved swap: both sides send half-slices of equal size.
+    def test_remainder_chunk(self, mode):
         comm = SimComm(2)
-        a = np.arange(4, dtype=np.complex128)
-        b = np.arange(4, 8, dtype=np.complex128)
-        ra, rb = exchange_arrays(comm, 0, a, 1, b, mode=mode)
-        assert np.allclose(ra, b) and np.allclose(rb, a)
-
-    def test_no_pending_left(self, mode):
-        comm = SimComm(2)
-        a = np.ones(4, np.complex128)
-        exchange_arrays(comm, 0, a, 1, a.copy(), mode=mode, max_message=32)
-        assert comm.pending_messages() == 0
+        log_exchange_schedule(comm, 0, 1, 5, mode=mode, max_message=32)
+        sizes = [m.nbytes for m in comm.message_log if m.source == 0]
+        assert sizes == [32, 32, 16]
 
 
 class TestExchangeErrors:
     def test_same_rank_raises(self):
-        comm = SimComm(2)
-        a = np.ones(2, np.complex128)
         with pytest.raises(CommError):
-            exchange_arrays(comm, 0, a, 0, a)
-
-    def test_mismatched_buffer_lengths_raise(self):
-        comm = SimComm(2)
-        a = np.ones(8, np.complex128)
-        b = np.ones(2, np.complex128)
-        with pytest.raises(ValidationError, match="lengths differ"):
-            exchange_arrays(comm, 0, a, 1, b, max_message=32)
-
-    def test_mismatched_lengths_also_a_value_error(self):
-        # ValidationError subclasses ValueError: stdlib-guarding callers
-        # keep working.
-        comm = SimComm(2)
-        with pytest.raises(ValueError):
-            exchange_arrays(
-                comm,
-                0,
-                np.ones(8, np.complex128),
-                1,
-                np.ones(2, np.complex128),
-            )
+            log_exchange_schedule(SimComm(2), 0, 0, 2)
 
     def test_max_message_below_one_amplitude_raises(self):
-        comm = SimComm(2)
-        a = np.ones(4, np.complex128)
         with pytest.raises(ValidationError, match="amplitude"):
-            exchange_arrays(comm, 0, a, 1, a.copy(), max_message=8)
+            log_exchange_schedule(SimComm(2), 0, 1, 4, max_message=8)
 
 
 class TestScheduleDifferences:
     def test_blocking_interleaves_tags(self):
         comm = SimComm(2)
-        a = np.ones(4, np.complex128)
-        exchange_arrays(
-            comm, 0, a, 1, a.copy(), mode=CommMode.BLOCKING, max_message=32
+        log_exchange_schedule(
+            comm, 0, 1, 4, mode=CommMode.BLOCKING, max_message=32
         )
         tags = [m.tag for m in comm.message_log]
         # Sendrecv pairs proceed tag by tag: 0,0,1,1.
@@ -88,10 +44,14 @@ class TestScheduleDifferences:
 
     def test_nonblocking_posts_all_sends_per_side(self):
         comm = SimComm(2)
-        a = np.ones(4, np.complex128)
-        exchange_arrays(
-            comm, 0, a, 1, a.copy(), mode=CommMode.NONBLOCKING, max_message=32
+        log_exchange_schedule(
+            comm, 0, 1, 4, mode=CommMode.NONBLOCKING, max_message=32
         )
         order = [(m.source, m.tag) for m in comm.message_log]
         # All of rank 0's chunks posted before rank 1's.
         assert order == [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+    def test_tag_base_offsets_every_chunk(self):
+        comm = SimComm(2)
+        log_exchange_schedule(comm, 0, 1, 4, max_message=32, tag_base=7 << 8)
+        assert [m.tag for m in comm.message_log] == [1792, 1792, 1793, 1793]

@@ -54,19 +54,3 @@ def test_gather_then_concat_equals_allgather(size, length, seed):
     all_gathered = allgather(SimComm(size), payloads)
     for o in all_gathered:
         assert np.allclose(o, gathered)
-
-
-@given(sizes, seeds)
-@settings(max_examples=30, deadline=None)
-def test_no_pending_messages_after_any_collective(size, seed):
-    rng = np.random.default_rng(seed)
-    payloads = [rng.normal(size=3) for _ in range(size)]
-    for op in (
-        lambda c: allreduce(c, payloads),
-        lambda c: bcast(c, payloads[0]),
-        lambda c: gather(c, payloads),
-        lambda c: allgather(c, payloads),
-    ):
-        comm = SimComm(size)
-        op(comm)
-        assert comm.pending_messages() == 0

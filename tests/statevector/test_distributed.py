@@ -146,11 +146,6 @@ class TestCommunicationSchedule:
         d.apply_gate(Gate.named("h", (5,)))
         assert d.comm.stats.messages_sent == 4 * 2
 
-    def test_no_pending_messages_after_run(self):
-        d = DistributedStatevector.zero_state(6, 8)
-        d.apply_circuit(qft_circuit(6))
-        assert d.comm.pending_messages() == 0
-
     def test_distributed_control_halves_participants(self):
         d = DistributedStatevector.zero_state(6, 4)
         d.apply_gate(Gate.named("x", (5,), controls=(4,)))
