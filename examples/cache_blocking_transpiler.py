@@ -2,7 +2,7 @@
 """The generic cache-blocking transpiler on real workloads.
 
 Demonstrates the paper's proposed future-work transpiler
-(:class:`repro.core.CacheBlockingPass`) on the QFT, Quantum Phase
+(:func:`repro.transpile.cache_block`) on the QFT, Quantum Phase
 Estimation and a random circuit: counts the distributed operations
 before and after, verifies numerical equivalence, prices the win on the
 ARCHER2 model, and exports the blocked QFT as OpenQASM.
@@ -17,12 +17,12 @@ from repro.circuits import (
     random_circuit,
     to_qasm,
 )
-from repro.core import CacheBlockingPass
-from repro.core.transpiler import assert_equivalent
 from repro.machine import CpuFrequency, STANDARD_NODE
 from repro.mpi import CommMode
 from repro.perfmodel import RunConfiguration, predict
 from repro.statevector import Partition
+from repro.transpile import cache_block
+from repro.transpile.verify import assert_equivalent
 from repro.utils.tables import render_table
 
 
@@ -34,7 +34,7 @@ def transpile_zoo(num_qubits: int = 10, local_qubits: int = 7) -> None:
     ]
     rows = []
     for name, circuit in workloads:
-        result = CacheBlockingPass(local_qubits).run(circuit)
+        result = cache_block(circuit, local_qubits)
         assert_equivalent(
             circuit, result.circuit, output_permutation=result.output_permutation
         )
@@ -62,7 +62,7 @@ def price_the_win(n: int = 38, nodes: int = 64) -> None:
     """What the pass buys on the modelled machine."""
     partition = Partition(n, nodes)
     circuit = qft_circuit(n)
-    blocked = CacheBlockingPass(partition.local_qubits).run(circuit).circuit
+    blocked = cache_block(circuit, partition.local_qubits).circuit
     base = predict(
         circuit,
         RunConfiguration(partition, STANDARD_NODE, CpuFrequency.MEDIUM),
@@ -87,7 +87,7 @@ def price_the_win(n: int = 38, nodes: int = 64) -> None:
 
 
 def export_qasm() -> None:
-    blocked = CacheBlockingPass(4).run(qft_circuit(6)).circuit
+    blocked = cache_block(qft_circuit(6), 4).circuit
     text = to_qasm(blocked)
     print()
     print("blocked 6-qubit QFT as OpenQASM 2.0 (first lines):")

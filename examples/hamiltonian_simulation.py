@@ -23,9 +23,9 @@ from repro.circuits import (
     tfim_trotter_circuit,
 )
 from repro.core import RunOptions, SimulationRunner
-from repro.core.transpiler import CacheBlockingPass
 from repro.statevector import DenseStatevector
 from repro.statevector.fidelity import fidelity
+from repro.transpile import cache_block
 from repro.utils.tables import render_table
 
 
@@ -67,7 +67,7 @@ def price_at_scale() -> None:
     )
 
     m = report.prediction.config.partition.local_qubits
-    blocked = CacheBlockingPass(m).run(circuit)
+    blocked = cache_block(circuit, m)
     print(
         f"cache blocking: distributed ops "
         f"{distributed_gate_count(circuit, m)} -> "

@@ -27,13 +27,7 @@ from repro.circuits import (
     swap_benchmark,
     textbook_qft_circuit,
 )
-from repro.core import (
-    CacheBlockingPass,
-    DiagonalFusionPass,
-    RunOptions,
-    RunReport,
-    SimulationRunner,
-)
+from repro.core import RunOptions, RunReport, SimulationRunner
 from repro.des import DesResult, Timeline, crosscheck, simulate
 from repro.errors import ReproError
 from repro.faults import FaultPlan, optimise_checkpoint_interval
@@ -70,8 +64,6 @@ __all__ = [
     "SimulationRunner",
     "RunOptions",
     "RunReport",
-    "CacheBlockingPass",
-    "DiagonalFusionPass",
     "DesResult",
     "Timeline",
     "simulate",

@@ -1,4 +1,4 @@
-"""The paper's contribution: runner, options, studies, transpiler.
+"""The paper's contribution: runner, options, studies, advisor.
 
 Quickstart::
 
@@ -24,13 +24,6 @@ from repro.core.study import (
     relative_to_baseline,
     sweep_qft_setups,
 )
-from repro.core.transpiler import (
-    CacheBlockingPass,
-    DiagonalFusionPass,
-    PassManager,
-    PassResult,
-    TranspilerPass,
-)
 
 __all__ = [
     "advise",
@@ -45,9 +38,4 @@ __all__ = [
     "DEFAULT_SETUP",
     "sweep_qft_setups",
     "relative_to_baseline",
-    "CacheBlockingPass",
-    "DiagonalFusionPass",
-    "PassManager",
-    "PassResult",
-    "TranspilerPass",
 ]

@@ -14,7 +14,6 @@ import numpy as np
 from repro.circuits.circuit import Circuit
 from repro.core.options import RunOptions
 from repro.core.report import RunReport
-from repro.core.transpiler import CacheBlockingPass
 from repro.errors import SimulationError
 from repro.machine.allocation import (
     FULL_BUFFER_FACTOR,
@@ -95,24 +94,17 @@ class SimulationRunner:
         )
         return config, job
 
-    def transpile(
-        self, circuit: Circuit, config: RunConfiguration
-    ) -> tuple[Circuit, dict[int, int]]:
-        """Cache-block ``circuit`` for the configuration's partition."""
-        result = CacheBlockingPass(config.partition.local_qubits).run(circuit)
-        return result.circuit, result.output_permutation
-
     @staticmethod
     def _prepare_circuit(
         circuit: Circuit, config: RunConfiguration, options: RunOptions
     ) -> tuple[Circuit, dict[int, int] | None]:
-        """Apply the selected transpilation (pipeline, legacy, or none).
+        """Apply the selected transpilation: pipeline, cache blocking or none.
 
         An explicit ``options.transpile`` (or ``REPRO_TRANSPILE``)
         selects the pass-manager pipeline; otherwise ``cache_block``
-        keeps its original behaviour.
+        runs the paper's cache-blocking transpiler on its own.
         """
-        from repro.transpile import resolve_strategy, transpile
+        from repro.transpile import cache_block, resolve_strategy, transpile
 
         strategy = resolve_strategy(options.transpile)
         if strategy is not None:
@@ -121,9 +113,7 @@ class SimulationRunner:
             )
             return result.circuit, result.output_permutation
         if options.cache_block:
-            result = CacheBlockingPass(
-                config.partition.local_qubits
-            ).run(circuit)
+            result = cache_block(circuit, config.partition.local_qubits)
             return result.circuit, result.output_permutation
         return circuit, None
 

@@ -2,9 +2,9 @@
 
 The paper's measured local times show QuEST sweeps the local amplitudes
 once per controlled phase.  Fusing each rotation ladder into a single
-diagonal sweep (``DiagonalFusionPass``) collapses the QFT's quadratic
-local work to linear -- this ablation quantifies the further saving the
-paper's 'Fast' configuration leaves on the table.
+diagonal sweep (the QFT generators' ``fused=True``) collapses the QFT's
+quadratic local work to linear -- this ablation quantifies the further
+saving the paper's 'Fast' configuration leaves on the table.
 
 The analytic rows price the fusion at the paper's scale (44 qubits,
 4096 nodes).  The measured rows then *validate the claim numerically*
@@ -22,7 +22,6 @@ from repro.circuits import qft_circuit, random_circuit, random_state
 from repro.circuits.qft import builtin_qft_circuit, cache_blocked_qft_circuit
 from repro.core.options import RunOptions
 from repro.core.runner import SimulationRunner
-from repro.core.transpiler import DiagonalFusionPass
 from repro.experiments.reporting import ExperimentResult
 from repro.machine.frequency import CpuFrequency
 from repro.mpi.datatypes import CommMode
@@ -68,7 +67,6 @@ def run(
     """Price the QFT with and without ladder fusion, then measure it."""
     runner = SimulationRunner()
     local_qubits = num_qubits - log2_exact(num_nodes)
-    fusion = DiagonalFusionPass()
     variants = [
         (
             "builtin",
@@ -77,7 +75,7 @@ def run(
         ),
         (
             "builtin+fusion",
-            fusion.run(builtin_qft_circuit(num_qubits)).circuit,
+            builtin_qft_circuit(num_qubits, fused=True),
             CommMode.BLOCKING,
         ),
         (

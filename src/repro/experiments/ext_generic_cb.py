@@ -1,7 +1,7 @@
 """Extension: the generic cache-blocking transpiler on non-QFT circuits.
 
 The paper proposes a cache-blocking transpiler pass as future work;
-``CacheBlockingPass`` is that pass.  This experiment applies it to the
+``cache_block`` is that pass.  This experiment applies it to the
 QFT (recovering fig. 1b's communication count), to Quantum Phase
 Estimation, and to random circuits, reporting distributed-operation
 counts before and after, with numeric equivalence verified at small
@@ -14,8 +14,9 @@ from repro.circuits.analysis import distributed_gate_count
 from repro.circuits.circuit import Circuit
 from repro.circuits.qft import qft_circuit
 from repro.circuits.random_circuits import qpe_circuit, random_circuit
-from repro.core.transpiler import CacheBlockingPass, assert_equivalent
 from repro.experiments.reporting import ExperimentResult
+from repro.transpile import cache_block
+from repro.transpile.verify import assert_equivalent
 
 __all__ = ["run"]
 
@@ -51,7 +52,7 @@ def run(
     )
     for name, circuit in workloads:
         before = distributed_gate_count(circuit, local_qubits)
-        pass_result = CacheBlockingPass(local_qubits).run(circuit)
+        pass_result = cache_block(circuit, local_qubits)
         after = distributed_gate_count(pass_result.circuit, local_qubits)
         verified = "-"
         if verify:

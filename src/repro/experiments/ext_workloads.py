@@ -14,7 +14,6 @@ from repro.circuits.grover import grover_circuit
 from repro.circuits.qft import builtin_qft_circuit, cache_blocked_qft_circuit
 from repro.circuits.random_circuits import random_circuit
 from repro.circuits.trotter import tfim_trotter_circuit
-from repro.core.transpiler import CacheBlockingPass
 from repro.experiments.reporting import ExperimentResult
 from repro.machine.frequency import CpuFrequency
 from repro.machine.node import STANDARD_NODE
@@ -23,6 +22,7 @@ from repro.perfmodel.calibration import DEFAULT_CALIBRATION, Calibration
 from repro.perfmodel.predictor import predict
 from repro.perfmodel.trace import RunConfiguration
 from repro.statevector.partition import Partition
+from repro.transpile import cache_block
 
 __all__ = ["run", "DEFAULT_NUM_QUBITS", "DEFAULT_NUM_NODES", "DEFAULT_SEED"]
 
@@ -45,9 +45,9 @@ def _workloads(
     rand = random_circuit(n, 40 * n, seed=seed, allow_unitaries=False)
     blocked = {
         "qft": cache_blocked_qft_circuit(n, m),
-        "grover": CacheBlockingPass(m).run(grover).circuit,
-        "tfim": CacheBlockingPass(m).run(tfim).circuit,
-        "random": CacheBlockingPass(m).run(rand).circuit,
+        "grover": cache_block(grover, m).circuit,
+        "tfim": cache_block(tfim, m).circuit,
+        "random": cache_block(rand, m).circuit,
     }
     return [
         ("qft", qft, blocked["qft"]),

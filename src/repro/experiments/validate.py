@@ -144,10 +144,11 @@ def _check_pool_equals_serial() -> bool:
 
 
 def _check_generic_transpiler() -> bool:
-    from repro.core.transpiler import CacheBlockingPass, equivalent
+    from repro.transpile import cache_block
+    from repro.transpile.verify import equivalent
 
     circuit = random_circuit(7, 60, seed=7)
-    result = CacheBlockingPass(4).run(circuit)
+    result = cache_block(circuit, 4)
     return equivalent(
         circuit,
         result.circuit,

@@ -40,7 +40,6 @@ from contextlib import contextmanager
 import numpy as np
 
 from repro.errors import SimulationError, ValidationError
-from repro.gates import Gate
 from repro.statevector import gate_kernels_reference as _reference
 from repro.utils.bits import log2_exact
 
@@ -48,7 +47,6 @@ __all__ = [
     "control_mask",
     "apply_matrix",
     "apply_diagonal",
-    "apply_fused_diagonal",
     "apply_unitary_batched",
     "apply_permutation",
     "apply_swap_local",
@@ -440,11 +438,6 @@ def _apply_diagonal_broadcast(
     for ax in axes:
         shape[ax] = 2
     view *= d.reshape(shape)
-
-
-def apply_fused_diagonal(amps: np.ndarray, gate: Gate) -> None:
-    """Apply a ``fused_diag`` gate in a single sweep."""
-    apply_diagonal(amps, gate.diagonal_vector(), gate.targets)
 
 
 # -- fused-block kernels ------------------------------------------------------

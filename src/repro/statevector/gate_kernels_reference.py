@@ -17,14 +17,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.gates import Gate
 from repro.utils.bits import log2_exact, mask_of
 
 __all__ = [
     "control_mask",
     "apply_matrix",
     "apply_diagonal",
-    "apply_fused_diagonal",
     "apply_unitary_batched",
     "apply_permutation",
     "apply_swap_local",
@@ -142,11 +140,6 @@ def apply_diagonal(
         amps *= factors
     else:
         amps[mask] *= factors[mask]
-
-
-def apply_fused_diagonal(amps: np.ndarray, gate: Gate) -> None:
-    """Apply a ``fused_diag`` gate in a single sweep."""
-    apply_diagonal(amps, gate.diagonal_vector(), gate.targets)
 
 
 def apply_unitary_batched(

@@ -40,10 +40,12 @@ from repro.transpile.analysis import (
 )
 from repro.transpile.basepass import (
     AnalysisPass,
+    PassResult,
     TransformationPass,
     TranspilePassManager,
+    identity_permutation,
 )
-from repro.transpile.cache_blocking import CacheBlockingAdapterPass
+from repro.transpile.cache_blocking import CacheBlockingPass, cache_block
 from repro.transpile.grouping import GateGroupFormationPass
 from repro.transpile.metrics import (
     ScheduleMetrics,
@@ -65,13 +67,15 @@ __all__ = [
     "TranspilePassManager",
     "AnalysisPass",
     "TransformationPass",
+    "PassResult",
     "PropertySet",
     "QubitInteractionAnalysis",
     "CommutationAnalysis",
     "CommutationReorderPass",
     "GlobalQubitSelectionPass",
     "GateGroupFormationPass",
-    "CacheBlockingAdapterPass",
+    "CacheBlockingPass",
+    "cache_block",
     "ScheduleMetrics",
     "schedule_metrics",
     "compare_metrics",
@@ -114,14 +118,13 @@ def build_pipeline(
     *,
     max_remap_pairs: int = 1,
     lookahead: int = 64,
-    restore_layout: bool = False,
 ) -> list[AnalysisPass | TransformationPass]:
     """The pass list of one strategy (empty for ``naive``)."""
     name = resolve_strategy(strategy)
     if name == "naive":
         return []
     if name == "blocked":
-        return [CacheBlockingAdapterPass(restore_layout=restore_layout)]
+        return [CacheBlockingPass()]
     return [
         QubitInteractionAnalysis(),
         CommutationAnalysis(),
@@ -140,7 +143,6 @@ def transpile(
     strategy: str | None = None,
     max_remap_pairs: int = 1,
     lookahead: int = 64,
-    restore_layout: bool = False,
 ) -> TranspileResult:
     """Transpile ``circuit`` for ``partition`` under one strategy.
 
@@ -161,10 +163,7 @@ def transpile(
         )
     before = schedule_metrics(circuit, partition)
     passes = build_pipeline(
-        name,
-        max_remap_pairs=max_remap_pairs,
-        lookahead=lookahead,
-        restore_layout=restore_layout,
+        name, max_remap_pairs=max_remap_pairs, lookahead=lookahead
     )
     with obs.span(
         "transpile",
@@ -174,11 +173,6 @@ def transpile(
         ranks=partition.num_ranks,
     ):
         if not passes:
-            from repro.core.transpiler.pass_base import (
-                PassResult,
-                identity_permutation,
-            )
-
             result = PassResult(
                 circuit=Circuit(
                     circuit.num_qubits, circuit.gates, name=circuit.name

@@ -8,10 +8,9 @@ shared :class:`~repro.transpile.property_set.PropertySet`.
 
 * An :class:`AnalysisPass` inspects the circuit and records results in
   the property set; the circuit flows through unchanged.
-* A :class:`TransformationPass` returns a
-  :class:`~repro.core.transpiler.pass_base.PassResult` -- a rewritten
-  circuit plus the qubit relabelling it left behind; the manager
-  composes relabellings across passes.
+* A :class:`TransformationPass` returns a :class:`PassResult` -- a
+  rewritten circuit plus the qubit relabelling it left behind; the
+  manager composes relabellings across passes.
 
 Every pass runs inside a ``transpile.pass`` observability span, so a
 trace of a transpilation shows exactly where the time (and the gate
@@ -21,23 +20,50 @@ count) went.
 from __future__ import annotations
 
 import abc
+from dataclasses import dataclass, field
 
 from repro import obs
 from repro.circuits.circuit import Circuit
-from repro.core.transpiler.pass_base import (
-    PassResult,
-    compose_permutations,
-    identity_permutation,
-)
 from repro.errors import TranspilerError
 from repro.statevector.partition import Partition
 from repro.transpile.property_set import PropertySet
 
 __all__ = [
+    "PassResult",
+    "identity_permutation",
+    "compose_permutations",
     "AnalysisPass",
     "TransformationPass",
     "TranspilePassManager",
 ]
+
+
+def identity_permutation(n: int) -> dict[int, int]:
+    """The do-nothing logical-to-physical map."""
+    return {q: q for q in range(n)}
+
+
+def compose_permutations(
+    first: dict[int, int], second: dict[int, int]
+) -> dict[int, int]:
+    """Apply ``first`` then ``second``: result[q] = second[first[q]]."""
+    return {q: second[p] for q, p in first.items()}
+
+
+@dataclass
+class PassResult:
+    """Output of one transformation pass (or of a whole pipeline)."""
+
+    circuit: Circuit
+    #: Logical qubit -> physical wire at the *end* of the circuit.  The
+    #: identity unless the pass left qubits virtually relocated.
+    output_permutation: dict[int, int]
+    #: Free-form counters ("swaps_inserted", "remap_pairs", ...).
+    stats: dict[str, int] = field(default_factory=dict)
+
+    def is_identity_layout(self) -> bool:
+        """True when the output layout matches the input layout."""
+        return all(q == p for q, p in self.output_permutation.items())
 
 
 class _BasePass(abc.ABC):
@@ -50,7 +76,9 @@ class _BasePass(abc.ABC):
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
-        if not cls.name:
+        # Only a name set in the class body counts: an inherited one
+        # would name every unnamed pass "TransformationPass".
+        if not cls.__dict__.get("name"):
             cls.name = cls.__name__
 
 

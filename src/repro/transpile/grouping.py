@@ -23,12 +23,11 @@ strict win in both rounds and bytes.
 from __future__ import annotations
 
 from repro.circuits.circuit import Circuit
-from repro.core.transpiler.cache_blocking import next_pairing_use
-from repro.core.transpiler.pass_base import PassResult
 from repro.errors import TranspilerError
 from repro.gates import Gate
 from repro.statevector.partition import Partition
-from repro.transpile.basepass import TransformationPass
+from repro.transpile.basepass import PassResult, TransformationPass
+from repro.transpile.cache_blocking import next_pairing_use
 from repro.transpile.property_set import PropertySet
 
 __all__ = ["GateGroupFormationPass"]
@@ -43,7 +42,6 @@ class GateGroupFormationPass(TransformationPass):
         self,
         *,
         max_remap_pairs: int = 1,
-        absorb_swaps: bool = True,
         lookahead: int = 64,
     ):
         if max_remap_pairs < 1:
@@ -53,7 +51,6 @@ class GateGroupFormationPass(TransformationPass):
         if lookahead < 0:
             raise TranspilerError(f"lookahead must be >= 0, got {lookahead}")
         self.max_remap_pairs = max_remap_pairs
-        self.absorb_swaps = absorb_swaps
         self.lookahead = lookahead
 
     def transform(
@@ -91,7 +88,7 @@ class GateGroupFormationPass(TransformationPass):
             p2l[pa], p2l[pb] = lb, la
 
         for index, gate in enumerate(gates):
-            if self.absorb_swaps and gate.is_swap() and not gate.controls:
+            if gate.is_swap() and not gate.controls:
                 virtual_swap(gate.targets[0], gate.targets[1])
                 stats["swaps_absorbed"] += 1
                 continue
@@ -129,17 +126,14 @@ class GateGroupFormationPass(TransformationPass):
 
     # -- helpers ------------------------------------------------------------
 
-    def _next_use_skipping_absorbed(
-        self, circuit: Circuit
-    ) -> list[dict[int, int]]:
-        """Next-pairing-use table, ignoring SWAPs this pass will absorb.
+    @staticmethod
+    def _next_use_skipping_absorbed(circuit: Circuit) -> list[dict[int, int]]:
+        """Next-pairing-use table, ignoring the SWAPs this pass absorbs.
 
         An absorbed SWAP is pure relabelling: its targets never demand
         locality, so counting them would make the Belady policy retain
         qubits nobody pairs on.
         """
-        if not self.absorb_swaps:
-            return next_pairing_use(circuit)
         kept = Circuit(circuit.num_qubits)
         index_map: list[int] = []
         for i, gate in enumerate(circuit):
@@ -182,7 +176,7 @@ class GateGroupFormationPass(TransformationPass):
             if len(batch) >= limit:
                 break
             nxt = gates[j]
-            if nxt.is_swap() and not nxt.controls and self.absorb_swaps:
+            if nxt.is_swap() and not nxt.controls:
                 continue
             for q in nxt.pairing_targets():
                 if len(batch) >= limit:

@@ -19,9 +19,12 @@ from __future__ import annotations
 import heapq
 
 from repro.circuits.circuit import Circuit
-from repro.core.transpiler.pass_base import PassResult, identity_permutation
 from repro.statevector.partition import Partition
-from repro.transpile.basepass import TransformationPass
+from repro.transpile.basepass import (
+    PassResult,
+    TransformationPass,
+    identity_permutation,
+)
 from repro.transpile.property_set import PropertySet
 
 __all__ = ["CommutationReorderPass"]

@@ -1,21 +1,10 @@
-"""Shared low-level helpers: bit/index math, units, validation, tables.
+"""Shared low-level helpers: bit/index math, units, tables.
 
 These utilities are deliberately free of any simulator or machine-model
 dependencies so every other subpackage can use them.
 """
 
-from repro.utils.bits import (
-    bit_of,
-    clear_bit,
-    flip_bit,
-    insert_bit,
-    insert_bits,
-    is_power_of_two,
-    log2_exact,
-    mask_of,
-    pair_indices,
-    set_bit,
-)
+from repro.utils.bits import is_power_of_two, log2_exact, mask_of
 from repro.utils.units import (
     GIB,
     GB,
@@ -31,27 +20,11 @@ from repro.utils.units import (
     format_power,
     format_time,
 )
-from repro.utils.validation import (
-    check_finite,
-    check_fraction,
-    check_index,
-    check_positive,
-    check_power_of_two,
-    check_probability,
-    check_type,
-)
 
 __all__ = [
-    "bit_of",
-    "clear_bit",
-    "flip_bit",
-    "insert_bit",
-    "insert_bits",
     "is_power_of_two",
     "log2_exact",
     "mask_of",
-    "pair_indices",
-    "set_bit",
     "KB",
     "MB",
     "GB",
@@ -65,11 +38,4 @@ __all__ = [
     "format_energy",
     "format_power",
     "format_time",
-    "check_finite",
-    "check_fraction",
-    "check_index",
-    "check_positive",
-    "check_power_of_two",
-    "check_probability",
-    "check_type",
 ]

@@ -8,47 +8,18 @@ used by QuEST).  A statevector distributed over ``2**d`` ranks assigns the
 top ``d`` bits of the index to the rank id, so qubit ``k`` is *local* when
 ``k < n - d`` and *distributed* otherwise.
 
-Most functions here are trivial, but they are on the hot path of the
+These functions are trivial, but they are on the hot path of the
 numeric simulator and the planner, and having them named (and property
 tested) keeps the index math in one place.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 __all__ = [
-    "bit_of",
-    "set_bit",
-    "clear_bit",
-    "flip_bit",
     "mask_of",
-    "insert_bit",
-    "insert_bits",
     "is_power_of_two",
     "log2_exact",
-    "pair_indices",
 ]
-
-
-def bit_of(value: int, bit: int) -> int:
-    """Return bit ``bit`` (0 or 1) of non-negative integer ``value``."""
-    return (value >> bit) & 1
-
-
-def set_bit(value: int, bit: int) -> int:
-    """Return ``value`` with bit ``bit`` set to 1."""
-    return value | (1 << bit)
-
-
-def clear_bit(value: int, bit: int) -> int:
-    """Return ``value`` with bit ``bit`` cleared to 0."""
-    return value & ~(1 << bit)
-
-
-def flip_bit(value: int, bit: int) -> int:
-    """Return ``value`` with bit ``bit`` toggled."""
-    return value ^ (1 << bit)
 
 
 def mask_of(nbits: int) -> int:
@@ -56,40 +27,6 @@ def mask_of(nbits: int) -> int:
     if nbits < 0:
         raise ValueError(f"nbits must be >= 0, got {nbits}")
     return (1 << nbits) - 1
-
-
-def insert_bit(value: int, position: int, bit: int) -> int:
-    """Insert ``bit`` at ``position``, shifting higher bits left by one.
-
-    ``insert_bit(0b101, 1, 0) == 0b1001``: the bits at positions >= 1 move
-    up to make room for the new bit.  This is the standard trick for
-    enumerating the amplitude pairs touched by a single-qubit gate: let
-    ``value`` run over ``2**(n-1)`` integers and insert 0/1 at the target
-    position to obtain the two pair members.
-    """
-    if position < 0:
-        raise ValueError(f"position must be >= 0, got {position}")
-    if bit not in (0, 1):
-        raise ValueError(f"bit must be 0 or 1, got {bit}")
-    low = value & mask_of(position)
-    high = (value >> position) << (position + 1)
-    return high | (bit << position) | low
-
-
-def insert_bits(value: int, positions: list[int], bits: list[int]) -> int:
-    """Insert several bits at the given positions (ascending order).
-
-    ``positions`` are interpreted in the *final* index, so they must be
-    sorted ascending; each insertion accounts for the ones before it.
-    """
-    if len(positions) != len(bits):
-        raise ValueError("positions and bits must have equal length")
-    if sorted(positions) != list(positions):
-        raise ValueError(f"positions must be ascending, got {positions}")
-    result = value
-    for position, bit in zip(positions, bits):
-        result = insert_bit(result, position, bit)
-    return result
 
 
 def is_power_of_two(value: int) -> bool:
@@ -102,22 +39,3 @@ def log2_exact(value: int) -> int:
     if not is_power_of_two(value):
         raise ValueError(f"{value} is not a positive power of two")
     return value.bit_length() - 1
-
-
-def pair_indices(num_amplitudes: int, target: int) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorised amplitude-pair enumeration for a single-qubit gate.
-
-    Returns ``(idx0, idx1)``: the indices with target bit 0 and their
-    partners with target bit 1, each of length ``num_amplitudes // 2``.
-    ``num_amplitudes`` must be a power of two and ``2**target`` must be
-    smaller than it.
-    """
-    n = log2_exact(num_amplitudes)
-    if not 0 <= target < n:
-        raise ValueError(f"target {target} out of range for {n} index bits")
-    base = np.arange(num_amplitudes // 2, dtype=np.int64)
-    low = base & mask_of(target)
-    high = (base >> target) << (target + 1)
-    idx0 = high | low
-    idx1 = idx0 | (1 << target)
-    return idx0, idx1

@@ -115,11 +115,12 @@ class TestStructure:
 
     def test_cache_blocking_grover(self):
         from repro.circuits import distributed_gate_count
-        from repro.core.transpiler import CacheBlockingPass, assert_equivalent
+        from repro.transpile import cache_block
+        from repro.transpile.verify import assert_equivalent
 
         n, m = 7, 4
         circuit = grover_circuit(n, 5, iterations=1)
-        result = CacheBlockingPass(m).run(circuit)
+        result = cache_block(circuit, m)
         assert distributed_gate_count(
             result.circuit, m
         ) <= distributed_gate_count(circuit, m)

@@ -126,11 +126,12 @@ class TestStructure:
         bytes moved.
         """
         from repro.circuits import communication_volume, distributed_gate_count
-        from repro.core.transpiler import CacheBlockingPass, assert_equivalent
+        from repro.transpile import cache_block
+        from repro.transpile.verify import assert_equivalent
         from repro.gates import GateLocality, classify_gate
 
         circuit = tfim_trotter_circuit(8, time=0.5, steps=2)
-        result = CacheBlockingPass(5).run(circuit)
+        result = cache_block(circuit, 5)
         assert distributed_gate_count(result.circuit, 5) == distributed_gate_count(
             circuit, 5
         )

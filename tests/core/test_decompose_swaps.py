@@ -1,74 +1,49 @@
-"""Tests for the controlled-SWAP decomposition pass."""
+"""A controlled SWAP rewritten as three CNOTs runs on any partition.
+
+The distributed executor rejects a controlled SWAP whose targets reach
+the rank bits (QuEST has no such exchange); real codes rewrite it as
+``CX(a->b) CX(b->a) CX(a->b)`` with the SWAP's controls on every CNOT.
+"""
 
 import numpy as np
 import pytest
 
 from repro.circuits import Circuit, random_state
-from repro.core.transpiler import (
-    DecomposeControlledSwapsPass,
-    assert_equivalent,
-)
+from repro.errors import SimulationError
 from repro.gates import Gate
 from repro.statevector import DenseStatevector, DistributedStatevector
 
 
-def fredkin(n=3):
-    c = Circuit(n)
-    c.append(Gate.named("swap", (0, 1), controls=(2,)))
-    return c
-
-
-class TestDecomposition:
-    def test_controlled_swap_becomes_three_cnots(self):
-        result = DecomposeControlledSwapsPass().run(fredkin())
-        assert len(result.circuit) == 3
-        assert all(g.name == "x" for g in result.circuit)
-        assert all(len(g.controls) == 2 for g in result.circuit)
-        assert result.stats["swaps_decomposed"] == 1
-
-    def test_equivalence(self):
-        c = fredkin()
-        result = DecomposeControlledSwapsPass().run(c)
-        assert_equivalent(c, result.circuit)
-
-    def test_plain_swaps_untouched_by_default(self):
-        c = Circuit(3).swap(0, 2)
-        result = DecomposeControlledSwapsPass().run(c)
-        assert len(result.circuit) == 1
-        assert result.circuit[0].is_swap()
-
-    def test_all_swaps_option(self):
-        c = Circuit(3).swap(0, 2)
-        result = DecomposeControlledSwapsPass(all_swaps=True).run(c)
-        assert len(result.circuit) == 3
-        assert_equivalent(c, result.circuit)
-
-    def test_multiple_controls_carried(self):
-        c = Circuit(4)
-        c.append(Gate.named("swap", (0, 1), controls=(2, 3)))
-        result = DecomposeControlledSwapsPass().run(c)
-        assert all(len(g.controls) == 3 for g in result.circuit)
-        assert_equivalent(c, result.circuit)
+def _three_cnots(circuit):
+    """``circuit`` with every SWAP (controlled or not) as three CNOTs."""
+    out = Circuit(circuit.num_qubits)
+    for gate in circuit:
+        if not gate.is_swap():
+            out.append(gate)
+            continue
+        a, b = gate.targets
+        for target, control in ((b, a), (a, b), (b, a)):
+            out.append(
+                Gate.named("x", (target,), controls=(control, *gate.controls))
+            )
+    return out
 
 
 class TestUnlocksDistributedExecution:
     def test_fredkin_across_rank_bits(self):
         """The executor rejects a controlled distributed SWAP; after the
-        pass the same circuit runs and matches the dense reference."""
+        rewrite the same circuit runs and matches the dense reference."""
         n = 5
         c = Circuit(n)
         c.append(Gate.named("swap", (0, 4), controls=(1,)))  # target in rank bits
         psi = random_state(n, seed=1)
 
-        from repro.errors import SimulationError
-
         raw = DistributedStatevector.from_amplitudes(psi, 4)
         with pytest.raises(SimulationError):
             raw.apply_circuit(c)
 
-        decomposed = DecomposeControlledSwapsPass().run(c).circuit
         dist = DistributedStatevector.from_amplitudes(psi, 4)
-        dist.apply_circuit(decomposed)
+        dist.apply_circuit(_three_cnots(c))
         dense = DenseStatevector.from_amplitudes(psi).apply_circuit(c)
         assert np.allclose(dist.gather(), dense.amplitudes)
 
@@ -77,9 +52,8 @@ class TestUnlocksDistributedExecution:
         c = Circuit(n)
         c.append(Gate.named("swap", (4, 5), controls=(0,)))
         psi = random_state(n, seed=2)
-        decomposed = DecomposeControlledSwapsPass().run(c).circuit
         dist = DistributedStatevector.from_amplitudes(psi, 4)
-        dist.apply_circuit(decomposed)
+        dist.apply_circuit(_three_cnots(c))
         dense = DenseStatevector.from_amplitudes(psi).apply_circuit(c)
         assert np.allclose(dist.gather(), dense.amplitudes)
 
@@ -90,7 +64,6 @@ class TestUnlocksDistributedExecution:
 
         n, m = 6, 4
         native = Circuit(n).swap(0, 5)
-        decomposed = DecomposeControlledSwapsPass(all_swaps=True).run(native)
         assert communication_volume(
-            decomposed.circuit, m
+            _three_cnots(native), m
         ) == 2 * communication_volume(native, m)

@@ -111,7 +111,7 @@ class TestExecuteNumeric:
         assert report.runtime_s > 0
 
     def test_cache_blocked_numeric_respects_permutation(self):
-        from repro.core.transpiler.verify import permute_statevector
+        from repro.transpile.verify import permute_statevector
 
         psi = random_state(8, seed=2)
         circuit = qft_circuit(8)

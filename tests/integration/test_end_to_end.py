@@ -19,7 +19,6 @@ from repro.circuits import (
     random_state,
 )
 from repro.core import RunOptions, SimulationRunner
-from repro.core.transpiler import CacheBlockingPass
 from repro.machine import CpuFrequency, STANDARD_NODE
 from repro.mpi import CommMode
 from repro.perfmodel import (
@@ -139,7 +138,7 @@ class TestRunnerPipeline:
             qft_circuit(8), opts, initial_state=psi, num_ranks=4
         )
         # Un-permute and compare against the plain QFT.
-        from repro.core.transpiler.verify import permute_statevector
+        from repro.transpile.verify import permute_statevector
 
         expected = (
             DenseStatevector.from_amplitudes(psi)

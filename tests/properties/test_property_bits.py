@@ -3,54 +3,7 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.utils.bits import (
-    bit_of,
-    clear_bit,
-    flip_bit,
-    insert_bit,
-    is_power_of_two,
-    log2_exact,
-    mask_of,
-    set_bit,
-)
-
-values = st.integers(min_value=0, max_value=2**48)
-bits = st.integers(min_value=0, max_value=47)
-
-
-@given(values, bits)
-def test_set_then_read(value, bit):
-    assert bit_of(set_bit(value, bit), bit) == 1
-
-
-@given(values, bits)
-def test_clear_then_read(value, bit):
-    assert bit_of(clear_bit(value, bit), bit) == 0
-
-
-@given(values, bits)
-def test_flip_changes_exactly_one_bit(value, bit):
-    flipped = flip_bit(value, bit)
-    assert flipped ^ value == 1 << bit
-
-
-@given(values, bits, st.integers(min_value=0, max_value=1))
-def test_insert_then_extract(value, position, bit):
-    inserted = insert_bit(value, position, bit)
-    # The inserted bit reads back.
-    assert bit_of(inserted, position) == bit
-    # Removing it recovers the original value.
-    low = inserted & mask_of(position)
-    high = (inserted >> (position + 1)) << position
-    assert (high | low) == value
-
-
-@given(values, bits)
-def test_insert_preserves_order(value, position):
-    a = insert_bit(value, position, 0)
-    b = insert_bit(value + 1, position, 0) if value < 2**48 else None
-    if b is not None:
-        assert a < b
+from repro.utils.bits import is_power_of_two, log2_exact
 
 
 @given(st.integers(min_value=0, max_value=60))

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.circuits import Circuit, random_circuit, random_state
-from repro.core.transpiler import permute_statevector
+from repro.transpile.verify import permute_statevector
 from repro.gates import Gate
 from repro.parallel import shm_available
 from repro.statevector import DenseStatevector, DistributedStatevector

@@ -1,16 +1,12 @@
-"""Property-based tests for the transpiler passes."""
+"""Property-based tests for the cache-blocking transpiler."""
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.circuits import random_circuit, random_state
-from repro.core.transpiler import (
-    CacheBlockingPass,
-    DiagonalFusionPass,
-    equivalent,
-)
+from repro.circuits import random_circuit
 from repro.gates import GateLocality, classify_gate
+from repro.transpile import cache_block
+from repro.transpile.verify import equivalent
 
 params = st.tuples(
     st.integers(min_value=3, max_value=6),
@@ -25,7 +21,7 @@ def test_cache_blocking_preserves_action(p, m):
     n, gates, seed = p
     m = min(m, n - 1)
     circuit = random_circuit(n, gates, seed=seed)
-    result = CacheBlockingPass(m).run(circuit)
+    result = cache_block(circuit, m)
     assert equivalent(
         circuit,
         result.circuit,
@@ -41,53 +37,7 @@ def test_cache_blocking_localises_pairing_gates(p, m):
     n, gates, seed = p
     m = min(m, n - 1)
     circuit = random_circuit(n, gates, seed=seed)
-    result = CacheBlockingPass(m).run(circuit)
+    result = cache_block(circuit, m)
     for gate in result.circuit:
         if classify_gate(gate, m) is GateLocality.DISTRIBUTED:
             assert gate.is_swap()
-
-
-@given(params)
-@settings(max_examples=25, deadline=None)
-def test_restore_layout_round_trips(p):
-    n, gates, seed = p
-    circuit = random_circuit(n, gates, seed=seed)
-    result = CacheBlockingPass(2, restore_layout=True).run(circuit)
-    assert result.is_identity_layout()
-    assert equivalent(circuit, result.circuit, trials=2, seed=seed)
-
-
-@given(params)
-@settings(max_examples=25, deadline=None)
-def test_fusion_preserves_action(p):
-    n, gates, seed = p
-    circuit = random_circuit(n, gates, seed=seed)
-    result = DiagonalFusionPass().run(circuit)
-    assert equivalent(circuit, result.circuit, trials=2, seed=seed)
-
-
-@given(params)
-@settings(max_examples=20, deadline=None)
-def test_fusion_never_grows_gate_count(p):
-    n, gates, seed = p
-    circuit = random_circuit(n, gates, seed=seed)
-    result = DiagonalFusionPass().run(circuit)
-    assert len(result.circuit) <= len(circuit)
-
-
-@given(params)
-@settings(max_examples=15, deadline=None)
-def test_fusion_then_blocking_composes(p):
-    from repro.core.transpiler import PassManager
-
-    n, gates, seed = p
-    circuit = random_circuit(n, gates, seed=seed)
-    pm = PassManager([DiagonalFusionPass(), CacheBlockingPass(2)])
-    result = pm.run(circuit)
-    assert equivalent(
-        circuit,
-        result.circuit,
-        output_permutation=result.output_permutation,
-        trials=2,
-        seed=seed,
-    )

@@ -64,3 +64,25 @@ class TestErrorHierarchy:
 
         with pytest.raises(errors.AllocationError):
             minimum_nodes(50, STANDARD_NODE, machine=archer2())
+
+
+class TestValidationErrorHierarchy:
+    """ValidationError must satisfy both old and new except clauses."""
+
+    @staticmethod
+    def _reject():
+        from repro.parallel.tcp import parse_hosts
+
+        parse_hosts("")
+
+    def test_is_value_error(self):
+        with pytest.raises(ValueError):
+            self._reject()
+
+    def test_is_repro_error(self):
+        with pytest.raises(errors.ReproError):
+            self._reject()
+
+    def test_explicit_class(self):
+        with pytest.raises(errors.ValidationError):
+            self._reject()

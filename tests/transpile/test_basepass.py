@@ -3,7 +3,6 @@
 import pytest
 
 from repro.circuits import Circuit
-from repro.core.transpiler.pass_base import PassResult, identity_permutation
 from repro.errors import TranspilerError
 from repro.gates import Gate
 from repro.statevector.partition import Partition
@@ -12,6 +11,11 @@ from repro.transpile import (
     PropertySet,
     TransformationPass,
     TranspilePassManager,
+)
+from repro.transpile.basepass import (
+    PassResult,
+    compose_permutations,
+    identity_permutation,
 )
 
 
@@ -96,3 +100,30 @@ def test_analysis_pass_leaves_circuit_object_untouched():
         circuit, Partition(3, 2)
     )
     assert result.circuit is circuit
+
+
+class _Unnamed(TransformationPass):
+    def transform(self, circuit, partition, properties):
+        return PassResult(circuit, identity_permutation(circuit.num_qubits))
+
+
+class TestPassResult:
+    def test_identity_layout_detection(self):
+        r = PassResult(Circuit(2), identity_permutation(2))
+        assert r.is_identity_layout()
+        r2 = PassResult(Circuit(2), {0: 1, 1: 0})
+        assert not r2.is_identity_layout()
+
+    def test_pass_name_defaults_to_class(self):
+        assert _Unnamed().name == "_Unnamed"
+
+
+class TestPermutations:
+    def test_identity(self):
+        assert identity_permutation(3) == {0: 0, 1: 1, 2: 2}
+
+    def test_compose(self):
+        first = {0: 1, 1: 0, 2: 2}
+        second = {0: 0, 1: 2, 2: 1}
+        composed = compose_permutations(first, second)
+        assert composed == {0: 2, 1: 0, 2: 1}

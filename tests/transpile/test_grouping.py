@@ -3,10 +3,10 @@
 import pytest
 
 from repro.circuits import builtin_qft_circuit, random_circuit
-from repro.core.transpiler import equivalent
 from repro.errors import TranspilerError
 from repro.statevector.partition import Partition
 from repro.transpile import GateGroupFormationPass, transpile
+from repro.transpile.verify import equivalent
 
 
 def test_knob_validation():

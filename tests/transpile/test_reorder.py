@@ -1,8 +1,6 @@
 """Commutation-aware reordering: semantics, clustering, stability."""
 
 from repro.circuits import Circuit, random_circuit
-from repro.core.transpiler import equivalent
-from repro.core.transpiler.pass_base import identity_permutation
 from repro.gates import Gate
 from repro.statevector.partition import Partition
 from repro.transpile import (
@@ -11,6 +9,8 @@ from repro.transpile import (
     PropertySet,
     TranspilePassManager,
 )
+from repro.transpile.basepass import identity_permutation
+from repro.transpile.verify import equivalent
 
 
 def _reorder(circuit):

@@ -6,7 +6,6 @@ import pytest
 from repro.circuits import builtin_qft_circuit, random_circuit, random_state
 from repro.core.options import RunOptions
 from repro.core.runner import SimulationRunner
-from repro.core.transpiler import permute_statevector
 from repro.errors import ValidationError
 from repro.statevector import DenseStatevector
 from repro.statevector.partition import Partition
@@ -17,6 +16,7 @@ from repro.transpile import (
     resolve_strategy,
     transpile,
 )
+from repro.transpile.verify import permute_statevector
 
 
 def test_explicit_strategy_wins_over_env(monkeypatch):

@@ -1,40 +1,11 @@
 """Unit tests for repro.utils.bits."""
 
-import numpy as np
 import pytest
 
-from repro.utils.bits import (
-    bit_of,
-    clear_bit,
-    flip_bit,
-    insert_bit,
-    insert_bits,
-    is_power_of_two,
-    log2_exact,
-    mask_of,
-    pair_indices,
-    set_bit,
-)
+from repro.utils.bits import is_power_of_two, log2_exact, mask_of
 
 
 class TestBitBasics:
-    def test_bit_of_reads_each_position(self):
-        value = 0b1011
-        assert [bit_of(value, b) for b in range(5)] == [1, 1, 0, 1, 0]
-
-    def test_set_bit(self):
-        assert set_bit(0b100, 0) == 0b101
-        assert set_bit(0b101, 0) == 0b101
-
-    def test_clear_bit(self):
-        assert clear_bit(0b111, 1) == 0b101
-        assert clear_bit(0b101, 1) == 0b101
-
-    def test_flip_bit_is_involutive(self):
-        for value in (0, 5, 0b1010101):
-            for bit in range(8):
-                assert flip_bit(flip_bit(value, bit), bit) == value
-
     def test_mask_of(self):
         assert mask_of(0) == 0
         assert mask_of(3) == 0b111
@@ -43,49 +14,6 @@ class TestBitBasics:
     def test_mask_of_negative_raises(self):
         with pytest.raises(ValueError):
             mask_of(-1)
-
-
-class TestInsertBit:
-    def test_insert_zero_shifts_higher_bits(self):
-        assert insert_bit(0b101, 1, 0) == 0b1001
-
-    def test_insert_one(self):
-        assert insert_bit(0b101, 1, 1) == 0b1011
-
-    def test_insert_at_zero(self):
-        assert insert_bit(0b11, 0, 0) == 0b110
-        assert insert_bit(0b11, 0, 1) == 0b111
-
-    def test_insert_above_all_bits(self):
-        assert insert_bit(0b11, 5, 1) == 0b100011
-
-    def test_enumerates_pairs(self):
-        # Inserting 0/1 at position 1 over values 0..3 covers 0..7 once.
-        lows = [insert_bit(v, 1, 0) for v in range(4)]
-        highs = [insert_bit(v, 1, 1) for v in range(4)]
-        assert sorted(lows + highs) == list(range(8))
-
-    def test_bad_bit_raises(self):
-        with pytest.raises(ValueError):
-            insert_bit(0, 0, 2)
-
-    def test_bad_position_raises(self):
-        with pytest.raises(ValueError):
-            insert_bit(0, -1, 0)
-
-
-class TestInsertBits:
-    def test_multiple_insertions(self):
-        # Insert 0 at positions 1 and 3 of 0b111 -> bits land at 0, 2, 4.
-        assert insert_bits(0b111, [1, 3], [0, 0]) == 0b10101
-
-    def test_unsorted_positions_raise(self):
-        with pytest.raises(ValueError):
-            insert_bits(0, [3, 1], [0, 0])
-
-    def test_length_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            insert_bits(0, [1], [0, 1])
 
 
 class TestPowersOfTwo:
@@ -99,25 +27,3 @@ class TestPowersOfTwo:
         assert not is_power_of_two(value)
         with pytest.raises(ValueError):
             log2_exact(value)
-
-
-class TestPairIndices:
-    @pytest.mark.parametrize("n,target", [(8, 0), (8, 1), (8, 2), (32, 4)])
-    def test_partition_of_index_space(self, n, target):
-        idx0, idx1 = pair_indices(n, target)
-        assert len(idx0) == len(idx1) == n // 2
-        assert sorted(np.concatenate([idx0, idx1]).tolist()) == list(range(n))
-
-    def test_pairs_differ_exactly_at_target(self):
-        idx0, idx1 = pair_indices(16, 2)
-        assert np.all(idx1 - idx0 == 4)
-        assert np.all((idx0 >> 2) & 1 == 0)
-        assert np.all((idx1 >> 2) & 1 == 1)
-
-    def test_target_out_of_range_raises(self):
-        with pytest.raises(ValueError):
-            pair_indices(8, 3)
-
-    def test_non_power_size_raises(self):
-        with pytest.raises(ValueError):
-            pair_indices(6, 1)
