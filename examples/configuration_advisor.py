@@ -35,7 +35,7 @@ def main(num_qubits: int = 40) -> None:
             [
                 f"{opts.node_type}/{opts.frequency.ghz:g}GHz",
                 opts.comm_mode.value,
-                "yes" if opts.cache_block else "no",
+                "yes" if report.strategy == "blocked" else "no",
                 report.num_nodes,
                 f"{report.runtime_s:.0f}",
                 f"{report.energy_j / 1e6:.2f}",

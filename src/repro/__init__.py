@@ -30,7 +30,7 @@ from repro.circuits import (
 from repro.core import RunOptions, RunReport, SimulationRunner
 from repro.des import DesResult, Timeline, crosscheck, simulate
 from repro.errors import ReproError
-from repro.faults import FaultPlan, optimise_checkpoint_interval
+from repro.faults import FaultPlan
 from repro.gates import Gate, GateLocality
 from repro.machine import CpuFrequency, Machine, archer2
 from repro.mpi import CommMode
@@ -69,5 +69,4 @@ __all__ = [
     "simulate",
     "crosscheck",
     "FaultPlan",
-    "optimise_checkpoint_interval",
 ]

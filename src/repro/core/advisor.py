@@ -75,7 +75,7 @@ class Recommendation:
             opts.frequency.label,
             opts.comm_mode.value,
         ]
-        if opts.cache_block:
+        if report.strategy == "blocked":
             parts.append("cache-blocked")
         return ", ".join(parts)
 
@@ -99,16 +99,16 @@ def advise(
         )
     runner = runner if runner is not None else SimulationRunner()
     candidates: list[RunReport] = []
-    blocking_choices = (False, True) if allow_cache_blocking else (False,)
+    transpile_choices = (None, "blocked") if allow_cache_blocking else (None,)
     for node_type in runner.machine.node_types:
         for frequency in runner.machine.frequencies:
             for comm_mode in CommMode:
-                for cache_block in blocking_choices:
+                for transpile in transpile_choices:
                     options = RunOptions(
                         node_type=node_type,
                         frequency=frequency,
                         comm_mode=comm_mode,
-                        cache_block=cache_block,
+                        transpile=transpile,
                     )
                     try:
                         candidates.append(runner.run(circuit, options))

@@ -7,7 +7,7 @@ blocking, and the future-work halved-SWAP exchange.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.machine.frequency import CpuFrequency
 from repro.mpi.chunking import MAX_MESSAGE_BYTES
@@ -24,13 +24,10 @@ class RunOptions:
     node_type: str = "standard"
     frequency: CpuFrequency = CpuFrequency.MEDIUM
     comm_mode: CommMode = CommMode.BLOCKING
-    #: Transpile with the generic cache-blocking pass before running.
-    cache_block: bool = False
-    #: Pass-manager transpilation strategy (``repro.transpile``):
-    #: ``"naive"``/``"blocked"``/``"grouped"``.  ``None`` defers to
-    #: ``REPRO_TRANSPILE`` (default: no pipeline).  When a strategy is
-    #: selected it supersedes ``cache_block`` (``"blocked"`` reproduces
-    #: it exactly).
+    #: Transpilation strategy (``repro.transpile``):
+    #: ``"naive"``/``"blocked"``/``"grouped"``; ``"blocked"`` is the
+    #: paper's cache blocking.  ``None`` defers to ``REPRO_TRANSPILE``
+    #: (default: no transpilation).
     transpile: str | None = None
     #: Use the halved-communication distributed SWAP (paper future work).
     halved_swaps: bool = False
@@ -53,18 +50,14 @@ class RunOptions:
     hosts: str | tuple[str, ...] | None = None
 
     def fast(self) -> "RunOptions":
-        """The paper's 'Fast' configuration: cache-blocked, non-blocking."""
-        return RunOptions(
-            node_type=self.node_type,
-            frequency=self.frequency,
+        """The paper's 'Fast' configuration: cache-blocked, non-blocking.
+
+        An explicit ``transpile`` strategy is kept; otherwise the copy
+        selects ``"blocked"``, which takes precedence over
+        ``REPRO_TRANSPILE``.
+        """
+        return replace(
+            self,
             comm_mode=CommMode.NONBLOCKING,
-            cache_block=True,
-            transpile=self.transpile,
-            halved_swaps=self.halved_swaps,
-            num_nodes=self.num_nodes,
-            max_message=self.max_message,
-            calibration=self.calibration,
-            executor=self.executor,
-            fusion=self.fusion,
-            hosts=self.hosts,
+            transpile=self.transpile or "blocked",
         )

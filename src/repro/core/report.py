@@ -23,9 +23,10 @@ class RunReport:
     options: RunOptions
     prediction: Prediction
     job: SlurmJob
-    #: Permutation left by cache blocking (identity if not transpiled or
-    #: if the layout was restored).
+    #: Permutation left by transpilation (None if not transpiled).
     output_permutation: dict[int, int] | None = None
+    #: Transpile strategy that ran (None if not transpiled).
+    strategy: str | None = None
 
     # -- headline numbers -------------------------------------------------
 
@@ -74,7 +75,7 @@ class RunReport:
             ("nodes", f"{self.num_nodes} x {self.options.node_type}"),
             ("frequency", self.options.frequency.label),
             ("comm mode", self.options.comm_mode.value),
-            ("cache blocked", self.options.cache_block),
+            ("transpile", self.strategy or "none"),
             ("local statevector", format_bytes(part.local_bytes)),
             ("runtime", format_time(self.runtime_s)),
             ("energy (nodes)", format_energy(self.node_energy_j)),

@@ -97,25 +97,20 @@ class SimulationRunner:
     @staticmethod
     def _prepare_circuit(
         circuit: Circuit, config: RunConfiguration, options: RunOptions
-    ) -> tuple[Circuit, dict[int, int] | None]:
-        """Apply the selected transpilation: pipeline, cache blocking or none.
+    ) -> tuple[Circuit, dict[int, int] | None, str | None]:
+        """Apply the selected transpilation, if any.
 
-        An explicit ``options.transpile`` (or ``REPRO_TRANSPILE``)
-        selects the pass-manager pipeline; otherwise ``cache_block``
-        runs the paper's cache-blocking transpiler on its own.
+        ``options.transpile`` (else ``REPRO_TRANSPILE``) names the
+        strategy.  Returns the circuit to run, its output permutation
+        and the strategy that ran (``None``: untranspiled).
         """
-        from repro.transpile import cache_block, resolve_strategy, transpile
+        from repro.transpile import resolve_strategy, transpile
 
         strategy = resolve_strategy(options.transpile)
-        if strategy is not None:
-            result = transpile(
-                circuit, config.partition, strategy=strategy
-            )
-            return result.circuit, result.output_permutation
-        if options.cache_block:
-            result = cache_block(circuit, config.partition.local_qubits)
-            return result.circuit, result.output_permutation
-        return circuit, None
+        if strategy is None:
+            return circuit, None, None
+        result = transpile(circuit, config.partition, strategy=strategy)
+        return result.circuit, result.output_permutation, strategy
 
     # -- the main entry point -----------------------------------------------------
 
@@ -123,7 +118,9 @@ class SimulationRunner:
         """Price one run (sizing, optional transpilation, cost model)."""
         options = options if options is not None else RunOptions()
         config, job = self.configure(circuit, options)
-        to_run, permutation = self._prepare_circuit(circuit, config, options)
+        to_run, permutation, strategy = self._prepare_circuit(
+            circuit, config, options
+        )
         prediction = predict(to_run, config)
         return RunReport(
             circuit_name=circuit.name or f"circuit{circuit.num_qubits}",
@@ -133,6 +130,7 @@ class SimulationRunner:
             prediction=prediction,
             job=job,
             output_permutation=permutation,
+            strategy=strategy,
         )
 
     def execute_numeric(
@@ -160,7 +158,7 @@ class SimulationRunner:
             report.num_nodes, 1 << (circuit.num_qubits - 1)
         )
         config, _ = self.configure(circuit, options)
-        to_run, _ = self._prepare_circuit(circuit, config, options)
+        to_run, _, _ = self._prepare_circuit(circuit, config, options)
         if initial_state is None:
             state = DistributedStatevector.zero_state(
                 circuit.num_qubits,

@@ -17,7 +17,7 @@ Layers (each its own module):
 * :mod:`~repro.des.resources` -- NIC / up-link / compute-token models.
 * :mod:`~repro.des.schedule` -- trace -> per-rank op export.
 * :mod:`~repro.des.rank` -- rank actors and exchange drivers.
-* :mod:`~repro.des.timeline` -- Gantt spans, utilisation, critical path.
+* :mod:`~repro.des.timeline` -- Gantt spans and link utilisation.
 * :mod:`~repro.des.replay` -- one-call :func:`simulate` entry point.
 * :mod:`~repro.des.validation` -- the analytic-vs-DES agreement gate.
 
@@ -40,12 +40,7 @@ from repro.des.schedule import (
     ScheduleSet,
     export_schedules,
 )
-from repro.des.timeline import (
-    Span,
-    Timeline,
-    render_utilisation,
-    utilisation_series,
-)
+from repro.des.timeline import Span, Timeline, utilisation_series
 from repro.des.validation import (
     DEFAULT_TOLERANCE,
     CrossCheck,
@@ -69,7 +64,6 @@ __all__ = [
     "Span",
     "Timeline",
     "utilisation_series",
-    "render_utilisation",
     "DesResult",
     "simulate",
     "simulate_trace",

@@ -263,10 +263,6 @@ class Fabric:
 
     # -- accounting ----------------------------------------------------------
 
-    def all_links(self) -> list[Link]:
-        """Every link direction, NICs first."""
-        return [*self.nic_tx, *self.nic_rx, *self.uplink_up, *self.uplink_down]
-
     def nic_links(self) -> list[Link]:
         """Both directions of every NIC."""
         return [*self.nic_tx, *self.nic_rx]

@@ -86,10 +86,6 @@ class RankSchedule:
         """Just the communication ops."""
         return [op for op in self.ops if isinstance(op, ExchangeOp)]
 
-    def compute_seconds(self) -> float:
-        """Total local work in the schedule (excluding exchange updates)."""
-        return sum(op.seconds for op in self.ops if isinstance(op, ComputeOp))
-
 
 @dataclass(frozen=True)
 class _LocalBlock:
@@ -188,10 +184,6 @@ class ScheduleSet:
     def rank_schedule(self, rank: int) -> RankSchedule:
         """Materialise one rank's schedule."""
         return RankSchedule(rank, list(self.ops_for(rank)))
-
-    def schedules(self) -> list[RankSchedule]:
-        """Materialise every rank's schedule (tests / small jobs)."""
-        return [self.rank_schedule(r) for r in range(self.num_ranks)]
 
 
 def export_schedules(trace: ExecutionTrace) -> ScheduleSet:

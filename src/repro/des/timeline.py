@@ -1,13 +1,11 @@
-"""Timeline output of a DES replay: Gantt spans, utilisation, critical path.
+"""Timeline output of a DES replay: Gantt spans and link utilisation.
 
 Every rank actor records what it was doing and when -- computing,
 exchanging, or waiting (on a partner's arrival or a contended
-resource).  The :class:`Timeline` turns that into the three artefacts
-the cross-check experiment reports: an ASCII per-rank Gantt chart, a
-link-utilisation series (rendered through
-:func:`repro.utils.ascii_plot.line_plot`), and the critical path --
-the chain of spans that actually sets the makespan, hopping between
-ranks at the waits that coupled them.
+resource).  The :class:`Timeline` turns that into an ASCII per-rank
+Gantt chart (with injected fault events on their own row), and
+:func:`utilisation_series` bins recorded link intervals into a
+busy-fraction series.
 """
 
 from __future__ import annotations
@@ -15,14 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.des.resources import Link
-from repro.utils.ascii_plot import line_plot
 
 __all__ = [
     "Span",
     "TimelineEvent",
     "Timeline",
     "utilisation_series",
-    "render_utilisation",
 ]
 
 #: Gantt symbol per span kind (priority when bins overlap: comm wins).
@@ -164,10 +160,6 @@ class Timeline:
         """Record one injected event."""
         self.events.append(event)
 
-    def events_of(self, kind: str) -> list[TimelineEvent]:
-        """All annotated events of one kind."""
-        return [e for e in self.events if e.kind == kind]
-
     def add(self, span: Span) -> None:
         """Record one span (zero-length spans are dropped)."""
         if span.end > span.start:
@@ -186,15 +178,6 @@ class Timeline:
         """Finish time of the slowest rank."""
         ends = [spans[-1].end for spans in self._spans if spans]
         return max(ends) if ends else 0.0
-
-    def finish_of(self, rank: int) -> float:
-        """When one rank's schedule completed."""
-        spans = self._spans[rank]
-        return spans[-1].end if spans else 0.0
-
-    def busy_seconds(self, rank: int, kind: str) -> float:
-        """Total time a rank spent in one span kind."""
-        return sum(s.duration for s in self._spans[rank] if s.kind == kind)
 
     # -- rendering -----------------------------------------------------------
 
@@ -280,43 +263,6 @@ class Timeline:
             )
         return lines
 
-    def critical_path(self) -> list[Span]:
-        """The span chain that sets the makespan.
-
-        Walks backwards from the last-finishing rank; a wait span hands
-        the walk to the partner rank that was being waited for, so the
-        returned chain crosses ranks exactly where synchronisation
-        coupled them.  Resource waits (no partner) stay on-rank.
-        """
-        candidates = [r for r in range(self.num_ranks) if self._spans[r]]
-        if not candidates:
-            return []
-        rank = max(candidates, key=self.finish_of)
-        t = self.finish_of(rank)
-        path: list[Span] = []
-        while t > 0:
-            spans = [s for s in self._spans[rank] if s.start < t]
-            if not spans:
-                break
-            span = spans[-1]
-            if (
-                span.kind == "wait"
-                and span.blocked_on is not None
-                and span.blocked_on != rank
-                and self._spans[span.blocked_on]
-            ):
-                rank = span.blocked_on
-                if span.end < t:
-                    t = span.end
-                else:
-                    t = span.start  # guard: time must strictly decrease
-                continue
-            path.append(span)
-            if span.start >= t:
-                break
-            t = span.start
-        path.reverse()
-        return path
 
 
 def utilisation_series(
@@ -348,17 +294,3 @@ def utilisation_series(
         ((b + 0.5) * width, busy[b] / (width * recorded)) for b in range(bins)
     ]
 
-
-def render_utilisation(
-    series: dict[str, list[tuple[float, float]]], *, width: int = 64
-) -> str:
-    """Terminal plot of named utilisation series (NICs, up-links, ...)."""
-    populated = {name: pts for name, pts in series.items() if pts}
-    if not populated:
-        return "(no link-utilisation data recorded)"
-    return line_plot(
-        populated,
-        width=width,
-        title="link utilisation over replay",
-        y_label="busy fraction",
-    )

@@ -25,12 +25,15 @@ experiment sweeps MTBF against checkpoint cadence.
 
 Quickstart::
 
-    from repro.faults import FaultPlan, Straggler, optimise_checkpoint_interval
+    from repro.faults import CheckpointPolicy, FaultPlan, Straggler, daly_interval
 
     plan = FaultPlan(
         seed=7,
         mtbf_s=3600.0,
-        checkpoint=optimise_checkpoint_interval(write_s=30.0, mtbf_s=3600.0),
+        checkpoint=CheckpointPolicy(
+            interval_s=daly_interval(write_s=30.0, mtbf_s=3600.0),
+            write_s=30.0,
+        ),
         stragglers=(Straggler(rank=3, slowdown=1.4),),
     )
     prediction = predict(circuit, config, backend="des", faults=plan)
@@ -48,7 +51,6 @@ from repro.faults.checkpoint import (
     apply_overlay,
     daly_interval,
     expected_slowdown,
-    optimise_checkpoint_interval,
     young_interval,
 )
 from repro.faults.inject import (
@@ -79,7 +81,6 @@ __all__ = [
     "young_interval",
     "daly_interval",
     "expected_slowdown",
-    "optimise_checkpoint_interval",
     "apply_overlay",
     "FaultySchedule",
     "ChunkFaultModel",

@@ -27,7 +27,7 @@ from repro.faults.checkpoint import apply_overlay
 from repro.faults.inject import FaultReport, build_report
 from repro.faults.plan import FaultPlan
 from repro.mpi.datatypes import CommMode
-from repro.perfmodel.energy import EnergyReport
+from repro.perfmodel.energy import EnergyReport, node_phase_power
 from repro.perfmodel.trace import CostedTrace
 
 __all__ = [
@@ -93,10 +93,9 @@ def fault_adjusted_energy(
     config = costed.config
     calib = config.calibration
     nodes = config.num_nodes
-    idle_power = calib.idle_power_w * config.node_type.power_factor
-    comm_power = (
-        calib.comm_power_w[config.frequency] * config.node_type.power_factor
-    )
+    freq, node_type = config.frequency, config.node_type
+    idle_power = node_phase_power("idle", freq, node_type, calib)
+    comm_power = node_phase_power("comm", freq, node_type, calib)
     switch_power = config.topology.switch_power_total_w()
 
     stretch_s = max(0.0, report.base_makespan_s - costed.runtime_s)

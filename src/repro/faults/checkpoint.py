@@ -6,8 +6,7 @@ Two views of the same physics live here:
   the classic near-optimal checkpoint cadence for a job-level MTBF, and
   :func:`expected_slowdown` the first-order expected wall-time
   multiplier (checkpoint writes + expected rework + restarts).  These
-  drive the ``ext-resilience`` experiment's "expected" column and the
-  interval optimiser.
+  drive the ``ext-resilience`` experiment's "expected" column.
 * **Deterministic walk** -- :func:`apply_overlay` replays an explicit
   failure sequence against a given amount of work: work proceeds in
   checkpoint intervals, a failure rolls progress back to the last
@@ -28,7 +27,7 @@ import math
 from dataclasses import dataclass
 
 from repro.errors import FaultError
-from repro.faults.plan import CheckpointPolicy, FaultPlan
+from repro.faults.plan import FaultPlan
 
 __all__ = [
     "FaultEvent",
@@ -36,7 +35,6 @@ __all__ = [
     "young_interval",
     "daly_interval",
     "expected_slowdown",
-    "optimise_checkpoint_interval",
     "apply_overlay",
 ]
 
@@ -145,17 +143,6 @@ def expected_slowdown(
             f"{write_s:.3g}s loses more than one MTBF ({mtbf_s:.3g}s) per cycle"
         )
     return (1.0 + write_s / interval_s) / denom
-
-
-def optimise_checkpoint_interval(
-    write_s: float, mtbf_s: float, *, restart_s: float = 0.0
-) -> CheckpointPolicy:
-    """A ready-to-use policy at the Daly-optimal interval."""
-    return CheckpointPolicy(
-        interval_s=daly_interval(write_s, mtbf_s),
-        write_s=write_s,
-        restart_s=restart_s,
-    )
 
 
 def _check_inputs(write_s: float, mtbf_s: float) -> None:

@@ -13,7 +13,6 @@ from repro.gates.classify import (
     distributed_targets,
     local_targets,
 )
-from repro.gates.decompose import cphase, swap_to_cnots, toffoli
 from repro.gates.gate import GATE_REGISTRY, Gate, GateSpec, register_gate
 
 __all__ = [
@@ -26,7 +25,4 @@ __all__ = [
     "classify_gate",
     "distributed_targets",
     "local_targets",
-    "cphase",
-    "swap_to_cnots",
-    "toffoli",
 ]

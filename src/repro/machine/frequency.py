@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import enum
 
+from repro.errors import ValidationError
+
 __all__ = ["CpuFrequency"]
 
 
@@ -44,7 +46,7 @@ class CpuFrequency(enum.Enum):
         for freq in cls:
             if abs(freq.ghz - ghz) < 1e-9:
                 return freq
-        raise ValueError(
+        raise ValidationError(
             f"no ARCHER2 frequency setting at {ghz} GHz "
             f"(choose from {[f.ghz for f in cls]})"
         )

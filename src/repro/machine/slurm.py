@@ -62,20 +62,6 @@ class SlurmJob:
                 f"{self.machine.name} does not offer {self.cpu_freq}"
             )
 
-    def sbatch_preamble(self) -> str:
-        """The job-script header this configuration corresponds to."""
-        freq_khz = int(self.cpu_freq.hz / 1e3)
-        lines = [
-            f"#SBATCH --job-name={self.name}",
-            f"#SBATCH --nodes={self.nodes}",
-            "#SBATCH --ntasks-per-node=1",
-            f"#SBATCH --cpus-per-task={self.node_type.cores}",
-            f"#SBATCH --cpu-freq={freq_khz}",
-        ]
-        if self.node_type.name == "highmem":
-            lines.append("#SBATCH --partition=highmem")
-        return "\n".join(lines)
-
     def account(
         self, elapsed_s: float, node_energy_j: float, network_energy_j: float
     ) -> JobAccounting:

@@ -298,11 +298,6 @@ class WorkerPool:
         """True once a worker died or the pool was shut down."""
         return self._broken or not all(_alive(p) for p in self._procs)
 
-    @property
-    def closing(self) -> bool:
-        """True once a clean :meth:`close` began (shutdown, not a crash)."""
-        return self._closing
-
     def worker_pids(self) -> list[int]:
         """PIDs of the worker processes (test/diagnostic hook)."""
         return [p.pid for p in self._procs]
@@ -535,7 +530,7 @@ class WorkerPool:
     def close(self, *, timeout: float = 2.0) -> None:
         """Stop every worker (idempotent); terminate stragglers.
 
-        Sets :attr:`closing` first so workers exiting in response are
+        Marks the pool closing first so workers exiting in response are
         booked as clean shutdowns, not crashes.
         """
         self._closing = True

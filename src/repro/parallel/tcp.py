@@ -1197,10 +1197,9 @@ class TcpPool:
     def inject_failures(self, fail_at) -> None:
         """Arm fail-stop injection for the *next* ``run_plan`` dispatch.
 
-        ``fail_at`` is ``[(worker_id, step_index), ...]`` (see
-        :mod:`repro.parallel.failstop` for deriving it from a
-        :class:`~repro.faults.plan.FaultPlan`).  Injection is one-shot:
-        a restarted dispatch does not re-arm it (fail-stop semantics).
+        ``fail_at`` is ``[(worker_id, step_index), ...]``.  Injection is
+        one-shot: a restarted dispatch does not re-arm it (fail-stop
+        semantics).
         """
         self._fail_injection = tuple(
             (int(w), int(s)) for w, s in fail_at

@@ -16,12 +16,6 @@ from repro.perfmodel.breakdown import (
     top_gates,
 )
 from repro.perfmodel.calibration import DEFAULT_CALIBRATION, Calibration
-from repro.perfmodel.persistence import (
-    calibration_from_dict,
-    calibration_to_dict,
-    load_calibration,
-    save_calibration,
-)
 from repro.perfmodel.comm_cost import effective_bandwidth, exchange_time
 from repro.perfmodel.energy import EnergyReport, energy_report, node_phase_power
 from repro.perfmodel.objectives import (
@@ -73,8 +67,4 @@ __all__ = [
     "top_gates",
     "timeline_csv",
     "render_breakdown",
-    "calibration_to_dict",
-    "calibration_from_dict",
-    "save_calibration",
-    "load_calibration",
 ]

@@ -2,18 +2,23 @@
 
 The heavy lifting happens inside :func:`repro.perfmodel.trace.cost_trace`;
 this module packages its results the way the paper reports them --
-SLURM-counter node energy plus the analytic switch estimate -- and
-provides standalone phase-energy primitives for the ablation studies.
+SLURM-counter node energy plus the analytic switch estimate -- and owns
+the per-phase node power (:func:`node_phase_power`) that the cost
+model, the objectives and the fault layer all price with.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
+from repro.errors import ValidationError
 from repro.machine.frequency import CpuFrequency
 from repro.machine.node import NodeType
 from repro.perfmodel.calibration import Calibration
-from repro.perfmodel.trace import CostedTrace
+
+if TYPE_CHECKING:
+    from repro.perfmodel.trace import CostedTrace
 
 __all__ = ["EnergyReport", "energy_report", "node_phase_power"]
 
@@ -69,5 +74,5 @@ def node_phase_power(
     elif phase == "idle":
         base = calib.idle_power_w
     else:
-        raise ValueError(f"unknown phase {phase!r} (busy/comm/idle)")
+        raise ValidationError(f"unknown phase {phase!r} (busy/comm/idle)")
     return base * node_type.power_factor

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 from repro.errors import CalibrationError
 from repro.machine.cu import DEFAULT_CU_RATES, CuRates, cu_cost
+from repro.perfmodel.energy import node_phase_power
 from repro.perfmodel.predictor import Prediction
 from repro.perfmodel.trace import CostedTrace
 from repro.statevector.apply_plan import fusion_units
@@ -69,10 +70,9 @@ def _scaled_analytic(costed: CostedTrace, factor: float) -> tuple[float, float]:
     """
     config = costed.config
     calib = config.calibration
-    busy_power = (
-        calib.busy_power_w[config.frequency] * config.node_type.power_factor
-    )
-    idle_power = calib.idle_power_w * config.node_type.power_factor
+    freq, node_type = config.frequency, config.node_type
+    busy_power = node_phase_power("busy", freq, node_type, calib)
+    idle_power = node_phase_power("idle", freq, node_type, calib)
     switch_power = config.topology.switch_power_total_w()
     nodes = config.num_nodes
     runtime = 0.0

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 from repro import obs
 from repro.circuits.circuit import Circuit
+from repro.errors import ValidationError
 from repro.gates import Gate
 from repro.machine.frequency import CpuFrequency
 from repro.machine.node import NodeType
@@ -28,6 +29,7 @@ from repro.mpi.datatypes import CommMode
 from repro.mpi.topology import NetworkTopology
 from repro.perfmodel.calibration import DEFAULT_CALIBRATION, Calibration
 from repro.perfmodel.comm_cost import exchange_time
+from repro.perfmodel.energy import node_phase_power
 from repro.perfmodel.gate_cost import local_cost
 from repro.statevector.partition import Partition
 from repro.statevector.plan import GatePlan, plan_circuit, sampling_plan
@@ -88,29 +90,29 @@ class RunConfiguration:
 
     def __post_init__(self) -> None:
         if self.shots < 0:
-            raise ValueError(f"shots must be >= 0, got {self.shots}")
+            raise ValidationError(f"shots must be >= 0, got {self.shots}")
         rpn = self.ranks_per_node
         if rpn < 1 or (rpn & (rpn - 1)) != 0:
-            raise ValueError(
+            raise ValidationError(
                 f"ranks_per_node must be a positive power of two, got {rpn}"
             )
         if self.partition.num_ranks % rpn:
-            raise ValueError(
+            raise ValidationError(
                 f"{self.partition.num_ranks} ranks do not pack onto nodes "
                 f"of {rpn}"
             )
         if self.executor not in ("serial", "pool"):
-            raise ValueError(
+            raise ValidationError(
                 f"executor must be 'serial' or 'pool', got {self.executor!r}"
             )
         if self.transport not in ("shm", "tcp"):
-            raise ValueError(
+            raise ValidationError(
                 f"transport must be 'shm' or 'tcp', got {self.transport!r}"
             )
         if self.num_hosts < 1:
-            raise ValueError(f"num_hosts must be >= 1, got {self.num_hosts}")
+            raise ValidationError(f"num_hosts must be >= 1, got {self.num_hosts}")
         if not 0.0 <= self.overlap_factor <= 1.0:
-            raise ValueError(
+            raise ValidationError(
                 f"overlap_factor must be in [0, 1], got {self.overlap_factor!r}"
             )
 
@@ -267,9 +269,10 @@ def cost_trace(trace: ExecutionTrace) -> CostedTrace:
     calib = config.calibration
     topo = config.topology
     switch_power = topo.switch_power_total_w()
-    busy_power = calib.busy_power_w[config.frequency] * config.node_type.power_factor
-    comm_power = calib.comm_power_w[config.frequency] * config.node_type.power_factor
-    idle_power = calib.idle_power_w * config.node_type.power_factor
+    freq, node_type = config.frequency, config.node_type
+    busy_power = node_phase_power("busy", freq, node_type, calib)
+    comm_power = node_phase_power("comm", freq, node_type, calib)
+    idle_power = node_phase_power("idle", freq, node_type, calib)
     nodes = config.num_nodes
 
     costs: list[GateCost] = []

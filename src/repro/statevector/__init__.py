@@ -12,31 +12,18 @@ from repro.statevector.apply_plan import (
     StepKind,
     compile_gate_step,
     compile_plan,
-    fused_circuit,
 )
 from repro.statevector.dense import DenseStatevector
 from repro.statevector.distributed import DistributedStatevector
-from repro.statevector.fidelity import (
-    fidelity,
-    global_phase_between,
-    l2_distance,
-    states_close,
-)
+from repro.statevector.fidelity import fidelity
 from repro.statevector.measurement import (
-    collapse_qubit,
     expectation_z,
     marginal_probability,
-    pauli_expectation,
     probabilities,
     sample_counts,
 )
 from repro.statevector.partition import AMPLITUDE_BYTES, Partition
 from repro.statevector.sampling import SampleResult, sample
-from repro.statevector.serialization import (
-    load_dense,
-    load_distributed,
-    save_state,
-)
 from repro.statevector.fusion import FusionConfig, parse_fusion, resolve_fusion
 from repro.statevector.soa import SoAStatevector
 from repro.statevector.plan import (
@@ -54,16 +41,12 @@ __all__ = [
     "StepKind",
     "compile_plan",
     "compile_gate_step",
-    "fused_circuit",
     "FusionConfig",
     "parse_fusion",
     "resolve_fusion",
     "DenseStatevector",
     "DistributedStatevector",
     "SoAStatevector",
-    "save_state",
-    "load_dense",
-    "load_distributed",
     "Partition",
     "AMPLITUDE_BYTES",
     "GatePlan",
@@ -73,15 +56,10 @@ __all__ = [
     "FLOPS_PER_AMP_PAIR_UPDATE",
     "FLOPS_PER_AMP_DIAGONAL",
     "fidelity",
-    "states_close",
-    "global_phase_between",
-    "l2_distance",
     "probabilities",
     "marginal_probability",
     "expectation_z",
-    "pauli_expectation",
     "sample_counts",
-    "collapse_qubit",
     "sample",
     "SampleResult",
 ]

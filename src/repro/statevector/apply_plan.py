@@ -67,7 +67,6 @@ __all__ = [
     "compile_plan",
     "compile_gate_step",
     "fusion_units",
-    "fused_circuit",
     "reduce_diagonal",
     "clear_plan_cache",
     "MAX_FUSED_QUBITS",
@@ -525,20 +524,6 @@ def compile_plan(
         ref = weakref.ref(circuit, lambda _r, cid=cid: _plan_cache.pop(cid, None))
         _plan_cache[cid] = (ref, key, circuit.gates, plan)
     return plan
-
-
-def fused_circuit(plan: ApplyPlan) -> Circuit:
-    """The plan's step stream as a circuit (one gate per step).
-
-    Lets the analytic/DES cost models price the *fused* gate stream --
-    a fused block or permutation is one pass over the local amplitudes,
-    not one per constituent -- by feeding the synthetic gates through
-    the ordinary ``plan_gate`` accounting.
-    """
-    out = Circuit(plan.num_qubits)
-    for step in plan.steps:
-        out.append(step.gate)
-    return out
 
 
 def reduce_diagonal(

@@ -1,9 +1,4 @@
-"""State-comparison utilities: fidelity, phase-insensitive equality.
-
-Used throughout the test suite and by the transpiler verifier: a
-transpiled circuit must reproduce the original state up to global phase
-and floating-point noise.
-"""
+"""State fidelity ``|<a|b>|**2``, insensitive to global phase."""
 
 from __future__ import annotations
 
@@ -11,7 +6,7 @@ import numpy as np
 
 from repro.errors import SimulationError
 
-__all__ = ["fidelity", "states_close", "global_phase_between", "l2_distance"]
+__all__ = ["fidelity"]
 
 
 def fidelity(a: np.ndarray, b: np.ndarray) -> float:
@@ -22,35 +17,3 @@ def fidelity(a: np.ndarray, b: np.ndarray) -> float:
         raise SimulationError(f"state shapes differ: {a.shape} vs {b.shape}")
     return float(np.abs(np.vdot(a, b)) ** 2)
 
-
-def l2_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Euclidean distance between amplitude vectors (phase-sensitive)."""
-    return float(np.linalg.norm(np.asarray(a) - np.asarray(b)))
-
-
-def global_phase_between(a: np.ndarray, b: np.ndarray) -> complex:
-    """The unit phase ``e^{i t}`` best aligning ``a`` to ``b`` (``b ~ e^{it} a``)."""
-    inner = np.vdot(np.asarray(a), np.asarray(b))
-    if np.abs(inner) < 1e-12:
-        raise SimulationError("states are (numerically) orthogonal")
-    return complex(inner / np.abs(inner))
-
-
-def states_close(
-    a: np.ndarray,
-    b: np.ndarray,
-    *,
-    atol: float = 1e-9,
-    up_to_global_phase: bool = False,
-) -> bool:
-    """Element-wise closeness, optionally modulo a global phase."""
-    a = np.asarray(a, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
-    if a.shape != b.shape:
-        return False
-    if up_to_global_phase:
-        try:
-            a = global_phase_between(a, b) * a
-        except SimulationError:
-            return False
-    return bool(np.allclose(a, b, atol=atol))

@@ -1,4 +1,4 @@
-"""Measurement utilities: probabilities, marginals, sampling, collapse.
+"""Measurement utilities: probabilities, marginals, sampling.
 
 The statevector approach's selling point (paper section 1) is that *all*
 amplitudes are available after one simulation, so any measurement can be
@@ -16,9 +16,7 @@ __all__ = [
     "probabilities",
     "marginal_probability",
     "expectation_z",
-    "pauli_expectation",
     "sample_counts",
-    "collapse_qubit",
 ]
 
 
@@ -44,58 +42,6 @@ def expectation_z(amps: np.ndarray, qubit: int) -> float:
     return 2.0 * p0 - 1.0
 
 
-def pauli_expectation(amps: np.ndarray, paulis: dict[int, str]) -> float:
-    """``<psi| P |psi>`` for a Pauli string ``P = prod_q sigma_q``.
-
-    ``paulis`` maps qubit index to ``"X"``, ``"Y"`` or ``"Z"``
-    (identity elsewhere).  Evaluated without building the operator:
-    ``P|psi>`` flips the X/Y qubits' bits and applies the induced sign
-    and phase per amplitude, so the cost is one sweep.
-
-    An empty string is the identity (returns 1 for normalised states).
-    """
-    amps = np.asarray(amps, dtype=np.complex128)
-    n = log2_exact(len(amps))
-    flip_mask = 0
-    z_mask = 0
-    y_count = 0
-    for qubit, pauli in paulis.items():
-        if not 0 <= qubit < n:
-            raise SimulationError(f"qubit {qubit} out of range for {n} qubits")
-        p = pauli.upper()
-        if p == "X":
-            flip_mask |= 1 << qubit
-        elif p == "Y":
-            flip_mask |= 1 << qubit
-            z_mask |= 1 << qubit
-            y_count += 1
-        elif p == "Z":
-            z_mask |= 1 << qubit
-        else:
-            raise SimulationError(f"unknown Pauli {pauli!r} (use X/Y/Z)")
-    idx = np.arange(len(amps), dtype=np.int64)
-    # P|x> = phase(x) |x ^ flip_mask>, with phase from the Z (and the
-    # Y's -i|0><1| + i|1><0| structure folded into z_mask and a global
-    # factor i**y_count acting on the *flipped* source bit pattern.
-    source = idx ^ flip_mask
-    # Sign from Z-type factors evaluated on the source basis state.
-    z_bits = source & z_mask
-    parity = np.zeros(len(amps), dtype=np.int64)
-    bits = z_bits
-    while np.any(bits):
-        parity ^= bits & 1
-        bits >>= 1
-    signs = 1.0 - 2.0 * parity
-    phase = (1j) ** y_count
-    value = np.vdot(amps, phase * signs * amps[source])
-    if abs(value.imag) > 1e-9:
-        raise SimulationError(
-            f"non-real expectation {value:.3e}; Pauli strings are "
-            f"Hermitian so this indicates a numerical problem"
-        )
-    return float(value.real)
-
-
 def sample_counts(
     amps: np.ndarray, shots: int, *, rng: np.random.Generator | None = None
 ) -> np.ndarray:
@@ -109,24 +55,3 @@ def sample_counts(
         raise SimulationError(f"state is not normalised (sum p = {total:.6f})")
     return rng.choice(len(probs), size=shots, p=probs / total)
 
-
-def collapse_qubit(
-    amps: np.ndarray, qubit: int, *, rng: np.random.Generator | None = None
-) -> tuple[int, np.ndarray]:
-    """Projectively measure one qubit; return (outcome, collapsed state).
-
-    The input array is not modified; the returned state is renormalised.
-    """
-    rng = np.random.default_rng() if rng is None else rng
-    p0 = marginal_probability(amps, qubit, 0)
-    outcome = 0 if rng.random() < p0 else 1
-    prob = p0 if outcome == 0 else 1.0 - p0
-    if prob <= 0:
-        raise SimulationError(
-            f"measured qubit {qubit} = {outcome} with zero probability"
-        )
-    out = np.asarray(amps, dtype=np.complex128).copy()
-    view = out.reshape(-1, 2, 1 << qubit)
-    view[:, 1 - outcome, :] = 0.0
-    out /= np.sqrt(prob)
-    return outcome, out

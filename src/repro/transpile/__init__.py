@@ -47,11 +47,7 @@ from repro.transpile.basepass import (
 )
 from repro.transpile.cache_blocking import CacheBlockingPass, cache_block
 from repro.transpile.grouping import GateGroupFormationPass
-from repro.transpile.metrics import (
-    ScheduleMetrics,
-    compare_metrics,
-    schedule_metrics,
-)
+from repro.transpile.metrics import ScheduleMetrics, schedule_metrics
 from repro.transpile.property_set import PropertySet
 from repro.transpile.reorder import CommutationReorderPass
 from repro.transpile.result import TranspileResult
@@ -78,7 +74,6 @@ __all__ = [
     "cache_block",
     "ScheduleMetrics",
     "schedule_metrics",
-    "compare_metrics",
     "gates_commute",
 ]
 
@@ -153,13 +148,14 @@ def transpile(
     by that map (the property suite asserts this across executors).
     """
     name = resolve_strategy(strategy, default="grouped")
-    if name != "naive" and circuit.has_measurements():
-        # Reordering and fusion passes assume a unitary gate stream;
-        # commuting a gate across a collapse (or fusing through one)
-        # changes the sampled distribution, not just the layout.
+    if name == "grouped" and circuit.has_measurements():
+        # The commutation reorder assumes a unitary gate stream;
+        # commuting a gate across a collapse changes the sampled
+        # distribution, not just the layout.  ``blocked`` keeps gate
+        # order and only relabels qubits, so it passes.
         raise ValidationError(
             f"transpile strategy {name!r} cannot reorder a circuit with "
-            "mid-circuit measurements; use strategy='naive'"
+            "mid-circuit measurements; use strategy='naive' or 'blocked'"
         )
     before = schedule_metrics(circuit, partition)
     passes = build_pipeline(

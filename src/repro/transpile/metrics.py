@@ -17,7 +17,7 @@ from repro.circuits.circuit import Circuit
 from repro.statevector.partition import Partition
 from repro.statevector.plan import plan_circuit
 
-__all__ = ["ScheduleMetrics", "schedule_metrics", "compare_metrics"]
+__all__ = ["ScheduleMetrics", "schedule_metrics"]
 
 
 @dataclass(frozen=True)
@@ -60,27 +60,3 @@ def schedule_metrics(
         remap_gates=sum(1 for p in plans if p.gate_name == "remap"),
     )
 
-
-def compare_metrics(
-    baseline: ScheduleMetrics, transpiled: ScheduleMetrics
-) -> dict[str, float]:
-    """Reduction factors of ``transpiled`` against ``baseline``."""
-    def factor(before: float, after: float) -> float:
-        if after == 0:
-            return float(before) if before else 1.0
-        return before / after
-
-    return {
-        "exchange_round_factor": factor(
-            baseline.exchange_rounds, transpiled.exchange_rounds
-        ),
-        "bytes_factor": factor(
-            baseline.bytes_per_rank, transpiled.bytes_per_rank
-        ),
-        "rounds_eliminated": float(
-            baseline.exchange_rounds - transpiled.exchange_rounds
-        ),
-        "bytes_eliminated": float(
-            baseline.bytes_per_rank - transpiled.bytes_per_rank
-        ),
-    }

@@ -15,9 +15,7 @@ from repro.utils.units import (
     TIB,
     TB,
     format_bytes,
-    format_count,
     format_energy,
-    format_power,
     format_time,
 )
 
@@ -34,8 +32,6 @@ __all__ = [
     "GIB",
     "TIB",
     "format_bytes",
-    "format_count",
     "format_energy",
-    "format_power",
     "format_time",
 ]

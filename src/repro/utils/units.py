@@ -24,8 +24,6 @@ __all__ = [
     "format_bytes",
     "format_time",
     "format_energy",
-    "format_power",
-    "format_count",
 ]
 
 # Decimal (SI) byte units.
@@ -79,15 +77,3 @@ def format_energy(joules: float) -> str:
     steps = [(10**9, "G"), (10**6, "M"), (10**3, "k")]
     return _format_scaled(float(joules), steps, "J")
 
-
-def format_power(watts: float) -> str:
-    """Format a power in W / kW / MW."""
-    steps = [(10**6, "M"), (10**3, "k")]
-    return _format_scaled(float(watts), steps, "W")
-
-
-def format_count(value: float) -> str:
-    """Format a dimensionless count with thousands separators."""
-    if float(value).is_integer():
-        return f"{int(value):,}"
-    return f"{value:,.3f}"

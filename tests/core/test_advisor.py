@@ -23,7 +23,7 @@ class TestAdvise:
     def test_runtime_recommends_fast_setup(self, runtime_rec):
         """Minimum runtime should pick cache blocking + non-blocking."""
         opts = runtime_rec.best_options
-        assert opts.cache_block
+        assert opts.transpile == "blocked"
         assert opts.comm_mode is CommMode.NONBLOCKING
         assert opts.node_type == "standard"
 
@@ -32,7 +32,7 @@ class TestAdvise:
         assert energy_rec.best_options.frequency is not CpuFrequency.HIGH
 
     def test_energy_picks_cache_blocking(self, energy_rec):
-        assert energy_rec.best_options.cache_block
+        assert energy_rec.best_options.transpile == "blocked"
 
     def test_cu_objective(self):
         rec = advise(builtin_qft_circuit(38), "cu")
@@ -69,5 +69,5 @@ class TestAdvise:
         rec = advise(
             builtin_qft_circuit(38), "runtime", allow_cache_blocking=False
         )
-        assert not rec.best_options.cache_block
+        assert rec.best_options.transpile is None
         assert len(rec.candidates) == 12

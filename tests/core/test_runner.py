@@ -20,12 +20,15 @@ class TestRunOptions:
         assert opts.node_type == "standard"
         assert opts.frequency is CpuFrequency.MEDIUM
         assert opts.comm_mode is CommMode.BLOCKING
-        assert not opts.cache_block
+        assert opts.transpile is None
 
     def test_fast_configuration(self):
         fast = RunOptions().fast()
-        assert fast.cache_block
+        assert fast.transpile == "blocked"
         assert fast.comm_mode is CommMode.NONBLOCKING
+
+    def test_fast_keeps_an_explicit_strategy(self):
+        assert RunOptions(transpile="grouped").fast().transpile == "grouped"
 
     def test_fast_preserves_other_fields(self):
         fast = RunOptions(
@@ -55,7 +58,7 @@ class TestRun:
 
     def test_cache_block_records_permutation(self):
         report = RUNNER.run(
-            builtin_qft_circuit(38), RunOptions(cache_block=True)
+            builtin_qft_circuit(38), RunOptions(transpile="blocked")
         )
         assert report.output_permutation is not None
 
@@ -70,6 +73,17 @@ class TestRun:
     def test_summary_renders(self):
         text = RUNNER.run(builtin_qft_circuit(38)).summary()
         assert "runtime" in text and "energy (total)" in text
+
+    def test_report_names_the_strategy_that_ran(self, monkeypatch):
+        monkeypatch.delenv("REPRO_TRANSPILE", raising=False)
+        assert RUNNER.run(builtin_qft_circuit(38)).strategy is None
+        monkeypatch.setenv("REPRO_TRANSPILE", "grouped")
+        report = RUNNER.run(builtin_qft_circuit(38))
+        assert report.strategy == "grouped"
+        assert "grouped" in report.summary()
+        # fast()'s explicit "blocked" beats the environment.
+        fast = RUNNER.run(builtin_qft_circuit(38), RunOptions().fast())
+        assert fast.strategy == "blocked"
 
     def test_accounting(self):
         report = RUNNER.run(builtin_qft_circuit(38))
@@ -115,7 +129,7 @@ class TestExecuteNumeric:
 
         psi = random_state(8, seed=2)
         circuit = qft_circuit(8)
-        opts = RunOptions(num_nodes=4, cache_block=True)
+        opts = RunOptions(num_nodes=4, transpile="blocked")
         out, report = RUNNER.execute_numeric(
             circuit, opts, initial_state=psi, num_ranks=4
         )

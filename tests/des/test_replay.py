@@ -98,20 +98,6 @@ class TestTimelineOutputs:
         chart = result.timeline.gantt(width=40)
         assert "rank 0" in chart and "#" in chart and "=" in chart
 
-    def test_critical_path_spans_are_ordered_and_reach_makespan(self):
-        result = simulate(qft_circuit(22), make_config())
-        path = result.timeline.critical_path()
-        assert path
-        assert path[-1].end == pytest.approx(result.makespan_s)
-        for earlier, later in zip(path, path[1:]):
-            assert earlier.start <= later.start
-
-    def test_busy_seconds_split_by_kind(self):
-        result = simulate(qft_circuit(22), make_config())
-        timeline = result.timeline
-        assert timeline.busy_seconds(0, "comm") > 0
-        assert timeline.busy_seconds(0, "compute") > 0
-
 
 class TestCrossCheck:
     @pytest.mark.parametrize("mode", [CommMode.BLOCKING, CommMode.NONBLOCKING])

@@ -12,7 +12,6 @@ from repro.faults import (
     apply_overlay,
     daly_interval,
     expected_slowdown,
-    optimise_checkpoint_interval,
     young_interval,
 )
 
@@ -57,13 +56,6 @@ class TestClosedForms:
     def test_expected_slowdown_rejects_livelock(self):
         with pytest.raises(FaultError, match="progress"):
             expected_slowdown(100.0, 50.0, 10.0)
-
-    def test_optimiser_returns_policy(self):
-        policy = optimise_checkpoint_interval(2.0, 1000.0, restart_s=1.0)
-        assert isinstance(policy, CheckpointPolicy)
-        assert policy.interval_s == pytest.approx(daly_interval(2.0, 1000.0))
-        assert policy.write_s == 2.0
-        assert policy.restart_s == 1.0
 
 
 class TestOverlayIdentity:

@@ -121,19 +121,19 @@ class TestOptimisationStoryAtSmallScale:
 
 class TestRunnerPipeline:
     def test_generic_transpiler_inside_runner(self):
-        """runner.run(cache_block=True) must cut predicted comm time."""
+        """runner.run(transpile="blocked") must cut predicted comm time."""
         runner = SimulationRunner()
         base = runner.run(builtin_qft_circuit(38))
         blocked = runner.run(
             builtin_qft_circuit(38),
-            RunOptions(cache_block=True, comm_mode=CommMode.NONBLOCKING),
+            RunOptions(transpile="blocked", comm_mode=CommMode.NONBLOCKING),
         )
         assert blocked.prediction.costed.comm_s < base.prediction.costed.comm_s
 
     def test_numeric_execution_of_transpiled_run(self):
         runner = SimulationRunner()
         psi = random_state(8, seed=7)
-        opts = RunOptions(num_nodes=4, cache_block=True)
+        opts = RunOptions(num_nodes=4, transpile="blocked")
         out, report = runner.execute_numeric(
             qft_circuit(8), opts, initial_state=psi, num_ranks=4
         )

@@ -3,28 +3,10 @@
 import pytest
 
 from repro.errors import ExperimentError
-from repro.machine import CpuFrequency, HIGHMEM_NODE, STANDARD_NODE, SlurmJob
+from repro.machine import STANDARD_NODE, SlurmJob
 
 
 class TestSlurmJob:
-    def test_preamble_contents(self):
-        job = SlurmJob(nodes=64, node_type=STANDARD_NODE)
-        text = job.sbatch_preamble()
-        assert "--nodes=64" in text
-        assert "--ntasks-per-node=1" in text
-        assert "--cpus-per-task=128" in text
-        assert "--cpu-freq=2000000" in text
-
-    def test_highmem_partition_line(self):
-        job = SlurmJob(nodes=8, node_type=HIGHMEM_NODE)
-        assert "--partition=highmem" in job.sbatch_preamble()
-
-    def test_frequency_encoding(self):
-        job = SlurmJob(
-            nodes=1, node_type=STANDARD_NODE, cpu_freq=CpuFrequency.HIGH
-        )
-        assert "--cpu-freq=2250000" in job.sbatch_preamble()
-
     def test_too_many_nodes_raise(self):
         with pytest.raises(ExperimentError):
             SlurmJob(nodes=8192, node_type=STANDARD_NODE)

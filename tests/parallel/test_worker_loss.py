@@ -15,10 +15,7 @@ import pytest
 
 from repro import obs
 from repro.circuits.qft import qft_circuit
-from repro.errors import FaultError, PoolError
-from repro.faults.checkpoint import daly_interval, young_interval
-from repro.faults.plan import FaultPlan, NodeFailure
-from repro.parallel.failstop import checkpoint_cadence_steps, failstop_steps
+from repro.errors import PoolError
 from repro.parallel.stepper import PlanTask
 from repro.parallel.tcp import CHECKPOINT_STEPS_ENV, TcpPool, shutdown_tcp_pools
 from repro.statevector.apply_plan import compile_plan
@@ -112,94 +109,6 @@ class TestWorkerLossRestart:
             assert pool.restarts == 1
         finally:
             pool.close()
-
-    def test_fault_plan_drives_injection(self):
-        # End-to-end: a seeded repro.faults plan supplies the kill.
-        circuit, task = _compiled_task(8, 8, checkpoint_steps=4)
-        expected = _serial_amps(8, 8, circuit)
-        fault_plan = FaultPlan(
-            node_failures=(NodeFailure(time_s=10.5, node=1),)
-        )
-        kills = failstop_steps(
-            fault_plan,
-            num_workers=2,
-            num_steps=len(task.plan.steps),
-            step_duration_s=1.0,
-        )
-        assert kills == ((1, 10),)
-        pool = TcpPool(LOOPBACK2)
-        try:
-            pool.inject_failures(kills)
-            finals = pool.run_plan(task, _zero_inputs(8, 8))
-            got = np.concatenate([finals[r] for r in range(8)])
-            assert np.array_equal(expected, got)
-            assert pool.restarts == 1
-        finally:
-            pool.close()
-
-
-class TestFailstopMapping:
-    def test_explicit_failures_map_to_steps(self):
-        plan = FaultPlan(
-            node_failures=(
-                NodeFailure(time_s=0.4, node=3),
-                NodeFailure(time_s=2.1, node=0),
-                NodeFailure(time_s=99.0, node=1),  # past horizon
-            )
-        )
-        kills = failstop_steps(
-            plan, num_workers=2, num_steps=10, step_duration_s=1.0
-        )
-        # node 3 -> worker 1 at step 0; node 0 -> worker 0 at step 2.
-        assert kills == ((0, 2), (1, 0))
-
-    def test_one_kill_per_worker(self):
-        plan = FaultPlan(
-            node_failures=(
-                NodeFailure(time_s=1.0, node=0),
-                NodeFailure(time_s=2.0, node=2),  # same worker mod 2
-            )
-        )
-        kills = failstop_steps(
-            plan, num_workers=2, num_steps=10, step_duration_s=1.0
-        )
-        assert kills == ((0, 1),)
-
-    def test_late_failures_clamp_to_last_step(self):
-        plan = FaultPlan(node_failures=(NodeFailure(time_s=9.9, node=0),))
-        kills = failstop_steps(
-            plan, num_workers=4, num_steps=10, step_duration_s=1.0
-        )
-        assert kills == ((0, 9),)
-
-    def test_validation(self):
-        plan = FaultPlan()
-        with pytest.raises(FaultError, match="num_workers"):
-            failstop_steps(plan, num_workers=0, num_steps=5, step_duration_s=1.0)
-        with pytest.raises(FaultError, match="num_steps"):
-            failstop_steps(plan, num_workers=2, num_steps=0, step_duration_s=1.0)
-        with pytest.raises(FaultError, match="step_duration_s"):
-            failstop_steps(plan, num_workers=2, num_steps=5, step_duration_s=0.0)
-
-
-class TestCheckpointCadence:
-    def test_young_cadence_in_steps(self):
-        cadence = checkpoint_cadence_steps(2.0, 3600.0, 10.0)
-        assert cadence == round(young_interval(2.0, 3600.0) / 10.0)
-
-    def test_daly_refined(self):
-        cadence = checkpoint_cadence_steps(2.0, 3600.0, 10.0, refined=True)
-        assert cadence == round(daly_interval(2.0, 3600.0) / 10.0)
-
-    def test_clamped_to_plan_length(self):
-        assert checkpoint_cadence_steps(2.0, 1e6, 1.0, num_steps=7) == 7
-
-    def test_at_least_one_step(self):
-        assert checkpoint_cadence_steps(1e-6, 1e-3, 100.0) == 1
-
-    def test_bad_step_duration(self):
-        with pytest.raises(FaultError, match="step_duration_s"):
-            checkpoint_cadence_steps(2.0, 3600.0, 0.0)
 
 
 class TestCheckpointEnv:

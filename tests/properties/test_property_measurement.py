@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from repro.circuits import random_state
 from repro.statevector import (
-    collapse_qubit,
     expectation_z,
     marginal_probability,
     probabilities,
@@ -36,20 +35,3 @@ def test_marginals_consistent(p):
         assert 0.0 <= p0 <= 1.0
         assert np.isclose(p0 + marginal_probability(psi, q, 1), 1.0)
         assert np.isclose(expectation_z(psi, q), 2 * p0 - 1)
-
-
-@given(states, st.integers(min_value=0, max_value=6))
-@settings(max_examples=40, deadline=None)
-def test_collapse_is_projective(p, qubit):
-    n, seed = p
-    qubit = qubit % n
-    psi = random_state(n, seed=seed)
-    rng = np.random.default_rng(seed)
-    outcome, out = collapse_qubit(psi, qubit, rng=rng)
-    # Collapsed state is normalised and definite on the measured qubit.
-    assert np.isclose(np.linalg.norm(out), 1.0)
-    assert np.isclose(marginal_probability(out, qubit, outcome), 1.0)
-    # Collapsing again is idempotent (same outcome, same state).
-    outcome2, out2 = collapse_qubit(out, qubit, rng=rng)
-    assert outcome2 == outcome
-    assert np.allclose(out2, out)

@@ -1,16 +1,11 @@
-"""Tests for fidelity/state-comparison helpers."""
+"""Tests for the state fidelity."""
 
 import numpy as np
 import pytest
 
 from repro.circuits import random_state
 from repro.errors import SimulationError
-from repro.statevector import (
-    fidelity,
-    global_phase_between,
-    l2_distance,
-    states_close,
-)
+from repro.statevector import fidelity
 
 
 class TestFidelity:
@@ -30,45 +25,3 @@ class TestFidelity:
     def test_shape_mismatch(self):
         with pytest.raises(SimulationError):
             fidelity(np.ones(2, complex), np.ones(4, complex))
-
-
-class TestL2Distance:
-    def test_zero_for_equal(self):
-        psi = random_state(3, seed=3)
-        assert l2_distance(psi, psi) == 0.0
-
-    def test_phase_sensitive(self):
-        psi = random_state(3, seed=4)
-        assert l2_distance(psi, -psi) > 1.0
-
-
-class TestGlobalPhase:
-    def test_recovers_phase(self):
-        psi = random_state(3, seed=5)
-        phase = np.exp(1.1j)
-        assert np.isclose(global_phase_between(psi, phase * psi), phase)
-
-    def test_orthogonal_raises(self):
-        with pytest.raises(SimulationError):
-            global_phase_between(
-                np.array([1, 0], complex), np.array([0, 1], complex)
-            )
-
-
-class TestStatesClose:
-    def test_exact(self):
-        psi = random_state(3, seed=6)
-        assert states_close(psi, psi.copy())
-
-    def test_phase_mismatch_detected(self):
-        psi = random_state(3, seed=7)
-        assert not states_close(psi, 1j * psi)
-        assert states_close(psi, 1j * psi, up_to_global_phase=True)
-
-    def test_shape_mismatch_false(self):
-        assert not states_close(np.ones(2, complex), np.ones(4, complex))
-
-    def test_orthogonal_up_to_phase_false(self):
-        a = np.array([1, 0], complex)
-        b = np.array([0, 1], complex)
-        assert not states_close(a, b, up_to_global_phase=True)

@@ -22,7 +22,6 @@ from repro.statevector.apply_plan import (
     StepKind,
     clear_plan_cache,
     compile_plan,
-    fused_circuit,
 )
 from repro.statevector.fusion import (
     DEFAULT_BLOCK_QUBITS,
@@ -328,8 +327,7 @@ class TestBlockFusionPass:
     def test_fused_circuit_roundtrip(self):
         c = random_circuit(6, 40, seed=5)
         plan = compile_plan(c, fusion="full", cache=False)
-        fc = fused_circuit(plan)
-        assert len(fc) == len(plan.steps)
+        fc = Circuit(6, [step.gate for step in plan.steps])
         psi = random_state(6, seed=11)
         a, b = psi.copy(), psi.copy()
         plan.run_dense(a)
@@ -521,8 +519,7 @@ class TestFusedPlanPricing:
                 c.cx(q - 1, q)
         part = Partition(10, 4)
         plan = compile_plan(c, fusion="full", local_qubits=8, cache=False)
-        fused_traffic = sum(
-            p.traffic_bytes for p in plan_circuit(fused_circuit(plan), part)
-        )
+        steps = Circuit(10, [step.gate for step in plan.steps])
+        fused_traffic = sum(p.traffic_bytes for p in plan_circuit(steps, part))
         unfused_traffic = sum(p.traffic_bytes for p in plan_circuit(c, part))
         assert fused_traffic < unfused_traffic

@@ -112,13 +112,3 @@ class TestZeroStateLaziness:
 
         dense = DenseStatevector.zero_state(8).apply_circuit(circuit)
         assert np.allclose(lazy.gather(), dense.amplitudes, atol=1e-12)
-
-    def test_save_state_does_not_materialise(self, tmp_path):
-        from repro.statevector.serialization import load_distributed, save_state
-
-        state = _zero_state(10, 8)
-        path = tmp_path / "ckpt.npz"
-        save_state(state, path)
-        assert state._local.allocations == 1
-        reloaded = load_distributed(path)
-        assert np.array_equal(reloaded.gather(), state.gather())

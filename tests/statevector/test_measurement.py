@@ -6,7 +6,6 @@ import pytest
 from repro.circuits import random_state
 from repro.errors import SimulationError
 from repro.statevector import (
-    collapse_qubit,
     expectation_z,
     marginal_probability,
     probabilities,
@@ -75,25 +74,3 @@ class TestSampling:
     def test_zero_shots_raise(self):
         with pytest.raises(SimulationError):
             sample_counts(np.array([1, 0], complex), 0)
-
-
-class TestCollapse:
-    def test_collapse_normalises(self):
-        psi = random_state(4, seed=3)
-        rng = np.random.default_rng(1)
-        outcome, out = collapse_qubit(psi, 2, rng=rng)
-        assert outcome in (0, 1)
-        assert np.isclose(np.linalg.norm(out), 1.0)
-        assert np.isclose(marginal_probability(out, 2, outcome), 1.0)
-
-    def test_input_unchanged(self):
-        psi = random_state(3, seed=4)
-        before = psi.copy()
-        collapse_qubit(psi, 0, rng=np.random.default_rng(2))
-        assert np.allclose(psi, before)
-
-    def test_statistics(self):
-        psi = np.array([np.sqrt(0.8), np.sqrt(0.2)], dtype=complex)
-        rng = np.random.default_rng(3)
-        outcomes = [collapse_qubit(psi, 0, rng=rng)[0] for _ in range(2000)]
-        assert abs(np.mean(outcomes) - 0.2) < 0.03

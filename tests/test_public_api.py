@@ -1,5 +1,8 @@
 """Smoke tests of the top-level public API and error hierarchy."""
 
+import importlib
+import pkgutil
+
 import pytest
 
 import repro
@@ -11,8 +14,18 @@ class TestTopLevelApi:
         assert repro.__version__ == "1.0.0"
 
     def test_all_exports_resolve(self):
-        for name in repro.__all__:
-            assert getattr(repro, name) is not None
+        """Every name in every ``repro`` package's ``__all__`` exists."""
+        packages = [repro] + [
+            importlib.import_module(info.name)
+            for info in pkgutil.walk_packages(repro.__path__, "repro.")
+            if info.ispkg
+        ]
+        assert len(packages) > 10
+        for package in packages:
+            for name in package.__all__:
+                assert getattr(package, name, None) is not None, (
+                    f"{package.__name__}.__all__ names missing {name!r}"
+                )
 
     def test_quickstart_surface(self):
         """The README quickstart, end to end."""
@@ -64,6 +77,44 @@ class TestErrorHierarchy:
 
         with pytest.raises(errors.AllocationError):
             minimum_nodes(50, STANDARD_NODE, machine=archer2())
+
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("shots", -1, "shots"),
+            ("ranks_per_node", 3, "power of two"),
+            ("ranks_per_node", 8, "do not pack"),
+            ("executor", "gpu", "executor"),
+            ("transport", "udp", "transport"),
+            ("num_hosts", 0, "num_hosts"),
+            ("overlap_factor", 1.5, "overlap_factor"),
+        ],
+    )
+    def test_run_configuration_checks_raise_validation_error(
+        self, field, value, match
+    ):
+        from repro.machine import STANDARD_NODE, CpuFrequency
+        from repro.perfmodel import RunConfiguration
+        from repro.statevector import Partition
+
+        with pytest.raises(errors.ValidationError, match=match):
+            RunConfiguration(
+                partition=Partition(10, 4),
+                node_type=STANDARD_NODE,
+                frequency=CpuFrequency.MEDIUM,
+                **{field: value},
+            )
+
+    def test_model_lookups_raise_validation_error(self):
+        from repro.machine import STANDARD_NODE, CpuFrequency
+        from repro.perfmodel import DEFAULT_CALIBRATION, node_phase_power
+
+        with pytest.raises(errors.ValidationError):
+            CpuFrequency.from_ghz(3.0)
+        with pytest.raises(errors.ValidationError):
+            node_phase_power(
+                "turbo", CpuFrequency.MEDIUM, STANDARD_NODE, DEFAULT_CALIBRATION
+            )
 
 
 class TestValidationErrorHierarchy:

@@ -9,9 +9,7 @@ from repro.utils.units import (
     MIB,
     TB,
     format_bytes,
-    format_count,
     format_energy,
-    format_power,
     format_time,
 )
 
@@ -25,6 +23,9 @@ class TestConstants:
     def test_paper_local_statevector(self):
         # 2**32 amplitudes at 16 B = 64 GiB per node.
         assert 16 * 2**32 == 64 * GIB
+
+    def test_terabyte_constant(self):
+        assert TB == 10**12
 
 
 class TestFormatBytes:
@@ -64,22 +65,3 @@ class TestFormatEnergy:
 
     def test_joules(self):
         assert format_energy(12) == "12 J"
-
-
-class TestFormatPower:
-    def test_watts(self):
-        assert format_power(235) == "235 W"
-
-    def test_kilowatts(self):
-        assert format_power(1880) == "1.88 kW"
-
-
-class TestFormatCount:
-    def test_thousands_separator(self):
-        assert format_count(4096) == "4,096"
-
-    def test_float(self):
-        assert format_count(1234.5) == "1,234.500"
-
-    def test_terabyte_constant(self):
-        assert TB == 10**12
