@@ -1,9 +1,10 @@
 """Bench ext-des-crosscheck: discrete-event replay of the Table 2 runs.
 
-The replay itself is the thing being timed here -- a 44-qubit QFT over
-4,096 ranks compiles to ~180k-1.9M events depending on mode, and the
-whole cross-check must stay interactive (the experiment runs all six
-Table 2 replays in about a minute).
+The replay itself is the thing being timed here.  A 44-qubit QFT over
+4,096 ranks would take ~180k-1.9M events depending on mode if every
+rank were replayed; the orbit replay runs one rank per symmetry orbit
+(two orbits here), so it processes a few hundred to ~1.7k events and
+the experiment's six Table 2 replays take well under a second.
 """
 
 from benchmarks.conftest import attach_result

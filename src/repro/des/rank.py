@@ -17,6 +17,12 @@ communication mode:
 
 Both drivers reserve real link capacity, so co-located ranks and
 oversubscribed up-links contend instead of being averaged away.
+
+Under an orbit replay (``ReplayContext.symmetry`` non-zero) only
+representative ranks run.  A rank whose partner folds onto itself meets
+its own image, which arrives at the same instant, so its driver starts
+at once and books only the forward flow of each chunk: the reverse flow
+is the mirror image on the same folded links.
 """
 
 from __future__ import annotations
@@ -52,6 +58,8 @@ class ReplayContext:
     ranks_per_node: int
     #: Seeded per-chunk failure/retry decisions (None = healthy fabric).
     chunk_faults: "ChunkFaultModel | None" = None
+    #: Rank bits folded away: only ranks with ``rank & symmetry == 0`` run.
+    symmetry: int = 0
     coordinator: "ExchangeCoordinator" = field(init=False)
 
     def __post_init__(self) -> None:
@@ -79,14 +87,21 @@ class ExchangeCoordinator:
         # seq disambiguates a remap's serialised sub-exchanges: rank 0
         # meets partners 1, 2, 3... under the same gate index, and pair
         # (0, 1) of round 0 must not rendezvous with (0, 2) of round 1.
-        key = (op.gate_index, op.seq, min(rank, op.partner))
+        engine = self._ctx.engine
+        partner = op.partner & ~self._ctx.symmetry
+        if partner == rank:
+            # The partner is this rank's own image: it is here too.
+            done = engine.signal()
+            engine.process(_drive_exchange(self._ctx, op, rank, done, True))
+            return done
+        key = (op.gate_index, op.seq, min(rank, partner))
         done = self._pending.pop(key, None)
         if done is None:
-            done = self._ctx.engine.signal()
+            done = engine.signal()
             self._pending[key] = done
             return done
         # Both sides present: drive the exchange from this instant.
-        self._ctx.engine.process(_drive_exchange(self._ctx, op, rank, done))
+        engine.process(_drive_exchange(self._ctx, op, rank, done))
         return done
 
     @property
@@ -96,9 +111,17 @@ class ExchangeCoordinator:
 
 
 def _drive_exchange(
-    ctx: ReplayContext, op: ExchangeOp, rank: int, done: Signal
+    ctx: ReplayContext,
+    op: ExchangeOp,
+    rank: int,
+    done: Signal,
+    mirrored: bool = False,
 ):
-    """Move one exchange's chunks; fires ``done`` with (start, end)."""
+    """Move one exchange's chunks; fires ``done`` with (start, end).
+
+    ``mirrored``: the partner is the rank's own image under the orbit
+    fold, so only the forward flow of each chunk is booked.
+    """
     engine = ctx.engine
     start = engine.now
     node_a = ctx.node_of(rank)
@@ -117,6 +140,18 @@ def _drive_exchange(
         if faults is None:
             return 0
         return faults.attempts(op.gate_index, pair_low, chunk) - 1
+
+    def book(size: int, earliest: float, latency: float) -> float:
+        """Book one chunk pair; returns when both directions land."""
+        end = ctx.fabric.transfer(
+            node_a, node_b, size, earliest=earliest, latency=latency
+        ).end
+        if not mirrored:
+            rev = ctx.fabric.transfer(
+                node_b, node_a, size, earliest=earliest, latency=latency
+            )
+            end = max(end, rev.end)
+        return end
 
     def note_retry(at: float, attempt: int) -> None:
         faults.retries += 1
@@ -137,13 +172,7 @@ def _drive_exchange(
             # pair is retransmitted (after backoff) before moving on.
             retries = retries_of(chunk)
             for attempt in range(retries + 1):
-                fwd = ctx.fabric.transfer(
-                    node_a, node_b, size, earliest=engine.now, latency=ctx.latency_s
-                )
-                rev = ctx.fabric.transfer(
-                    node_b, node_a, size, earliest=engine.now, latency=ctx.latency_s
-                )
-                target = max(fwd.end, rev.end)
+                target = book(size, engine.now, ctx.latency_s)
                 if attempt < retries:
                     # Corrupt/dropped chunk: detected at completion,
                     # retransmitted after exponential backoff.
@@ -156,14 +185,7 @@ def _drive_exchange(
         first = True
         failed: list[tuple[int, int, int, float]] = []
         for chunk, size in enumerate(op.chunk_sizes):
-            latency = ctx.latency_s if first else 0.0
-            fwd = ctx.fabric.transfer(
-                node_a, node_b, size, earliest=engine.now, latency=latency
-            )
-            rev = ctx.fabric.transfer(
-                node_b, node_a, size, earliest=engine.now, latency=latency
-            )
-            chunk_end = max(fwd.end, rev.end)
+            chunk_end = book(size, engine.now, ctx.latency_s if first else 0.0)
             retries = retries_of(chunk)
             if retries:
                 failed.append((chunk, size, retries, chunk_end))
@@ -176,13 +198,7 @@ def _drive_exchange(
             for attempt in range(retries):
                 note_retry(at, attempt)
                 at += faults.backoff_s(attempt)
-                fwd = ctx.fabric.transfer(
-                    node_a, node_b, size, earliest=at, latency=0.0
-                )
-                rev = ctx.fabric.transfer(
-                    node_b, node_a, size, earliest=at, latency=0.0
-                )
-                at = max(fwd.end, rev.end)
+                at = book(size, at, 0.0)
             end = max(end, at)
         # All chunks posted at once; one Waitall completes them.
         if end > engine.now:

@@ -8,6 +8,17 @@ bandwidth the closed-form model prices with
 difference between the two predictors comes from what only the DES
 captures: message-level serialisation vs pipelining, rendezvous skew
 between partially-active gates, and link contention.
+
+**Orbit replay.**  Per-gate costs depend on sizes, not on which rank
+pays them, so most rank bits change nothing a rank does: flipping one
+maps every rank onto a twin that runs the identical timeline.
+:func:`symmetry_mask` collects those bits into a mask ``H``; the replay
+then runs one representative rank per orbit (``rank & H == 0``), folds
+the fabric's links onto the representatives' (:meth:`Fabric.fold`) and
+lets :class:`Timeline` relabel spans for every other rank.  ``H = 0``
+is the full replay, and every configuration the fold cannot reproduce
+exactly (fault plans, oversubscribed up-links, packed nodes, uneven
+switch groups) falls back to it.
 """
 
 from __future__ import annotations
@@ -30,7 +41,7 @@ if TYPE_CHECKING:  # pragma: no cover - annotation only, avoids an import cycle
     from repro.faults.inject import FaultReport
     from repro.faults.plan import FaultPlan
 
-__all__ = ["DesResult", "simulate", "simulate_trace"]
+__all__ = ["DesResult", "simulate", "simulate_trace", "symmetry_mask"]
 
 #: Above this rank count, per-link busy intervals are not recorded by
 #: default (aggregate utilisation is always available); Table-2-scale
@@ -67,12 +78,42 @@ class DesResult:
         return self.makespan_s
 
 
+def symmetry_mask(
+    schedule: ScheduleSet,
+    config: RunConfiguration,
+    *,
+    uplink_oversubscription: float = 1.0,
+) -> int:
+    """Rank bits the replay of a fault-free schedule may fold away.
+
+    The schedule's own symmetric bits (:meth:`ScheduleSet.symmetry_mask`),
+    or none where the fabric breaks the symmetry:
+
+    * co-located ranks (``ranks_per_node > 1``) queue on one NIC in an
+      order the fold cannot reproduce;
+    * oversubscribed up-links make flows of one switch group queue;
+    * switch groups must tile the nodes in power-of-two blocks.
+    """
+    nodes, per_switch = config.num_nodes, config.nodes_per_switch
+    if (
+        config.ranks_per_node > 1
+        or uplink_oversubscription > 1
+        or (
+            nodes > per_switch
+            and (per_switch & (per_switch - 1) or nodes % per_switch)
+        )
+    ):
+        return 0
+    return schedule.symmetry_mask()
+
+
 def simulate_trace(
     trace: ExecutionTrace,
     *,
     record_intervals: bool | None = None,
     uplink_oversubscription: float = 1.0,
     faults: "FaultPlan | None" = None,
+    _fold: bool = True,
 ) -> DesResult:
     """Replay a trace's per-rank schedules on the event engine.
 
@@ -84,6 +125,10 @@ def simulate_trace(
     checkpoint/restart are overlaid on the makespan afterwards
     (coordinated checkpointing freezes every rank, so the overlay
     composes with the timeline instead of rewinding the event heap).
+
+    Fault-free replays run one rank per orbit (see the module notes);
+    ``_fold=False`` forces the full replay, which a fault plan always
+    takes.  ``events_processed`` counts the replay actually run.
     """
     # Imported lazily: repro.faults imports repro.des at module level,
     # so the reverse edge must not exist at import time.
@@ -106,6 +151,12 @@ def simulate_trace(
             faults = None  # zero plan: byte-identical fault-free path
 
     schedule: ScheduleSet = export_schedules(trace)
+    if faults is not None or not _fold:
+        symmetry = 0
+    else:
+        symmetry = symmetry_mask(
+            schedule, config, uplink_oversubscription=uplink_oversubscription
+        )
     if faults is not None and faults.stragglers:
         schedule = FaultySchedule(schedule, faults)
     engine = Engine()
@@ -120,7 +171,9 @@ def simulate_trace(
     )
     if faults is not None and faults.link_degradations:
         degrade_fabric(fabric, faults)
-    timeline = Timeline(num_ranks)
+    # A non-zero mask implies one rank per node: rank bits are node bits.
+    fabric.fold(symmetry)
+    timeline = Timeline(num_ranks, symmetry=symmetry)
     chunk_faults = None
     if faults is not None and faults.chunk_failure_rate > 0:
         chunk_faults = ChunkFaultModel(faults)
@@ -139,29 +192,31 @@ def simulate_trace(
         intranode_bandwidth=calib.intranode_bandwidth,
         ranks_per_node=config.ranks_per_node,
         chunk_faults=chunk_faults,
+        symmetry=symmetry,
     )
     for rank in range(num_ranks):
-        engine.process(rank_process(ctx, rank))
+        if rank & symmetry == 0:
+            engine.process(rank_process(ctx, rank))
+    orbit_size = 1 << bin(symmetry).count("1")
     with obs.span(
         "des.replay",
         ranks=num_ranks,
         nodes=config.num_nodes,
         exchanges=schedule.num_exchanges,
+        orbits=num_ranks // orbit_size,
+        orbit_size=orbit_size,
     ):
         engine.run()
     if obs.is_enabled():
         # Per-phase accounting of the replay itself: how many timeline
-        # spans of each kind (compute/comm/wait) the run produced, plus
+        # spans of each kind (compute/comm/wait) every rank has, plus
         # the raw event-loop and network volumes.
         obs.counter("repro_des_events_total").inc(engine.events_processed)
         obs.counter("repro_des_exchanges_total").inc(schedule.num_exchanges)
         obs.counter("repro_des_network_bytes_total").inc(
             fabric.bytes_on_network()
         )
-        by_kind: dict[str, int] = {}
-        for span in timeline.all_spans():
-            by_kind[span.kind] = by_kind.get(span.kind, 0) + 1
-        for kind, count in sorted(by_kind.items()):
+        for kind, count in sorted(timeline.span_counts().items()):
             obs.counter("repro_des_timeline_spans_total", kind=kind).inc(count)
 
     if ctx.coordinator.outstanding:

@@ -35,15 +35,44 @@ __all__ = [
 ]
 
 
+def exact_units(seconds: float, times: int = 1) -> int:
+    """``times * seconds`` as an exact integer count of ``2**-1074`` s.
+
+    Every finite double is a whole multiple of that step, so sums kept
+    in these units are exact and do not depend on the order of their
+    terms; :func:`from_exact_units` rounds the total once.
+    """
+    num, den = seconds.as_integer_ratio()
+    return (num * times) << (1075 - den.bit_length())
+
+
+def from_exact_units(units: int) -> float:
+    """The correctly rounded seconds of an :func:`exact_units` total."""
+    return units / (1 << 1074)
+
+
 class Link:
     """One direction of a network link: ``channels`` parallel servers.
 
     A NIC direction has a single channel; a switch up-link gets one
     channel per non-oversubscribed node so that simultaneous flows from
     different nodes of a group do not falsely serialise.
+
+    Busy time on a single channel is a running float sum: its flows
+    are booked in time order, so the sum is canonical.  A shared link
+    receives same-instant flows in event-loop order, which the orbit
+    replay does not reproduce, so it sums exactly (:func:`exact_units`).
     """
 
-    __slots__ = ("name", "bandwidth", "_free", "busy_s", "bytes_moved", "intervals")
+    __slots__ = (
+        "name",
+        "bandwidth",
+        "_free",
+        "_busy",
+        "bytes_moved",
+        "intervals",
+        "multiplicity",
+    )
 
     def __init__(
         self,
@@ -62,11 +91,21 @@ class Link:
         self.name = name
         self.bandwidth = bandwidth
         self._free = [0.0] * channels
-        self.busy_s = 0.0
+        self._busy: float | int = 0.0 if channels == 1 else 0
         self.bytes_moved = 0
         self.intervals: list[tuple[float, float]] | None = (
             [] if record_intervals else None
         )
+        #: Identical flows each commit (and each recorded interval)
+        #: stands for; see :meth:`Fabric.fold`.
+        self.multiplicity = 1
+
+    @property
+    def busy_s(self) -> float:
+        """Total booked channel time."""
+        if len(self._free) == 1:
+            return self._busy
+        return from_exact_units(self._busy)
 
     def next_free(self) -> float:
         """Earliest time any channel is available."""
@@ -84,6 +123,7 @@ class Link:
         free = self._free
         if len(free) == 1:
             free[0] = end
+            self._busy += end - start
         else:
             eps = 1e-12 * (1.0 + abs(start))
             best = None
@@ -92,8 +132,8 @@ class Link:
                     best = channel
             channel = best if best is not None else free.index(min(free))
             free[channel] = end
-        self.busy_s += end - start
-        self.bytes_moved += nbytes
+            self._busy += exact_units(end - start, self.multiplicity)
+        self.bytes_moved += nbytes * self.multiplicity
         if self.intervals is not None:
             self.intervals.append((start, end))
 
@@ -207,6 +247,41 @@ class Fabric:
             for g in range(num_groups)
         ]
         self._paths: dict[tuple[int, int], tuple[Link, ...]] = {}
+
+    def fold(self, node_mask: int) -> None:
+        """Alias every node's links to those of node ``n & ~node_mask``.
+
+        Used by the orbit replay (:mod:`repro.des.replay`), which runs
+        only the ranks on representative nodes: their image nodes would
+        book identical flows at identical instants, so one link object
+        stands for all of them.  Nodes that share a switch group also
+        share its up/down links, so each commit there counts once per
+        in-group image (:attr:`Link.multiplicity`).  Needs
+        ``nodes_per_switch`` to be a power of two dividing ``num_nodes``
+        (or a single switch group).
+        """
+        if not node_mask:
+            return
+        num_groups = len(self.uplink_up)
+        per_switch = self.nodes_per_switch
+        if num_groups > 1 and (
+            per_switch & (per_switch - 1) or self.num_nodes % per_switch
+        ):
+            raise DesError(
+                f"cannot fold {self.num_nodes} nodes over switches of "
+                f"{per_switch}"
+            )
+        self.nic_tx = [self.nic_tx[n & ~node_mask] for n in range(self.num_nodes)]
+        self.nic_rx = [self.nic_rx[n & ~node_mask] for n in range(self.num_nodes)]
+        if num_groups > 1:
+            group_bits = per_switch.bit_length() - 1
+            group_mask = node_mask >> group_bits
+            images = 1 << bin(node_mask & (per_switch - 1)).count("1")
+            for links in (self.uplink_up, self.uplink_down):
+                for link in links:
+                    link.multiplicity = images
+                links[:] = [links[g & ~group_mask] for g in range(num_groups)]
+        self._paths.clear()
 
     def group_of(self, node: int) -> int:
         """Which switch group a node belongs to (dense packing)."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.des.resources import Link
+from repro.des.resources import Link, exact_units, from_exact_units
 
 __all__ = [
     "Span",
@@ -78,16 +78,22 @@ _KIND_NAMES = {code: kind for kind, code in _KIND_CODES.items()}
 class Timeline:
     """Per-rank span lists plus the queries the experiments need.
 
-    A replay at thousands of ranks records hundreds of thousands of
-    spans; pickling them as dataclass instances is what dominated
+    An orbit replay records only representative ranks
+    (``rank & symmetry == 0``); every other rank's spans are its
+    representative's, relabelled on demand by :meth:`spans_of`.
+
+    A replay at thousands of ranks can still record many spans;
+    pickling them as dataclass instances is what dominated
     prediction-cache hits.  The timeline therefore pickles *columnar*
     (seven numpy arrays) and re-inflates the per-rank ``Span`` lists
     lazily -- a cache hit that never looks at the timeline pays only
     the array load.
     """
 
-    def __init__(self, num_ranks: int):
+    def __init__(self, num_ranks: int, *, symmetry: int = 0):
         self.num_ranks = num_ranks
+        #: XOR mask of the rank bits the replay folded (0: none).
+        self.symmetry = symmetry
         self._spans_cache: list[list[Span]] | None = [
             [] for _ in range(num_ranks)
         ]
@@ -122,12 +128,14 @@ class Timeline:
         }
         return {
             "num_ranks": self.num_ranks,
+            "symmetry": self.symmetry,
             "events": self.events,
             "packed": packed,
         }
 
     def __setstate__(self, state):
         self.num_ranks = state["num_ranks"]
+        self.symmetry = state.get("symmetry", 0)
         self.events = state["events"]
         self._packed = state["packed"]
         self._spans_cache = None
@@ -167,17 +175,43 @@ class Timeline:
 
     def spans_of(self, rank: int) -> list[Span]:
         """All spans of one rank, in recording (= time) order."""
-        return self._spans[rank]
+        rep = rank & ~self.symmetry
+        spans = self._spans[rep]
+        if rep == rank:
+            return spans
+        shift = rank ^ rep
+        return [
+            Span(
+                rank,
+                span.kind,
+                span.start,
+                span.end,
+                span.gate_lo,
+                span.gate_hi,
+                None if span.blocked_on is None else span.blocked_on ^ shift,
+            )
+            for span in spans
+        ]
 
-    def all_spans(self) -> list[Span]:
-        """Every span of every rank."""
-        return [span for spans in self._spans for span in spans]
+    def span_counts(self) -> dict[str, int]:
+        """Spans per kind over every rank, without relabelling any."""
+        orbit_size = 1 << bin(self.symmetry).count("1")
+        counts: dict[str, int] = {}
+        for spans in self._spans:
+            for span in spans:
+                counts[span.kind] = counts.get(span.kind, 0) + orbit_size
+        return counts
 
     @property
     def makespan(self) -> float:
-        """Finish time of the slowest rank."""
-        ends = [spans[-1].end for spans in self._spans if spans]
-        return max(ends) if ends else 0.0
+        """Latest span end of any rank.
+
+        A rank's last-recorded span need not end last: an overlapped
+        exchange records its hidden compute after the longer comm span.
+        """
+        return max(
+            (span.end for spans in self._spans for span in spans), default=0.0
+        )
 
     # -- rendering -----------------------------------------------------------
 
@@ -203,7 +237,7 @@ class Timeline:
         for rank in ranks:
             row = [" "] * width
             priority = [0] * width
-            for span in self._spans[rank]:
+            for span in self.spans_of(rank):
                 lo = int(span.start / horizon * width)
                 hi = int(span.end / horizon * width)
                 hi = min(max(hi, lo + 1), width)
@@ -271,26 +305,34 @@ def utilisation_series(
     """Mean busy fraction of a link set over time, as (t, fraction) points.
 
     Requires the links to have been built with ``record_intervals``;
-    links without recorded intervals contribute nothing.
+    links without recorded intervals contribute nothing.  Bins sum
+    exactly (:func:`~repro.des.resources.exact_units`), so the series
+    depends neither on the order flows were booked in nor on whether a
+    folded link stands for several (listed repeatedly, or through
+    :attr:`Link.multiplicity`).
     """
     if horizon <= 0 or bins < 1 or not links:
         return []
     width = horizon / bins
-    busy = [0.0] * bins
-    recorded = 0
+    weights: dict[int, list] = {}
     for link in links:
-        if link.intervals is None:
-            continue
-        recorded += 1
+        if link.intervals is not None:
+            entry = weights.setdefault(id(link), [link, 0])
+            entry[1] += link.multiplicity
+    if not weights:
+        return []
+    busy = [0] * bins
+    for link, weight in weights.values():
         for start, end in link.intervals:
             lo = max(0, int(start / width))
             hi = min(bins - 1, int(end / width))
             for b in range(lo, hi + 1):
                 bin_lo, bin_hi = b * width, (b + 1) * width
-                busy[b] += max(0.0, min(end, bin_hi) - max(start, bin_lo))
-    if not recorded:
-        return []
+                overlap = min(end, bin_hi) - max(start, bin_lo)
+                if overlap > 0:
+                    busy[b] += exact_units(overlap, weight)
+    recorded = sum(link.intervals is not None for link in links)
     return [
-        ((b + 0.5) * width, busy[b] / (width * recorded)) for b in range(bins)
+        ((b + 0.5) * width, from_exact_units(busy[b]) / (width * recorded))
+        for b in range(bins)
     ]
-

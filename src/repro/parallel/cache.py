@@ -61,7 +61,9 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 #: 4: RunConfiguration grew shots (sampling pricing) and plans grew
 #:    measurement steps -- pre-measurement entries must never be served
 #:    for sampling configurations.
-CACHE_VERSION = 4
+#: 5: the DES makespan takes each rank's latest span end, not its last
+#:    recorded one -- overlapped replays were understated before.
+CACHE_VERSION = 5
 
 
 def _canon(value, out: list[str]) -> None:

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.circuits import qft_circuit
+from repro.circuits import Circuit, qft_circuit
+from repro.circuits.qft import builtin_qft_circuit
 from repro.des import (
     DEFAULT_TOLERANCE,
     assert_crosscheck,
@@ -11,6 +12,7 @@ from repro.des import (
     simulate_trace,
 )
 from repro.errors import CalibrationError, DesError
+from repro.experiments import ext_des_crosscheck
 from repro.machine import CpuFrequency, STANDARD_NODE
 from repro.mpi import CommMode
 from repro.perfmodel import (
@@ -90,6 +92,40 @@ class TestModeSemantics:
         result = simulate(qft_circuit(18), config)
         assert result.num_exchanges > 0
         assert result.network_bytes == 0
+
+
+class TestMakespan:
+    def test_overlapped_final_exchange_counts_its_comm(self):
+        """An overlapped exchange records its hidden compute after the
+        longer comm span; the makespan must still end with the comm."""
+        circuit = Circuit(22)
+        circuit.h(21)
+        config = make_config(overlap_comm_compute=True)
+        result = simulate(circuit, config)
+        last = result.timeline.spans_of(0)
+        assert [span.kind for span in last] == ["comm", "compute"]
+        assert last[-1].end < last[0].end
+        assert result.makespan_s == last[0].end
+        analytic = cost_trace(trace_circuit(circuit, config)).runtime_s
+        assert result.makespan_s == pytest.approx(analytic, rel=1e-9)
+
+
+class TestPaperScale:
+    def test_table2_crosscheck_gates(self):
+        """The Table 2 replays agree with the closed form and keep the
+        paper's orderings."""
+        result = ext_des_crosscheck.run()
+        assert result.metric("within_tolerance") == 1.0
+        assert result.metric("max_abs_delta") < 0.10
+        assert result.metric("ordering_ok_43q") == 1.0
+        assert result.metric("ordering_ok_44q") == 1.0
+
+    def test_qft44_on_4096_ranks_replays_few_events(self):
+        """Deterministic cost bound: the orbit fold replays a handful of
+        ranks, not 4,096 (the full replay processes ~1.9M events)."""
+        config = make_config(n=44, ranks=4096, comm_mode=CommMode.BLOCKING)
+        result = simulate(builtin_qft_circuit(44), config)
+        assert result.events_processed < 5_000
 
 
 class TestTimelineOutputs:

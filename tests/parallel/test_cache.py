@@ -289,7 +289,7 @@ class TestExecutorFingerprint:
     def test_cache_version_bumped_for_executor_fields(self):
         from repro.parallel.cache import CACHE_VERSION
 
-        assert CACHE_VERSION == 4
+        assert CACHE_VERSION == 5
 
     def test_fingerprint_sensitive_to_shots(self):
         base = config_fingerprint(_config())
