@@ -35,8 +35,8 @@ def sample_and_score(n: int = 10, depth: int = 16, ranks: int = 8) -> None:
         f"{porter_thomas_expectation(probs):.3f} (2.0 = fully scrambled)"
     )
 
+    samples = state.sample_bitstrings(20_000, seed=0)
     rng = np.random.default_rng(0)
-    samples = state.sample(20_000, rng=rng)
     print(
         f"linear XEB of our own samples: "
         f"{linear_xeb_fidelity(samples, probs):.3f} "

@@ -1,12 +1,13 @@
-"""Simulated MPI: the message-schedule ledger, chunking, collectives, topology.
+"""Simulated MPI: the message-schedule ledger, chunking, topology.
 
 This layer reproduces the *schedule* of QuEST's communication -- who
 talks to whom, in how many messages of what size, blocking or
 non-blocking -- without real message passing.  :class:`SimComm` is a
-ledger of that schedule: the step interpreter records every exchange
-through :func:`log_exchange_schedule` and the collectives compute
-in-process while recording their rounds.  The performance model prices
-the recorded schedule.
+ledger of that schedule: the distributed simulator records every pair
+exchange through :func:`log_exchange_schedule` and the recursive-doubling
+rounds of each measurement's norm Allreduce through
+:meth:`SimComm.record_only`.  No payload crosses this layer; the
+performance model prices the recorded schedule.
 """
 
 from repro.mpi.chunking import (

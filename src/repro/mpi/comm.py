@@ -1,9 +1,9 @@
 """The simulated communicator: a ledger of the message schedule.
 
-No payload crosses :class:`SimComm`.  Amplitudes move through the step
-interpreter's rank transport (:mod:`repro.parallel.transport`); scalar
-collectives compute in-process (:mod:`repro.mpi.collectives`).  What the
-communicator keeps is the *schedule* a real MPI run would issue --
+No payload crosses :class:`SimComm`.  Amplitudes and the exact partial
+norms behind measurement move through the step interpreter's rank
+transport (:mod:`repro.parallel.transport`).  What the communicator
+keeps is the *schedule* a real MPI run would issue --
 message counts, sizes, tags and ordering -- which the performance
 model prices and the tests compare across executors.
 """

@@ -59,7 +59,6 @@ __all__ = [
     "resolve_executor",
     "resolve_executor_name",
     "resolve_hosts",
-    "resolve_transport",
     "shm_available",
     "shutdown_pool",
 ]
@@ -103,11 +102,6 @@ def resolve_hosts(hosts=None):
     if hosts is None:
         return None
     return parse_hosts(hosts)
-
-
-def resolve_transport(hosts=None) -> str:
-    """``"tcp"`` when a host list is configured, else ``"shm"``."""
-    return "tcp" if resolve_hosts(hosts) else "shm"
 
 
 def resolve_executor(value: str | None = None, *, hosts=None) -> str:

@@ -31,12 +31,13 @@ the other stores have none, so for them the skip changes nothing.
 from __future__ import annotations
 
 import os
-import pickle
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro import obs
+from repro.core.runner import NUMERIC_QUBIT_LIMIT
+from repro.errors import PoolError
 from repro.gates import Gate, GateLocality
 from repro.statevector import exact
 from repro.statevector import gate_kernels as kernels
@@ -63,6 +64,15 @@ __all__ = ["PlanTask", "execute_plan", "run_plan_worker", "FAIL_EXIT_CODE"]
 #: Exit code of a worker killed by fail-stop injection (distinct from
 #: any Python/interpreter exit so tests can tell the deaths apart).
 FAIL_EXIT_CODE = 173
+
+#: Bits of one exact partial norm on the wire.  Every finite float64
+#: square is below ``2**2098`` units of ``2**-1074``, and one worker sums
+#: at most the ``2 * 2**NUMERIC_QUBIT_LIMIT`` components of the largest
+#: state, so every partial stays below ``2**_NORM_BITS``.
+_NORM_BITS = 2098 + NUMERIC_QUBIT_LIMIT + 1
+
+#: Bytes of one partial norm: unsigned, big-endian, fixed width.
+_NORM_BYTES = -(-_NORM_BITS // 8)
 
 
 @dataclass(frozen=True)
@@ -242,6 +252,33 @@ def _receivers(copies: list[CopySpec], owned: tuple[int, ...]) -> list[int]:
     """Owned destination ranks of ``copies``, in copy order."""
     mine = set(owned)
     return [c.dst_rank for c in copies if c.dst_rank in mine]
+
+
+# -- the measure blob ------------------------------------------------------------
+
+
+def encode_partials(n0: int, ntotal: int) -> bytes:
+    """``(n0, ntotal)`` as two fixed-width unsigned big-endian integers."""
+    for value in (n0, ntotal):
+        if value < 0 or value.bit_length() > _NORM_BITS:
+            raise PoolError(
+                f"partial norm of {value.bit_length()} bits is outside "
+                f"the {_NORM_BITS}-bit measure blob"
+            )
+    return n0.to_bytes(_NORM_BYTES, "big") + ntotal.to_bytes(_NORM_BYTES, "big")
+
+
+def decode_partials(blob: bytes) -> tuple[int, int]:
+    """Inverse of :func:`encode_partials`; any other blob raises."""
+    if len(blob) != 2 * _NORM_BYTES:
+        raise PoolError(
+            f"measure blob of {len(blob)} B, expected {2 * _NORM_BYTES} B"
+        )
+    n0 = int.from_bytes(blob[:_NORM_BYTES], "big")
+    ntotal = int.from_bytes(blob[_NORM_BYTES:], "big")
+    if n0 > ntotal or ntotal.bit_length() > _NORM_BITS:
+        raise PoolError("measure blob holds an impossible pair of partial norms")
+    return n0, ntotal
 
 
 # -- step executors ----------------------------------------------------------------
@@ -430,8 +467,9 @@ def _exec_measure(
     """Mid-circuit collapse: exact partials, blob allgather, local rewrite.
 
     Each worker sums the exact integer partial norms of its owned
-    ranks, allgathers the per-worker ``(n0, ntotal)`` pairs through the
-    transport's scalar collective, and re-sums -- integer addition is
+    ranks, allgathers the per-worker ``(n0, ntotal)`` pairs (fixed-width
+    integers, :func:`encode_partials`) through the transport's scalar
+    collective, and re-sums -- integer addition is
     associative, so every worker derives the identical global pair and
     hence the identical outcome.  Implicit zero slices contribute
     nothing and collapse to themselves.  Worker 0 reports the outcome
@@ -447,11 +485,11 @@ def _exec_measure(
         p0, pt = exact.partial_norms(store.view(rank, LOCAL), qubit, rank, m)
         n0 += p0
         ntotal += pt
-    payload = pickle.dumps((n0, ntotal), protocol=pickle.HIGHEST_PROTOCOL)
+    payload = encode_partials(n0, ntotal)
     n0 = 0
     ntotal = 0
     for blob in transport.allgather_blob(step_index, payload):
-        p0, pt = pickle.loads(blob)
+        p0, pt = decode_partials(blob)
         n0 += p0
         ntotal += pt
     outcome = exact.measure_outcome(seed, ordinal, n0, ntotal)

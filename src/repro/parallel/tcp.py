@@ -37,15 +37,20 @@ Wire formats (all integers big-endian):
   + token bytes -- the same registration token the control channel
   checks, so only authenticated workers can join the mesh;
 * mesh channel: ``u8 kind, u32 exchange, u32 seq, u64 offset,
-  u64 length`` + raw amplitude bytes (kind 1 = data chunk, kind 2 =
-  abort, kind 3 = scalar-collective blob, where ``seq`` carries the
-  sender's worker id).  ``exchange`` is a per-plan monotonic exchange
-  counter -- NOT the plan step index: one step may perform several
-  exchanges (a remap routes ``2**g - 1`` rounds), and tagging by step
-  index alone would let a fast peer's next-round frames collide with
-  the current round's.  Blob collectives claim a tag from the same
-  counter, so measurement's norm reduction stays ordered with the
-  amplitude exchanges around it.
+  u64 length`` + payload.  Kind 1 is a data chunk (raw amplitude
+  bytes), kind 2 an abort (no payload), kind 3 a scalar-collective
+  blob: ``seq`` carries the sender's worker id, ``offset`` is 0 and
+  the payload is the measure step's two partial norms as fixed-width
+  unsigned integers (:func:`repro.parallel.stepper.encode_partials`).
+  A blob longer than :data:`~repro.parallel.transport.BLOB_SLOT_BYTES`
+  is refused from its header, and one whose length differs from the
+  receiver's own payload on arrival.  ``exchange`` is a per-plan
+  monotonic exchange counter -- NOT the plan step index: one step may
+  perform several exchanges (a remap routes ``2**g - 1`` rounds), and
+  tagging by step index alone would let a fast peer's next-round
+  frames collide with the current round's.  Blob collectives claim a
+  tag from the same counter, so measurement's norm reduction stays
+  ordered with the amplitude exchanges around it.
 """
 
 from __future__ import annotations
@@ -76,6 +81,7 @@ from repro.parallel.pool import (
     start_context,
 )
 from repro.parallel.transport import (
+    BLOB_SLOT_BYTES,
     LOCAL,
     PAIR,
     CopySpec,
@@ -283,8 +289,9 @@ class _Peer:
         self.wid = wid
         self.sock = sock
         self.rx = bytearray()
-        #: Parsed frames for steps/seqs not yet expected (peer ran ahead).
-        self.stash: list[tuple[int, int, int, bytes]] = []
+        #: Parsed ``(kind, exchange, seq, offset, payload)`` frames not
+        #: yet expected (the peer ran ahead), data and blob alike.
+        self.stash: list[tuple[int, int, int, int, bytes]] = []
         self.tx: list[memoryview] = []
 
 
@@ -337,9 +344,6 @@ class TcpMeshTransport(RankTransport):
         self._scratch: dict[int, np.ndarray] = {}
         #: Monotonic exchange tag; see the class docstring.
         self._next_exchange = 0
-        #: Blob frames that arrived before their collective was reached:
-        #: ``(exchange, sender_wid) -> payload``.
-        self._blob_stash: dict[tuple[int, int], bytes] = {}
         self._stall_timeout = resolve_stall_timeout()
         self._sel = selectors.DefaultSelector()
         for wid, peer in peers.items():
@@ -370,7 +374,7 @@ class TcpMeshTransport(RankTransport):
         xid = self._next_exchange
         self._next_exchange += 1
         sends: list[tuple[int, int, memoryview]] = []  # (peer_wid, seq, bytes)
-        recvs: dict[tuple[int, int], _Recv] = {}
+        recvs: dict[tuple[int, int, int], _Recv] = {}
         direct: list[CopySpec] = []
         packed: set[int] = set()
         tx_bytes = 0
@@ -402,7 +406,7 @@ class TcpMeshTransport(RankTransport):
                 sends.append((self._worker_of[c.dst_rank], seq, view))
                 tx_bytes += len(view)
             elif dst_mine:
-                recvs[(xid, seq)] = _Recv(self, c, on_ready)
+                recvs[(_KIND_DATA, xid, seq)] = _Recv(self, c, on_ready)
         # Direct moves complete before any update mutates a source.
         for c in direct:
             dst = self.store.view(c.dst_rank, c.dst_kind)
@@ -412,7 +416,9 @@ class TcpMeshTransport(RankTransport):
             if on_ready is not None:
                 on_ready(c, c.dst_lo, c.dst_hi)
         if sends or recvs:
-            self._pump(xid, sends, recvs)
+            for wid, seq, payload in sends:
+                self._queue_frames(self._peers[wid], xid, seq, payload)
+            self._pump(xid, recvs)
             if obs.is_enabled():
                 obs.counter(
                     "repro_transport_bytes_total",
@@ -436,21 +442,16 @@ class TcpMeshTransport(RankTransport):
             peer.tx.append(part)
             offset += len(part)
 
-    def _pump(
-        self,
-        xid: int,
-        sends: list[tuple[int, int, memoryview]],
-        recvs: dict[tuple[int, int], "_Recv"],
-    ) -> None:
-        for wid, seq, payload in sends:
-            self._queue_frames(self._peers[wid], xid, seq, payload)
+    def _pump(self, xid: int, recvs: dict) -> None:
+        """Drain every queued send and fill ``recvs``, keyed by
+        ``(kind, exchange, seq)`` (:class:`_Recv` or :class:`_BlobRecv`)."""
         # Replay stashed frames a fast peer delivered early.
         for peer in self._peers.values():
             if not peer.stash:
                 continue
             pending, peer.stash = peer.stash, []
-            for f_xid, seq, offset, payload in pending:
-                self._deliver(peer, f_xid, seq, offset, payload, recvs)
+            for frame in pending:
+                self._deliver(peer, frame, recvs)
         rx_pending = sum(1 for r in recvs.values() if not r.complete)
         deadline = time.monotonic() + self._stall_timeout
         while rx_pending or any(p.tx for p in self._peers.values()):
@@ -485,10 +486,9 @@ class TcpMeshTransport(RankTransport):
         amplitude exchanges (every worker reaches the collective at the
         same point of the SPMD enumeration), sends the payload to every
         peer as a single ``_KIND_BLOB`` frame whose ``seq`` field
-        carries the sender's worker id, and drains the mesh until every
-        peer's blob for this tag has arrived.  Frames from *later*
-        exchanges that land mid-drain are stashed for the calls they
-        belong to, exactly as the exchange pump does.
+        carries the sender's worker id, and pumps the mesh until every
+        peer's blob for this tag has arrived.  Every worker's payload
+        has the same length, so a blob of any other length is refused.
         """
         xid = self._next_exchange
         self._next_exchange += 1
@@ -496,42 +496,14 @@ class TcpMeshTransport(RankTransport):
         header = _FRAME.pack(_KIND_BLOB, xid, self._worker_id, 0, len(own))
         frame = memoryview(header + own)
         for peer in self._peers.values():
-            peer.tx.append(frame[:])
-        out: dict[int, bytes] = {self._worker_id: own}
-        expect = set(self._peers)
-        no_recvs: dict = {}
-        deadline = time.monotonic() + self._stall_timeout
-        while expect or any(p.tx for p in self._peers.values()):
-            for wid in list(expect):
-                blob = self._blob_stash.pop((xid, wid), None)
-                if blob is not None:
-                    out[wid] = blob
-                    expect.discard(wid)
-            if not expect and not any(p.tx for p in self._peers.values()):
-                break
-            for peer in self._peers.values():
-                events = selectors.EVENT_READ
-                if peer.tx:
-                    events |= selectors.EVENT_WRITE
-                self._sel.modify(peer.sock, events, peer.wid)
-            now = time.monotonic()
-            ready = self._sel.select(timeout=min(1.0, max(0.0, deadline - now)))
-            if not ready:
-                if time.monotonic() >= deadline:
-                    raise PoolError(
-                        f"mesh collective {xid} stalled: no socket "
-                        f"activity for {self._stall_timeout:.0f}s with "
-                        f"{len(expect)} blob(s) outstanding (peer hung "
-                        "or network partitioned?)"
-                    )
-                continue
-            deadline = time.monotonic() + self._stall_timeout
-            for key, events in ready:
-                peer = self._peers[key.data]
-                if events & selectors.EVENT_WRITE:
-                    self._drain_tx(peer)
-                if events & selectors.EVENT_READ:
-                    self._drain_rx(peer, no_recvs)
+            peer.tx.append(frame)
+        recvs = {
+            (_KIND_BLOB, xid, wid): _BlobRecv(wid, len(own))
+            for wid in self._peers
+        }
+        self._pump(xid, recvs)
+        out = {key[2]: recv.payload for key, recv in recvs.items()}
+        out[self._worker_id] = own
         return [out[wid] for wid in sorted(out)]
 
     def _drain_tx(self, peer: _Peer) -> None:
@@ -572,45 +544,45 @@ class TcpMeshTransport(RankTransport):
             kind, xid, seq, offset, length = _FRAME.unpack_from(peer.rx)
             if kind == _KIND_ABORT:
                 raise PoolError("mesh peer aborted the exchange")
-            end = _FRAME.size + length
-            if len(peer.rx) < end:
-                return completed
-            payload = bytes(peer.rx[_FRAME.size : end])
-            del peer.rx[:end]
             if kind == _KIND_BLOB:
+                # Checked from the header, before the payload is read.
                 # ``seq`` is the sender's worker id; the frame arrived
                 # over that worker's authenticated mesh connection, so
                 # a mismatch means a protocol bug (or an impersonation
                 # attempt) -- refuse it either way.
+                if length > BLOB_SLOT_BYTES:
+                    raise PoolError(
+                        f"mesh blob of {length} B for exchange {xid} "
+                        f"exceeds the {BLOB_SLOT_BYTES} B blob slot"
+                    )
                 if seq != peer.wid:
                     raise PoolError(
                         f"mesh blob for exchange {xid} claims sender "
                         f"{seq} but arrived from worker {peer.wid}"
                     )
-                self._blob_stash[(xid, seq)] = payload
-                continue
-            completed += self._deliver(peer, xid, seq, offset, payload, recvs)
+            end = _FRAME.size + length
+            if len(peer.rx) < end:
+                return completed
+            payload = bytes(peer.rx[_FRAME.size : end])
+            del peer.rx[:end]
+            completed += self._deliver(
+                peer, (kind, xid, seq, offset, payload), recvs
+            )
 
-    def _deliver(
-        self, peer: _Peer, xid: int, seq: int, offset: int, payload: bytes, recvs
-    ) -> int:
-        recv = recvs.get((xid, seq))
+    def _deliver(self, peer: _Peer, frame: tuple, recvs) -> int:
+        kind, xid, seq, offset, payload = frame
+        recv = recvs.get((kind, xid, seq))
         if recv is None or recv.complete:
             # A frame for an exchange this worker has not reached yet.
-            peer.stash.append((xid, seq, offset, payload))
+            peer.stash.append(frame)
             return 0
-        expected_wid = self._worker_of[recv.copy.src_rank]
-        if peer.wid != expected_wid:
+        if peer.wid != recv.src_wid:
             raise PoolError(
                 f"mesh frame for exchange {xid} seq {seq} arrived from "
-                f"worker {peer.wid}, but the copy's source rank "
-                f"{recv.copy.src_rank} belongs to worker {expected_wid}"
+                f"worker {peer.wid}, but its source belongs to worker "
+                f"{recv.src_wid}"
             )
         recv.accept(offset, payload)
-        if obs.is_enabled():
-            obs.counter(
-                "repro_transport_bytes_total", transport="tcp", direction="rx"
-            ).inc(len(payload))
         return 1 if recv.complete else 0
 
     def abort(self) -> None:
@@ -633,11 +605,11 @@ class TcpMeshTransport(RankTransport):
 class _Recv:
     """One expected inbound region and its chunk-application state."""
 
-    __slots__ = ("copy", "dst_mv", "received", "total", "on_ready", "transport")
+    __slots__ = ("copy", "src_wid", "dst_mv", "received", "total", "on_ready")
 
     def __init__(self, transport: TcpMeshTransport, copy: CopySpec, on_ready):
-        self.transport = transport
         self.copy = copy
+        self.src_wid = transport._worker_of[copy.src_rank]
         self.on_ready = on_ready
         self.received = 0
         self.total = copy.length * _AMP_BYTES
@@ -657,10 +629,37 @@ class _Recv:
         start = self.copy.dst_lo * _AMP_BYTES + offset
         self.dst_mv[start : start + len(payload)] = payload
         self.received = offset + len(payload)
+        if obs.is_enabled():
+            obs.counter(
+                "repro_transport_bytes_total", transport="tcp", direction="rx"
+            ).inc(len(payload))
         if self.on_ready is not None:
             amp_lo = self.copy.dst_lo + offset // _AMP_BYTES
             amp_hi = self.copy.dst_lo + self.received // _AMP_BYTES
             self.on_ready(self.copy, amp_lo, amp_hi)
+
+
+class _BlobRecv:
+    """One peer's expected blob in a scalar collective."""
+
+    __slots__ = ("src_wid", "size", "payload")
+
+    def __init__(self, src_wid: int, size: int):
+        self.src_wid = src_wid
+        self.size = size
+        self.payload: bytes | None = None
+
+    @property
+    def complete(self) -> bool:
+        return self.payload is not None
+
+    def accept(self, offset: int, payload: bytes) -> None:
+        if offset != 0 or len(payload) != self.size:
+            raise PoolError(
+                f"mesh blob of {len(payload)} B at offset {offset} from "
+                f"worker {self.src_wid}; this worker's own is {self.size} B"
+            )
+        self.payload = payload
 
 
 def _default_chunk_amps() -> int:
@@ -714,7 +713,7 @@ def _checkpoint_steps_from_env() -> int | None:
 # -- worker side ---------------------------------------------------------------
 
 
-def _worker_of_map(partition_ranks: int, num_workers: int, partition) -> dict[int, int]:
+def _worker_of_map(num_workers: int, partition) -> dict[int, int]:
     worker_of: dict[int, int] = {}
     for wid in range(num_workers):
         for rank in partition.ranks_for_worker(wid, num_workers):
@@ -812,7 +811,7 @@ def _run_plan_in_worker(ctrl, peers, worker_id, num_workers, task, slices):
     store = DictStore(local, pair)
     transport = TcpMeshTransport(
         peers,
-        _worker_of_map(task.num_ranks, num_workers, partition),
+        _worker_of_map(num_workers, partition),
         worker_id,
         store,
         owned,

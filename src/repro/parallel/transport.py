@@ -51,9 +51,11 @@ __all__ = [
     "ShmTransport",
 ]
 
-#: Bytes reserved per worker for one scalar-collective payload (a
-#: 4-byte length prefix plus a pickled big-int tuple; measurement's
-#: ``(n0, ntotal)`` pair is a few hundred bytes even at full precision).
+#: Bytes reserved per worker for one scalar-collective payload, and the
+#: largest blob frame the TCP mesh accepts.  Measurement's payload is its
+#: ``(n0, ntotal)`` pair as two fixed-width integers (2 x 266 B, see
+#: :func:`repro.parallel.stepper.encode_partials`); the shm slot adds a
+#: 4-byte length prefix.
 BLOB_SLOT_BYTES = 4096
 
 #: Buffer kinds a :class:`CopySpec` may address.
@@ -194,9 +196,10 @@ class RankTransport:
         """Every worker's ``payload`` for step ``tag``, in worker order.
 
         The scalar collective behind mid-circuit measurement: each
-        worker contributes one small byte string (its exact partial
-        norms) and receives all of them.  Payloads must fit in
-        :data:`BLOB_SLOT_BYTES` minus the 4-byte length prefix.
+        worker contributes one small byte string of the same length
+        (its exact partial norms, fixed width) and receives all of
+        them.  Payloads must fit in :data:`BLOB_SLOT_BYTES` minus the
+        4-byte length prefix.
         """
         raise PoolError(
             f"{type(self).__name__} does not implement scalar collectives"

@@ -20,7 +20,6 @@ from repro.statevector.measurement import (
     expectation_z,
     marginal_probability,
     probabilities,
-    sample_counts,
 )
 from repro.statevector.partition import AMPLITUDE_BYTES, Partition
 from repro.statevector.sampling import SampleResult, sample
@@ -59,7 +58,6 @@ __all__ = [
     "probabilities",
     "marginal_probability",
     "expectation_z",
-    "sample_counts",
     "sample",
     "SampleResult",
 ]

@@ -177,12 +177,6 @@ class DenseStatevector:
         """Probability of one basis state."""
         return float(np.abs(self._amps[index]) ** 2)
 
-    def sample(self, shots: int, *, rng: np.random.Generator | None = None) -> np.ndarray:
-        """Sample basis-state indices from the output distribution."""
-        from repro.statevector.measurement import sample_counts
-
-        return sample_counts(self._amps, shots, rng=rng)
-
     def sample_bitstrings(self, shots: int, seed: int = 0) -> np.ndarray:
         """Seed-deterministic samples via the exact cumulative search.
 

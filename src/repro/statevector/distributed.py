@@ -24,6 +24,14 @@ Whatever the executor, the parent validates every step before any runs,
 fires observer callbacks in gate order, and replays the exchange
 schedule into the communicator (:meth:`DistributedStatevector._run_plan`).
 
+Measurement has one path.  Collapse decisions (mid-circuit MEASURE
+steps) and shots (:meth:`DistributedStatevector.sample_bitstrings`)
+come from the exact integer norms of :mod:`repro.statevector.exact`,
+so they do not depend on the partition.  Float queries are array
+functions applied to :meth:`DistributedStatevector.gather`: marginals
+and ``<Z>`` in :mod:`repro.statevector.measurement`, and
+:func:`repro.statevector.fidelity`.
+
 Scale: functional simulation is for correctness work (tests cap out in
 the mid twenties of qubits).  Paper-scale runs use the same
 :mod:`~repro.statevector.plan` through the model executor instead.
@@ -59,6 +67,12 @@ __all__ = ["DistributedStatevector"]
 
 #: Callback invoked after each gate with its plan.
 Observer = Callable[[int, Gate, GatePlan], None]
+
+#: Tag of the measure reduction's first round (one tag per round).
+_REDUCE_TAG_BASE = 1 << 20
+
+#: Bytes each rank sends per reduction round: two float64 partials.
+_REDUCE_BYTES = 16
 
 
 class DistributedStatevector:
@@ -172,58 +186,18 @@ class DistributedStatevector:
         return DenseStatevector.from_amplitudes(self.gather())
 
     def norm(self) -> float:
-        """Global 2-norm: per-rank partial sums combined by Allreduce.
+        """Global 2-norm: the per-rank partial sums added in rank order.
 
-        Computes the recursive-doubling collective round by round and
-        records its ``P * log2 P`` scalar messages on the simulated
-        communicator, exactly as QuEST's ``calcTotalProb`` runs it.
+        A plain reduction over the parent's slices.  Implicit zero
+        slices are skipped (they add exactly nothing), and nothing is
+        recorded on the communicator: the modelled Allreduce belongs to
+        measurement steps, whose decisions use the exact integer norms.
         """
-        if self.num_ranks == 1:
-            return float(np.linalg.norm(self._local.read(0)))
-        from repro.mpi.collectives import allreduce
-
-        partials = [
-            np.array([float(np.sum(np.abs(a) ** 2))]) for a in self._local
-        ]
-        totals = allreduce(self.comm, partials)
-        return float(np.sqrt(totals[0][0]))
-
-    def inner_product(self, other: "DistributedStatevector") -> complex:
-        """``<self|other>`` without gathering either state.
-
-        Each rank contributes the partial vdot over its slice; the
-        partials meet in one Allreduce (two scalars on the wire per
-        rank per round).  Both states must share the partition.
-        """
-        if (
-            other.num_qubits != self.num_qubits
-            or other.num_ranks != self.num_ranks
-        ):
-            raise SimulationError(
-                "inner product requires identically partitioned states"
-            )
-        partials = [
-            np.array(
-                [complex(np.vdot(self._local.read(r), other._local.read(r)))],
-                dtype=np.complex128,
-            )
-            for r in range(self.num_ranks)
-        ]
-        if self.num_ranks == 1:
-            return complex(partials[0][0])
-        from repro.mpi.collectives import allreduce
-
-        return complex(allreduce(self.comm, partials)[0][0])
-
-    def fidelity(self, other: "DistributedStatevector") -> float:
-        """``|<self|other>|**2`` without gathering."""
-        return float(abs(self.inner_product(other)) ** 2)
-
-    # -- measurement without gathering ---------------------------------------
-    #
-    # These mirror how a real distributed code measures: each rank
-    # reduces over its slice and only scalars (or per-rank weights)
-    # cross rank boundaries -- never amplitudes.
+        total = 0.0
+        for rank in range(self.num_ranks):
+            if self._local.is_materialized(rank):
+                total += float(np.sum(np.abs(self._local.read(rank)) ** 2))
+        return float(np.sqrt(total))
 
     def probability_of(self, global_index: int) -> float:
         """Probability of one basis state (owned by exactly one rank)."""
@@ -231,79 +205,12 @@ class DistributedStatevector:
         local = self.partition.local_index_of(global_index)
         return float(np.abs(self._local.read(rank)[local]) ** 2)
 
-    def marginal_probability(self, qubit: int, value: int) -> float:
-        """P(measuring ``qubit`` = ``value``) via per-rank partial sums.
-
-        For a local qubit every rank reduces over the matching half of
-        its slice; for a distributed qubit, ranks whose index bit
-        matches contribute their whole slice.
-        """
-        if value not in (0, 1):
-            raise SimulationError(f"measurement value must be 0/1, got {value}")
-        part = self.partition
-        partials = []
-        for rank, amps in enumerate(self._local):
-            if part.is_local(qubit):
-                view = amps.reshape(-1, 2, 1 << qubit)
-                local = float(np.sum(np.abs(view[:, value, :]) ** 2))
-            elif part.rank_bit_value(rank, qubit) == value:
-                local = float(np.sum(np.abs(amps) ** 2))
-            else:
-                local = 0.0
-            partials.append(np.array([local]))
-        if self.num_ranks == 1:
-            return float(partials[0][0])
-        from repro.mpi.collectives import allreduce
-
-        return float(allreduce(self.comm, partials)[0][0])
-
-    def expectation_z(self, qubit: int) -> float:
-        """``<Z_qubit>`` from the marginal."""
-        return 2.0 * self.marginal_probability(qubit, 0) - 1.0
-
-    def sample(
-        self, shots: int, *, rng: np.random.Generator | None = None
-    ) -> np.ndarray:
-        """Draw basis-state indices without gathering the state.
-
-        Two-stage sampling: rank weights are Gathered to rank 0 (one
-        scalar message per rank, the real schedule), ranks are drawn
-        from those weights, then each chosen rank samples locally.
-        """
-        if shots < 1:
-            raise SimulationError(f"shots must be >= 1, got {shots}")
-        rng = np.random.default_rng() if rng is None else rng
-        partials = [
-            np.array([float(np.sum(np.abs(a) ** 2))]) for a in self._local
-        ]
-        if self.num_ranks > 1:
-            from repro.mpi.collectives import gather
-
-            partials = gather(self.comm, partials, root=0)
-        weights = np.concatenate(partials)
-        total = weights.sum()
-        if not np.isclose(total, 1.0, atol=1e-6):
-            raise SimulationError(
-                f"state is not normalised (sum p = {total:.6f})"
-            )
-        rank_draws = rng.choice(self.num_ranks, size=shots, p=weights / total)
-        out = np.empty(shots, dtype=np.int64)
-        m = self.partition.local_qubits
-        for rank in np.unique(rank_draws):
-            sel = rank_draws == rank
-            probs = np.abs(self._local.read(rank)) ** 2
-            probs /= probs.sum()
-            local = rng.choice(probs.shape[0], size=int(sel.sum()), p=probs)
-            out[sel] = (int(rank) << m) | local
-        return out
-
     def sample_bitstrings(self, shots: int, seed: int = 0) -> np.ndarray:
         """Seed-deterministic basis-state samples from the current state.
 
-        Unlike :meth:`sample` (numpy-rng based, float weights), this
-        draws through the exact cumulative search shared by every
-        executor, so the shot stream depends only on ``(state, seed)``
-        -- never on the partition.
+        Draws through the exact cumulative search shared by every
+        executor and the dense reference, so the shot stream depends
+        only on ``(state, seed)`` -- never on the partition.
         """
         slices = [self._local.read(r) for r in range(self.num_ranks)]
         return exact.sample_exact(slices, shots, seed)
@@ -585,20 +492,19 @@ class DistributedStatevector:
     # -- schedule replay ----------------------------------------------------------
 
     def _log_measure_reduction(self) -> None:
-        """Record the norm-reduction collective in the message log.
+        """Record the norm-reduction Allreduce in the message log.
 
         Outcome decisions never ride this collective -- they use the
         exact integer partials -- but the *schedule* shows the
-        ``log2(R)``-round recursive-doubling scalar-pair reduction a
-        real machine would run.
+        ``log2(R)`` recursive-doubling rounds a real machine would run:
+        in round ``r`` every rank sends its ``(n0, ntotal)`` pair of
+        doubles to the rank differing at rank bit ``r``.
         """
-        if self.num_ranks == 1:
-            return
-        from repro.mpi.collectives import allreduce
-
-        allreduce(
-            self.comm, [np.zeros(2) for _ in range(self.num_ranks)]
-        )
+        for r in range(self.num_ranks.bit_length() - 1):
+            for rank in range(self.num_ranks):
+                self.comm.record_only(
+                    rank, rank ^ (1 << r), _REDUCE_TAG_BASE + r, _REDUCE_BYTES
+                )
 
     def _comm_pairs(self, rank_bit: int, gate: Gate) -> list[tuple[int, int]]:
         """Rank pairs (low, high) differing at ``rank_bit``, controls satisfied."""

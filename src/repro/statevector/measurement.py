@@ -1,8 +1,10 @@
-"""Measurement utilities: probabilities, marginals, sampling.
+"""Measurement utilities on a full amplitude vector: probabilities, marginals.
 
 The statevector approach's selling point (paper section 1) is that *all*
 amplitudes are available after one simulation, so any measurement can be
-taken without re-running; this module is that payoff.
+taken without re-running; this module is that payoff.  Shots come from
+the exact sampler instead (``sample_bitstrings`` on either simulator, or
+:func:`repro.statevector.sample`), whose stream is partition-independent.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ __all__ = [
     "probabilities",
     "marginal_probability",
     "expectation_z",
-    "sample_counts",
 ]
 
 
@@ -40,18 +41,4 @@ def expectation_z(amps: np.ndarray, qubit: int) -> float:
     """``<Z_qubit>`` = P(0) - P(1)."""
     p0 = marginal_probability(amps, qubit, 0)
     return 2.0 * p0 - 1.0
-
-
-def sample_counts(
-    amps: np.ndarray, shots: int, *, rng: np.random.Generator | None = None
-) -> np.ndarray:
-    """Draw ``shots`` basis-state indices from the output distribution."""
-    if shots < 1:
-        raise SimulationError(f"shots must be >= 1, got {shots}")
-    rng = np.random.default_rng() if rng is None else rng
-    probs = probabilities(amps)
-    total = probs.sum()
-    if not np.isclose(total, 1.0, atol=1e-6):
-        raise SimulationError(f"state is not normalised (sum p = {total:.6f})")
-    return rng.choice(len(probs), size=shots, p=probs / total)
 

@@ -169,8 +169,7 @@ class TestMeasurementAfterDistributedRun:
         state = DistributedStatevector.zero_state(n, ranks)
         state.apply_circuit(qft_circuit(n))
         dense = state.to_dense()
-        rng = np.random.default_rng(5)
-        samples = dense.sample(2000, rng=rng)
+        samples = dense.sample_bitstrings(2000, seed=5)
         # QFT of |0...0> is uniform: every basis state appears.
         counts = np.bincount(samples, minlength=2**n)
         assert counts.min() > 0

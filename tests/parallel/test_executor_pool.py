@@ -191,7 +191,11 @@ class TestExecutorSeam:
 
     def test_resolve_without_shm(self, monkeypatch):
         import repro.parallel.shm as shm_mod
+        from repro.parallel import POOL_HOSTS_ENV
 
+        # The no-host-list path: a host list would select TCP, which
+        # needs no shared memory.
+        monkeypatch.delenv(POOL_HOSTS_ENV, raising=False)
         monkeypatch.setattr(shm_mod, "_available", False)
         with pytest.raises(PoolError, match="shared memory"):
             resolve_executor("pool")

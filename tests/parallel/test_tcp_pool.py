@@ -446,7 +446,7 @@ class TestBlobCollective:
         transport, theirs = _loop_transport((0,), {0: 0, 1: 1})
         sock = transport._peers[1].sock
         try:
-            peer_payload = b"peer-partial-norms"
+            peer_payload = b"peer-partial-norm"
             header = tcp_mod._FRAME.pack(
                 tcp_mod._KIND_BLOB, 0, 1, 0, len(peer_payload)
             )
@@ -492,14 +492,101 @@ class TestBlobCollective:
         transport, theirs = _loop_transport((0,), {0: 0, 1: 1})
         sock = transport._peers[1].sock
         try:
-            for xid, payload in ((1, b"late"), (0, b"early")):
+            for xid, payload in ((1, b"late"), (0, b"soon")):
                 header = tcp_mod._FRAME.pack(
                     tcp_mod._KIND_BLOB, xid, 1, 0, len(payload)
                 )
                 theirs.sendall(header + payload)
-            assert transport.allgather_blob(0, b"a")[1] == b"early"
-            assert transport.allgather_blob(1, b"b")[1] == b"late"
+            assert transport.allgather_blob(0, b"mine")[1] == b"soon"
+            assert transport.allgather_blob(1, b"ours")[1] == b"late"
         finally:
             sock.close()
             theirs.close()
             transport.close()
+
+    def test_oversized_blob_rejected_from_its_header(self, monkeypatch):
+        # The header alone condemns the frame: no payload is ever sent,
+        # so a transport waiting to buffer it would stall instead.
+        from repro.parallel.transport import BLOB_SLOT_BYTES
+
+        monkeypatch.setenv(tcp_mod.STALL_TIMEOUT_ENV, "2")
+        transport, theirs = _loop_transport((0,), {0: 0, 1: 1})
+        sock = transport._peers[1].sock
+        try:
+            header = tcp_mod._FRAME.pack(
+                tcp_mod._KIND_BLOB, 0, 1, 0, BLOB_SLOT_BYTES + 1
+            )
+            theirs.sendall(header)
+            with pytest.raises(PoolError, match="exceeds the 4096 B blob slot"):
+                transport.allgather_blob(0, b"mine")
+        finally:
+            sock.close()
+            theirs.close()
+            transport.close()
+
+    def test_blob_length_must_match_own_payload(self):
+        transport, theirs = _loop_transport((0,), {0: 0, 1: 1})
+        sock = transport._peers[1].sock
+        try:
+            header = tcp_mod._FRAME.pack(tcp_mod._KIND_BLOB, 0, 1, 0, 5)
+            theirs.sendall(header + b"12345")
+            with pytest.raises(PoolError, match="own is 4 B"):
+                transport.allgather_blob(0, b"mine")
+        finally:
+            sock.close()
+            theirs.close()
+            transport.close()
+
+    def test_pickled_measure_blob_is_never_unpickled(self):
+        # A pickle padded to the measure blob's exact width still loads
+        # (pickle ignores trailing bytes), so only a decoder that never
+        # unpickles keeps the tripwire silent.
+        from repro.circuits import Circuit
+        from repro.parallel import stepper
+        from repro.statevector.apply_plan import compile_plan
+
+        del _TRIPWIRE_CALLS[:]
+        # The wire width: two partial norms of 2098 + 26 + 1 bits each,
+        # 266 B apiece.
+        width = 532
+        evil = pickle.dumps(_Tripwire(), protocol=pickle.HIGHEST_PROTOCOL)
+        assert not _TRIPWIRE_CALLS and len(evil) < width
+        evil = evil.ljust(width, b"\0")
+        task = stepper.PlanTask(
+            local_name=None,
+            pair_name=None,
+            num_qubits=3,
+            num_ranks=2,
+            halved_swaps=False,
+            plan=compile_plan(Circuit(3).measure(2)),
+            emit_events=False,
+        )
+        transport, theirs = _loop_transport((0,), {0: 0, 1: 1})
+        sock = transport._peers[1].sock
+        try:
+            header = tcp_mod._FRAME.pack(tcp_mod._KIND_BLOB, 0, 1, 0, width)
+            theirs.sendall(header + evil)
+            with pytest.raises(PoolError, match="measure blob"):
+                stepper.execute_plan(
+                    transport, transport.store, task, worker_id=0, num_workers=2
+                )
+            assert _TRIPWIRE_CALLS == []
+        finally:
+            sock.close()
+            theirs.close()
+            transport.close()
+
+
+#: Calls of :func:`_tripwire_fired` -- one per unpickled ``_Tripwire``.
+_TRIPWIRE_CALLS: list[str] = []
+
+
+def _tripwire_fired():
+    _TRIPWIRE_CALLS.append("unpickled")
+
+
+class _Tripwire:
+    """Unpickling this object calls :func:`_tripwire_fired`."""
+
+    def __reduce__(self):
+        return (_tripwire_fired, ())

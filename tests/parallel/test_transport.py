@@ -95,15 +95,13 @@ class TestHostParsing:
 
 class TestResolution:
     def test_resolve_hosts_env(self, monkeypatch):
-        from repro.parallel import POOL_HOSTS_ENV, resolve_hosts, resolve_transport
+        from repro.parallel import POOL_HOSTS_ENV, resolve_hosts
 
         monkeypatch.delenv(POOL_HOSTS_ENV, raising=False)
         assert resolve_hosts() is None
-        assert resolve_transport() == "shm"
         monkeypatch.setenv(POOL_HOSTS_ENV, "127.0.0.1:0,127.0.0.1:0")
         hosts = resolve_hosts()
         assert hosts is not None and len(hosts) == 2
-        assert resolve_transport() == "tcp"
 
     def test_explicit_hosts_beat_env(self, monkeypatch):
         from repro.parallel import POOL_HOSTS_ENV, resolve_hosts

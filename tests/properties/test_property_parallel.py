@@ -59,7 +59,8 @@ def test_pool_bitwise_equals_serial(params, ranks, comm):
 )
 @settings(max_examples=10, deadline=None)
 def test_pool_norm_and_sampling_surface_unchanged(n, seed):
-    """The read-side API sees the same state whichever executor ran."""
+    """The read-side API sees the same state whichever executor ran:
+    the norm and the exact shot stream agree bitwise."""
     circuit = random_circuit(n, 25, seed=seed)
     psi = random_state(n, seed=seed + 3)
     serial = DistributedStatevector.from_amplitudes(psi, 4, executor="serial")
@@ -67,10 +68,6 @@ def test_pool_norm_and_sampling_surface_unchanged(n, seed):
     pool = DistributedStatevector.from_amplitudes(psi, 4, executor="pool")
     pool.apply_circuit(circuit)
     assert serial.norm() == pool.norm()
-    for q in range(n):
-        assert serial.marginal_probability(q, 0) == pool.marginal_probability(q, 0)
-    rng_a = np.random.default_rng(7)
-    rng_b = np.random.default_rng(7)
     assert np.array_equal(
-        serial.sample(64, rng=rng_a), pool.sample(64, rng=rng_b)
+        serial.sample_bitstrings(64, seed=7), pool.sample_bitstrings(64, seed=7)
     )

@@ -137,7 +137,6 @@ class TestInvariants:
 
     def test_sample_matches_distribution(self):
         sim = DenseStatevector.plus_state(2)
-        rng = np.random.default_rng(1)
-        samples = sim.sample(4000, rng=rng)
+        samples = sim.sample_bitstrings(4000, seed=1)
         counts = np.bincount(samples, minlength=4) / 4000
         assert np.allclose(counts, 0.25, atol=0.05)

@@ -85,9 +85,8 @@ class TestZeroStateLaziness:
         state = _zero_state(10, 8)
         assert state.norm() == 1.0
         assert state.probability_of(0) == 1.0
-        state.marginal_probability(9, 0)
         state.gather()
-        state.sample(4, rng=np.random.default_rng(1))
+        assert state.sample_bitstrings(4, seed=1).tolist() == [0, 0, 0, 0]
         assert state._local.allocations == 1
 
     def test_local_gates_do_not_materialise_zero_ranks(self):

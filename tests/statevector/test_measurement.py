@@ -9,8 +9,8 @@ from repro.statevector import (
     expectation_z,
     marginal_probability,
     probabilities,
-    sample_counts,
 )
+from repro.statevector.dense import DenseStatevector
 
 
 class TestProbabilities:
@@ -64,13 +64,5 @@ class TestSampling:
     def test_deterministic_state(self):
         psi = np.zeros(8, complex)
         psi[5] = 1.0
-        rng = np.random.default_rng(0)
-        assert np.all(sample_counts(psi, 20, rng=rng) == 5)
-
-    def test_unnormalised_raises(self):
-        with pytest.raises(SimulationError, match="normalised"):
-            sample_counts(np.ones(4, complex), 10)
-
-    def test_zero_shots_raise(self):
-        with pytest.raises(SimulationError):
-            sample_counts(np.array([1, 0], complex), 0)
+        state = DenseStatevector.from_amplitudes(psi)
+        assert np.all(state.sample_bitstrings(20, seed=0) == 5)
