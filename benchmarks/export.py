@@ -301,7 +301,7 @@ def run_parallel(quick: bool) -> dict:
 
     from repro.circuits import qft_circuit
     from repro.parallel import shm_available
-    from repro.parallel.cache import CACHE_DIR_ENV
+    from repro import settings
 
     n = 18 if quick else 22
     ranks = 8
@@ -318,17 +318,11 @@ def run_parallel(quick: bool) -> dict:
     # objects' memoisation (fresh objects), so the warm pass pays full
     # key-derivation cost and only skips the model evaluation.
     cache_configs = [(28, 64)] if quick else [(30, 64), (32, 128), (34, 256)]
-    saved = os.environ.get(CACHE_DIR_ENV)
-    with tempfile.TemporaryDirectory() as tmp:
-        os.environ[CACHE_DIR_ENV] = tmp
-        try:
-            cache_cold_s = _time_cache_sweep(cache_configs)
-            cache_warm_s = _time_cache_sweep(cache_configs)
-        finally:
-            if saved is None:
-                os.environ.pop(CACHE_DIR_ENV, None)
-            else:
-                os.environ[CACHE_DIR_ENV] = saved
+    with tempfile.TemporaryDirectory() as tmp, settings.overridden(
+        {settings.CACHE_DIR.name: tmp}
+    ):
+        cache_cold_s = _time_cache_sweep(cache_configs)
+        cache_warm_s = _time_cache_sweep(cache_configs)
 
     report_caveat = (
         "measured on a single-CPU host: the pool cannot hide its "

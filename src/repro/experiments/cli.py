@@ -11,10 +11,15 @@ pool and the DES replay.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
+from repro import settings
+from repro.errors import ValidationError
+
 __all__ = ["main"]
+
+#: The settings whose variables these flags override, for one command.
+_FLAGS = (settings.CACHE_DIR, settings.TRANSPILE, settings.FUSION, settings.SHOTS)
 
 
 def _fail(message: str) -> int:
@@ -69,41 +74,7 @@ def main(argv: list[str] | None = None) -> int:
             "2 workers when --trace-out/--metrics is given)"
         ),
     )
-    parser.add_argument(
-        "--cache",
-        metavar="DIR",
-        help=(
-            "enable the content-addressed prediction cache rooted at DIR "
-            "(equivalent to setting REPRO_CACHE_DIR)"
-        ),
-    )
-    parser.add_argument(
-        "--transpile",
-        metavar="STRATEGY",
-        help=(
-            "transpile circuits with the repro.transpile pipeline "
-            "(naive/blocked/grouped; equivalent to setting "
-            "REPRO_TRANSPILE)"
-        ),
-    )
-    parser.add_argument(
-        "--fusion",
-        metavar="MODE",
-        help=(
-            "gate-fusion mode for the numeric simulators "
-            "(off/diag/full[:k]; equivalent to setting REPRO_FUSION)"
-        ),
-    )
-    parser.add_argument(
-        "--shots",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "shot count for sampling-aware experiments "
-            "(equivalent to setting REPRO_SHOTS)"
-        ),
-    )
+    settings.add_flags(parser, *_FLAGS)
     parser.add_argument(
         "--trace-out",
         metavar="FILE",
@@ -126,27 +97,16 @@ def main(argv: list[str] | None = None) -> int:
         ),
     )
     args = parser.parse_args(raw)
+    with settings.flags_applied(args, *_FLAGS):
+        return _run(args)
 
-    # Environment knobs that used to be validated only deep inside the
-    # executors (for REPRO_KERNELS, as an import-time traceback):
-    # surface a bad value as a one-line error before any work -- and
-    # before the registry import pulls in the modules that read them.
-    from repro.errors import ValidationError
 
+def _run(args: argparse.Namespace) -> int:
+    """Everything after argument parsing, under the flags' settings."""
+    # Every REPRO_* variable and settings flag, checked before any work
+    # and before the registry import pulls in the modules that read them.
     try:
-        from repro.parallel import resolve_executor
-        from repro.parallel.tcp import resolve_stall_timeout
-        from repro.statevector.fusion import resolve_fusion
-        from repro.statevector.gate_kernels import get_backend
-        from repro.statevector.sampling import resolve_shots
-        from repro.transpile import resolve_strategy
-
-        resolve_executor(None)
-        get_backend()
-        resolve_strategy(args.transpile)
-        resolve_fusion(args.fusion)
-        resolve_shots(args.shots)
-        resolve_stall_timeout()
+        settings.validate()
     except ValidationError as exc:
         return _fail(str(exc))
 
@@ -157,24 +117,10 @@ def main(argv: list[str] | None = None) -> int:
             print(experiment_id)
         return 0
 
-    # Argument validation that used to fail with a traceback from deep
-    # inside parallel_runner / PredictionCache: reject it here with a
-    # one-line error instead.
+    # Rejected here with a one-line error, not a traceback from deep
+    # inside parallel_runner.
     if args.jobs is not None and args.jobs < 1:
         return _fail(f"--jobs must be >= 1, got {args.jobs}")
-    if args.cache and os.path.isfile(args.cache):
-        return _fail(
-            f"--cache path exists and is a regular file: {args.cache}"
-        )
-
-    if args.transpile:
-        os.environ["REPRO_TRANSPILE"] = args.transpile
-    if args.fusion:
-        os.environ["REPRO_FUSION"] = args.fusion
-    if args.shots is not None:
-        os.environ["REPRO_SHOTS"] = str(args.shots)
-    if args.cache:
-        os.environ["REPRO_CACHE_DIR"] = args.cache
 
     from repro import obs
 

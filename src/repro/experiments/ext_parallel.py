@@ -15,12 +15,12 @@ rendition.
 
 from __future__ import annotations
 
-import os
 import tempfile
 import time
 
 import numpy as np
 
+from repro import settings
 from repro.circuits import qft_circuit, random_state
 from repro.experiments.reporting import ExperimentResult
 from repro.machine.frequency import CpuFrequency
@@ -59,24 +59,19 @@ def _cache_sweep() -> tuple[float, float, int]:
         )
         for n in _CACHE_QUBITS
     ]
-    previous = os.environ.get("REPRO_CACHE_DIR")
-    with tempfile.TemporaryDirectory(prefix="repro-cache-") as root:
-        os.environ["REPRO_CACHE_DIR"] = root
-        try:
-            start = time.perf_counter()
-            for config in configs:
-                predict(qft_circuit(config.partition.num_qubits), config)
-            cold = time.perf_counter() - start
-            start = time.perf_counter()
-            for config in configs:
-                predict(qft_circuit(config.partition.num_qubits), config)
-            warm = time.perf_counter() - start
-            entries = len(active_cache())
-        finally:
-            if previous is None:
-                os.environ.pop("REPRO_CACHE_DIR", None)
-            else:
-                os.environ["REPRO_CACHE_DIR"] = previous
+    with (
+        tempfile.TemporaryDirectory(prefix="repro-cache-") as root,
+        settings.overridden({settings.CACHE_DIR.name: root}),
+    ):
+        start = time.perf_counter()
+        for config in configs:
+            predict(qft_circuit(config.partition.num_qubits), config)
+        cold = time.perf_counter() - start
+        start = time.perf_counter()
+        for config in configs:
+            predict(qft_circuit(config.partition.num_qubits), config)
+        warm = time.perf_counter() - start
+        entries = len(active_cache())
     return cold, warm, entries
 
 

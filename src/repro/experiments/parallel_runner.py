@@ -7,9 +7,10 @@ collects results in submission order.  Per-experiment failures are
 captured and reported alongside the successes rather than aborting the
 whole sweep (matching the serial CLI's behaviour).
 
-Workers inherit the parent's environment, so a configured
-``REPRO_CACHE_DIR`` makes every worker read and write the shared
-content-addressed prediction cache: the first sweep populates it, and
+Every task runs under the caller's settings (the pool ships
+:func:`repro.settings.snapshot` with each command), so a configured
+``REPRO_CACHE_DIR`` -- or a CLI's ``--cache`` override -- makes every
+worker read and write the shared content-addressed prediction cache: the first sweep populates it, and
 reruns (or overlapping experiments pricing the same circuits) hit it.
 Inside a worker the executor always resolves to serial, so experiments
 that execute numerically can never deadlock on a nested pool.

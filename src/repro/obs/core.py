@@ -29,6 +29,8 @@ import threading
 import time
 from dataclasses import dataclass, field
 
+from repro import settings
+
 __all__ = [
     "Counter",
     "Gauge",
@@ -55,7 +57,7 @@ log = logging.getLogger("repro.obs")
 
 #: Environment knob: set to ``1`` to enable span tracing at import time
 #: (covers subprocesses that never see an explicit :func:`enable` call).
-OBS_ENV = "REPRO_OBS"
+OBS_ENV = settings.OBS.name
 
 #: Span-buffer cap: completed spans beyond this are dropped (and counted
 #: in ``repro_obs_spans_dropped_total``) rather than growing unbounded.
@@ -148,7 +150,7 @@ class SpanRecord:
 
 def env_enabled() -> bool:
     """True when ``REPRO_OBS=1``: the enabled state a process starts with."""
-    return os.environ.get(OBS_ENV, "") == "1"
+    return settings.get(settings.OBS)
 
 
 class _ObsState:

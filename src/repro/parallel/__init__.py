@@ -32,9 +32,8 @@ selects the TCP transport, no host list the shared-memory one.
 
 from __future__ import annotations
 
-import os
-
-from repro.errors import PoolError, ValidationError
+from repro import settings
+from repro.errors import PoolError
 from repro.parallel.pool import (
     POOL_WORKERS_ENV,
     WorkerPool,
@@ -44,7 +43,6 @@ from repro.parallel.pool import (
     shutdown_pool,
 )
 from repro.parallel.shm import SharedArray, attach_array, shm_available
-from repro.parallel.tcp import POOL_HOSTS_ENV, parse_hosts
 
 __all__ = [
     "EXECUTOR_ENV",
@@ -64,9 +62,10 @@ __all__ = [
 ]
 
 #: Environment knob: default executor for new statevectors.
-EXECUTOR_ENV = "REPRO_EXECUTOR"
+EXECUTOR_ENV = settings.EXECUTOR.name
 
-_EXECUTORS = ("serial", "pool")
+#: Environment knob: the TCP pool's host list (see :mod:`repro.parallel.tcp`).
+POOL_HOSTS_ENV = settings.POOL_HOSTS.name
 
 
 def resolve_executor_name(value: str | None = None) -> str:
@@ -78,13 +77,8 @@ def resolve_executor_name(value: str | None = None) -> str:
     can be made on a host that cannot itself run the pool.
     """
     if value is None:
-        value = os.environ.get(EXECUTOR_ENV) or "serial"
-    value = value.strip().lower()
-    if value not in _EXECUTORS:
-        raise ValidationError(
-            f"unknown executor {value!r}; expected one of {_EXECUTORS}"
-        )
-    return value
+        return settings.get(settings.EXECUTOR)
+    return settings.EXECUTOR.parse(value, "executor")
 
 
 def resolve_hosts(hosts=None):
@@ -98,9 +92,9 @@ def resolve_hosts(hosts=None):
     if in_worker():
         return None
     if hosts is None:
-        hosts = os.environ.get(POOL_HOSTS_ENV) or None
-    if hosts is None:
-        return None
+        return settings.get(settings.POOL_HOSTS)
+    from repro.parallel.tcp import parse_hosts
+
     return parse_hosts(hosts)
 
 

@@ -38,7 +38,7 @@ from dataclasses import fields, is_dataclass
 from enum import Enum
 from pathlib import Path
 
-from repro import obs
+from repro import obs, settings
 from repro.errors import ValidationError
 
 __all__ = [
@@ -51,7 +51,7 @@ __all__ = [
 ]
 
 #: Environment knob: set to a directory path to enable caching globally.
-CACHE_DIR_ENV = "REPRO_CACHE_DIR"
+CACHE_DIR_ENV = settings.CACHE_DIR.name
 
 #: Bump to invalidate every existing cache entry (schema/semantics change).
 #: 2: GatePlan grew comm_rounds/pair_masks (remap bucket routing).
@@ -299,11 +299,12 @@ def active_cache() -> PredictionCache | None:
 
     Re-reads the environment on every call but reuses the cache object
     (and its hit/miss counters) while the path stays the same, so tests
-    can flip the variable freely.
+    can flip the variable freely.  A path that is a regular file fails
+    with a one-line :class:`~repro.errors.ValidationError`.
     """
     global _active
-    root = os.environ.get(CACHE_DIR_ENV)
-    if not root:
+    root = settings.get(settings.CACHE_DIR)
+    if root is None:
         _active = None
         return None
     if _active is not None and _active[0] == root:

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from multiprocessing import connection, util
 from typing import Any, Callable
 
-from repro import obs
+from repro import obs, settings
 from repro.errors import PoolError, ValidationError
 
 __all__ = [
@@ -58,10 +58,10 @@ __all__ = [
 ]
 
 #: Environment knob: explicit worker count for the global pool.
-POOL_WORKERS_ENV = "REPRO_POOL_WORKERS"
+POOL_WORKERS_ENV = settings.POOL_WORKERS.name
 
 #: Set inside worker processes so nested code never re-enters the pool.
-_IN_WORKER_ENV = "_REPRO_POOL_WORKER"
+_IN_WORKER_ENV = settings.IN_WORKER.name
 
 #: Modules the forkserver imports before it forks any worker: the two
 #: worker entry points and the plan stepper (which pull in numpy and
@@ -140,7 +140,7 @@ def _alive(proc) -> bool:
 
 def in_worker() -> bool:
     """True inside a pool worker process."""
-    return os.environ.get(_IN_WORKER_ENV) == "1"
+    return settings.get(settings.IN_WORKER)
 
 
 def default_pool_size() -> int:
@@ -151,19 +151,9 @@ def default_pool_size() -> int:
     exercised (oversubscription on small hosts costs little -- the
     workers' numpy sweeps time-slice).
     """
-    env = os.environ.get(POOL_WORKERS_ENV)
-    if env is not None:
-        try:
-            value = int(env)
-        except ValueError:
-            raise ValidationError(
-                f"{POOL_WORKERS_ENV} must be an integer, got {env!r}"
-            ) from None
-        if value < 1:
-            raise ValidationError(
-                f"{POOL_WORKERS_ENV} must be >= 1, got {value}"
-            )
-        return value
+    workers = settings.get(settings.POOL_WORKERS)
+    if workers is not None:
+        return workers
     return min(8, max(2, os.cpu_count() or 1))
 
 
@@ -186,12 +176,15 @@ def _worker_main(
 ) -> None:
     """Worker loop: execute commands from the parent until told to exit.
 
-    Commands whose fourth element is truthy run with observability
-    collecting: the worker enables its local span tracer for the
+    Each command carries ``(collect, overrides)`` from the parent at
+    dispatch time.  The function runs under the parent's settings
+    (``overrides`` is its :func:`repro.settings.snapshot`), so values
+    set or overridden after this worker started still apply.  With
+    ``collect`` the worker enables its local span tracer for the
     duration of the command and appends its exported obs state to the
-    reply, which the parent merges (``repro.obs.merge_state``).  The
-    flag mirrors the *parent's* enabled state at dispatch time, so
-    workers never pay tracing overhead the parent did not ask for.
+    reply, which the parent merges (``repro.obs.merge_state``); the
+    flag mirrors the parent's enabled state, so workers never pay
+    tracing overhead the parent did not ask for.
     """
     adopt_environment(env)
     os.environ[_IN_WORKER_ENV] = "1"
@@ -214,17 +207,17 @@ def _worker_main(
         kind = command[0]
         if kind == "close":
             break
-        fn, payload = command[1], command[2]
-        collect = len(command) > 3 and bool(command[3])
+        fn, payload, (collect, overrides) = command[1:]
         if collect:
             obs.reset()
             obs.enable()
         interrupted = False
         try:
-            if kind == "spmd":
-                result = fn(ctx, payload)
-            else:
-                result = fn(payload)
+            with settings.overridden(overrides):
+                if kind == "spmd":
+                    result = fn(ctx, payload)
+                else:
+                    result = fn(payload)
             reply = ("ok", result, None)
         except BaseException as exc:  # noqa: BLE001 - forwarded to parent
             if kind == "spmd":
@@ -362,9 +355,9 @@ class WorkerPool:
         if self.broken:
             raise PoolError("worker pool is broken; call get_pool() again")
         obs.counter("repro_pool_spmd_total").inc()
-        collect = obs.is_enabled()
+        context = (obs.is_enabled(), settings.snapshot())
         try:
-            return self._spmd_wait(fn, payload, collect, on_event)
+            return self._spmd_wait(fn, payload, context, on_event)
         except KeyboardInterrupt:
             # An interactive interrupt is a shutdown request, not a
             # worker crash: mark the pool closing *before* the atexit
@@ -374,10 +367,10 @@ class WorkerPool:
             self._broken = True
             raise
 
-    def _spmd_wait(self, fn, payload, collect, on_event) -> list[Any]:
+    def _spmd_wait(self, fn, payload, context, on_event) -> list[Any]:
         """The send/wait/collect body of :meth:`spmd`."""
         for pipe in self._pipes:
-            pipe.send(("spmd", fn, payload, collect))
+            pipe.send(("spmd", fn, payload, context))
         results: dict[int, Any] = {}
         errors: dict[int, tuple[str, str]] = {}
         pending = set(range(self.num_workers))
@@ -464,9 +457,9 @@ class WorkerPool:
             raise PoolError("worker pool is broken; call get_pool() again")
         items = list(items)
         obs.counter("repro_pool_tasks_total").inc(len(items))
-        collect = obs.is_enabled()
+        context = (obs.is_enabled(), settings.snapshot())
         try:
-            return self._map_tasks_wait(fn, items, collect)
+            return self._map_tasks_wait(fn, items, context)
         except KeyboardInterrupt:
             # Same contract as :meth:`spmd`: Ctrl-C means shutdown,
             # not a crash -- keep the crash counter clean.
@@ -474,7 +467,7 @@ class WorkerPool:
             self._broken = True
             raise
 
-    def _map_tasks_wait(self, fn, items: list, collect: bool) -> list:
+    def _map_tasks_wait(self, fn, items: list, context: tuple) -> list:
         """The dispatch/wait body of :meth:`map_tasks`."""
         results: list[Any] = [None] * len(items)
         first_error: tuple[int, str, str] | None = None
@@ -483,7 +476,7 @@ class WorkerPool:
         idle = list(range(self.num_workers))
         while next_item < len(items) and idle:
             worker = idle.pop()
-            self._pipes[worker].send(("task", fn, items[next_item], collect))
+            self._pipes[worker].send(("task", fn, items[next_item], context))
             inflight[worker] = next_item
             next_item += 1
         while inflight:
@@ -517,7 +510,7 @@ class WorkerPool:
                 elif first_error is None:
                     first_error = (index, reply[1], reply[2])
                 if next_item < len(items):
-                    self._pipes[worker].send(("task", fn, items[next_item], collect))
+                    self._pipes[worker].send(("task", fn, items[next_item], context))
                     inflight[worker] = next_item
                     next_item += 1
         if first_error is not None:

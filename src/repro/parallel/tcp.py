@@ -71,7 +71,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro import obs
+from repro import obs, settings
 from repro.core.runner import NUMERIC_QUBIT_LIMIT
 from repro.errors import PoolError, ValidationError
 from repro.parallel.pool import (
@@ -106,25 +106,14 @@ __all__ = [
     "shutdown_tcp_pools",
 ]
 
-#: Environment knob: comma-separated ``host[:port]`` worker entries.
-POOL_HOSTS_ENV = "REPRO_POOL_HOSTS"
-
-#: Environment knob: coordinator bind address (default ``127.0.0.1:0``).
-POOL_BIND_ENV = "REPRO_POOL_BIND"
-
-#: Environment knob: shared registration/mesh token.  Required when the
-#: host list has remote entries (the coordinator never logs the token);
-#: loopback-only pools generate a private one.
-POOL_TOKEN_ENV = "REPRO_POOL_TOKEN"
-
-#: Environment knob: exchange chunk size in amplitudes.
-CHUNK_AMPS_ENV = "REPRO_POOL_CHUNK_AMPS"
-
-#: Environment knob: checkpoint cadence in plan steps (0 disables).
-CHECKPOINT_STEPS_ENV = "REPRO_POOL_CHECKPOINT_STEPS"
-
-#: Environment knob: mesh stall-detection timeout in seconds (> 0).
-STALL_TIMEOUT_ENV = "REPRO_POOL_STALL_TIMEOUT"
+#: The TCP pool's environment knobs; :mod:`repro.settings` declares
+#: each with its parser, default and doc.
+POOL_HOSTS_ENV = settings.POOL_HOSTS.name
+POOL_BIND_ENV = settings.POOL_BIND.name
+POOL_TOKEN_ENV = settings.POOL_TOKEN.name
+CHUNK_AMPS_ENV = settings.POOL_CHUNK_AMPS.name
+CHECKPOINT_STEPS_ENV = settings.POOL_CHECKPOINT_STEPS.name
+STALL_TIMEOUT_ENV = settings.POOL_STALL_TIMEOUT.name
 
 #: Worker-loss restarts per ``run_plan`` before giving up.
 MAX_RESTARTS = 3
@@ -132,7 +121,7 @@ MAX_RESTARTS = 3
 #: Default exchange chunk: 2**15 amplitudes = 512 KiB per frame, small
 #: enough that a 4 MiB slice exchange pipelines ~8 update chunks behind
 #: the wire, large enough that header overhead stays <0.01%.
-DEFAULT_CHUNK_AMPS = 1 << 15
+DEFAULT_CHUNK_AMPS = int(settings.POOL_CHUNK_AMPS.default)
 
 _AMP_BYTES = 16  # complex128
 
@@ -214,18 +203,7 @@ def parse_hosts(spec) -> tuple[HostSpec, ...]:
         if isinstance(entry, HostSpec):
             out.append(entry)
             continue
-        entry = str(entry)
-        entry = entry.strip()
-        host, _, port_s = entry.partition(":")
-        try:
-            port = int(port_s) if port_s else 0
-        except ValueError:
-            raise ValidationError(
-                f"bad host entry {entry!r}: port must be an integer"
-            ) from None
-        if not (0 <= port < 65536):
-            raise ValidationError(f"bad host entry {entry!r}: port out of range")
-        out.append(HostSpec(host.strip(), port))
+        out.append(HostSpec(*settings.POOL_BIND.parse(str(entry), "host entry")))
     return tuple(out)
 
 
@@ -338,7 +316,7 @@ class TcpMeshTransport(RankTransport):
         self.store = store
         self._owned = frozenset(owned)
         self._slice_len = slice_len
-        self.chunk_amps = chunk_amps or _default_chunk_amps()
+        self.chunk_amps = chunk_amps or settings.get(settings.POOL_CHUNK_AMPS)
         #: Per-owned-rank send scratch (the "double buffer"): packed
         #: lazily on the first exchange that sends from that rank.
         self._scratch: dict[int, np.ndarray] = {}
@@ -662,52 +640,10 @@ class _BlobRecv:
         self.payload = payload
 
 
-def _default_chunk_amps() -> int:
-    env = os.environ.get(CHUNK_AMPS_ENV)
-    if env is None:
-        return DEFAULT_CHUNK_AMPS
-    try:
-        value = int(env)
-    except ValueError:
-        raise ValidationError(
-            f"{CHUNK_AMPS_ENV} must be an integer, got {env!r}"
-        ) from None
-    if value < 1:
-        raise ValidationError(f"{CHUNK_AMPS_ENV} must be >= 1, got {value}")
-    return value
-
-
 def resolve_stall_timeout() -> float:
     """Mesh stall-detection timeout: env override or the 300 s default."""
-    env = os.environ.get(STALL_TIMEOUT_ENV)
-    if env is None:
-        return _MESH_STALL_TIMEOUT_S
-    try:
-        value = float(env)
-    except ValueError:
-        raise ValidationError(
-            f"{STALL_TIMEOUT_ENV} must be a number of seconds, got {env!r}"
-        ) from None
-    if not value > 0:
-        raise ValidationError(
-            f"{STALL_TIMEOUT_ENV} must be > 0 seconds, got {env!r}"
-        )
-    return value
-
-
-def _checkpoint_steps_from_env() -> int | None:
-    env = os.environ.get(CHECKPOINT_STEPS_ENV)
-    if env is None:
-        return None
-    try:
-        value = int(env)
-    except ValueError:
-        raise ValidationError(
-            f"{CHECKPOINT_STEPS_ENV} must be an integer, got {env!r}"
-        ) from None
-    if value < 0:
-        raise ValidationError(f"{CHECKPOINT_STEPS_ENV} must be >= 0, got {value}")
-    return value
+    value = settings.get(settings.POOL_STALL_TIMEOUT)
+    return _MESH_STALL_TIMEOUT_S if value is None else value
 
 
 # -- worker side ---------------------------------------------------------------
@@ -864,14 +800,16 @@ def _worker_loop(ctrl, listener, worker_id, num_workers, token) -> None:
             elif kind == "ping":
                 _send_msg(ctrl, ("pong", worker_id))
             elif kind == "plan":
-                _, task, slices, collect = message
+                # The plan runs under the coordinator's settings.
+                _, task, slices, (collect, overrides) = message
                 if collect:
                     obs.reset()
                     obs.enable()
                 try:
-                    finals = _run_plan_in_worker(
-                        ctrl, peers, worker_id, num_workers, task, slices
-                    )
+                    with settings.overridden(overrides):
+                        finals = _run_plan_in_worker(
+                            ctrl, peers, worker_id, num_workers, task, slices
+                        )
                     reply = ("ok", finals, None)
                 except BaseException as exc:  # noqa: BLE001 - forwarded
                     reply = (
@@ -1002,22 +940,13 @@ class TcpPool:
 
     # -- lifecycle -------------------------------------------------------------
 
-    def _bind_address(self) -> tuple[str, int]:
-        spec = os.environ.get(POOL_BIND_ENV, "127.0.0.1:0")
-        host, _, port_s = spec.partition(":")
-        try:
-            return host or "127.0.0.1", int(port_s) if port_s else 0
-        except ValueError:
-            raise ValidationError(
-                f"{POOL_BIND_ENV} must be host[:port], got {spec!r}"
-            ) from None
-
     def _build(self) -> None:
         # Loopback-only pools mint a private token; remote entries need
         # a shared secret the operator distributes out of band (the
         # token authenticates both the control channel and the worker
         # mesh, and is deliberately never logged).
-        token = os.environ.get(POOL_TOKEN_ENV, "")
+        token = settings.get(settings.POOL_TOKEN)
+        bind_host, bind_port = settings.get(settings.POOL_BIND)
         if not token:
             if not all(spec.is_local for spec in self.hosts):
                 raise ValidationError(
@@ -1028,7 +957,7 @@ class TcpPool:
             token = secrets.token_hex(16)
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind(self._bind_address())
+        listener.bind((bind_host or "127.0.0.1", bind_port))
         # The default backlog, not one slot per worker: stray
         # connections queued during registration must not crowd out a
         # worker's connect.
@@ -1220,7 +1149,7 @@ class TcpPool:
             # An explicit 0 from the environment disables streaming (the
             # stepper treats a zero cadence as "never"); only an unset
             # variable falls back to the default.
-            env_steps = _checkpoint_steps_from_env()
+            env_steps = settings.get(settings.POOL_CHECKPOINT_STEPS)
             if env_steps is None and len(task.plan.steps) >= 8:
                 # Default cadence: four checkpoints across the plan.
                 env_steps = max(1, len(task.plan.steps) // 4)
@@ -1276,12 +1205,12 @@ class TcpPool:
     def _dispatch(self, task, slices, on_event) -> dict[int, np.ndarray]:
         from repro.statevector.partition import Partition
 
-        collect = obs.is_enabled()
+        context = (obs.is_enabled(), settings.snapshot())
         partition = Partition(task.num_qubits, task.num_ranks)
         for wid, sock in self._ctrl.items():
             owned = partition.ranks_for_worker(wid, self.num_workers)
             payload = {rank: slices.get(rank) for rank in owned}
-            _send_msg(sock, ("plan", task, payload, collect))
+            _send_msg(sock, ("plan", task, payload, context))
         finals: dict[int, np.ndarray] = {}
         errors: dict[int, tuple[str, str]] = {}
         lost: set[int] = set()
@@ -1391,7 +1320,10 @@ atexit.register(shutdown_tcp_pools)
 
 
 def main(argv=None) -> int:
-    """``python -m repro.parallel.tcp``: join a coordinator as one worker."""
+    """``python -m repro.parallel.tcp``: join a coordinator as one worker.
+
+    A bad flag or ``REPRO_*`` variable is a one-line error, exit 2.
+    """
     import argparse
 
     parser = argparse.ArgumentParser(
@@ -1409,7 +1341,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--token",
-        default=os.environ.get(POOL_TOKEN_ENV, ""),
+        default=settings.get(settings.POOL_TOKEN),
         help=f"registration token (or env {POOL_TOKEN_ENV}); also "
         "authenticates incoming mesh connections",
     )
@@ -1423,18 +1355,18 @@ def main(argv=None) -> int:
         "hosts",
     )
     args = parser.parse_args(argv)
-    if not args.token:
-        parser.error(f"--token (or env {POOL_TOKEN_ENV}) is required")
-    host, _, port_s = args.connect.partition(":")
-    bind_host, _, bind_port_s = args.bind.partition(":")
+    try:
+        if not args.token:
+            raise ValidationError(f"--token (or env {POOL_TOKEN_ENV}) is required")
+        settings.validate()
+        host, port = settings.POOL_BIND.parse(args.connect, "--connect")
+        bind_host, bind_port = settings.POOL_BIND.parse(args.bind, "--bind")
+    except ValidationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     os.environ[_IN_WORKER_ENV] = "1"
     _connect_and_serve(
-        host,
-        int(port_s or 0),
-        args.worker_id,
-        args.token,
-        bind_host or "0.0.0.0",
-        int(bind_port_s or 0),
+        host, port, args.worker_id, args.token, bind_host or "0.0.0.0", bind_port
     )
     return 0
 

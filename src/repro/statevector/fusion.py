@@ -33,11 +33,11 @@ derivation and re-calibration recipe.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from repro import settings
 from repro.errors import ValidationError
 from repro.gates import Gate
 
@@ -59,7 +59,7 @@ __all__ = [
 ]
 
 #: Environment knob: default fusion mode for newly compiled plans.
-FUSION_ENV = "REPRO_FUSION"
+FUSION_ENV = settings.FUSION.name
 
 #: Recognised fusion modes.
 FUSION_MODES = ("off", "diag", "full")
@@ -115,9 +115,9 @@ def parse_fusion(value: str) -> FusionConfig:
     mode, sep, arg = text.partition(":")
     if mode not in FUSION_MODES:
         raise ValidationError(
-            f"unknown fusion mode {value!r} (from ${FUSION_ENV} or "
-            f"--fusion); expected one of {FUSION_MODES}, optionally "
-            f"full:k with 2 <= k <= {MAX_BLOCK_QUBITS}"
+            f"unknown fusion mode {value!r}; expected one of "
+            f"{FUSION_MODES}, optionally full:k with 2 <= k <= "
+            f"{MAX_BLOCK_QUBITS}"
         )
     if not sep:
         if mode == "full":
@@ -145,18 +145,13 @@ def parse_fusion(value: str) -> FusionConfig:
 
 
 def resolve_fusion(value: str | FusionConfig | None = None) -> FusionConfig:
-    """Resolve a fusion request to a usable config.
-
-    Precedence: explicit ``value`` > ``REPRO_FUSION`` > ``"diag"``.  An
-    unset or empty variable means the default; a *wrong* value raises a
-    one-line :class:`~repro.errors.ValidationError` (the experiments
-    CLI validates this before any work starts).
-    """
+    """Resolve a fusion request: explicit ``value`` > ``REPRO_FUSION`` >
+    ``"diag"``.  A wrong value is a one-line ``ValidationError``."""
     if isinstance(value, FusionConfig):
         return value
     if value is None:
-        value = os.environ.get(FUSION_ENV) or "diag"
-    return parse_fusion(value)
+        return settings.get(settings.FUSION)
+    return settings.FUSION.parse(value, "fusion")
 
 
 # -- cost model ---------------------------------------------------------------

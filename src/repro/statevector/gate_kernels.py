@@ -34,12 +34,12 @@ agree on random gates.
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 
 import numpy as np
 
-from repro.errors import SimulationError, ValidationError
+from repro import settings
+from repro.errors import SimulationError
 from repro.statevector import gate_kernels_reference as _reference
 from repro.utils.bits import log2_exact
 
@@ -60,26 +60,11 @@ __all__ = [
 ]
 
 #: Recognised values of the ``REPRO_KERNELS`` environment variable.
-KERNEL_BACKENDS = ("strided", "reference")
+KERNEL_BACKENDS = settings.KERNELS.choices
 
-_ENV_VAR = "REPRO_KERNELS"
-
-
-def _resolve_backend(name: str) -> str:
-    name = name.strip().lower()
-    if name not in KERNEL_BACKENDS:
-        raise ValidationError(
-            f"unknown kernel backend {name!r} (from ${_ENV_VAR} or "
-            f"set_backend); expected one of {KERNEL_BACKENDS}"
-        )
-    return name
-
-
-# An unset or empty variable means the default; a *wrong* value raises
-# a one-line ValidationError on first use.  Resolution is deferred to
-# ``get_backend()`` rather than done at import so entry points (the
-# experiments CLI) can catch the error and report it cleanly instead of
-# the user seeing an import-time traceback.
+# Read once, on first use: a wrong ``REPRO_KERNELS`` raises a one-line
+# ValidationError there (or from ``settings.validate()``), never at
+# import.
 _backend: str | None = None
 
 
@@ -87,7 +72,7 @@ def get_backend() -> str:
     """The active kernel backend (``"strided"`` or ``"reference"``)."""
     global _backend
     if _backend is None:
-        _backend = _resolve_backend(os.environ.get(_ENV_VAR) or "strided")
+        _backend = settings.get(settings.KERNELS)
     return _backend
 
 
@@ -95,7 +80,7 @@ def set_backend(name: str) -> str:
     """Select the kernel backend at runtime; returns the previous one."""
     global _backend
     previous = get_backend()
-    _backend = _resolve_backend(name)
+    _backend = settings.KERNELS.parse(name, "set_backend")
     return previous
 
 
@@ -460,7 +445,7 @@ def register_fused_kernel(backend: str, fn) -> None:
     fused-block kernel for ``backend`` (a ``KERNEL_BACKENDS`` name).
     Returns nothing; replaces any previous registration.
     """
-    _FUSED_KERNELS[_resolve_backend(backend)] = fn
+    _FUSED_KERNELS[settings.KERNELS.parse(backend, "register_fused_kernel")] = fn
 
 
 def apply_unitary_batched(

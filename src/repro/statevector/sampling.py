@@ -16,11 +16,11 @@ on the post-measurement amplitudes bit for bit as well.
 from __future__ import annotations
 
 import numbers
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from repro import settings
 from repro.circuits.circuit import Circuit
 from repro.errors import ValidationError
 from repro.statevector.dense import DenseStatevector
@@ -29,32 +29,17 @@ from repro.statevector.partition import Partition
 __all__ = ["SHOTS_ENV", "SampleResult", "resolve_shots", "sample"]
 
 #: Environment knob: default shot count for sampling-aware entry points.
-SHOTS_ENV = "REPRO_SHOTS"
+SHOTS_ENV = settings.SHOTS.name
 
 
 def resolve_shots(value: int | None = None, *, default: int = 0) -> int:
-    """The shot count to use: explicit value, else ``$REPRO_SHOTS``.
-
-    ``None`` means "not requested" and falls back to the env knob, then
-    to ``default``.  A non-integer or negative count fails with a
-    one-line :class:`ValidationError` -- never silently ignored.
-    """
-    source = "shots"
+    """The shot count: explicit ``value``, else ``$REPRO_SHOTS``, else
+    ``default``.  A bad count is a one-line :class:`ValidationError`."""
     if value is None:
-        raw = os.environ.get(SHOTS_ENV)
-        if raw is None or not raw.strip():
-            return default
-        source = f"${SHOTS_ENV}"
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ValidationError(
-                f"shots must be an integer, got {raw!r} (from {source})"
-            ) from None
+        value = settings.get(settings.SHOTS)
+        return default if value is None else value
     if value < 0:
-        raise ValidationError(
-            f"shots must be >= 0, got {value} (from {source})"
-        )
+        raise settings.SHOTS.error(value, "shots")
     return value
 
 

@@ -27,9 +27,7 @@ fails with a one-line :class:`~repro.errors.ValidationError`.
 
 from __future__ import annotations
 
-import os
-
-from repro import obs
+from repro import obs, settings
 from repro.circuits.circuit import Circuit
 from repro.errors import ValidationError
 from repro.statevector.partition import Partition
@@ -78,34 +76,21 @@ __all__ = [
 ]
 
 #: Recognised strategies, in increasing communication savings.
-STRATEGIES = ("naive", "blocked", "grouped")
+STRATEGIES = settings.TRANSPILE.choices
 
 #: Environment knob: selects a strategy when the caller passes none.
-TRANSPILE_ENV = "REPRO_TRANSPILE"
+TRANSPILE_ENV = settings.TRANSPILE.name
 
 
 def resolve_strategy(
     value: str | None = None, *, default: str | None = None
 ) -> str | None:
-    """The strategy to use: explicit value, else ``$REPRO_TRANSPILE``.
-
-    ``None``/empty means "not requested" and yields ``default``.  An
-    unknown name fails with a one-line :class:`ValidationError` naming
-    the valid set -- never silently ignored.
-    """
-    source = "strategy"
+    """The strategy: explicit ``value``, else ``$REPRO_TRANSPILE``, else
+    ``default``.  An unknown name is a one-line :class:`ValidationError`."""
     if value is None:
-        value = os.environ.get(TRANSPILE_ENV) or None
-        source = f"${TRANSPILE_ENV}"
-    if value is None:
-        return default
-    name = value.strip().lower()
-    if name not in STRATEGIES:
-        raise ValidationError(
-            f"unknown transpile strategy {value!r} (from {source}); "
-            f"expected one of {STRATEGIES}"
-        )
-    return name
+        value = settings.get(settings.TRANSPILE)
+        return default if value is None else value
+    return settings.TRANSPILE.parse(value, "strategy")
 
 
 def build_pipeline(

@@ -11,12 +11,15 @@ JSON document (byte-identical for identical requests).
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
+from repro import settings
 from repro.errors import ReproError
 
 __all__ = ["main"]
+
+#: ``--shots`` prices N readout shots into every candidate point.
+_FLAGS = (settings.SHOTS, settings.CACHE_DIR)
 
 
 def _fail(message: str) -> int:
@@ -95,13 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--shots", type=int, default=None, metavar="N",
-        help=(
-            "price N readout shots into every candidate point "
-            "(default: 0, or $REPRO_SHOTS)"
-        ),
-    )
-    parser.add_argument(
         "--seed", type=int, default=None, metavar="N",
         help="workload seed for seeded families (default: 23)",
     )
@@ -117,13 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true",
         help="print the canonical JSON document instead of the table",
     )
-    parser.add_argument(
-        "--cache", metavar="DIR",
-        help=(
-            "enable the content-addressed prediction cache rooted at DIR "
-            "(equivalent to setting REPRO_CACHE_DIR)"
-        ),
-    )
+    settings.add_flags(parser, *_FLAGS)
     return parser
 
 
@@ -160,19 +150,19 @@ def _build_space(args) -> "LeverSpace":
 def main(argv: list[str] | None = None) -> int:
     """CLI driver (returns a process exit code)."""
     args = build_parser().parse_args(argv)
-    if args.cache:
-        if os.path.isfile(args.cache):
-            return _fail(
-                f"--cache path exists and is a regular file: {args.cache}"
-            )
-        os.environ["REPRO_CACHE_DIR"] = args.cache
+    with settings.flags_applied(args, *_FLAGS):
+        return _run(args)
 
+
+def _run(args: argparse.Namespace) -> int:
+    """Everything after argument parsing, under the flags' settings."""
     from repro.statevector.sampling import resolve_shots
     from repro.tune.search import Constraint, tune
     from repro.tune.workloads import DEFAULT_SEED, parse_workload
 
     try:
-        shots = resolve_shots(args.shots)
+        settings.validate()
+        shots = resolve_shots()
         workload = parse_workload(
             args.workload,
             seed=args.seed if args.seed is not None else DEFAULT_SEED,

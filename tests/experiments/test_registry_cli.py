@@ -154,10 +154,26 @@ class TestEnvSeamValidation:
         assert main(["--shots", "-2", "--list"]) == 2
         assert "shots" in capsys.readouterr().err
 
-    def test_shots_flag_exports_env(self, monkeypatch, capsys):
-        monkeypatch.delenv("REPRO_SHOTS", raising=False)
+    def test_shots_flag_reaches_experiment_without_touching_env(
+        self, monkeypatch, capsys
+    ):
+        import json
         import os
 
-        assert main(["--shots", "256", "fig1"]) == 0
-        assert os.environ.get("REPRO_SHOTS") == "256"
+        from repro.experiments import registry
+        from repro.statevector.sampling import resolve_shots
+
+        def probe():
+            return ExperimentResult(
+                "probe", "shots probe", ["shots"],
+                metrics={"shots": resolve_shots()},
+            )
+
+        monkeypatch.setitem(registry.EXPERIMENTS, "probe", probe)
         monkeypatch.delenv("REPRO_SHOTS", raising=False)
+        environ = dict(os.environ)
+        assert main(["--shots", "256", "--json", "probe"]) == 0
+        [doc] = json.loads(capsys.readouterr().out)
+        assert doc["metrics"]["shots"] == 256
+        assert dict(os.environ) == environ
+        assert resolve_shots() == 0  # the flag's scope ended with main()

@@ -73,6 +73,17 @@ def task_pid(_x):
     return os.getpid()
 
 
+def task_settings(_x):
+    from repro.statevector.sampling import resolve_shots
+    from repro.transpile import resolve_strategy
+
+    return (resolve_strategy(), resolve_shots())
+
+
+def spmd_settings(ctx, payload):
+    return task_settings(payload)
+
+
 # -- tests --------------------------------------------------------------------
 
 
@@ -189,6 +200,40 @@ class TestFailureRecovery:
         shutdown_pool()
         pool = get_pool()
         assert pool.spmd(spmd_identity, None)[0][0] == 0
+
+
+class TestSettingsReachRunningWorkers:
+    """Workers adopt the environment once; every command then carries
+    the caller's settings, so later changes reach a running pool."""
+
+    def test_env_and_overrides_set_after_start(self, monkeypatch):
+        from repro import settings
+
+        monkeypatch.delenv("REPRO_TRANSPILE", raising=False)
+        monkeypatch.delenv("REPRO_SHOTS", raising=False)
+        pool = get_pool()
+        assert pool.map_tasks(task_settings, [0, 1]) == [(None, 0)] * 2
+        monkeypatch.setenv("REPRO_TRANSPILE", "naive")
+        with settings.overridden({"REPRO_SHOTS": "256"}):
+            expected = ("naive", 256)
+            assert pool.map_tasks(task_settings, [0, 1]) == [expected] * 2
+            assert pool.spmd(spmd_settings, None) == [expected] * pool.num_workers
+        assert pool.map_tasks(task_settings, [0]) == [("naive", 0)]
+
+    def test_experiment_overrides_reach_the_global_pool(
+        self, tmp_path, monkeypatch
+    ):
+        from repro import settings
+        from repro.experiments.parallel_runner import run_experiments_parallel
+        from repro.parallel.cache import CACHE_DIR_ENV
+
+        monkeypatch.delenv(CACHE_DIR_ENV, raising=False)
+        get_pool()  # already running before the override exists
+        cache = tmp_path / "cache"
+        with settings.overridden({CACHE_DIR_ENV: str(cache)}):
+            outcomes = run_experiments_parallel(["tab1", "fig5"], jobs=None)
+        assert [error for _, _, error in outcomes] == [None, None]
+        assert list(cache.glob("*/*.pkl"))  # the workers priced into it
 
 
 class TestNestedPoolGuard:

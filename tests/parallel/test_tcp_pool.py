@@ -400,6 +400,21 @@ class TestPoolLifecycle:
         finally:
             pool.close()
 
+    def test_settings_changed_after_start_reach_workers(self, monkeypatch):
+        # Workers adopt the environment once, at start; each plan then
+        # runs under the coordinator's current settings.  A stall
+        # timeout the workers reject proves they saw the override.
+        from repro import settings
+
+        monkeypatch.delenv(tcp_mod.STALL_TIMEOUT_ENV, raising=False)
+        _tcp(6, 4, qft_circuit(6))  # the pool is up and has served
+        with settings.overridden({tcp_mod.STALL_TIMEOUT_ENV: "nan"}):
+            with pytest.raises(PoolError, match="REPRO_POOL_STALL_TIMEOUT"):
+                _tcp(6, 4, qft_circuit(6))
+        assert np.array_equal(
+            _tcp(6, 4, qft_circuit(6)), _serial(6, 4, qft_circuit(6))
+        )
+
     def test_nested_pool_rejected(self, monkeypatch):
         from repro.parallel.pool import _IN_WORKER_ENV
 
