@@ -15,17 +15,12 @@ import sys
 
 from repro import settings
 from repro.errors import ValidationError
+from repro.utils.cli import ArgumentParser, fail
 
 __all__ = ["main"]
 
 #: The settings whose variables these flags override, for one command.
 _FLAGS = (settings.CACHE_DIR, settings.TRANSPILE, settings.FUSION, settings.SHOTS)
-
-
-def _fail(message: str) -> int:
-    """One-line usage error on stderr; exit status 2 (argparse's code)."""
-    print(f"error: {message}", file=sys.stderr)
-    return 2
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -37,7 +32,7 @@ def main(argv: list[str] | None = None) -> int:
         from repro.tune.cli import main as tune_main
 
         return tune_main(raw[1:])
-    parser = argparse.ArgumentParser(
+    parser = ArgumentParser(
         prog="repro-experiments",
         description=(
             "Regenerate the tables and figures of 'Energy Efficiency of "
@@ -108,7 +103,7 @@ def _run(args: argparse.Namespace) -> int:
     try:
         settings.validate()
     except ValidationError as exc:
-        return _fail(str(exc))
+        return fail(str(exc))
 
     from repro.experiments.registry import experiment_ids
 
@@ -120,7 +115,7 @@ def _run(args: argparse.Namespace) -> int:
     # Rejected here with a one-line error, not a traceback from deep
     # inside parallel_runner.
     if args.jobs is not None and args.jobs < 1:
-        return _fail(f"--jobs must be >= 1, got {args.jobs}")
+        return fail(f"--jobs must be >= 1, got {args.jobs}")
 
     from repro import obs
 

@@ -32,7 +32,10 @@ original input state) instead of aborting -- up to
 
 Wire formats (all integers big-endian):
 
-* control channel: ``u64 length`` + pickled tuple;
+* control channel: ``u64 pickle_len, u32 count`` and ``count`` times
+  ``u64 buffer_len``, then a protocol-5 pickled tuple and its
+  ``count`` out-of-band buffers as raw bytes (rank slices and other
+  buffers of at least 64 KiB; smaller ones stay in the pickle);
 * mesh HELLO (once per connection): ``u32 worker_id, u32 token_len``
   + token bytes -- the same registration token the control channel
   checks, so only authenticated workers can join the mesh;
@@ -54,6 +57,17 @@ Wire formats (all integers big-endian):
 """
 
 from __future__ import annotations
+
+if __name__ == "__main__":
+    # ``python -m repro.parallel.tcp`` runs this file as ``__main__``.
+    # Hand over to the imported module before defining anything, so the
+    # process holds one copy of the module state (its pools, atexit
+    # hook and classes) however often ``repro.parallel.tcp`` is imported.
+    import sys
+
+    from repro.parallel.tcp import main
+
+    sys.exit(main())
 
 import atexit
 import multiprocessing as mp
@@ -126,7 +140,8 @@ DEFAULT_CHUNK_AMPS = int(settings.POOL_CHUNK_AMPS.default)
 _AMP_BYTES = 16  # complex128
 
 _HELLO = struct.Struct("!II")  # worker_id, token_len (token bytes follow)
-_MSG_LEN = struct.Struct("!Q")
+_MSG_LEN = struct.Struct("!Q")  # control frame: pickle length
+_MSG_COUNT = struct.Struct("!I")  # then out-of-band buffer count
 _FRAME = struct.Struct("!BIIQQ")  # kind, exchange, seq, offset, length
 _KIND_DATA = 1
 _KIND_ABORT = 2
@@ -143,7 +158,18 @@ _MSG_MAX_BYTES = (_AMP_BYTES << NUMERIC_QUBIT_LIMIT) + (64 << 20)
 
 #: Upper bound on the registration frame, the one frame read before
 #: the sender is authenticated (``("register", id, token, address)``).
+#: It is below :data:`_OOB_MIN_BYTES`, so the frame may announce no
+#: out-of-band buffer.
 _REGISTER_MAX_BYTES = 4 * _TOKEN_MAX_BYTES
+
+#: Smallest buffer a control frame sends out of band; smaller ones stay
+#: in the pickle stream.  A frame bounded by ``max_bytes`` thus carries
+#: at most ``max_bytes // _OOB_MIN_BYTES`` buffers, which bounds the
+#: length table read before any buffer is allocated.
+_OOB_MIN_BYTES = 64 << 10
+
+#: Parts per ``sendmsg`` call (Linux ``IOV_MAX``).
+_IOV_MAX = 1024
 
 _CONNECT_TIMEOUT_S = 30.0
 _DRAIN_TIMEOUT_S = 5.0
@@ -210,31 +236,121 @@ def parse_hosts(spec) -> tuple[HostSpec, ...]:
 # -- control-channel framing ---------------------------------------------------
 
 
-def _recv_exact(sock: socket.socket, count: int) -> bytearray:
+class _FrameCut(PoolError, EOFError):
+    """The peer closed its connection partway through a frame: a
+    malformed frame, and a lost connection to every caller that
+    handles ``EOFError``."""
+
+
+def _recv_exact(
+    sock: socket.socket, count: int, at_boundary: bool = False
+) -> bytearray:
+    """``count`` bytes; see :func:`_recv_into`."""
     buf = bytearray(count)
-    view = memoryview(buf)
+    _recv_into(sock, memoryview(buf), at_boundary)
+    return buf
+
+
+def _recv_into(
+    sock: socket.socket, view: memoryview, at_boundary: bool = False
+) -> None:
+    """Fill ``view``.  End of stream raises :class:`_FrameCut`, or a
+    plain ``EOFError`` when it comes before the first byte of a read
+    ``at_boundary`` (the peer closed between frames)."""
+    count = len(view)
     got = 0
     while got < count:
         n = sock.recv_into(view[got:])
         if not n:
+            if got or not at_boundary:
+                raise _FrameCut(
+                    f"peer closed the connection {got} bytes into a "
+                    f"{count}-byte read"
+                )
             raise EOFError("peer closed the connection")
         got += n
-    return buf
 
 
-def _send_msg(sock: socket.socket, message) -> None:
-    data = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
-    sock.sendall(_MSG_LEN.pack(len(data)) + data)
+def _send_msg(sock: socket.socket, message) -> int:
+    """Send one control frame; returns its size in bytes.
+
+    Buffers of at least :data:`_OOB_MIN_BYTES` (rank slices, large
+    matrices) leave the pickle stream as protocol-5 out-of-band
+    buffers and go to the socket straight from their arrays.
+    """
+    buffers: list[memoryview] = []
+
+    def out_of_band(buf: pickle.PickleBuffer) -> bool:
+        raw = buf.raw()
+        if raw.nbytes < _OOB_MIN_BYTES:
+            return True  # a true return keeps the buffer in-band
+        buffers.append(raw)
+        return False
+
+    data = pickle.dumps(message, protocol=5, buffer_callback=out_of_band)
+    sizes = [buf.nbytes for buf in buffers]
+    # ``_MSG_LEN``, ``_MSG_COUNT``, then one ``!Q`` length per buffer.
+    header = struct.pack(f"!QI{len(sizes)}Q", len(data), len(sizes), *sizes)
+    parts = [memoryview(part) for part in (header, data, *buffers)]
+    first = 0
+    while first < len(parts):
+        sent = sock.sendmsg(parts[first : first + _IOV_MAX])
+        while sent:  # skip what went out; a part cut short resumes
+            if sent < len(parts[first]):
+                parts[first] = parts[first][sent:]
+                break
+            sent -= len(parts[first])
+            first += 1
+    return len(header) + len(data) + sum(sizes)
 
 
-def _recv_msg(sock: socket.socket, max_bytes: int = _MSG_MAX_BYTES):
-    """One control frame, unpickled; a length above ``max_bytes`` raises."""
-    (length,) = _MSG_LEN.unpack(_recv_exact(sock, _MSG_LEN.size))
+def _recv_frame(sock: socket.socket, max_bytes: int = _MSG_MAX_BYTES):
+    """One control frame: ``(message, size in bytes)``.
+
+    The pickle length, the buffer count and the sum of all lengths are
+    checked against ``max_bytes`` before anything else is allocated or
+    read.  The buffers are then received into one ``bytearray``, each
+    at a 16-byte aligned offset (malloc's alignment, at least any numpy
+    dtype's), so the arrays unpickled from them are writable and
+    aligned.  One allocation per frame, not one per buffer: glibc sets
+    its mmap threshold from the blocks freed, and a block per slice
+    left later large allocations in the coordinator paying page faults
+    (qaoa16-sample's shm and TCP legs ran about 25% slower).
+    """
+    head = _recv_exact(sock, _MSG_LEN.size, at_boundary=True)
+    (length,) = _MSG_LEN.unpack(head)
     if length > max_bytes:
         raise PoolError(
             f"control frame of {length} bytes exceeds the {max_bytes}-byte bound"
         )
-    return pickle.loads(_recv_exact(sock, length))
+    (count,) = _MSG_COUNT.unpack(_recv_exact(sock, _MSG_COUNT.size))
+    if count > max_bytes // _OOB_MIN_BYTES:
+        raise PoolError(
+            f"control frame announces {count} out-of-band buffers; a "
+            f"{max_bytes}-byte frame carries at most "
+            f"{max_bytes // _OOB_MIN_BYTES}"
+        )
+    sizes = struct.unpack(f"!{count}Q", _recv_exact(sock, 8 * count))
+    total = length + sum(sizes)
+    if total > max_bytes:
+        raise PoolError(
+            f"control frame of {total} bytes exceeds the {max_bytes}-byte bound"
+        )
+    data = _recv_exact(sock, length)
+    offsets = [0]
+    for size in sizes:
+        offsets.append(offsets[-1] + -(-size // 16) * 16)
+    payload = memoryview(bytearray(offsets[-1]))
+    buffers = [payload[lo : lo + size] for lo, size in zip(offsets, sizes)]
+    for buf in buffers:
+        _recv_into(sock, buf)
+    size = _MSG_LEN.size + _MSG_COUNT.size + 8 * count + total
+    return pickle.loads(data, buffers=buffers), size
+
+
+def _recv_msg(sock: socket.socket, max_bytes: int = _MSG_MAX_BYTES):
+    """One control frame, unpickled; see :func:`_recv_frame`."""
+    return _recv_frame(sock, max_bytes)[0]
 
 
 def _tune_socket(sock: socket.socket) -> None:
@@ -760,7 +876,12 @@ def _run_plan_in_worker(ctrl, peers, worker_id, num_workers, task, slices):
 
     def checkpoint(step_index):
         obs.counter("repro_pool_checkpoint_streams_total").inc()
+        t0 = time.perf_counter() if obs.is_enabled() else None
         _send_msg(ctrl, ("ckpt", step_index, {r: local[r] for r in owned}))
+        if t0 is not None:
+            obs.histogram("repro_pool_checkpoint_seconds").observe(
+                time.perf_counter() - t0
+            )
 
     try:
         execute_plan(
@@ -1207,10 +1328,11 @@ class TcpPool:
 
         context = (obs.is_enabled(), settings.snapshot())
         partition = Partition(task.num_qubits, task.num_ranks)
+        ctrl_bytes = 0
         for wid, sock in self._ctrl.items():
             owned = partition.ranks_for_worker(wid, self.num_workers)
             payload = {rank: slices.get(rank) for rank in owned}
-            _send_msg(sock, ("plan", task, payload, context))
+            ctrl_bytes += _send_msg(sock, ("plan", task, payload, context))
         finals: dict[int, np.ndarray] = {}
         errors: dict[int, tuple[str, str]] = {}
         lost: set[int] = set()
@@ -1233,12 +1355,13 @@ class TcpPool:
                     if wid not in pending:
                         continue
                     try:
-                        message = _recv_msg(key.fileobj)
+                        message, size = _recv_frame(key.fileobj)
                     except (EOFError, OSError):
                         lost.add(wid)
                         pending.discard(wid)
                         sel.unregister(key.fileobj)
                         continue
+                    ctrl_bytes += size
                     kind = message[0]
                     if kind == "event":
                         if on_event is not None:
@@ -1267,6 +1390,10 @@ class TcpPool:
                             obs.merge_state(message[3])
         finally:
             sel.close()
+            if obs.is_enabled():
+                obs.counter(
+                    "repro_transport_bytes_total", transport="tcp", direction="ctrl"
+                ).inc(ctrl_bytes)
         if lost:
             raise _WorkerLost(lost, last_ckpt)
         if errors:
@@ -1322,11 +1449,13 @@ atexit.register(shutdown_tcp_pools)
 def main(argv=None) -> int:
     """``python -m repro.parallel.tcp``: join a coordinator as one worker.
 
-    A bad flag or ``REPRO_*`` variable is a one-line error, exit 2.
+    A bad flag or ``REPRO_*`` variable is a one-line error, exit 2; a
+    coordinator that cannot be reached, or that drops this worker, is a
+    one-line error, exit 1.
     """
-    import argparse
+    from repro.utils.cli import ArgumentParser, fail
 
-    parser = argparse.ArgumentParser(
+    parser = ArgumentParser(
         prog="python -m repro.parallel.tcp",
         description="Join a repro TCP worker pool from another host.",
     )
@@ -1362,14 +1491,12 @@ def main(argv=None) -> int:
         host, port = settings.POOL_BIND.parse(args.connect, "--connect")
         bind_host, bind_port = settings.POOL_BIND.parse(args.bind, "--bind")
     except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return fail(str(exc))
     os.environ[_IN_WORKER_ENV] = "1"
-    _connect_and_serve(
-        host, port, args.worker_id, args.token, bind_host or "0.0.0.0", bind_port
-    )
+    try:
+        _connect_and_serve(
+            host, port, args.worker_id, args.token, bind_host or "0.0.0.0", bind_port
+        )
+    except (OSError, EOFError, PoolError) as exc:
+        return fail(f"coordinator {args.connect}: {exc}", 1)
     return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via CLI docs
-    sys.exit(main())

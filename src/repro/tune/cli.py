@@ -15,17 +15,12 @@ import sys
 
 from repro import settings
 from repro.errors import ReproError
+from repro.utils.cli import ArgumentParser, fail
 
 __all__ = ["main"]
 
 #: ``--shots`` prices N readout shots into every candidate point.
 _FLAGS = (settings.SHOTS, settings.CACHE_DIR)
-
-
-def _fail(message: str) -> int:
-    """One-line usage error on stderr; exit status 2 (argparse's code)."""
-    print(f"error: {message}", file=sys.stderr)
-    return 2
 
 
 def _csv(text: str) -> list[str]:
@@ -34,7 +29,7 @@ def _csv(text: str) -> list[str]:
 
 def build_parser() -> argparse.ArgumentParser:
     """The tune subcommand's argument parser."""
-    parser = argparse.ArgumentParser(
+    parser = ArgumentParser(
         prog="repro-tune",
         description=(
             "Search the lever space (frequency, nodes, ranks-per-node, "
@@ -182,7 +177,7 @@ def _run(args: argparse.Namespace) -> int:
             shots=shots,
         )
     except (ReproError, ValueError) as exc:
-        return _fail(str(exc))
+        return fail(str(exc))
 
     if args.json:
         sys.stdout.write(result.to_json())

@@ -2,12 +2,23 @@
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import itertools
+import os
 import pickle
 import socket
+import struct
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import settings as hsettings
+from hypothesis import strategies as st
 
 from repro import obs
 from repro.circuits.qft import qft_circuit
@@ -605,3 +616,278 @@ class _Tripwire:
 
     def __reduce__(self):
         return (_tripwire_fired, ())
+
+
+# -- out-of-band control frames ------------------------------------------------
+
+#: A small frame bound for the fuzz: at most 16 out-of-band buffers.
+_FUZZ_MAX = 1 << 20
+
+
+class _Capture:
+    """Socket stand-in recording what ``_send_msg`` writes; each
+    ``sendmsg`` call takes at most ``limit`` bytes (a short send)."""
+
+    def __init__(self, limit=None):
+        self.data = bytearray()
+        self.limit = limit
+
+    def sendmsg(self, parts):
+        taken = b"".join(parts)[: self.limit]
+        self.data += taken
+        return len(taken)
+
+
+def _frame_of(message, limit=None) -> bytes:
+    sink = _Capture(limit)
+    assert tcp_mod._send_msg(sink, message) == len(sink.data)
+    return bytes(sink.data)
+
+
+@contextlib.contextmanager
+def _recorded_reads():
+    """Every byte count ``_recv_frame`` asks to read, in order."""
+    reads: list[int] = []
+    real = tcp_mod._recv_into
+
+    def recording(sock, view, at_boundary=False):
+        reads.append(len(view))
+        return real(sock, view, at_boundary)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tcp_mod, "_recv_into", recording)
+        yield reads
+
+
+def _receive(raw: bytes, max_bytes: int = tcp_mod._MSG_MAX_BYTES):
+    """``_recv_frame`` over a socketpair whose peer sends ``raw`` and
+    closes; a read waiting for bytes never sent fails, it cannot hang."""
+    ours, theirs = socket.socketpair()
+    try:
+        ours.settimeout(5)
+        theirs.sendall(raw)
+        theirs.shutdown(socket.SHUT_WR)
+        return tcp_mod._recv_frame(ours, max_bytes)
+    finally:
+        ours.close()
+        theirs.close()
+
+
+def _ckpt(amps: int, ranks=(0, 3)):
+    rng = np.random.default_rng(amps)
+    part = {
+        r: rng.standard_normal(amps) + 1j * rng.standard_normal(amps)
+        for r in ranks
+    }
+    return ("ckpt", 7, part)
+
+
+@functools.cache
+def _two_buffer_frame() -> bytes:
+    return _frame_of(_ckpt(1 << 12))
+
+
+class TestOutOfBandFrames:
+    @pytest.mark.parametrize("amps", [1 << 12, 1 << 16, 1 << 20])
+    def test_ckpt_round_trip_is_bitwise_and_writable(self, amps):
+        message = _ckpt(amps)
+        ours, theirs = socket.socketpair()
+        sender = threading.Thread(target=tcp_mod._send_msg, args=(theirs, message))
+        try:
+            sender.start()
+            with _recorded_reads() as reads:
+                got, size = tcp_mod._recv_frame(ours)
+            sender.join(timeout=30)
+        finally:
+            ours.close()
+            theirs.close()
+        assert got[:2] == ("ckpt", 7) and set(got[2]) == {0, 3}
+        for rank, sent in message[2].items():
+            assert got[2][rank].tobytes() == sent.tobytes()
+            assert got[2][rank].flags.writeable
+            assert got[2][rank].flags.aligned
+        # Header reads, then the pickle: two out-of-band buffers, and a
+        # pickle part that does not grow with the slices.
+        length, count, table = reads[:3]
+        assert (length, count, table) == (8, 4, 16)
+        assert reads[3] < 1024
+        assert reads[4:] == [amps * 16] * 2
+        assert size == sum(reads)
+
+    def test_short_sends_write_the_same_frame(self):
+        message = _ckpt(1 << 12)
+        full = _frame_of(message)
+        assert _frame_of(message, limit=1000) == full
+        got, size = _receive(full)
+        assert size == len(full)
+        assert got[2][3].tobytes() == message[2][3].tobytes()
+
+    def test_buffers_after_an_odd_length_one_stay_aligned(self):
+        odd = np.arange(16385, dtype=np.float32)  # 65540 B: not 8-aligned
+        amps = np.arange(4096, dtype=np.complex128)
+        got, _ = _receive(_frame_of(("ok", odd, amps)))
+        assert got[1].tobytes() == odd.tobytes()
+        assert got[2].tobytes() == amps.tobytes() and got[2].flags.aligned
+
+    def test_small_buffers_stay_in_band(self):
+        # A plan's gate matrices are small: out of band they would cost
+        # a buffer each, in band they cost nothing extra.
+        frame = _frame_of(("plan", np.eye(4, dtype=np.complex128)))
+        (count,) = tcp_mod._MSG_COUNT.unpack_from(frame, tcp_mod._MSG_LEN.size)
+        assert count == 0
+        got, _ = _receive(frame)
+        assert np.array_equal(got[1], np.eye(4)) and got[1].flags.writeable
+
+    @given(
+        length=st.one_of(
+            st.integers(1, 2 * _FUZZ_MAX), st.integers(1, (1 << 64) - 1)
+        ),
+        count=st.one_of(st.integers(0, 20), st.integers(0, (1 << 32) - 1)),
+        sizes=st.lists(
+            st.one_of(
+                st.integers(0, _FUZZ_MAX), st.integers(0, (1 << 64) - 1)
+            ),
+            max_size=16,
+        ),
+    )
+    @hsettings(max_examples=200, deadline=None)
+    def test_header_fuzz_raises_before_allocating(self, length, count, sizes):
+        table = sizes[:count]
+        raw = (
+            tcp_mod._MSG_LEN.pack(length)
+            + tcp_mod._MSG_COUNT.pack(count)
+            + struct.pack(f"!{len(table)}Q", *table)
+        )
+        with _recorded_reads() as reads, pytest.raises(PoolError):
+            _receive(raw, _FUZZ_MAX)
+        # Only the header is read while any announced length is past
+        # the bound, and no read is ever larger than the bound.
+        if length > _FUZZ_MAX:
+            assert reads == [8]
+        elif count > _FUZZ_MAX // tcp_mod._OOB_MIN_BYTES:
+            assert reads == [8, 4]
+        elif len(table) == count and length + sum(table) > _FUZZ_MAX:
+            assert reads == [8, 4, 8 * count]
+        assert max(reads) <= _FUZZ_MAX
+
+    def test_truncation_at_every_boundary_is_a_pool_error(self):
+        raw = _two_buffer_frame()
+        _, count = struct.unpack_from("!QI", raw)
+        with _recorded_reads() as reads:
+            _receive(raw)
+        boundaries = set(itertools.accumulate(reads))
+        cuts = {b + d for b in boundaries | {1} for d in (-1, 0, 1)}
+        cuts = sorted(c for c in cuts if 0 < c < len(raw))
+        assert count == 2 and len(cuts) > 15
+        for cut in cuts:
+            with pytest.raises(PoolError, match="peer closed"):
+                _receive(raw[:cut])
+        # Nothing at all is a clean close between frames, not a cut.
+        with pytest.raises(EOFError) as clean:
+            _receive(b"")
+        assert not isinstance(clean.value, PoolError)
+
+    @given(data=st.data())
+    @hsettings(max_examples=50, deadline=None)
+    def test_truncation_anywhere_is_a_pool_error(self, data):
+        raw = _two_buffer_frame()
+        cut = data.draw(st.integers(1, len(raw) - 1))
+        with pytest.raises(PoolError, match="peer closed"):
+            _receive(raw[:cut])
+
+    def test_registration_with_out_of_band_buffer_is_malformed(self, monkeypatch):
+        # The pre-auth frame is bounded below the out-of-band floor, so
+        # a frame announcing any buffer is refused from its header --
+        # however small that buffer is.
+        register = ("register", 0, "not-the-token", ("127.0.0.1", 1))
+        frames = [
+            _frame_of(register + (np.zeros(1 << 12, dtype=np.complex128),)),
+            tcp_mod._MSG_LEN.pack(1)
+            + tcp_mod._MSG_COUNT.pack(1)
+            + struct.pack("!Q", 0)
+            + b".",
+        ]
+        context = _GarbageFirst(tcp_mod.start_context(), frames)
+        monkeypatch.setattr(tcp_mod, "start_context", lambda: context)
+        rejected = obs.counter(
+            "repro_pool_rejected_connections_total", reason="malformed"
+        )
+        before = rejected.value
+        pool = TcpPool(LOOPBACK2)
+        try:
+            assert len(pool.probe(1)) == 1
+        finally:
+            pool.close()
+            for client in context.clients:
+                client.close()
+        assert rejected.value - before == 2
+
+
+class TestControlChannelMetrics:
+    def test_traced_run_counts_ctrl_bytes_and_checkpoint_time(self, monkeypatch):
+        monkeypatch.setenv(tcp_mod.CHECKPOINT_STEPS_ENV, "2")
+        circuit = qft_circuit(10)
+        ctrl = obs.counter(
+            "repro_transport_bytes_total", transport="tcp", direction="ctrl"
+        )
+        seconds = obs.histogram("repro_pool_checkpoint_seconds")
+        streams = obs.counter("repro_pool_checkpoint_streams_total")
+        was_enabled = obs.is_enabled()
+        obs.enable()
+        try:
+            before = (ctrl.value, seconds.count, streams.value)
+            traced = _tcp(10, 8, circuit)
+            after = (ctrl.value, seconds.count, streams.value)
+        finally:
+            if not was_enabled:
+                obs.disable()
+        # The finals alone are the whole 16 KiB state.
+        assert after[0] - before[0] >= 16 << 10
+        assert after[2] - before[2] >= 2  # merged from both workers
+        assert after[1] - before[1] == after[2] - before[2]
+        if not was_enabled:
+            # Untraced, neither side measures the control channel.
+            assert np.array_equal(_tcp(10, 8, circuit), traced)
+            assert (ctrl.value, seconds.count) == after[:2]
+
+
+class TestJoinCommand:
+    """``python -m repro.parallel.tcp`` in a fresh process."""
+
+    def test_unreachable_coordinator_is_one_line_in_one_module_copy(
+        self, tmp_path
+    ):
+        # A ``sitecustomize`` hook counts, at exit, the ``TcpPool``
+        # classes alive: a second execution of tcp.py would add one.
+        (tmp_path / "sitecustomize.py").write_text(
+            "import atexit, gc\n"
+            "def _count():\n"
+            "    n = sum(isinstance(o, type) and o.__name__ == 'TcpPool'\n"
+            "            for o in gc.get_objects())\n"
+            f"    open({str(tmp_path / 'copies')!r}, 'w').write(str(n))\n"
+            "atexit.register(_count)\n"
+        )
+        src = Path(tcp_mod.__file__).resolve().parents[2]
+        env = {
+            **os.environ,
+            "PYTHONPATH": os.pathsep.join([str(tmp_path), str(src)]),
+            # Validating a host list imports repro.parallel.tcp.
+            "REPRO_POOL_HOSTS": "127.0.0.1:0",
+        }
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "repro.parallel.tcp",
+                "--connect", "127.0.0.1:1", "--worker-id", "0", "--token", "t",
+            ],
+            capture_output=True,
+            text=True,
+            env=env,
+            cwd=tmp_path,
+            timeout=60,
+        )
+        lines = proc.stderr.splitlines()
+        assert proc.returncode == 1, proc.stderr
+        assert len(lines) == 1 and lines[0].startswith(
+            "error: coordinator 127.0.0.1:1: "
+        ), lines
+        assert (tmp_path / "copies").read_text() == "1"

@@ -311,6 +311,30 @@ def test_tcp_missing_token_is_a_one_line_error(monkeypatch):
     )
 
 
+# -- argparse's own errors ----------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "main, argv, error",
+    [
+        (experiments_main, ["--jobs", "x"], "argument --jobs/-j: invalid int value: 'x'"),
+        (tune_main, [], "the following arguments are required: workload"),
+        (
+            tcp_main,
+            ["--worker-id", "0", "--token", "t"],
+            "the following arguments are required: --connect",
+        ),
+    ],
+    ids=CLIS,
+)
+def test_argparse_errors_are_one_line(main, argv, error):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exited:
+        main(argv)
+    assert exited.value.code == 2
+    assert err.getvalue().splitlines() == [f"error: {error}"]
+
+
 # -- the documentation --------------------------------------------------------
 
 
