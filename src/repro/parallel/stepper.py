@@ -474,7 +474,8 @@ def _exec_measure(
     hence the identical outcome.  Implicit zero slices contribute
     nothing and collapse to themselves.  Worker 0 reports the outcome
     upstream unconditionally (the parent's bookkeeping needs it even
-    with no observer attached).
+    with no observer attached), against the logical qubit: the step
+    collapses the physical bit a relabel may have renamed.
     """
     qubit = step.targets[0]
     m = partition.local_qubits
@@ -500,7 +501,7 @@ def _exec_measure(
             store.view(rank, LOCAL), qubit, outcome, scale, rank, m
         )
     if worker_id == 0 and emit is not None:
-        emit(("measure", ordinal, qubit, outcome))
+        emit(("measure", ordinal, step.measured_qubit, outcome))
 
 
 def _exec_remap(

@@ -304,6 +304,27 @@ def _send_msg(sock: socket.socket, message) -> int:
     return len(header) + len(data) + sum(sizes)
 
 
+def _loads(data: bytes, *buffers):
+    """Rebuild a :class:`_Pickled` object on the receiving side."""
+    return pickle.loads(data, buffers=buffers)
+
+
+class _Pickled:
+    """An object pickled once and sent in many frames.
+
+    The object's own buffers stay separate, as protocol-5 buffers of
+    the frame, so each one goes in or out of band by the frame's rule;
+    the receiver unpickles the object itself, not a wrapper.
+    """
+
+    def __init__(self, obj):
+        self.buffers: list[pickle.PickleBuffer] = []
+        self.data = pickle.dumps(obj, protocol=5, buffer_callback=self.buffers.append)
+
+    def __reduce__(self):
+        return (_loads, (self.data, *self.buffers))
+
+
 def _recv_frame(sock: socket.socket, max_bytes: int = _MSG_MAX_BYTES):
     """One control frame: ``(message, size in bytes)``.
 
@@ -1329,10 +1350,12 @@ class TcpPool:
         context = (obs.is_enabled(), settings.snapshot())
         partition = Partition(task.num_qubits, task.num_ranks)
         ctrl_bytes = 0
+        # Every worker gets the same task: pickle its plan once.
+        shared = _Pickled(task)
         for wid, sock in self._ctrl.items():
             owned = partition.ranks_for_worker(wid, self.num_workers)
             payload = {rank: slices.get(rank) for rank in owned}
-            ctrl_bytes += _send_msg(sock, ("plan", task, payload, context))
+            ctrl_bytes += _send_msg(sock, ("plan", shared, payload, context))
         finals: dict[int, np.ndarray] = {}
         errors: dict[int, tuple[str, str]] = {}
         lost: set[int] = set()

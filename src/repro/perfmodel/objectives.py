@@ -165,6 +165,11 @@ def fusion_local_factor(
 
 
 def _units_ns_per_amp(circuit, fusion: str, local_qubits: int | None) -> float:
-    """Summed unit cost of the plan ``compile_plan`` would build."""
+    """Summed unit cost of the plan ``compile_plan`` would build.
+
+    The units are exactly the plan's steps, so a mode's relabelled
+    local SWAPs cost nothing here, and its restoring swaps cost what
+    their steps will.
+    """
     units = fusion_units(circuit, fusion, local_qubits=local_qubits)
     return sum(unit_cost(gate) for gate, _covered in units)

@@ -25,6 +25,12 @@ locality-aware -- on the distributed executors only runs entirely
 inside the local qubit range fuse, so the exchange layer still sees
 every communicating gate individually.
 
+Under ``diag`` and ``full`` a relabel stage also runs: a SWAP (or
+REMAP) between two local qubits moves no data between ranks, so it
+becomes a rename of the qubits every later step touches instead of a
+read+write pass over the state, and the plan closes with the fewest
+local swaps that put the qubits back in order.
+
 Both executors consume plans: :meth:`DenseStatevector.apply_circuit`
 runs each step directly on the full amplitude array, and
 :meth:`DistributedStatevector.apply_circuit` runs the local part of each
@@ -67,6 +73,7 @@ __all__ = [
     "compile_plan",
     "compile_gate_step",
     "fusion_units",
+    "relabels",
     "reduce_diagonal",
     "clear_plan_cache",
     "MAX_FUSED_QUBITS",
@@ -94,8 +101,10 @@ class ApplyStep:
     """One compiled operation: classified, with its operator materialised.
 
     ``gate`` is the gate the executors plan/observe with (for a fused
-    run it is the synthetic ``fused_diag`` gate); ``gates`` are the
-    original circuit gates the step covers, in order.
+    run it is the synthetic ``fused_diag`` gate; after a relabel, the
+    gate renamed to physical qubits); ``gates`` are the original circuit
+    gates the step covers, in order, including any relabelled SWAPs and
+    REMAPs riding ahead of it.
     """
 
     kind: StepKind
@@ -109,8 +118,18 @@ class ApplyStep:
     diag: np.ndarray | None = None
 
     @property
+    def measured_qubit(self) -> int:
+        """The circuit qubit a MEASURE step records.
+
+        ``targets`` hold the physical bit the step collapses, which a
+        relabel may have renamed; the covered measure gate keeps the
+        logical qubit.
+        """
+        return next(g for g in self.gates if g.name == "measure").targets[0]
+
+    @property
     def num_gates(self) -> int:
-        """Original gates covered (> 1 only for fused diagonal runs)."""
+        """Original gates covered (> 1 for fused runs and relabels)."""
         return len(self.gates)
 
     def run_local(self, amps: np.ndarray) -> None:
@@ -167,7 +186,8 @@ class ApplyPlan:
 
     @property
     def num_fused(self) -> int:
-        """Original gates absorbed into multi-gate fused steps."""
+        """Original gates covered by multi-gate steps (fused runs, and
+        steps carrying relabelled SWAPs)."""
         return sum(s.num_gates for s in self.steps if s.num_gates > 1)
 
 
@@ -351,6 +371,111 @@ def _blockable(gate: Gate, local_qubits: int | None) -> bool:
     )
 
 
+def relabels(gate: Gate, local_qubits: int | None) -> bool:
+    """True when the relabel stage turns ``gate`` into a map update.
+
+    Uncontrolled SWAPs and REMAPs whose qubits are all local only rename
+    qubits; every other gate -- controlled, rank-crossing, or not a
+    permutation at all -- still runs as a step.
+    """
+    return (
+        gate.name == "remap" or (gate.is_swap() and not gate.controls)
+    ) and _is_local(gate, local_qubits)
+
+
+def _restore_layers(phys: list[int]) -> list[list[tuple[int, int]]]:
+    """The fewest in-place swaps that move each logical qubit home.
+
+    ``phys[q]`` is where logical qubit ``q`` lives.  Each cycle of
+    ``k`` positions is a rotation, the product of two reflections of
+    the cycle, and each reflection is a set of disjoint swaps: the
+    ``k - 1`` swaps come out as (at most) two layers of disjoint swaps,
+    which is what ``full`` mode's permutation-run rule merges.  A bare
+    transposition needs only the second layer.
+    """
+    # Data at position p belongs at position home[p].
+    home = [0] * len(phys)
+    for q, p in enumerate(phys):
+        home[p] = q
+    seen = [False] * len(phys)
+    first: list[tuple[int, int]] = []
+    second: list[tuple[int, int]] = []
+    for start in range(len(phys)):
+        cycle = []
+        p = start
+        while not seen[p]:
+            seen[p] = True
+            cycle.append(p)
+            p = home[p]
+        # Position i of the cycle moves to -i, then to 1 - i: net +1.
+        k = len(cycle)
+        first += [(cycle[i], cycle[k - i]) for i in range(1, (k + 1) // 2)]
+        second += [(cycle[i], cycle[1 - i]) for i in range(1, k // 2 + 1)]
+    layers = ([tuple(sorted(pair)) for pair in layer] for layer in (first, second))
+    return [sorted(layer) for layer in layers if layer]
+
+
+def _relabel_units(
+    units: list[FusionUnit], num_qubits: int, local_qubits: int | None
+) -> list[FusionUnit]:
+    """Local SWAPs and all-local REMAPs become qubit relabels.
+
+    A logical-to-physical map over the local positions absorbs each
+    gate :func:`relabels` accepts, and every later unit runs renamed
+    through it (:meth:`Gate.remapped`; a diagonal's table is rebuilt
+    over the renamed targets, same values).  A measurement collapses
+    the physical bit; its covered gate keeps the logical qubit, which
+    the executors record.  The plan ends with the fewest local swaps
+    that restore logical order, never more passes than it absorbed.
+
+    An absorbed gate rides at the front of the next unit's covered
+    gates (the restore's, at the end), so the covered runs still tile
+    the circuit in order.  The map never leaves the local positions,
+    so every communicating gate keeps its rank bits and its place.
+    """
+    num_local = num_qubits if local_qubits is None else local_qubits
+    phys = list(range(num_local))
+    out: list[FusionUnit] = []
+    pending: list[Gate] = []
+    passes = 0
+    for gate, covered in units:
+        if relabels(gate, local_qubits):
+            pairs = gate.swap_pairs() if gate.name == "remap" else (gate.targets,)
+            for a, b in pairs:
+                phys[a], phys[b] = phys[b], phys[a]
+            pending += covered
+            passes += 1
+            continue
+        mapping = {q: p for q, p in enumerate(phys) if q != p}
+        if mapping:
+            gate = gate.remapped(mapping)
+        out.append((gate, (*pending, *covered)))
+        pending.clear()
+    if not passes:
+        return units
+    layers = _restore_layers(phys)
+    if sum(map(len, layers)) > passes:
+        # Only absorbed REMAPs leave more swaps than passes; a layer of
+        # disjoint swaps is then one REMAP, so at most two passes.
+        restore = [
+            Gate.remap(layer) if len(layer) > 1 else Gate.named("swap", layer[0])
+            for layer in layers
+        ]
+    else:
+        restore = [Gate.named("swap", pair) for layer in layers for pair in layer]
+    if not restore:
+        if out:
+            gate, covered = out[-1]
+            out[-1] = (gate, (*covered, *pending))
+        return out
+    # One trailing gate per restoring swap: a closing bit reversal (the
+    # QFT's) then compiles to exactly the steps it did before relabels.
+    for i, gate in enumerate(restore):
+        last = i == len(restore) - 1
+        out.append((gate, tuple(pending[i:] if last else pending[i : i + 1])))
+    return out
+
+
 def _block_fusion_units(
     units: list[FusionUnit], config: FusionConfig, local_qubits: int | None
 ) -> list[FusionUnit]:
@@ -426,13 +551,19 @@ def fusion_units(
 ) -> list[FusionUnit]:
     """The structural half of :func:`compile_plan`: its fusion units.
 
-    Runs the diagonal-run stage and, in ``full`` mode, the block and
-    permutation stage, and returns one ``(gate, covered)`` unit per
-    step the plan will have -- ``gate`` is the (possibly synthetic)
-    gate the step executes, ``covered`` the circuit gates it absorbs.
-    No fused diagonal or block matrix is built, so pricing a fusion
-    mode from the unit gates (:func:`~repro.statevector.fusion.unit_cost`)
-    costs only the structural scan.  Arguments mean what they mean for
+    Runs the diagonal-run stage; then, in ``diag`` and ``full`` mode,
+    the relabel stage, which turns local SWAPs and all-local REMAPs into
+    a qubit map, renames every later unit through it and closes with
+    the fewest local swaps that restore logical order; then, in
+    ``full`` mode, the block and permutation stage (which also merges
+    the restoring swaps).  ``off`` mode -- and so every observer-driven
+    plan -- stays per-gate.  Returns one ``(gate, covered)`` unit per
+    step the plan will have: ``gate`` is the (possibly synthetic or
+    renamed) gate the step executes, ``covered`` the circuit gates it
+    accounts for, relabelled ones included.  No fused diagonal or
+    block matrix is built, so pricing a fusion mode from the unit gates
+    (:func:`~repro.statevector.fusion.unit_cost`) costs only the
+    structural scan.  Arguments mean what they mean for
     :func:`compile_plan`.
     """
     config = resolve_fusion(fusion)
@@ -440,6 +571,8 @@ def fusion_units(
         config.diag_qubits if config.diag_qubits is not None else max_fused_qubits
     )
     units = _diag_fusion_units(circuit, config.fuse_diagonals, diag_qubits)
+    if config.fuse_diagonals:
+        units = _relabel_units(units, circuit.num_qubits, local_qubits)
     if config.fuse_blocks:
         units = _block_fusion_units(units, config, local_qubits)
     return units

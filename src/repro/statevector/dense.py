@@ -155,7 +155,11 @@ class DenseStatevector:
         return self
 
     def _on_measure(self, step, amps: np.ndarray) -> None:
-        """Collapse one qubit with a seed-deterministic outcome."""
+        """Collapse one qubit with a seed-deterministic outcome.
+
+        The step collapses its physical bit and records the circuit
+        qubit (they differ after a relabel).
+        """
         qubit = step.targets[0]
         n0, ntotal = exact.partial_norms(amps, qubit, 0, self._num_qubits)
         outcome = exact.measure_outcome(
@@ -164,7 +168,7 @@ class DenseStatevector:
         n_sel = n0 if outcome == 0 else ntotal - n0
         scale = exact.collapse_scale(n_sel, ntotal)
         exact.collapse_slice(amps, qubit, outcome, scale, 0, self._num_qubits)
-        self.measure_outcomes.append((qubit, outcome))
+        self.measure_outcomes.append((step.measured_qubit, outcome))
         self._measure_count += 1
 
     # -- measurement (delegates) --------------------------------------------

@@ -56,6 +56,7 @@ from repro.statevector.apply_plan import (
     StepKind,
     compile_gate_step,
     compile_plan,
+    relabels,
 )
 from repro.statevector.fusion import FusionConfig, resolve_fusion
 from repro.statevector.dense import DenseStatevector
@@ -299,8 +300,7 @@ class DistributedStatevector:
         execute(pool, task, on_event)
         complete_through(len(prepared))
         self._record_pool_measures(captured)
-        if prepared:
-            self._gate_index = prepared[-1][2] + prepared[-1][0].num_gates
+        self._gate_index += plan.num_gates
 
     def _prepare_plan(
         self, plan: ApplyPlan
@@ -309,11 +309,16 @@ class DistributedStatevector:
 
         Errors raise here, before any worker touches the state.  Returns
         the prepared ``(step, gate_plan, gate_index)`` triples and
-        whether any step needs the pair exchange buffer.
+        whether any step needs the pair exchange buffer.  ``gate_index``
+        is the circuit position of the step's own gate: relabelled SWAPs
+        and REMAPs ride at the front of a step's covered gates, and are
+        skipped, so a communicating step's message tags are those of its
+        gate's place in the circuit.
         """
         prepared: list[tuple[ApplyStep, GatePlan, int]] = []
         gate_index = self._gate_index
         needs_pair = False
+        m = self.partition.local_qubits
         for step in plan.steps:
             gate = step.gate
             if gate.max_qubit >= self.num_qubits:
@@ -339,7 +344,10 @@ class DistributedStatevector:
                         "controlled distributed SWAP is not supported (QuEST "
                         "decomposes it); remove controls or keep targets local"
                     )
-            prepared.append((step, gate_plan, gate_index))
+            lead = 0
+            while lead < step.num_gates - 1 and relabels(step.gates[lead], m):
+                lead += 1
+            prepared.append((step, gate_plan, gate_index + lead))
             gate_index += step.num_gates
         if needs_pair and self.max_message < AMPLITUDE_BYTES:
             raise ValidationError(

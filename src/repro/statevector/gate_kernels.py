@@ -592,8 +592,8 @@ def apply_swap_local(
     """SWAP two bits that are both inside the local array.
 
     Pure reshape/assignment: the two slabs whose (a, b) bits differ are
-    exchanged through one quarter-sized temporary; nothing else is
-    touched or allocated.
+    exchanged piecewise (:func:`_exchange` bounds the temporaries);
+    nothing else is touched.
     """
     _check_overlap((a, b), controls)
     if get_backend() == "reference":
@@ -603,11 +603,30 @@ def apply_swap_local(
         raise SimulationError(f"bad local swap bits ({a}, {b}) for {nbits} bits")
     _check_bits(amps, tuple(controls))
     sub = _subview(amps, (a, b), tuple(controls))
-    slab_01 = sub(0b10)  # a=0, b=1  (bit j of the assignment is targets[j])
-    slab_10 = sub(0b01)  # a=1, b=0
-    tmp = slab_01.copy()
-    slab_01[...] = slab_10
-    slab_10[...] = tmp
+    # a=0, b=1 and a=1, b=0 (bit j of the assignment is targets[j]).
+    _exchange(sub(0b10), sub(0b01))
+
+
+def _exchange(x: np.ndarray, y: np.ndarray) -> None:
+    """Swap two disjoint, equal-shape views of one buffer in place.
+
+    Numpy copies the source of a view-to-view assignment first whenever
+    the two address ranges interleave (it cannot cheaply prove them
+    disjoint), so exchanging whole slabs held two quarter-state
+    temporaries.  Each piece here is at most ``_PAIR_CHUNK`` amplitudes
+    or one leading-axis row (at most half a slab), so the two
+    temporaries together stay within a quarter of the state, or within
+    ``2 * _PAIR_CHUNK`` amplitudes when the state is small.
+    """
+    while x.ndim > 1 and x.shape[0] == 1:
+        x, y = x[0], y[0]
+    row = x[:1].size
+    step = max(1, _PAIR_CHUNK // row)
+    for i in range(0, x.shape[0], step):
+        xs, ys = x[i : i + step], y[i : i + step]
+        tmp = xs.copy()
+        xs[...] = ys
+        ys[...] = tmp
 
 
 def combine_distributed_single(

@@ -823,6 +823,37 @@ class TestOutOfBandFrames:
         assert rejected.value - before == 2
 
 
+class TestPlanDispatch:
+    def test_task_is_pickled_once_per_dispatch(self, monkeypatch):
+        from repro.parallel.stepper import PlanTask
+
+        pickled = []
+
+        def counting(task, protocol):
+            pickled.append(protocol)
+            return object.__reduce_ex__(task, protocol)
+
+        circuit = qft_circuit(8)
+        expected = _serial(8, 8, circuit)
+        monkeypatch.setattr(PlanTask, "__reduce_ex__", counting)
+        got = _tcp(8, 8, circuit, hosts=LOOPBACK3)
+        assert len(pickled) == 1
+        assert np.array_equal(got, expected)
+
+    def test_shared_object_keeps_the_buffer_rules(self):
+        big = np.arange(1 << 13, dtype=np.complex128)  # 128 KiB
+        small = np.eye(4, dtype=np.complex128)
+        shared = tcp_mod._Pickled({"big": big, "small": small})
+        frame = _frame_of(("plan", shared, {0: None}))
+        (count,) = tcp_mod._MSG_COUNT.unpack_from(frame, tcp_mod._MSG_LEN.size)
+        assert count == 1  # only the large buffer leaves the pickle
+        got, size = _receive(frame)
+        assert size == len(frame) and got[2] == {0: None}
+        for name, sent in (("big", big), ("small", small)):
+            assert got[1][name].tobytes() == sent.tobytes()
+            assert got[1][name].flags.writeable
+
+
 class TestControlChannelMetrics:
     def test_traced_run_counts_ctrl_bytes_and_checkpoint_time(self, monkeypatch):
         monkeypatch.setenv(tcp_mod.CHECKPOINT_STEPS_ENV, "2")

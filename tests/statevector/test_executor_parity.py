@@ -12,12 +12,23 @@ shared-memory pool and the TCP pool must all reproduce them bit for bit.
 Amplitude digests are per kernel backend (``REPRO_KERNELS``), because
 the two backends round differently.  Fusion is pinned so ``REPRO_FUSION``
 does not change the plan.
+
+Since local SWAPs became qubit relabels, five ``random`` cases run some
+single-qubit gates on renamed targets.  The reference backend applies a
+2x2 gate with the same arithmetic on any target, so its digests (and
+every schedule and outcome digest) did not move.  The strided backend
+applies uncontrolled targets 1-3 through an embedded GEMM
+(``gate_kernels._GEMM_TARGET_MAX``), which rounds differently from its
+strided path, so those five strided digests were re-recorded;
+``test_relabelled_strided_cases_match_reference`` holds them to the
+reference amplitudes.
 """
 
 from __future__ import annotations
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from repro import obs
@@ -169,13 +180,13 @@ GOLDEN_AMPLITUDES = {
         "qft-r8-g2-nb": "ee232ce48d5cc119981dd127c3326e9d1c4997c64ce020338865fd4783c38020",
         "qft-r8-nb-halved": "243c16e6920454342da409cb35956ecaf246d74eef085b8efdb4747dc4ea409c",
         "qft-r8-nb-halved-halfmsg": "ee232ce48d5cc119981dd127c3326e9d1c4997c64ce020338865fd4783c38020",
-        "random-r2": "b5c6c3fd22acc62dc49570a4b4ba28d7cf9d6260d910b242722886511a3ef16b",
+        "random-r2": "a7f56de5c61960b2c8371c07546b6f44cb4ccc38d085e0dcce177f0a4cd26be9",
         "random-r4-g2-halfmsg": "46ea836b8726bedeb4801fac15436cd8c6b44efa2b302a544df397735b4253d9",
-        "random-r4-nb": "1b0dc3c449c08b1d1ba939fbcffc0e5d5003fd10f94daf8e10144fc38a2d21d9",
-        "random-r4-nb-halved-halfmsg": "1b0dc3c449c08b1d1ba939fbcffc0e5d5003fd10f94daf8e10144fc38a2d21d9",
+        "random-r4-nb": "9196e12f41451f0a467d28a9fe7dcad1ddae3e3a24f29c45f136892681ac30d3",
+        "random-r4-nb-halved-halfmsg": "9196e12f41451f0a467d28a9fe7dcad1ddae3e3a24f29c45f136892681ac30d3",
         "random-r8-g1-nb-halved": "ccda25bc0bfb02a1d04da2bd302e2d68ae46d3c8422e9864eef0b8387db2321f",
-        "random-r8-halved": "b921b1051f79657dc0a8e239f2f5f094f492cc0e09b43ed4b726c0943337be34",
-        "random-r8-nb-halfmsg": "9e81492424489220b0e24762acef3797dbc81856a0d1aab62c8d6af3acd894be",
+        "random-r8-halved": "0cf025c6b532654da8fe1f92a5a58e59eb07741dc33ec51c835e93383c1deb14",
+        "random-r8-nb-halfmsg": "ab6fa7a103404823a2025f3e65123c064fb7bbd1b0cf3b11108382200f1d5e62",
     },
     "reference": {
         "qaoa-r2": "a5b209ea53961fb34349e7b710f8d1a3b90cf2e1c49b515e4782e0d6f2182a5c",
@@ -276,6 +287,25 @@ def test_matches_recorded_serial_reference(case, executor):
     amplitudes, schedule, outcomes = digests(state)
     assert (schedule, outcomes) == GOLDEN_SCHEDULES[case]
     assert amplitudes == GOLDEN_AMPLITUDES[gate_kernels.get_backend()][case]
+
+
+#: Cases whose strided digest moved when local SWAPs became relabels.
+RELABEL_RECORDED = (
+    "random-r2",
+    "random-r4-nb",
+    "random-r4-nb-halved-halfmsg",
+    "random-r8-halved",
+    "random-r8-nb-halfmsg",
+)
+
+
+@pytest.mark.parametrize("case", RELABEL_RECORDED)
+def test_relabelled_strided_cases_match_reference(case):
+    amps = {}
+    for backend in ("strided", "reference"):
+        with gate_kernels.using_backend(backend):
+            amps[backend] = run_case(case, executor="serial").gather()
+    assert np.allclose(amps["strided"], amps["reference"], rtol=0, atol=1e-12)
 
 
 def test_cases_cover_the_matrix():
