@@ -4,7 +4,10 @@
 ``--suite kernels`` (default) times every public kernel on both
 backends over the same amplitude buffer and records the median
 nanoseconds per (statevector) amplitude, plus the strided/reference
-speedup.  The committed ``BENCH_kernels.json`` at the repo root is the
+speedup.  The single-qubit and diagonal rows also record the native
+C kernels' ns/amp (``native_ns_per_amp``, timed alternately with
+strided) and their ratio to strided, which the gate holds at or below
+``NATIVE_MAX_RATIO`` (0.75).  The committed ``BENCH_kernels.json`` at the repo root is the
 artefact the kernel-rewrite PR gates on; CI re-runs this script in
 ``--quick`` mode and compares against it.
 
@@ -202,10 +205,11 @@ def _fusion_sweeps(repeats: int, n: int = _FUSION_SWEEP_QUBITS) -> dict:
     Times the full compiled-plan execution (compile excluded) of a QFT
     and a random workload at ``2**n`` amplitudes for ``off``, ``diag``
     and ``full`` fusion, recording wall seconds, step counts and the
-    speedup of each mode over ``off``.
+    speedup of each mode over ``off``.  The sweeps run on the strided
+    kernels, the ones the fusion cost model was set for, so the ratios
+    stay comparable with the committed baseline.
     """
     from repro.circuits import qft_circuit, random_circuit
-    from repro.statevector.apply_plan import compile_plan
 
     workloads = [
         (f"qft{n}", qft_circuit(n)),
@@ -213,37 +217,83 @@ def _fusion_sweeps(repeats: int, n: int = _FUSION_SWEEP_QUBITS) -> dict:
     ]
     psi = random_state(n, seed=1)
     out: dict[str, dict] = {}
-    for label, circuit in workloads:
-        entry: dict[str, dict | float] = {}
-        times: dict[str, float] = {}
-        for mode in ("off", "diag", "full"):
-            plan = compile_plan(circuit, fusion=mode, cache=False)
-            amps = psi.copy()
-            plan.run_dense(amps)  # warm-up: page in, prime BLAS
-            samples = []
-            for _ in range(repeats):
-                amps = psi.copy()
-                t0 = time.perf_counter()
-                plan.run_dense(amps)
-                samples.append(time.perf_counter() - t0)
-            times[mode] = statistics.median(samples)
-            entry[mode] = {
-                "seconds": round(times[mode], 4),
-                "steps": len(plan.steps),
-                "num_gates": plan.num_gates,
-            }
-        entry["diag_vs_off_speedup"] = round(times["off"] / times["diag"], 3)
-        entry["full_vs_off_speedup"] = round(times["off"] / times["full"], 3)
-        out[label] = entry
+    with kernels.using_backend("strided"):
+        for label, circuit in workloads:
+            out[label] = _fusion_sweep(circuit, psi, repeats)
     return out
+
+
+def _fusion_sweep(circuit, psi: np.ndarray, repeats: int) -> dict:
+    """One workload's sweep: seconds and steps per mode, and speedups."""
+    from repro.statevector.apply_plan import compile_plan
+
+    entry: dict[str, dict | float] = {}
+    times: dict[str, float] = {}
+    for mode in ("off", "diag", "full"):
+        plan = compile_plan(circuit, fusion=mode, cache=False)
+        amps = psi.copy()
+        plan.run_dense(amps)  # warm-up: page in, prime BLAS
+        samples = []
+        for _ in range(repeats):
+            amps = psi.copy()
+            t0 = time.perf_counter()
+            plan.run_dense(amps)
+            samples.append(time.perf_counter() - t0)
+        times[mode] = statistics.median(samples)
+        entry[mode] = {
+            "seconds": round(times[mode], 4),
+            "steps": len(plan.steps),
+            "num_gates": plan.num_gates,
+        }
+    entry["diag_vs_off_speedup"] = round(times["off"] / times["diag"], 3)
+    entry["full_vs_off_speedup"] = round(times["off"] / times["full"], 3)
+    return entry
+
+
+#: Rows the native backend runs (single-qubit matrices and diagonals).
+#: Each also records native ns/amp, timed alternately with strided, and
+#: the gate holds native to at most ``NATIVE_MAX_RATIO`` x strided.
+NATIVE_ROWS = (
+    "hadamard_low",
+    "hadamard_high",
+    "controlled_x",
+    "controlled_u3",
+    "two_controls_h",
+    "controlled_phase_diag",
+    "fused_diag_3gates",
+)
+NATIVE_MAX_RATIO = 0.75
+
+
+def _time_alternating(fn, amps: np.ndarray, repeats: int, backends) -> list:
+    """Median ns/amp per backend, their repeats interleaved so host
+    noise lands on every backend alike."""
+    samples: dict[str, list[int]] = {b: [] for b in backends}
+    for b in backends:
+        with kernels.using_backend(b):
+            fn(amps)  # warm-up
+    for _ in range(repeats):
+        for b in backends:
+            with kernels.using_backend(b):
+                t0 = time.perf_counter_ns()
+                fn(amps)
+                samples[b].append(time.perf_counter_ns() - t0)
+    return [statistics.median(samples[b]) / amps.shape[0] for b in backends]
 
 
 def run(n: int, repeats: int) -> dict:
     amps = random_state(n, seed=0).copy()
+    has_native = kernels.native.library() is not None
     results: dict[str, dict[str, float]] = {}
     for name, fn in _cases(n):
-        with kernels.using_backend("strided"):
-            strided = _time_case(fn, amps, repeats)
+        if has_native and name in NATIVE_ROWS:
+            strided, native = _time_alternating(
+                fn, amps, repeats, ("strided", "native")
+            )
+        else:
+            with kernels.using_backend("strided"):
+                strided = _time_case(fn, amps, repeats)
+            native = None
         with kernels.using_backend("reference"):
             ref = _time_case(fn, amps, repeats)
         results[name] = {
@@ -251,6 +301,9 @@ def run(n: int, repeats: int) -> dict:
             "reference_ns_per_amp": round(ref, 4),
             "speedup": round(ref / strided, 3),
         }
+        if native is not None:
+            results[name]["native_ns_per_amp"] = round(native, 4)
+            results[name]["native_vs_strided"] = round(native / strided, 3)
     return {
         "schema": "repro-bench-kernels/2",
         "num_qubits": n,
@@ -1030,6 +1083,13 @@ def check_against(current: dict, baseline_path: str) -> list[str]:
                 f"{name}: speedup {now['speedup']:.2f}x fell below half the "
                 f"baseline ({entry['speedup']:.2f}x)"
             )
+        if "native_vs_strided" in entry and "native_vs_strided" not in now:
+            failures.append(f"{name}: no native timing (kernels unavailable?)")
+        elif now.get("native_vs_strided", 0.0) > NATIVE_MAX_RATIO:
+            failures.append(
+                f"{name}: native {now['native_vs_strided']:.2f}x strided, "
+                f"above the {NATIVE_MAX_RATIO:.2f}x ceiling"
+            )
     current_fusion = current.get("fusion", {})
     for label, entry in baseline.get("fusion", {}).items():
         # Quick CI runs sweep a smaller width than the committed full
@@ -1392,10 +1452,16 @@ def main(argv: list[str] | None = None) -> int:
     width = max(len(k) for k in report["kernels"])
     print(f"kernel throughput at 2**{n} amplitudes ({repeats} repeats):")
     for name, entry in sorted(report["kernels"].items()):
+        native = (
+            f"   native {entry['native_ns_per_amp']:8.3f} ns/amp"
+            f" ({entry['native_vs_strided']:.2f}x strided)"
+            if "native_ns_per_amp" in entry
+            else ""
+        )
         print(
             f"  {name:<{width}}  strided {entry['strided_ns_per_amp']:8.3f} "
             f"ns/amp   reference {entry['reference_ns_per_amp']:8.3f} ns/amp"
-            f"   speedup {entry['speedup']:6.2f}x"
+            f"   speedup {entry['speedup']:6.2f}x{native}"
         )
     print("fusion sweeps (dense, median wall seconds):")
     for label, entry in report["fusion"].items():

@@ -110,6 +110,10 @@ class PlanTask:
     #: Shared blob segment for the shm allgather (None over TCP, whose
     #: transport gathers through mesh frames).
     blob_name: str | None = None
+    #: Kernel backend the coordinator resolved
+    #: (``gate_kernels.configured_backend()``); pool workers run it or
+    #: raise (``gate_kernels.pinned_backend``).  None: the worker's own.
+    kernels: str | None = None
 
 
 # -- per-rank step bodies ------------------------------------------------------
@@ -718,11 +722,17 @@ def execute_plan(
 
 
 def run_plan_worker(ctx, task: PlanTask):
-    """Shared-memory SPMD entry point: replay over the named segments.
+    """Shared-memory SPMD entry point: replay over the named segments,
+    on the coordinator's kernel backend.
 
     The parent has already validated every step -- errors here are bugs,
     and the pool's abort path surfaces them.
     """
+    with kernels.pinned_backend(task.kernels):
+        return _run_plan_on_segments(ctx, task)
+
+
+def _run_plan_on_segments(ctx, task: PlanTask):
     from repro.parallel.shm import attach_array
 
     partition = Partition(task.num_qubits, task.num_ranks)

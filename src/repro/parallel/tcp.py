@@ -102,6 +102,7 @@ from repro.parallel.transport import (
     DictStore,
     RankTransport,
 )
+from repro.statevector.gate_kernels import pinned_backend
 
 __all__ = [
     "POOL_HOSTS_ENV",
@@ -948,7 +949,7 @@ def _worker_loop(ctrl, listener, worker_id, num_workers, token) -> None:
                     obs.reset()
                     obs.enable()
                 try:
-                    with settings.overridden(overrides):
+                    with settings.overridden(overrides), pinned_backend(task.kernels):
                         finals = _run_plan_in_worker(
                             ctrl, peers, worker_id, num_workers, task, slices
                         )

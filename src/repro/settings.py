@@ -129,8 +129,10 @@ EXECUTOR = _choice(
     "transport falls back to serial.",
 )
 KERNELS = _choice(
-    "REPRO_KERNELS", "kernel backend", ("strided", "reference"), "strided",
-    "Gate-kernel backend, read once per process.",
+    "REPRO_KERNELS", "kernel backend", ("native", "strided", "reference"),
+    "native",
+    "Gate-kernel backend, read once per process; `native` runs as "
+    "`strided` where `cc` cannot build it.",
 )
 FUSION = Setting(
     "REPRO_FUSION", "diag", "off, diag, full or full:k with 2 <= k <= 6",

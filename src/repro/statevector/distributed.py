@@ -59,6 +59,7 @@ from repro.statevector.apply_plan import (
     relabels,
 )
 from repro.statevector.fusion import FusionConfig, resolve_fusion
+from repro.statevector.gate_kernels import configured_backend
 from repro.statevector.dense import DenseStatevector
 from repro.statevector.partition import AMPLITUDE_BYTES, Partition
 from repro.statevector.plan import GatePlan, plan_gate
@@ -282,6 +283,7 @@ class DistributedStatevector:
             needs_pair=needs_pair,
             measure_seed=self.measure_seed,
             measure_base=self._measure_count,
+            kernels=configured_backend() if self.executor != "serial" else None,
         )
         if self.executor == "serial":
             pool, execute = None, self._execute_in_process

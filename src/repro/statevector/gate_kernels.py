@@ -30,6 +30,13 @@ The previous gather/scatter kernels are preserved verbatim in
 public kernel through them.  The property suite in
 ``tests/properties/test_property_kernels.py`` asserts the two backends
 agree on random gates.
+
+The default backend, ``native``, runs single-qubit matrices and
+diagonals of up to :data:`~repro.statevector.native.MAX_DIAG_TARGETS`
+targets on contiguous arrays through the C kernels of
+:mod:`repro.statevector.native`, one in-place pass each, and everything
+else through the strided kernels here.  Where the C kernels cannot be
+built, ``native`` resolves to ``strided``.
 """
 
 from __future__ import annotations
@@ -39,8 +46,9 @@ from contextlib import contextmanager
 import numpy as np
 
 from repro import settings
-from repro.errors import SimulationError
+from repro.errors import PoolError, SimulationError
 from repro.statevector import gate_kernels_reference as _reference
+from repro.statevector import native
 from repro.utils.bits import log2_exact
 
 __all__ = [
@@ -54,8 +62,10 @@ __all__ = [
     "swap_in_halves",
     "register_fused_kernel",
     "get_backend",
+    "configured_backend",
     "set_backend",
     "using_backend",
+    "pinned_backend",
     "KERNEL_BACKENDS",
 ]
 
@@ -64,22 +74,46 @@ KERNEL_BACKENDS = settings.KERNELS.choices
 
 # Read once, on first use: a wrong ``REPRO_KERNELS`` raises a one-line
 # ValidationError there (or from ``settings.validate()``), never at
-# import.
+# import.  Holds the requested name; ``native`` resolves on use.
 _backend: str | None = None
 
 
-def get_backend() -> str:
-    """The active kernel backend (``"strided"`` or ``"reference"``)."""
+def _requested() -> str:
     global _backend
     if _backend is None:
         _backend = settings.get(settings.KERNELS)
     return _backend
 
 
+def _resolve(name: str) -> str:
+    """``name``, or ``strided`` for ``native`` where it cannot load."""
+    if name == "native" and native.library() is None:
+        return "strided"
+    return name
+
+
+def get_backend() -> str:
+    """The kernel backend in use: ``"native"``, ``"strided"`` or
+    ``"reference"``.  Asking builds the native kernels if they are the
+    requested backend, so the answer is the one the kernels act on."""
+    return _resolve(_requested())
+
+
+def configured_backend() -> str:
+    """The backend ``REPRO_KERNELS`` names, as it resolves on this host.
+
+    Pool workers run this backend, not one chosen with
+    :func:`set_backend`: every plan carries the coordinator's value
+    (``PlanTask.kernels``) and the workers apply it with
+    :func:`pinned_backend`.
+    """
+    return _resolve(settings.get(settings.KERNELS))
+
+
 def set_backend(name: str) -> str:
     """Select the kernel backend at runtime; returns the previous one."""
     global _backend
-    previous = get_backend()
+    previous = _requested()
     _backend = settings.KERNELS.parse(name, "set_backend")
     return previous
 
@@ -92,6 +126,29 @@ def using_backend(name: str):
         yield
     finally:
         set_backend(previous)
+
+
+@contextmanager
+def pinned_backend(name: str | None):
+    """A pool worker's scope running the coordinator's backend ``name``
+    (``None``: this process's own setting).
+
+    Where the coordinator resolved ``native`` and this host cannot load
+    it, raises :class:`~repro.errors.PoolError` naming the host rather
+    than computing different bits with another backend.
+    """
+    if name is None:
+        yield
+        return
+    if name == "native" and native.library() is None:
+        import socket
+
+        raise PoolError(
+            f"host {socket.gethostname()} cannot load the native kernels "
+            f"the coordinator runs ({native.failure()})"
+        )
+    with using_backend(name):
+        yield
 
 
 # Re-exported: the control-mask helper is only needed by the reference
@@ -188,15 +245,21 @@ def apply_matrix(
     whose ``controls`` bits are all 1.
     """
     _check_overlap(targets, controls)
-    if get_backend() == "reference":
+    backend = get_backend()
+    if backend == "reference":
         return _reference.apply_matrix(amps, matrix, targets, controls)
     k = len(targets)
     if matrix.shape != (2**k, 2**k):
         raise SimulationError(
             f"matrix shape {matrix.shape} does not match {k} target(s)"
         )
-    _check_bits(amps, targets + tuple(controls))
+    nbits = _check_bits(amps, targets + tuple(controls))
     if k == 1:
+        if backend == "native" and native.fits(amps):
+            native.apply_single(
+                native.library(), amps, nbits, matrix, targets[0], tuple(controls)
+            )
+            return
         _apply_single(amps, matrix, targets[0], tuple(controls))
         return
     sub = _subview(amps, targets, tuple(controls))
@@ -380,10 +443,16 @@ def apply_diagonal(
     so skipping never changes the result).
     """
     _check_overlap(targets, controls)
-    if get_backend() == "reference":
+    backend = get_backend()
+    if backend == "reference":
         return _reference.apply_diagonal(amps, diag, targets, controls)
-    _check_bits(amps, targets + tuple(controls))
+    nbits = _check_bits(amps, targets + tuple(controls))
     k = len(targets)
+    if backend == "native" and k <= native.MAX_DIAG_TARGETS and native.fits(amps):
+        native.apply_diagonal(
+            native.library(), amps, nbits, diag, tuple(targets), tuple(controls)
+        )
+        return
     if (
         not controls
         and k >= 3
@@ -559,8 +628,8 @@ def apply_permutation(
     """Apply a product of disjoint local bit transpositions.
 
     With three or more transpositions (and no controls) the strided
-    backend collapses the whole product into one cached index-gather
-    pass; otherwise each pair is swapped in sequence, which is
+    and native backends collapse the whole product into one cached
+    index-gather pass; otherwise each pair is swapped in sequence, which is
     numerically identical since disjoint transpositions commute.
     """
     pairs = tuple(tuple(sorted(p)) for p in pairs)
@@ -569,7 +638,7 @@ def apply_permutation(
         raise SimulationError("permutation transpositions must be disjoint")
     _check_overlap(flat, controls)
     nbits = _check_bits(amps, flat + tuple(controls))
-    if get_backend() != "strided" or controls or len(pairs) < 3:
+    if get_backend() == "reference" or controls or len(pairs) < 3:
         for a, b in pairs:
             apply_swap_local(amps, a, b, tuple(controls))
         return
@@ -683,4 +752,5 @@ def swap_in_halves(
 
 
 register_fused_kernel("strided", _apply_unitary_batched_strided)
+register_fused_kernel("native", _apply_unitary_batched_strided)
 register_fused_kernel("reference", _reference.apply_unitary_batched)

@@ -10,8 +10,10 @@ interpreter), so they stay an independent reference: serial, the
 shared-memory pool and the TCP pool must all reproduce them bit for bit.
 
 Amplitude digests are per kernel backend (``REPRO_KERNELS``), because
-the two backends round differently.  Fusion is pinned so ``REPRO_FUSION``
-does not change the plan.
+the backends round differently.  The ``native`` digests were recorded
+when the C kernels landed, on serial, and reproduced by the shm and TCP
+pools; the ``strided`` and ``reference`` ones are unchanged.  Fusion is
+pinned so ``REPRO_FUSION`` does not change the plan.
 
 Since local SWAPs became qubit relabels, five ``random`` cases run some
 single-qubit gates on renamed targets.  The reference backend applies a
@@ -210,6 +212,29 @@ GOLDEN_AMPLITUDES = {
         "random-r8-g1-nb-halved": "48ecb11f3ad88c46d77994f8f88f599574017c303b9274585d7264597461558a",
         "random-r8-halved": "2354ea8fccfc1f30a4b504e4009471d2d685632a57f24d7dd208f95cf3bc1939",
         "random-r8-nb-halfmsg": "6e8bee14d32d011c293620a18a0f1a55a4b30c0fbaa948ed4fcc88fae04b787f",
+    },
+    "native": {
+        "qaoa-r2": "1e5c039bcd9e4338b4e6c5c2bc723512a1659e58ea98e27b1f6d0545150081e2",
+        "qaoa-r4-nb": "1e5c039bcd9e4338b4e6c5c2bc723512a1659e58ea98e27b1f6d0545150081e2",
+        "qaoa-r8-halved-halfmsg": "1e5c039bcd9e4338b4e6c5c2bc723512a1659e58ea98e27b1f6d0545150081e2",
+        "qaoa-r8-nb": "cd2dd2c645cb89dc8b09e9a91e0450cf55272a6f0f9ddf7cc9c8e0ce7edcf5b8",
+        "qft-r2": "ee232ce48d5cc119981dd127c3326e9d1c4997c64ce020338865fd4783c38020",
+        "qft-r4": "ee232ce48d5cc119981dd127c3326e9d1c4997c64ce020338865fd4783c38020",
+        "qft-r4-halfmsg": "3d0459090c8c91662ff5549c191b193bcf163a3c2d595d2957744405c49af339",
+        "qft-r4-halved": "3d0459090c8c91662ff5549c191b193bcf163a3c2d595d2957744405c49af339",
+        "qft-r4-nb": "3d0459090c8c91662ff5549c191b193bcf163a3c2d595d2957744405c49af339",
+        "qft-r8": "ee232ce48d5cc119981dd127c3326e9d1c4997c64ce020338865fd4783c38020",
+        "qft-r8-g1": "b6af7a976d8429a7f41a7cbad92bc5e5de11d1a9f503e1d3b5542b6265d1e464",
+        "qft-r8-g2-nb": "ee232ce48d5cc119981dd127c3326e9d1c4997c64ce020338865fd4783c38020",
+        "qft-r8-nb-halved": "8bcabdb3d72455157740e9be698a82ed27645c502afb4eee18c89c50eaa4602f",
+        "qft-r8-nb-halved-halfmsg": "ee232ce48d5cc119981dd127c3326e9d1c4997c64ce020338865fd4783c38020",
+        "random-r2": "7a44c2d17b04349b15bb28dfff5c506354e6b21893402aca9f03e18ad059caf6",
+        "random-r4-g2-halfmsg": "d5240c231d05f23ca4c55d9a13f996bbe1365f2f78c5f7d22da59d0d286cb45b",
+        "random-r4-nb": "5d786f55b53b630d5fbca07e6d9d40489e3708b35895c23c13f0a1b94096ff68",
+        "random-r4-nb-halved-halfmsg": "5d786f55b53b630d5fbca07e6d9d40489e3708b35895c23c13f0a1b94096ff68",
+        "random-r8-g1-nb-halved": "dbb0235f1454eed1d13ff56c691db15e8b939873f2238298a188834f4fd45485",
+        "random-r8-halved": "d51af4d8245ecb6f1c48a743b8ce593472094bff7736975e77a305bae5781a95",
+        "random-r8-nb-halfmsg": "01ea9729bec43493087de0e2592ec9595b615535bc37d6e96dd61e650649c356",
     },
 }
 

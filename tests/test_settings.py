@@ -41,6 +41,8 @@ TABLE_END = "<!-- end of settings table -->"
 #: name -> (default, {raw: parsed}, [rejected raws]), as at the commit
 #: that introduced the table: it may grow no variable, change no
 #: default and drop no accepted value.
+#: The one change since: ``REPRO_KERNELS`` accepts ``native``, its new
+#: default, from the commit that added the native kernels.
 PINNED = {
     "REPRO_EXECUTOR": (
         "serial",
@@ -48,8 +50,13 @@ PINNED = {
         ["gpu", "threads"],
     ),
     "REPRO_KERNELS": (
-        "strided",
-        {"strided": "strided", " REFERENCE ": "reference", "": "strided"},
+        "native",
+        {
+            "native": "native",
+            "strided": "strided",
+            " REFERENCE ": "reference",
+            "": "native",
+        },
         ["bogus"],
     ),
     "REPRO_FUSION": (
