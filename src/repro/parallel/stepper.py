@@ -112,7 +112,8 @@ class PlanTask:
     blob_name: str | None = None
     #: Kernel backend the coordinator resolved
     #: (``gate_kernels.configured_backend()``); pool workers run it or
-    #: raise (``gate_kernels.pinned_backend``).  None: the worker's own.
+    #: raise (``gate_kernels.pinned_backend``), the serial executor runs
+    #: its own process's backend.  None: the worker's own setting.
     kernels: str | None = None
 
 

@@ -283,7 +283,7 @@ class DistributedStatevector:
             needs_pair=needs_pair,
             measure_seed=self.measure_seed,
             measure_base=self._measure_count,
-            kernels=configured_backend() if self.executor != "serial" else None,
+            kernels=configured_backend(),
         )
         if self.executor == "serial":
             pool, execute = None, self._execute_in_process
