@@ -45,9 +45,9 @@ Wire formats (all integers big-endian):
   blob: ``seq`` carries the sender's worker id, ``offset`` is 0 and
   the payload is the measure step's two partial norms as fixed-width
   unsigned integers (:func:`repro.parallel.stepper.encode_partials`).
-  A blob longer than :data:`~repro.parallel.transport.BLOB_SLOT_BYTES`
-  is refused from its header, and one whose length differs from the
-  receiver's own payload on arrival.  ``exchange`` is a per-plan
+  Every frame is checked from its header before any payload byte is
+  read (:meth:`TcpMeshTransport._open_frame`), and an expected data
+  payload is received straight into its destination.  ``exchange`` is a per-plan
   monotonic exchange counter -- NOT the plan step index: one step may
   perform several exchanges (a remap routes ``2**g - 1`` rounds), and
   tagging by step index alone would let a fast peer's next-round
@@ -174,6 +174,11 @@ _IOV_MAX = 1024
 
 _CONNECT_TIMEOUT_S = 30.0
 _DRAIN_TIMEOUT_S = 5.0
+
+#: Mesh bytes one readable wake-up takes from a peer before the pump
+#: returns to ``select``, so a peer that keeps its socket full cannot
+#: starve the sends.
+_RX_BUDGET = 1 << 20
 
 #: An exchange pump with pending receives that sees *zero* socket
 #: events for this long raises instead of blocking forever.  TCP
@@ -397,17 +402,27 @@ def _tune_socket(sock: socket.socket) -> None:
 
 
 class _Peer:
-    """One mesh connection's buffered state (both directions)."""
+    """One mesh connection's state: the frame being received, frames
+    that arrived early, and the queued sends."""
 
-    __slots__ = ("wid", "sock", "rx", "stash", "tx")
+    __slots__ = ("wid", "sock", "header", "frame", "recv", "dst", "got", "stash", "tx")
 
     def __init__(self, wid: int, sock: socket.socket):
         self.wid = wid
         self.sock = sock
-        self.rx = bytearray()
-        #: Parsed ``(kind, exchange, seq, offset, payload)`` frames not
-        #: yet expected (the peer ran ahead), data and blob alike.
-        self.stash: list[tuple[int, int, int, int, bytes]] = []
+        #: The next frame header, filled in place.
+        self.header = memoryview(bytearray(_FRAME.size))
+        #: Once a header is complete and checked: its fields, the
+        #: receive it lands in (None: a frame for the stash) and the
+        #: view its payload is received into.
+        self.frame: tuple[int, int, int, int, int] | None = None
+        self.recv: _Recv | _BlobRecv | None = None
+        self.dst: memoryview | None = None
+        #: Bytes of the header (no frame yet) or of the payload so far.
+        self.got = 0
+        #: ``(header fields, payload)`` of frames for an exchange this
+        #: worker has not reached yet (the peer ran ahead).
+        self.stash: list[tuple[tuple[int, int, int, int, int], memoryview]] = []
         self.tx: list[memoryview] = []
 
 
@@ -432,8 +447,15 @@ class TcpMeshTransport(RankTransport):
     ``2**g - 1`` times under one step index, and with >= 3 workers a
     fast peer's next-round frames can arrive mid-round.  Frames from a
     *future* exchange are stashed per channel and consumed by the
-    ``exchange`` call they belong to; delivery additionally checks the
-    frame arrived from the peer that owns the copy's source rank.
+    ``exchange`` call they belong to.
+
+    A frame is judged by its header before any payload byte is read:
+    its kind, the blob size and sender, the data length (whole
+    amplitudes, at most ``chunk_amps``), and for an expected frame that
+    it came from the peer owning the copy's source rank, starts where
+    the region's received bytes end and fits inside the region.  An
+    expected payload is then received straight into its destination
+    (``recv_into``); only stashed frames get a buffer of their own.
     """
 
     direct_gather = False
@@ -566,8 +588,8 @@ class TcpMeshTransport(RankTransport):
             if not peer.stash:
                 continue
             pending, peer.stash = peer.stash, []
-            for frame in pending:
-                self._deliver(peer, frame, recvs)
+            for frame, payload in pending:
+                self._place(peer, xid, recvs, frame, payload)
         rx_pending = sum(1 for r in recvs.values() if not r.complete)
         deadline = time.monotonic() + self._stall_timeout
         while rx_pending or any(p.tx for p in self._peers.values()):
@@ -593,7 +615,7 @@ class TcpMeshTransport(RankTransport):
                 if events & selectors.EVENT_WRITE:
                     self._drain_tx(peer)
                 if events & selectors.EVENT_READ:
-                    rx_pending -= self._drain_rx(peer, recvs)
+                    rx_pending -= self._drain_rx(peer, xid, recvs)
 
     def allgather_blob(self, tag: int, payload: bytes) -> list[bytes]:
         """Mesh allgather of one small byte string per worker.
@@ -638,68 +660,121 @@ class TcpMeshTransport(RankTransport):
                 peer.tx[0] = peer.tx[0][sent:]
                 return
 
-    def _drain_rx(self, peer: _Peer, recvs) -> int:
-        """Read available bytes, deliver complete frames; returns #completed."""
-        try:
-            data = peer.sock.recv(1 << 20)
-        except BlockingIOError:
-            return 0
-        except (ConnectionError, OSError) as exc:
-            raise PoolError(
-                f"mesh peer disconnected during receive: {exc}"
-            ) from None
-        if not data:
-            raise PoolError(
-                "mesh peer closed its connection mid-exchange (worker died?)"
-            )
-        peer.rx.extend(data)
+    def _drain_rx(self, peer: _Peer, xid: int, recvs) -> int:
+        """Receive what the socket holds, up to :data:`_RX_BUDGET` bytes,
+        each frame's payload straight into its destination; returns the
+        number of receives completed."""
         completed = 0
-        while True:
-            if len(peer.rx) < _FRAME.size:
+        budget = _RX_BUDGET
+        while budget > 0:
+            opened = peer.frame is not None
+            view = (peer.dst if opened else peer.header)[peer.got :]
+            try:
+                got = peer.sock.recv_into(view)
+            except BlockingIOError:
                 return completed
-            kind, xid, seq, offset, length = _FRAME.unpack_from(peer.rx)
-            if kind == _KIND_ABORT:
-                raise PoolError("mesh peer aborted the exchange")
-            if kind == _KIND_BLOB:
-                # Checked from the header, before the payload is read.
-                # ``seq`` is the sender's worker id; the frame arrived
-                # over that worker's authenticated mesh connection, so
-                # a mismatch means a protocol bug (or an impersonation
-                # attempt) -- refuse it either way.
-                if length > BLOB_SLOT_BYTES:
-                    raise PoolError(
-                        f"mesh blob of {length} B for exchange {xid} "
-                        f"exceeds the {BLOB_SLOT_BYTES} B blob slot"
-                    )
-                if seq != peer.wid:
-                    raise PoolError(
-                        f"mesh blob for exchange {xid} claims sender "
-                        f"{seq} but arrived from worker {peer.wid}"
-                    )
-            end = _FRAME.size + length
-            if len(peer.rx) < end:
-                return completed
-            payload = bytes(peer.rx[_FRAME.size : end])
-            del peer.rx[:end]
-            completed += self._deliver(
-                peer, (kind, xid, seq, offset, payload), recvs
-            )
+            except (ConnectionError, OSError) as exc:
+                raise PoolError(
+                    f"mesh peer disconnected during receive: {exc}"
+                ) from None
+            if not got:
+                raise PoolError(
+                    "mesh peer closed its connection mid-exchange (worker died?)"
+                )
+            peer.got += got
+            budget -= got
+            if got < len(view):
+                return completed  # the socket is empty for now
+            if not opened:
+                self._open_frame(peer, xid, recvs)
+                if len(peer.dst):
+                    continue
+            completed += self._close_frame(peer, xid, recvs)
+        return completed
 
-    def _deliver(self, peer: _Peer, frame: tuple, recvs) -> int:
-        kind, xid, seq, offset, payload = frame
-        recv = recvs.get((kind, xid, seq))
-        if recv is None or recv.complete:
-            # A frame for an exchange this worker has not reached yet.
-            peer.stash.append(frame)
+    def _open_frame(self, peer: _Peer, xid: int, recvs) -> None:
+        """Check a complete header and choose where its payload lands."""
+        frame = _FRAME.unpack(peer.header)
+        kind, frame_xid, seq, _offset, length = frame
+        if kind == _KIND_ABORT:
+            raise PoolError("mesh peer aborted the exchange")
+        if kind == _KIND_BLOB:
+            # ``seq`` is the sender's worker id; the frame arrived over
+            # that worker's authenticated mesh connection, so a mismatch
+            # means a protocol bug (or an impersonation attempt) --
+            # refuse it either way.
+            if length > BLOB_SLOT_BYTES:
+                raise PoolError(
+                    f"mesh blob of {length} B for exchange {frame_xid} "
+                    f"exceeds the {BLOB_SLOT_BYTES} B blob slot"
+                )
+            if seq != peer.wid:
+                raise PoolError(
+                    f"mesh blob for exchange {frame_xid} claims sender "
+                    f"{seq} but arrived from worker {peer.wid}"
+                )
+        elif kind == _KIND_DATA:
+            bound = self.chunk_amps * _AMP_BYTES
+            if not 0 < length <= bound or length % _AMP_BYTES:
+                raise PoolError(
+                    f"mesh data frame of {length} B for exchange {frame_xid}; "
+                    f"a frame carries whole amplitudes, at most {bound} B"
+                )
+        else:
+            raise PoolError(f"mesh frame of unknown kind {kind}")
+        target = self._target(peer, xid, recvs, frame)
+        if target is None:
+            peer.recv, peer.dst = None, memoryview(bytearray(length))
+            if obs.is_enabled():
+                obs.counter(
+                    "repro_transport_stashed_frames_total", transport="tcp"
+                ).inc()
+        else:
+            peer.recv, peer.dst = target
+        peer.frame = frame
+        peer.got = 0
+
+    def _close_frame(self, peer: _Peer, xid: int, recvs) -> int:
+        """Finish the frame whose payload has arrived; 1 if that
+        completed a receive."""
+        frame, recv, payload = peer.frame, peer.recv, peer.dst
+        peer.frame = peer.recv = peer.dst = None
+        peer.got = 0
+        if recv is None:
+            return self._place(peer, xid, recvs, frame, payload)
+        return recv.landed(frame[3], frame[4])
+
+    def _place(self, peer: _Peer, xid: int, recvs, frame, payload) -> int:
+        """Deliver a stashed frame, or stash it again if its exchange is
+        still ahead; 1 if that completed a receive."""
+        target = self._target(peer, xid, recvs, frame)
+        if target is None:
+            peer.stash.append((frame, payload))
             return 0
+        recv, dst = target
+        dst[:] = payload
+        return recv.landed(frame[3], frame[4])
+
+    def _target(self, peer: _Peer, xid: int, recvs, frame):
+        """``(receive, view)`` a frame's payload lands in, or None for a
+        frame of a later exchange than ``xid`` (the one being pumped)."""
+        kind, frame_xid, seq, offset, length = frame
+        recv = recvs.get((kind, frame_xid, seq))
+        if recv is None or recv.complete:
+            if frame_xid > xid:
+                return None
+            raise PoolError(
+                f"unexpected mesh frame for exchange {frame_xid} seq {seq} "
+                f"from worker {peer.wid} during exchange {xid}: a duplicate, "
+                "or not addressed to this worker"
+            )
         if peer.wid != recv.src_wid:
             raise PoolError(
-                f"mesh frame for exchange {xid} seq {seq} arrived from "
+                f"mesh frame for exchange {frame_xid} seq {seq} arrived from "
                 f"worker {peer.wid}, but its source belongs to worker "
                 f"{recv.src_wid}"
             )
-        recv.accept(offset, payload)
-        return 1 if recv.complete else 0
+        return recv, recv.region(offset, length)
 
     def abort(self) -> None:
         """Best-effort abort frames so peers fail fast instead of hanging."""
@@ -736,46 +811,62 @@ class _Recv:
     def complete(self) -> bool:
         return self.received >= self.total
 
-    def accept(self, offset: int, payload: bytes) -> None:
+    def region(self, offset: int, length: int) -> memoryview:
+        """Where the next frame's ``length`` payload bytes land."""
         if offset != self.received:
             raise PoolError(
                 f"out-of-order mesh frame: offset {offset}, "
                 f"expected {self.received}"
             )
+        if offset + length > self.total:
+            raise PoolError(
+                f"mesh frame of {length} B at offset {offset} runs past "
+                f"its {self.total} B region"
+            )
         start = self.copy.dst_lo * _AMP_BYTES + offset
-        self.dst_mv[start : start + len(payload)] = payload
-        self.received = offset + len(payload)
+        return self.dst_mv[start : start + length]
+
+    def landed(self, offset: int, length: int) -> int:
+        """Book a frame whose payload is in place; 1 if that completed
+        the region."""
+        self.received = offset + length
         if obs.is_enabled():
             obs.counter(
                 "repro_transport_bytes_total", transport="tcp", direction="rx"
-            ).inc(len(payload))
+            ).inc(length)
         if self.on_ready is not None:
             amp_lo = self.copy.dst_lo + offset // _AMP_BYTES
             amp_hi = self.copy.dst_lo + self.received // _AMP_BYTES
             self.on_ready(self.copy, amp_lo, amp_hi)
+        return 1 if self.complete else 0
 
 
 class _BlobRecv:
     """One peer's expected blob in a scalar collective."""
 
-    __slots__ = ("src_wid", "size", "payload")
+    __slots__ = ("src_wid", "size", "buf", "payload")
 
     def __init__(self, src_wid: int, size: int):
         self.src_wid = src_wid
         self.size = size
+        self.buf = bytearray(size)
         self.payload: bytes | None = None
 
     @property
     def complete(self) -> bool:
         return self.payload is not None
 
-    def accept(self, offset: int, payload: bytes) -> None:
-        if offset != 0 or len(payload) != self.size:
+    def region(self, offset: int, length: int) -> memoryview:
+        if offset != 0 or length != self.size:
             raise PoolError(
-                f"mesh blob of {len(payload)} B at offset {offset} from "
+                f"mesh blob of {length} B at offset {offset} from "
                 f"worker {self.src_wid}; this worker's own is {self.size} B"
             )
-        self.payload = payload
+        return memoryview(self.buf)
+
+    def landed(self, offset: int, length: int) -> int:
+        self.payload = bytes(self.buf)
+        return 1
 
 
 def resolve_stall_timeout() -> float:
@@ -875,8 +966,14 @@ def _run_plan_in_worker(ctrl, peers, worker_id, num_workers, task, slices):
         provided = slices.get(rank)
         if provided is None:
             local[rank] = np.zeros(n, dtype=np.complex128)
-        else:
-            local[rank] = np.array(provided, dtype=np.complex128, copy=True)
+            continue
+        # An out-of-band slice arrives writable and aligned in the
+        # frame's own buffer and is used in place; an in-band one is
+        # read-only and copied, as is one object sent for two ranks.
+        amps = np.require(provided, np.complex128, ["W", "A", "C"])
+        if any(amps is other for other in local.values()):
+            amps = amps.copy()
+        local[rank] = amps
     pair = (
         {rank: np.empty(n, dtype=np.complex128) for rank in owned}
         if task.needs_pair

@@ -12,6 +12,8 @@ import struct
 import subprocess
 import sys
 import threading
+import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -213,7 +215,7 @@ class TestLoopbackPool:
         assert seen == list(range(len(circuit)))
 
 
-def _loop_transport(owned, worker_of, slice_len=4):
+def _loop_transport(owned, worker_of, slice_len=4, chunk_amps=None):
     """A one-peer transport over a socketpair (peer wid = 1)."""
     ours, theirs = socket.socketpair()
     ours.setblocking(False)
@@ -227,6 +229,7 @@ def _loop_transport(owned, worker_of, slice_len=4):
         store,
         tuple(owned),
         slice_len,
+        chunk_amps,
     )
     return transport, theirs
 
@@ -387,6 +390,249 @@ class TestMeshProtocol:
             sock.close()
             theirs.close()
             transport.close()
+
+    def _refused(self, frames, copies, match, slice_len=8, chunk_amps=16):
+        """Feed ``frames`` for ``copies``; the exchange must raise
+        ``match``.  Returns the pair buffer of rank 0 afterwards."""
+        transport, theirs = _loop_transport(
+            (0,), {0: 0, 1: 1}, slice_len, chunk_amps
+        )
+        sock = transport._peers[1].sock
+        pair = transport.store.view(0, PAIR)
+        pair[:] = -1.0
+        try:
+            theirs.sendall(b"".join(frames))
+            with pytest.raises(PoolError, match=match):
+                transport.exchange(0, copies)
+            return pair.copy()
+        finally:
+            sock.close()
+            theirs.close()
+            transport.close()
+
+    def test_frame_longer_than_its_region_rejected(self):
+        # Regression: an 8-amplitude frame for a 4-amplitude region used
+        # to be accepted and overwrote pair[4:8].
+        got = self._refused(
+            [_data_frame(0, 0, 0, np.arange(8, dtype=np.complex128))],
+            [CopySpec(0, PAIR, 0, 4, 1, LOCAL, 0, 4)],
+            "runs past its 64 B region",
+        )
+        assert np.all(got == -1.0)
+
+    def test_frame_past_the_region_end_rejected(self):
+        first = np.arange(2, dtype=np.complex128) + 1
+        got = self._refused(
+            [
+                _data_frame(0, 0, 0, first),
+                _data_frame(0, 0, 32, np.arange(3, dtype=np.complex128)),
+            ],
+            [CopySpec(0, PAIR, 0, 4, 1, LOCAL, 0, 4)],
+            "48 B at offset 32 runs past",
+        )
+        assert np.array_equal(got[:2], first)
+        assert np.all(got[2:] == -1.0)
+
+    def test_frame_above_the_chunk_bound_rejected(self):
+        got = self._refused(
+            [_data_frame(0, 0, 0, np.arange(4, dtype=np.complex128))],
+            [CopySpec(0, PAIR, 0, 4, 1, LOCAL, 0, 4)],
+            "at most 32 B",
+            chunk_amps=2,
+        )
+        assert np.all(got == -1.0)
+
+    @pytest.mark.parametrize("length", [0, 24], ids=["empty", "half-amplitude"])
+    def test_frame_of_partial_amplitudes_rejected(self, length):
+        header = tcp_mod._FRAME.pack(tcp_mod._KIND_DATA, 0, 0, 0, length)
+        got = self._refused(
+            [header + b"\x01" * length],
+            [CopySpec(0, PAIR, 0, 4, 1, LOCAL, 0, 4)],
+            "whole amplitudes",
+        )
+        assert np.all(got == -1.0)
+
+    def test_duplicate_of_a_completed_frame_rejected(self):
+        # Two regions from worker 1; the first one's frame arrives twice.
+        # A duplicate used to be stashed for an exchange that never came.
+        amps = np.arange(2, dtype=np.complex128) + 1
+        got = self._refused(
+            [
+                _data_frame(0, 0, 0, amps),
+                _data_frame(0, 0, 0, amps),
+                _data_frame(0, 1, 0, amps),
+            ],
+            [
+                CopySpec(0, PAIR, 0, 2, 1, LOCAL, 0, 2),
+                CopySpec(0, PAIR, 2, 4, 1, PAIR, 0, 2),
+            ],
+            "a duplicate",
+        )
+        assert np.array_equal(got[:2], amps)
+        assert np.all(got[2:] == -1.0)
+
+    def test_frame_of_unknown_kind_rejected(self):
+        header = tcp_mod._FRAME.pack(9, 0, 0, 0, 16)
+        self._refused(
+            [header + bytes(16)],
+            [CopySpec(0, PAIR, 0, 4, 1, LOCAL, 0, 4)],
+            "unknown kind 9",
+        )
+
+
+def _data_frame(xid: int, seq: int, offset: int, amps: np.ndarray) -> bytes:
+    payload = amps.tobytes()
+    return (
+        tcp_mod._FRAME.pack(tcp_mod._KIND_DATA, xid, seq, offset, len(payload))
+        + payload
+    )
+
+
+def _blob_frame(xid: int, payload: bytes, sender: int = 1) -> bytes:
+    return (
+        tcp_mod._FRAME.pack(tcp_mod._KIND_BLOB, xid, sender, 0, len(payload))
+        + payload
+    )
+
+
+def _chunks(xid: int, seq: int, amps: np.ndarray, chunk_amps: int) -> list[bytes]:
+    return [
+        _data_frame(xid, seq, lo * 16, amps[lo : lo + chunk_amps])
+        for lo in range(0, len(amps), chunk_amps)
+    ]
+
+
+@contextlib.contextmanager
+def _sender(sock, parts, pause=0.0):
+    """Send ``parts`` from a thread, one ``sendall`` each."""
+    sock.settimeout(10)
+
+    def run():
+        for part in parts:
+            try:
+                sock.sendall(part)
+            except OSError:
+                return
+            if pause:
+                time.sleep(pause)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    try:
+        yield
+    finally:
+        thread.join(timeout=20)
+    assert not thread.is_alive()
+
+
+class TestMeshReceive:
+    """The receive state machine: partial reads, the stash, the bound."""
+
+    def test_frames_arriving_one_byte_per_send(self):
+        transport, theirs = _loop_transport((0,), {0: 0, 1: 1}, 6, 4)
+        sock = transport._peers[1].sock
+        amps = np.arange(6, dtype=np.complex128) * (1 + 2j)
+        ready = []
+        wire = b"".join(_chunks(0, 0, amps, 4))
+        try:
+            with _sender(theirs, [wire[i : i + 1] for i in range(len(wire))], 1e-4):
+                transport.exchange(
+                    0,
+                    [CopySpec(0, PAIR, 0, 6, 1, LOCAL, 0, 6)],
+                    lambda c, lo, hi: ready.append((lo, hi)),
+                )
+            assert np.array_equal(transport.store.view(0, PAIR), amps)
+            # on_ready fires once per frame, in order.
+            assert ready == [(0, 4), (4, 6)]
+        finally:
+            sock.close()
+            theirs.close()
+            transport.close()
+
+    def test_frame_of_a_later_exchange_is_stashed_then_consumed(self):
+        transport, theirs = _loop_transport((0,), {0: 0, 1: 1}, 4, 2)
+        sock = transport._peers[1].sock
+        early = np.arange(4, dtype=np.complex128) + 10
+        now = np.arange(4, dtype=np.complex128) + 20
+        stashed = obs.counter("repro_transport_stashed_frames_total", transport="tcp")
+        was_enabled = obs.is_enabled()
+        obs.enable()
+        try:
+            before = stashed.value
+            theirs.sendall(b"".join(_chunks(1, 0, early, 2) + _chunks(0, 0, now, 2)))
+            transport.exchange(0, [CopySpec(0, PAIR, 0, 4, 1, LOCAL, 0, 4)])
+            assert np.array_equal(transport.store.view(0, PAIR), now)
+            assert len(transport._peers[1].stash) == 2
+            assert stashed.value - before == 2
+            transport.exchange(1, [CopySpec(0, LOCAL, 0, 4, 1, LOCAL, 0, 4)])
+            assert np.array_equal(transport.store.view(0, LOCAL), early)
+            assert transport._peers[1].stash == []
+        finally:
+            if not was_enabled:
+                obs.disable()
+            sock.close()
+            theirs.close()
+            transport.close()
+
+    def test_blob_and_data_frames_interleaved(self):
+        transport, theirs = _loop_transport((0,), {0: 0, 1: 1}, 4, 2)
+        sock = transport._peers[1].sock
+        first = np.arange(4, dtype=np.complex128) + 1j
+        third = np.arange(4, dtype=np.complex128) - 1j
+        head, tail = _chunks(0, 0, first, 2)
+        try:
+            theirs.sendall(
+                b"".join(
+                    [head, _blob_frame(1, b"peer"), tail, *_chunks(2, 0, third, 2)]
+                )
+            )
+            transport.exchange(0, [CopySpec(0, PAIR, 0, 4, 1, LOCAL, 0, 4)])
+            assert np.array_equal(transport.store.view(0, PAIR), first)
+            assert transport.allgather_blob(0, b"mine") == [b"mine", b"peer"]
+            transport.exchange(2, [CopySpec(0, LOCAL, 0, 4, 1, LOCAL, 0, 4)])
+            assert np.array_equal(transport.store.view(0, LOCAL), third)
+        finally:
+            sock.close()
+            theirs.close()
+            transport.close()
+
+    def test_expected_frames_allocate_no_payload_sized_object(self):
+        # A 4 MiB region in 512 KiB frames: every payload byte is
+        # received into the destination, so the exchange's peak is
+        # bookkeeping, not payload.
+        amps_count = 1 << 18
+        transport, theirs = _loop_transport(
+            (0,), {0: 0, 1: 1}, amps_count, tcp_mod.DEFAULT_CHUNK_AMPS
+        )
+        sock = transport._peers[1].sock
+        amps = np.arange(amps_count, dtype=np.complex128)
+        view = memoryview(amps).cast("B")
+        chunk = transport.chunk_amps * 16
+        parts = []
+        for lo in range(0, view.nbytes, chunk):
+            part = view[lo : lo + chunk]
+            parts.append(
+                tcp_mod._FRAME.pack(tcp_mod._KIND_DATA, 0, 0, lo, len(part))
+            )
+            parts.append(part)
+        copies = [CopySpec(0, PAIR, 0, amps_count, 1, LOCAL, 0, amps_count)]
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            with _sender(theirs, parts):
+                transport.exchange(0, copies)
+            peak = tracemalloc.get_traced_memory()[1] - base
+            assert np.array_equal(transport.store.view(0, PAIR), amps)
+        finally:
+            if started:
+                tracemalloc.stop()
+            sock.close()
+            theirs.close()
+            transport.close()
+        assert peak <= 64 << 10, f"peak {peak} B while receiving 4 MiB"
 
 
 class TestPoolLifecycle:
