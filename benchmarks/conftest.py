@@ -1,8 +1,10 @@
 """Benchmark-suite configuration.
 
-Each ``bench_*`` file regenerates one of the paper's tables/figures
-through the experiment harness, asserts its headline shape, and times
-the regeneration with pytest-benchmark.  Run with::
+``bench_experiments.py`` regenerates every table, figure and extension
+study through the experiment harness, checks each one's declared paper
+claims, and times the regeneration with pytest-benchmark; the other
+``bench_*`` files time the simulator's kernels and MPI layer.  Run
+with::
 
     pytest benchmarks/ --benchmark-only
 

@@ -122,7 +122,7 @@ def builtin_qft_circuit(n: int, *, fused: bool = False) -> Circuit:
     the planner already prices every ``cp``.  Passing ``fused=True``
     additionally merges each block's phase ladder into a single sweep, an
     optimisation QuEST does *not* apply per the paper's measured local
-    times; it is kept as an ablation (``benchmarks/bench_ext_fusion``).
+    times; it is kept as an ablation (the ``ext-fusion`` experiment).
     """
     circuit = Circuit(n, name=f"qft{n}_builtin" + ("_fused" if fused else ""))
     for q in range(n):

@@ -2,10 +2,12 @@
 
 Running with no arguments regenerates every table and figure; passing
 ids (``fig2 tab1 ...``) restricts the set.  ``--list`` prints the
-registry.  ``--trace-out``/``--metrics`` turn on the observability
-layer (:mod:`repro.obs`): the run emits a Perfetto-loadable Chrome
-trace and a metrics dump covering the predictor, the cache, the worker
-pool and the DES replay.
+registry.  Every run prints the verdict of each paper claim the
+experiments declare; the exit code is 1 if a claim fails and 2 if an
+experiment errors.  ``--trace-out``/``--metrics`` turn on the
+observability layer (:mod:`repro.obs`): the run emits a
+Perfetto-loadable Chrome trace and a metrics dump covering the
+predictor, the cache, the worker pool and the DES replay.
 """
 
 from __future__ import annotations
@@ -130,6 +132,7 @@ def _run(args: argparse.Namespace) -> int:
         jobs = 2 if observing else 1
 
     from repro.experiments.parallel_runner import run_experiments_parallel
+    from repro.experiments.reporting import claims_table
 
     ids = args.ids or experiment_ids()
     status = 0
@@ -144,6 +147,13 @@ def _run(args: argparse.Namespace) -> int:
             status = 2
             continue
         results.append(result)
+        for verdict in result.verdicts:
+            if not verdict.ok:
+                print(
+                    f"claim failed: {verdict.claim} ({verdict.bound})",
+                    file=sys.stderr,
+                )
+                status = max(status, 1)
         if args.json:
             collected.append(result.to_dict())
         else:
@@ -159,11 +169,14 @@ def _run(args: argparse.Namespace) -> int:
         header = (
             "# Reproduction report: Energy Efficiency of Quantum "
             "Statevector Simulation at Scale\n\n"
-            "Regenerated by `repro-experiments`; see EXPERIMENTS.md for "
-            "the paper-vs-measured discussion.\n\n"
+            "Regenerated by `repro-experiments --report REPORT.md`; see "
+            "EXPERIMENTS.md for the paper-vs-measured discussion.\n\n"
+            "## Claims\n\n"
         )
         with open(args.report, "w", encoding="utf-8") as fh:
             fh.write(header)
+            fh.write(claims_table(v for r in results for v in r.verdicts))
+            fh.write("\n")
             fh.write("\n".join(r.to_markdown() for r in results))
         print(f"report written to {args.report}", file=sys.stderr)
     if args.trace_out:

@@ -9,7 +9,7 @@ exchange at each power-of-two job size under both modes.
 
 from __future__ import annotations
 
-from repro.experiments.reporting import ExperimentResult
+from repro.experiments.reporting import Claim, ExperimentResult
 from repro.machine.frequency import CpuFrequency
 from repro.mpi.chunking import MAX_MESSAGE_BYTES, num_chunks
 from repro.mpi.datatypes import CommMode
@@ -17,7 +17,7 @@ from repro.perfmodel.calibration import DEFAULT_CALIBRATION, Calibration
 from repro.perfmodel.comm_cost import exchange_time
 from repro.utils.units import GIB
 
-__all__ = ["run"]
+__all__ = ["run", "CLAIMS"]
 
 
 def run(
@@ -63,3 +63,15 @@ def run(
         "grows with job size in blocking mode."
     )
     return result
+
+
+CLAIMS = (
+    Claim("ext-comm-modes.advantage-64", "Table 1", "~10% at 64 nodes",
+          "0.05 < advantage_64 < 0.15", lambda m: 0.05 < m["advantage_64"] < 0.15),
+    Claim("ext-comm-modes.advantage-grows", "ext", "-",
+          "advantage_4096 > advantage_64",
+          lambda m: m["advantage_4096"] > m["advantage_64"]),
+    Claim("ext-comm-modes.blocking-grows", "ext", "-",
+          "blocking_64 < blocking_4096",
+          lambda m: m["blocking_64"] < m["blocking_4096"]),
+)

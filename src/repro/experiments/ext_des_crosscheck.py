@@ -16,7 +16,7 @@ from __future__ import annotations
 from repro.circuits.qft import builtin_qft_circuit, cache_blocked_qft_circuit
 from repro.des.replay import simulate_trace
 from repro.des.validation import DEFAULT_TOLERANCE
-from repro.experiments.reporting import ExperimentResult
+from repro.experiments.reporting import Claim, ExperimentResult
 from repro.machine.frequency import CpuFrequency
 from repro.machine.node import STANDARD_NODE
 from repro.mpi.datatypes import CommMode
@@ -25,7 +25,7 @@ from repro.perfmodel.trace import RunConfiguration, cost_trace, trace_circuit
 from repro.statevector.partition import Partition
 from repro.utils.bits import log2_exact
 
-__all__ = ["run", "PAPER_RUNS"]
+__all__ = ["run", "PAPER_RUNS", "CLAIMS"]
 
 #: The paper's Table 2 (qubits, nodes) pairs.
 PAPER_RUNS = ((43, 2048), (44, 4096))
@@ -136,3 +136,14 @@ def run(
         + " in every replay."
     )
     return result
+
+
+CLAIMS = (
+    Claim("ext-des-crosscheck.within-tolerance", "ext", "-",
+          "within_tolerance == 1 and max_abs_delta < 0.10",
+          lambda m: m["within_tolerance"] == 1 and m["max_abs_delta"] < 0.10),
+    Claim("ext-des-crosscheck.ordering-43q", "Table 2", "fast < built-in",
+          "ordering_ok_43q == 1", lambda m: m["ordering_ok_43q"] == 1),
+    Claim("ext-des-crosscheck.ordering-44q", "Table 2", "fast < built-in",
+          "ordering_ok_44q == 1", lambda m: m["ordering_ok_44q"] == 1),
+)

@@ -11,11 +11,11 @@ from __future__ import annotations
 from repro.circuits.qft import builtin_qft_circuit
 from repro.core.options import RunOptions
 from repro.core.runner import SimulationRunner
-from repro.experiments.reporting import ExperimentResult
+from repro.experiments.reporting import Claim, ExperimentResult
 from repro.machine.frequency import CpuFrequency
 from repro.perfmodel.calibration import DEFAULT_CALIBRATION, Calibration
 
-__all__ = ["run"]
+__all__ = ["run", "CLAIMS"]
 
 
 def run(
@@ -66,3 +66,21 @@ def run(
         "~25% more energy."
     )
     return result
+
+
+CLAIMS = (
+    Claim("ext-frequency.low-runtime", "ext", "1.5 GHz not of benefit",
+          "low_runtime_ratio > 1.05", lambda m: m["low_runtime_ratio"] > 1.05),
+    Claim("ext-frequency.low-energy", "ext", "1.5 GHz not of benefit",
+          "abs(low_energy_ratio - 1.0) < 0.10",
+          lambda m: abs(m["low_energy_ratio"] - 1.0) < 0.10),
+    Claim("ext-frequency.high-runtime", "Fig. 3", "5-10% faster",
+          "0.90 <= high_runtime_ratio < 1.0",
+          lambda m: 0.90 <= m["high_runtime_ratio"] < 1.0),
+    Claim("ext-frequency.high-energy", "Fig. 3", "~25% more energy",
+          "high_energy_ratio > 1.10", lambda m: m["high_energy_ratio"] > 1.10),
+    Claim("ext-frequency.highmem-high-energy", "Fig. 3", "20-40% more energy",
+          "high_energy_ratio > 1.10",
+          lambda m: m["high_energy_ratio"] > 1.10,
+          params={"node_type": "highmem"}),
+)

@@ -22,14 +22,14 @@ from repro.circuits import qft_circuit, random_circuit, random_state
 from repro.circuits.qft import builtin_qft_circuit, cache_blocked_qft_circuit
 from repro.core.options import RunOptions
 from repro.core.runner import SimulationRunner
-from repro.experiments.reporting import ExperimentResult
+from repro.experiments.reporting import Claim, ExperimentResult
 from repro.machine.frequency import CpuFrequency
 from repro.mpi.datatypes import CommMode
 from repro.perfmodel.calibration import DEFAULT_CALIBRATION, Calibration
 from repro.statevector.apply_plan import compile_plan
 from repro.utils.bits import log2_exact
 
-__all__ = ["run"]
+__all__ = ["run", "CLAIMS"]
 
 #: Fusion modes the measured sweep compares, in reporting order.
 _MEASURED_MODES = ("off", "diag", "full")
@@ -159,3 +159,13 @@ def run(
         "energy column prices that saving at the calibrated busy power."
     )
     return result
+
+
+CLAIMS = (
+    Claim("ext-fusion.builtin-gain", "ext", "-",
+          "builtin_fusion_runtime < builtin_runtime",
+          lambda m: m["builtin_fusion_runtime"] < m["builtin_runtime"]),
+    Claim("ext-fusion.fast-gain", "ext", "-",
+          "fast_fusion_runtime < 0.6 * fast_runtime",
+          lambda m: m["fast_fusion_runtime"] < 0.6 * m["fast_runtime"]),
+)

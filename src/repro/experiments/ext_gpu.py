@@ -14,17 +14,20 @@ from repro.circuits.qft import cache_blocked_qft_circuit
 from repro.core.options import RunOptions
 from repro.core.runner import SimulationRunner
 from repro.errors import AllocationError
-from repro.experiments.reporting import ExperimentResult
+from repro.experiments.reporting import Claim, ExperimentResult
 from repro.machine.gpu import gpu_machine
 from repro.mpi.datatypes import CommMode
 from repro.perfmodel.gpu import GPU_CALIBRATION
 
-__all__ = ["run"]
+__all__ = ["run", "CLAIMS"]
+
+#: Register sizes matched across the two platforms.
+QUBIT_SIZES = (36, 38, 40, 42)
 
 
 def run(
     *,
-    qubit_sizes: tuple[int, ...] = (36, 38, 40, 42),
+    qubit_sizes: tuple[int, ...] = QUBIT_SIZES,
     num_gpus: int = 2048,
 ) -> ExperimentResult:
     """Fast QFT on CPU nodes vs GPU ranks."""
@@ -96,3 +99,18 @@ def run(
         "on GPUs (cf. the paper's reference [4])."
     )
     return result
+
+
+CLAIMS = (
+    Claim("ext-gpu.speedup", "§4", "multi-GPU port",
+          "gpu_speedup_{36,38,40,42}q > 3.0",
+          lambda m: all(m[f"gpu_speedup_{n}q"] > 3.0 for n in QUBIT_SIZES)),
+    Claim("ext-gpu.energy", "§4", "multi-GPU port",
+          "gpu_energy_{n}q < archer2_energy_{n}q",
+          lambda m: all(m[f"gpu_energy_{n}q"] < m[f"archer2_energy_{n}q"]
+              for n in QUBIT_SIZES)),
+    Claim("ext-gpu.mpi-share", "§4", "multi-GPU port",
+          "gpu_mpi_{n}q > archer2_mpi_{n}q",
+          lambda m: all(m[f"gpu_mpi_{n}q"] > m[f"archer2_mpi_{n}q"]
+              for n in QUBIT_SIZES)),
+)

@@ -18,7 +18,7 @@ from repro.circuits.qft import cache_blocked_qft_circuit
 from repro.core.options import RunOptions
 from repro.core.runner import SimulationRunner
 from repro.errors import AllocationError
-from repro.experiments.reporting import ExperimentResult
+from repro.experiments.reporting import Claim, ExperimentResult
 from repro.machine.allocation import HALVED_BUFFER_FACTOR, minimum_nodes
 from repro.machine.archer2 import archer2
 from repro.machine.node import STANDARD_NODE
@@ -26,7 +26,7 @@ from repro.mpi.datatypes import CommMode
 from repro.perfmodel.calibration import DEFAULT_CALIBRATION, Calibration
 from repro.utils.bits import log2_exact
 
-__all__ = ["run"]
+__all__ = ["run", "CLAIMS"]
 
 
 def run(
@@ -99,3 +99,18 @@ def run(
         "buffer lets ARCHER2 reach 45 qubits."
     )
     return result
+
+
+CLAIMS = (
+    Claim("ext-halved-swap.volume-halves", "§4", "communication halved",
+          "volume_halved_44q * 2 == volume_full_44q",
+          lambda m: m["volume_halved_44q"] * 2 == m["volume_full_44q"]),
+    Claim("ext-halved-swap.runtime-44q", "§4", "communication halved",
+          "runtime_halved_44q < 0.9 * runtime_full_44q",
+          lambda m: m["runtime_halved_44q"] < 0.9 * m["runtime_full_44q"]),
+    Claim("ext-halved-swap.fits-45q", "§4", "up to 45 qubits",
+          "fits_full_45q == 0 and fits_halved_45q == 1",
+          lambda m: m["fits_full_45q"] == 0 and m["fits_halved_45q"] == 1),
+    Claim("ext-halved-swap.min-nodes-45q", "§4", "4,096 nodes",
+          "min_nodes_45q_halved == 4096", lambda m: m["min_nodes_45q_halved"] == 4096),
+)

@@ -18,11 +18,11 @@ import numpy as np
 
 from repro.circuits.qft import qft_circuit
 from repro.circuits.random_circuits import random_state
-from repro.experiments.reporting import ExperimentResult
+from repro.experiments.reporting import Claim, ExperimentResult
 from repro.statevector.dense import DenseStatevector
 from repro.statevector.soa import SoAStatevector
 
-__all__ = ["run"]
+__all__ = ["run", "CLAIMS"]
 
 
 def _time_best_of(fn, repeats: int) -> float:
@@ -79,3 +79,11 @@ def run(
         "machine's answer for these kernels."
     )
     return result
+
+
+CLAIMS = (
+    Claim("ext-layout.states-agree", "§4", "complex vs separate arrays",
+          "states_agree == 1 and soa_time > 0 and complex_time > 0",
+          lambda m: m["states_agree"] == 1
+              and m["soa_time"] > 0 and m["complex_time"] > 0),
+)

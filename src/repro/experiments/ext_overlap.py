@@ -10,7 +10,7 @@ the next rung on the ladder after cache blocking + non-blocking.
 from __future__ import annotations
 
 from repro.circuits.qft import builtin_qft_circuit, cache_blocked_qft_circuit
-from repro.experiments.reporting import ExperimentResult
+from repro.experiments.reporting import Claim, ExperimentResult
 from repro.machine.frequency import CpuFrequency
 from repro.machine.node import STANDARD_NODE
 from repro.mpi.datatypes import CommMode
@@ -20,7 +20,7 @@ from repro.perfmodel.trace import RunConfiguration
 from repro.statevector.partition import Partition
 from repro.utils.bits import log2_exact
 
-__all__ = ["run"]
+__all__ = ["run", "CLAIMS"]
 
 
 def run(
@@ -80,3 +80,14 @@ def run(
         "paper's optimisations is the halved-SWAP exchange, not overlap."
     )
     return result
+
+
+CLAIMS = (
+    Claim("ext-overlap.never-hurts", "ext", "-",
+          "{fast,builtin}_overlap_runtime <= {fast,builtin}_runtime",
+          lambda m: m["fast_overlap_runtime"] <= m["fast_runtime"]
+              and m["builtin_overlap_runtime"] <= m["builtin_runtime"]),
+    Claim("ext-overlap.halved-headroom", "ext", "-",
+          "fast_overlap_halved_runtime < 0.9 * fast_runtime",
+          lambda m: m["fast_overlap_halved_runtime"] < 0.9 * m["fast_runtime"]),
+)

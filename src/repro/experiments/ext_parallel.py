@@ -15,6 +15,7 @@ rendition.
 
 from __future__ import annotations
 
+import os
 import tempfile
 import time
 
@@ -22,14 +23,14 @@ import numpy as np
 
 from repro import settings
 from repro.circuits import qft_circuit, random_state
-from repro.experiments.reporting import ExperimentResult
+from repro.experiments.reporting import Claim, ExperimentResult
 from repro.machine.frequency import CpuFrequency
 from repro.machine.node import STANDARD_NODE
 from repro.perfmodel.predictor import predict
 from repro.perfmodel.trace import RunConfiguration
 from repro.statevector import DistributedStatevector, Partition
 
-__all__ = ["run"]
+__all__ = ["run", "CLAIMS"]
 
 _EXEC_QUBITS = 12
 _EXEC_RANKS = 4
@@ -128,3 +129,13 @@ def run() -> ExperimentResult:
         "BENCH_parallel.json."
     )
     return result
+
+
+CLAIMS = (
+    Claim("ext-parallel.pool-identical", "ext", "-",
+          "pool_identical == 1 (where shared memory exists)",
+          lambda m: m.get("pool_identical", 1.0) == 1),
+    Claim("ext-parallel.cache-entries", "ext", "-",
+          f"cache_entries == {len(_CACHE_QUBITS)}",
+          lambda m: m["cache_entries"] == len(_CACHE_QUBITS)),
+)

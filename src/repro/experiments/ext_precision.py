@@ -15,11 +15,11 @@ import numpy as np
 
 from repro.circuits.qft import qft_circuit
 from repro.circuits.random_circuits import random_circuit, random_state
-from repro.experiments.reporting import ExperimentResult
+from repro.experiments.reporting import Claim, ExperimentResult
 from repro.statevector.dense import DenseStatevector
 from repro.statevector.fidelity import fidelity
 
-__all__ = ["run"]
+__all__ = ["run", "CLAIMS"]
 
 
 def run(
@@ -68,3 +68,17 @@ def run(
         "double precision keeps it at rounding level."
     )
     return result
+
+
+_CLAIMED = {"num_qubits": 10, "depths": (50, 400, 1600)}
+
+CLAIMS = (
+    Claim("ext-precision.qft-infidelity", "ext", "-",
+          "qft_infidelity < 1e-6",
+          lambda m: m["qft_infidelity"] < 1e-6,
+          params=_CLAIMED),
+    Claim("ext-precision.random-1600-infidelity", "ext", "-",
+          "random_1600_infidelity < 1e-4",
+          lambda m: m["random_1600_infidelity"] < 1e-4,
+          params=_CLAIMED),
+)

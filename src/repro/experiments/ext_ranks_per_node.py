@@ -11,7 +11,7 @@ prices the built-in QFT on a fixed node count across packings.
 from __future__ import annotations
 
 from repro.circuits.qft import builtin_qft_circuit
-from repro.experiments.reporting import ExperimentResult
+from repro.experiments.reporting import Claim, ExperimentResult
 from repro.machine.frequency import CpuFrequency
 from repro.machine.node import STANDARD_NODE
 from repro.mpi.datatypes import CommMode
@@ -20,7 +20,7 @@ from repro.perfmodel.predictor import predict
 from repro.perfmodel.trace import RunConfiguration
 from repro.statevector.partition import Partition
 
-__all__ = ["run"]
+__all__ = ["run", "CLAIMS"]
 
 
 def run(
@@ -75,3 +75,11 @@ def run(
         "choice) avoids both."
     )
     return result
+
+
+CLAIMS = (
+    Claim("ext-ranks-per-node.packing-neutral", "ext", "1 rank per node",
+          "0.95 < runtime_rpn{2,4,8} / runtime_rpn1 < 1.10",
+          lambda m: all(0.95 < m[f"runtime_rpn{rpn}"] / m["runtime_rpn1"] < 1.10
+              for rpn in (2, 4, 8))),
+)

@@ -23,7 +23,7 @@ Everything runs through :func:`repro.perfmodel.predictor.predict` with
 from __future__ import annotations
 
 from repro.circuits.qft import builtin_qft_circuit
-from repro.experiments.reporting import ExperimentResult
+from repro.experiments.reporting import Claim, ExperimentResult
 from repro.faults.checkpoint import daly_interval, expected_slowdown
 from repro.faults.plan import CheckpointPolicy, FaultPlan
 from repro.machine.frequency import CpuFrequency
@@ -33,7 +33,7 @@ from repro.perfmodel.predictor import predict
 from repro.perfmodel.trace import RunConfiguration
 from repro.statevector.partition import Partition
 
-__all__ = ["run", "DEFAULT_QUBITS", "DEFAULT_NODES"]
+__all__ = ["run", "DEFAULT_QUBITS", "DEFAULT_NODES", "CLAIMS"]
 
 #: Modest configuration: big enough for a multi-second job, small
 #: enough that the sweep stays interactive.
@@ -180,3 +180,17 @@ def run(*, calibration: Calibration = DEFAULT_CALIBRATION) -> ExperimentResult:
         "stay on through the stretched wall time."
     )
     return result
+
+
+CLAIMS = (
+    Claim("ext-resilience.zero-fault-exact", "ext", "-",
+          "zero_fault_exact == 1", lambda m: m["zero_fault_exact"] == 1),
+    Claim("ext-resilience.daly-pays", "ext", "-",
+          "overhead_daly_mtbfF < overhead_unprotected_mtbfF for F in 1, 0.5, 0.25",
+          lambda m: all(
+              m[f"overhead_daly_mtbf{f:g}"] < m[f"overhead_unprotected_mtbf{f:g}"]
+              for f in (1.0, 0.5, 0.25))),
+    Claim("ext-resilience.daly-near-optimal", "ext", "-",
+          "0.5 <= interval_sweep_best_factor <= 2.0",
+          lambda m: 0.5 <= m["interval_sweep_best_factor"] <= 2.0),
+)

@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.des.replay import simulate_trace
 from repro.des.validation import DEFAULT_TOLERANCE
-from repro.experiments.reporting import ExperimentResult
+from repro.experiments.reporting import Claim, ExperimentResult
 from repro.machine.frequency import CpuFrequency
 from repro.machine.node import STANDARD_NODE
 from repro.mpi.datatypes import CommMode
@@ -32,7 +32,7 @@ from repro.statevector.partition import Partition
 from repro.statevector.sampling import resolve_shots, sample
 from repro.tune.workloads import build_workload
 
-__all__ = ["run", "WORKLOADS"]
+__all__ = ["run", "WORKLOADS", "CLAIMS"]
 
 #: (family, qubits, nodes) rows priced at model scale.
 WORKLOADS = (
@@ -147,3 +147,17 @@ def run(
         "cumulative lookups on the root.  " + demo_text
     )
     return result
+
+
+CLAIMS = (
+    Claim("ext-sampling.predictors-agree", "ext", "-",
+          "within_tolerance == 1 and max_abs_delta <= 0.10",
+          lambda m: m["within_tolerance"] == 1 and m["max_abs_delta"] <= 0.10),
+    Claim("ext-sampling.bit-identical", "ext", "-",
+          "demo_bit_identical == 1", lambda m: m["demo_bit_identical"] == 1),
+    Claim("ext-sampling.readout-share", "ext", "-",
+          "0 < readout_share_W < 0.2 for every workload",
+          lambda m: all(
+              0.0 < m[f"readout_share_{family.replace('-', '_')}_{n}"] < 0.2
+              for family, n, _nodes in WORKLOADS)),
+)

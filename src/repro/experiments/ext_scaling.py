@@ -14,13 +14,13 @@ from __future__ import annotations
 from repro.circuits.qft import builtin_qft_circuit
 from repro.core.options import RunOptions
 from repro.core.runner import SimulationRunner
-from repro.experiments.reporting import ExperimentResult
+from repro.experiments.reporting import Claim, ExperimentResult
 from repro.machine.allocation import feasible_node_counts
 from repro.machine.frequency import CpuFrequency
 from repro.mpi.datatypes import CommMode
 from repro.perfmodel.calibration import DEFAULT_CALIBRATION, Calibration
 
-__all__ = ["run"]
+__all__ = ["run", "CLAIMS"]
 
 
 def run(
@@ -87,3 +87,26 @@ def run(
         "parallel efficiency decays as exchanges take over."
     )
     return result
+
+
+_NODES = (64, 128, 256, 512, 1024, 2048, 4096)
+
+
+def _non_increasing(values: list[float]) -> bool:
+    return values == sorted(values, reverse=True)
+
+
+CLAIMS = (
+    Claim("ext-scaling.runtime-falls", "ext", "-",
+          "runtime_N non-increasing over 64..4096 and runtime_4096 < runtime_64",
+          lambda m: _non_increasing([m[f"runtime_{n}"] for n in _NODES])
+              and m["runtime_4096"] < m["runtime_64"]),
+    Claim("ext-scaling.efficiency-decays", "ext", "-",
+          "efficiency_{128,512,2048} non-increasing in (0, 1.05] "
+          "and efficiency_4096 < efficiency_128",
+          lambda m: _non_increasing([m[f"efficiency_{n}"] for n in (128, 512, 2048)])
+              and all(0 < m[f"efficiency_{n}"] <= 1.05 for n in (128, 512, 2048))
+              and m["efficiency_4096"] < m["efficiency_128"]),
+    Claim("ext-scaling.energy-grows", "ext", "-",
+          "energy_4096 > energy_64", lambda m: m["energy_4096"] > m["energy_64"]),
+)

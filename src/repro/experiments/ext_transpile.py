@@ -22,7 +22,7 @@ from repro.circuits.circuit import Circuit
 from repro.circuits.qft import builtin_qft_circuit
 from repro.circuits.random_circuits import random_circuit
 from repro.des.replay import simulate_trace
-from repro.experiments.reporting import ExperimentResult
+from repro.experiments.reporting import Claim, ExperimentResult
 from repro.machine.frequency import CpuFrequency
 from repro.machine.node import STANDARD_NODE
 from repro.perfmodel.calibration import DEFAULT_CALIBRATION, Calibration
@@ -30,7 +30,7 @@ from repro.perfmodel.trace import RunConfiguration, cost_trace, trace_circuit
 from repro.statevector.partition import Partition
 from repro.transpile import STRATEGIES, schedule_metrics, transpile
 
-__all__ = ["run"]
+__all__ = ["run", "CLAIMS"]
 
 #: QFT register sizes swept (all at ``num_ranks`` ranks).
 QFT_SWEEP = (12, 16, 20)
@@ -146,3 +146,31 @@ def run(
         "confirms the analytic deltas survive fabric contention."
     )
     return result
+
+
+def _labels() -> list[str]:
+    return [f"qft{n}" for n in QFT_SWEEP] + [f"random{RANDOM_WORKLOAD[0]}"]
+
+
+CLAIMS = (
+    Claim("ext-transpile.qft-integer-rounds", "ext", "-",
+          "qftN_grouped_round_factor is an integer >= 2",
+          lambda m: all(
+              m[f"qft{n}_grouped_round_factor"] >= 2
+              and m[f"qft{n}_grouped_round_factor"].is_integer()
+              for n in QFT_SWEEP)),
+    Claim("ext-transpile.grouped-fewer-bytes", "ext", "-",
+          "W_grouped_bytes < W_blocked_bytes for every workload",
+          lambda m: all(m[f"{w}_grouped_bytes"] < m[f"{w}_blocked_bytes"]
+              for w in _labels())),
+    Claim("ext-transpile.saves-energy", "ext", "-",
+          "W_{blocked,grouped}_energy_delta_j < 0 for every workload",
+          lambda m: all(
+              m[f"{w}_{s}_energy_delta_j"] < 0
+              for w in _labels() for s in ("blocked", "grouped"))),
+    Claim("ext-transpile.des-agrees", "ext", "-",
+          "abs(W_S_des_s / W_S_analytic_s - 1) <= 0.10",
+          lambda m: all(
+              abs(m[f"{w}_{s}_des_s"] / m[f"{w}_{s}_analytic_s"] - 1) <= 0.10
+              for w in _labels() for s in STRATEGIES)),
+)

@@ -12,7 +12,7 @@ every frontier point.
 
 from __future__ import annotations
 
-from repro.experiments.reporting import ExperimentResult
+from repro.experiments.reporting import Claim, ExperimentResult
 from repro.machine.frequency import CpuFrequency
 from repro.mpi.datatypes import CommMode
 from repro.perfmodel.calibration import DEFAULT_CALIBRATION, Calibration
@@ -22,7 +22,7 @@ from repro.tune.levers import LeverPoint, LeverSpace
 from repro.tune.search import Constraint, tune
 from repro.tune.workloads import build_workload
 
-__all__ = ["run", "paper_default_point"]
+__all__ = ["run", "paper_default_point", "CLAIMS"]
 
 #: Node count of the reference configuration (and centre of the sweep).
 DEFAULT_NUM_NODES = 16
@@ -149,3 +149,18 @@ def run(
         "two models disagree by more than 10%."
     )
     return result
+
+
+CLAIMS = (
+    Claim("ext-tune.energy-saving", "ext", "-",
+          "energy_saving >= 0.25 and best_energy_j < default_energy_j",
+          lambda m: m["energy_saving"] >= 0.25
+              and m["best_energy_j"] < m["default_energy_j"]),
+    Claim("ext-tune.deadline", "ext", "-",
+          "deadline_s == 2.0 * default_runtime_s",
+          lambda m: m["deadline_s"] == 2.0 * m["default_runtime_s"]),
+    Claim("ext-tune.spot-checks", "ext", "-",
+          "spot_checked == frontier_size and max_des_delta <= 0.10",
+          lambda m: m["spot_checked"] == m["frontier_size"]
+              and m["max_des_delta"] <= 0.10),
+)

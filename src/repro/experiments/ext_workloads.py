@@ -14,7 +14,7 @@ from repro.circuits.grover import grover_circuit
 from repro.circuits.qft import builtin_qft_circuit, cache_blocked_qft_circuit
 from repro.circuits.random_circuits import random_circuit
 from repro.circuits.trotter import tfim_trotter_circuit
-from repro.experiments.reporting import ExperimentResult
+from repro.experiments.reporting import Claim, ExperimentResult
 from repro.machine.frequency import CpuFrequency
 from repro.machine.node import STANDARD_NODE
 from repro.mpi.datatypes import CommMode
@@ -24,7 +24,13 @@ from repro.perfmodel.trace import RunConfiguration
 from repro.statevector.partition import Partition
 from repro.transpile import cache_block
 
-__all__ = ["run", "DEFAULT_NUM_QUBITS", "DEFAULT_NUM_NODES", "DEFAULT_SEED"]
+__all__ = [
+    "run",
+    "DEFAULT_NUM_QUBITS",
+    "DEFAULT_NUM_NODES",
+    "DEFAULT_SEED",
+    "CLAIMS",
+]
 
 #: Register size of the paper-scale zoo run (overridable per call via
 #: ``run_experiment("ext-workloads", num_qubits=...)``).
@@ -119,3 +125,19 @@ def run(
         "little -- each inserted SWAP buys a single localised gate."
     )
     return result
+
+
+_FAMILIES = ("qft", "grover", "tfim", "random")
+
+CLAIMS = (
+    Claim("ext-workloads.never-loses", "ext", "-",
+          "{f}_saved >= -0.01 and {f}_fast_runtime <= {f}_base_runtime * 1.01",
+          lambda m: all(
+              m[f"{f}_saved"] >= -0.01
+              and m[f"{f}_fast_runtime"] <= m[f"{f}_base_runtime"] * 1.01
+              for f in _FAMILIES)),
+    Claim("ext-workloads.clustered-pays-most", "ext", "QFT perfect for blocking",
+          "random_saved > tfim_saved and qft_saved > tfim_saved",
+          lambda m: m["random_saved"] > m["tfim_saved"]
+              and m["qft_saved"] > m["tfim_saved"]),
+)

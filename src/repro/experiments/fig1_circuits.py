@@ -14,10 +14,10 @@ from repro.circuits.analysis import distributed_gate_count
 from repro.circuits.drawer import draw_circuit
 from repro.circuits.qft import cache_blocked_qft_circuit, qft_circuit
 from repro.circuits.random_circuits import random_state
-from repro.experiments.reporting import ExperimentResult
+from repro.experiments.reporting import Claim, ExperimentResult
 from repro.statevector.dense import DenseStatevector
 
-__all__ = ["run"]
+__all__ = ["run", "CLAIMS"]
 
 
 def run(*, num_qubits: int = 4, local_qubits: int = 2) -> ExperimentResult:
@@ -65,3 +65,18 @@ def run(*, num_qubits: int = 4, local_qubits: int = 2) -> ExperimentResult:
         "the distributed operations)."
     )
     return result
+
+
+CLAIMS = (
+    Claim("fig1.same-unitary", "Fig. 1", "1a and 1b are one unitary",
+          "circuits_equal == 1", lambda m: m["circuits_equal"] == 1),
+    Claim("fig1.hadamards-local", "Fig. 1", "every Hadamard local in 1b",
+          "all_hadamards_local == 1", lambda m: m["all_hadamards_local"] == 1),
+    Claim("fig1.distributed-halved", "Fig. 1", "2d -> d distributed ops",
+          "distributed_standard == 4 and distributed_blocked == 2",
+          lambda m: m["distributed_standard"] == 4 and m["distributed_blocked"] == 2),
+    Claim("fig1.distributed-halved-12q", "Fig. 1", "2d -> d distributed ops",
+          "distributed_standard == 8 and distributed_blocked == 4",
+          lambda m: m["distributed_standard"] == 8 and m["distributed_blocked"] == 4,
+          params={"num_qubits": 12, "local_qubits": 8}),
+)

@@ -14,9 +14,9 @@ from __future__ import annotations
 from repro.circuits.qft import builtin_qft_circuit
 from repro.core.runner import SimulationRunner
 from repro.core.study import PAPER_SETUPS, sweep_qft_setups
-from repro.experiments.reporting import ExperimentResult
+from repro.experiments.reporting import Claim, ExperimentResult
 
-__all__ = ["run"]
+__all__ = ["run", "CLAIMS"]
 
 
 def run(
@@ -81,3 +81,15 @@ def run(
         "high-memory series ends at 41 qubits, standard at 44."
     )
     return result
+
+
+CLAIMS = (
+    Claim("fig2.highmem-max-qubits", "Fig. 2", "41 qubits",
+          "highmem_max_qubits == 41", lambda m: m["highmem_max_qubits"] == 41),
+    Claim("fig2.standard-max-qubits", "Fig. 2", "44 qubits",
+          "standard_max_qubits == 44", lambda m: m["standard_max_qubits"] == 44),
+    Claim("fig2.highmem-slowdown", "Fig. 2", "slower, but < 2x",
+          "1.3 < highmem_slowdown_min and highmem_slowdown_max < 2.0",
+          lambda m: 1.3 < m["highmem_slowdown_min"]
+              and m["highmem_slowdown_max"] < 2.0),
+)

@@ -12,9 +12,9 @@ from __future__ import annotations
 from repro.circuits.qft import builtin_qft_circuit
 from repro.core.runner import SimulationRunner
 from repro.core.study import DEFAULT_SETUP, PAPER_SETUPS, relative_to_baseline, sweep_qft_setups
-from repro.experiments.reporting import ExperimentResult
+from repro.experiments.reporting import Claim, ExperimentResult
 
-__all__ = ["run"]
+__all__ = ["run", "CLAIMS"]
 
 
 def run(
@@ -75,3 +75,21 @@ def run(
         "high-memory much slower but cheaper in CU."
     )
     return result
+
+
+CLAIMS = (
+    Claim("fig3.high-freq-runtime", "Fig. 3", "5-10% faster",
+          "0.90 <= high_freq_runtime_ratio <= 0.97",
+          lambda m: 0.90 <= m["high_freq_runtime_ratio"] <= 0.97),
+    Claim("fig3.high-freq-energy", "Fig. 3", "~25% more energy",
+          "1.12 <= high_freq_energy_ratio <= 1.30",
+          lambda m: 1.12 <= m["high_freq_energy_ratio"] <= 1.30),
+    Claim("fig3.highmem-runtime", "Fig. 3", "much slower, < 2x",
+          "1.3 <= highmem_runtime_ratio < 2.2",
+          lambda m: 1.3 <= m["highmem_runtime_ratio"] < 2.2),
+    Claim("fig3.highmem-energy", "Fig. 3", "slightly higher or lower",
+          "0.9 <= highmem_energy_ratio <= 1.15",
+          lambda m: 0.9 <= m["highmem_energy_ratio"] <= 1.15),
+    Claim("fig3.highmem-cu", "Fig. 3", "fewer CUs",
+          "highmem_cu_ratio < 1.0", lambda m: m["highmem_cu_ratio"] < 1.0),
+)

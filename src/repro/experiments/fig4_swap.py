@@ -15,7 +15,7 @@ from repro.circuits.benchmarks import (
     swap_benchmark,
 )
 from repro.experiments import paper_data
-from repro.experiments.reporting import ExperimentResult
+from repro.experiments.reporting import Claim, ExperimentResult
 from repro.experiments.table1_hadamard import PAPER_NODES, PAPER_REGISTER
 from repro.machine.frequency import CpuFrequency
 from repro.machine.node import STANDARD_NODE
@@ -25,7 +25,7 @@ from repro.perfmodel.predictor import predict
 from repro.perfmodel.trace import RunConfiguration
 from repro.statevector.partition import Partition
 
-__all__ = ["run"]
+__all__ = ["run", "CLAIMS"]
 
 
 def run(
@@ -85,3 +85,23 @@ def run(
         f"{en_lo / 1e3:.0f}-{en_hi / 1e3:.0f} kJ."
     )
     return result
+
+
+CLAIMS = (
+    Claim("fig4.blocking-time", "Fig. 4", "9.0-9.75 s",
+          "8.5 <= blocking_time_min and blocking_time_max <= 9.75",
+          lambda m: 8.5 <= m["blocking_time_min"] and m["blocking_time_max"] <= 9.75),
+    Claim("fig4.nonblocking-time", "Fig. 4", "8.25-9.0 s",
+          "nonblocking_time_max <= 9.0 and < blocking_time_min",
+          lambda m: m["nonblocking_time_max"] <= 9.0
+              and m["nonblocking_time_max"] < m["blocking_time_min"]),
+    Claim("fig4.blocking-energy", "Fig. 4", "180-195 kJ",
+          "blocking_energy_max <= 195e3", lambda m: m["blocking_energy_max"] <= 195e3),
+    Claim("fig4.nonblocking-energy", "Fig. 4", "160-180 kJ",
+          "150e3 <= nonblocking_energy_min",
+          lambda m: 150e3 <= m["nonblocking_energy_min"]),
+    Claim("fig4.halved-time", "§4", "communication halved",
+          "blocking_time_max < 6.0",
+          lambda m: m["blocking_time_max"] < 6.0,
+          params={"halved_swaps": True}),
+)

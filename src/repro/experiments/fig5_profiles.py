@@ -12,7 +12,7 @@ from __future__ import annotations
 from repro.circuits.benchmarks import hadamard_benchmark
 from repro.circuits.qft import builtin_qft_circuit, cache_blocked_qft_circuit
 from repro.experiments import paper_data
-from repro.experiments.reporting import ExperimentResult
+from repro.experiments.reporting import Claim, ExperimentResult
 from repro.experiments.table1_hadamard import PAPER_NODES, PAPER_REGISTER
 from repro.machine.frequency import CpuFrequency
 from repro.machine.node import STANDARD_NODE
@@ -22,7 +22,7 @@ from repro.perfmodel.predictor import predict
 from repro.perfmodel.trace import RunConfiguration
 from repro.statevector.partition import Partition
 
-__all__ = ["run"]
+__all__ = ["run", "CLAIMS"]
 
 
 def _config(mode: CommMode, calibration: Calibration) -> RunConfiguration:
@@ -91,3 +91,25 @@ def run(*, calibration: Calibration = DEFAULT_CALIBRATION) -> ExperimentResult:
         "non-MPI time splits ~2:1 memory:compute."
     )
     return result
+
+
+CLAIMS = (
+    Claim("fig5.hadamard-mpi", "Fig. 5", "~97%",
+          "hadamard_worst_case_mpi_fraction > 0.9",
+          lambda m: m["hadamard_worst_case_mpi_fraction"] > 0.9),
+    Claim("fig5.builtin-qft-mpi", "Fig. 5", "43%",
+          "0.33 <= builtin_qft_mpi_fraction <= 0.50",
+          lambda m: 0.33 <= m["builtin_qft_mpi_fraction"] <= 0.50),
+    Claim("fig5.blocked-qft-mpi", "Fig. 5", "25%",
+          "0.18 <= cache_blocked_qft_mpi_fraction <= 0.30",
+          lambda m: 0.18 <= m["cache_blocked_qft_mpi_fraction"] <= 0.30),
+    Claim("fig5.mpi-ordering", "Fig. 5", "97% > 43% > 25%",
+          "cache_blocked_qft < builtin_qft < hadamard_worst_case (mpi_fraction)",
+          lambda m: m["cache_blocked_qft_mpi_fraction"]
+              < m["builtin_qft_mpi_fraction"] < m["hadamard_worst_case_mpi_fraction"]),
+    Claim("fig5.memory-over-compute", "Fig. 5", "~2:1",
+          "1.5 < builtin_qft_memory_fraction / builtin_qft_compute_fraction < 8.0",
+          lambda m: 1.5
+              < m["builtin_qft_memory_fraction"] / m["builtin_qft_compute_fraction"]
+              < 8.0),
+)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Callable
 
 from repro.errors import ExperimentError
@@ -33,9 +34,9 @@ from repro.experiments import (
     table2_best,
     validate,
 )
-from repro.experiments.reporting import ExperimentResult
+from repro.experiments.reporting import Claim, ExperimentResult
 
-__all__ = ["EXPERIMENTS", "run_experiment", "experiment_ids"]
+__all__ = ["EXPERIMENTS", "run_experiment", "experiment_ids", "claims_of"]
 
 #: id -> zero-config runner.
 EXPERIMENTS: dict[str, Callable[[], ExperimentResult]] = {
@@ -85,15 +86,7 @@ def experiment_ids() -> list[str]:
     return list(EXPERIMENTS)
 
 
-def run_experiment(experiment_id: str, **params: object) -> ExperimentResult:
-    """Run one experiment by id (underscores accepted as dashes,
-    ``table2``/``figure4``-style long forms accepted as aliases).
-
-    Keyword ``params`` are forwarded to the runner, so shared constants
-    (register sizes, node counts, workload seeds) can be overridden per
-    call instead of living hard-coded in the experiment module:
-    ``run_experiment("ext-workloads", num_qubits=12, seed=7)``.
-    """
+def _runner(experiment_id: str) -> Callable[..., ExperimentResult]:
     canonical = experiment_id.replace("_", "-")
     canonical = ALIASES.get(canonical, canonical)
     runner = EXPERIMENTS.get(experiment_id) or EXPERIMENTS.get(canonical)
@@ -102,6 +95,20 @@ def run_experiment(experiment_id: str, **params: object) -> ExperimentResult:
             f"unknown experiment {experiment_id!r} "
             f"(available: {', '.join(EXPERIMENTS)})"
         )
+    return runner
+
+
+def claims_of(experiment_id: str) -> tuple[Claim, ...]:
+    """The claims declared next to an experiment (its module's ``CLAIMS``)."""
+    runner = _runner(experiment_id)
+    return getattr(sys.modules[runner.__module__], "CLAIMS", ())
+
+
+def _call(
+    runner: Callable[..., ExperimentResult],
+    experiment_id: str,
+    params: dict[str, object],
+) -> ExperimentResult:
     try:
         return runner(**params)
     except TypeError as exc:
@@ -110,3 +117,32 @@ def run_experiment(experiment_id: str, **params: object) -> ExperimentResult:
                 f"bad parameters for {experiment_id!r}: {exc}"
             ) from exc
         raise
+
+
+def run_experiment(experiment_id: str, **params: object) -> ExperimentResult:
+    """Run one experiment by id (underscores accepted as dashes,
+    ``table2``/``figure4``-style long forms accepted as aliases) and
+    check its claims.
+
+    Keyword ``params`` are forwarded to the runner, so shared constants
+    (register sizes, node counts, workload seeds) can be overridden per
+    call instead of living hard-coded in the experiment module:
+    ``run_experiment("ext-workloads", num_qubits=12, seed=7)``.
+
+    The verdicts land in ``result.verdicts``.  A default run checks
+    every claim, running each non-default configuration a claim is made
+    at once more; a run with ``params`` checks only the claims made at
+    exactly those params.
+    """
+    runner = _runner(experiment_id)
+    result = _call(runner, experiment_id, params)
+    runs = [(params, result)]
+    for claim in claims_of(experiment_id):
+        if params and claim.params != params:
+            continue
+        run = next((r for p, r in runs if p == claim.params), None)
+        if run is None:
+            run = _call(runner, experiment_id, claim.params)
+            runs.append((claim.params, run))
+        result.verdicts.append(claim.check(run.metrics))
+    return result

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from repro.circuits.benchmarks import PAPER_BENCHMARK_GATES, hadamard_benchmark
 from repro.experiments import paper_data
-from repro.experiments.reporting import ExperimentResult
+from repro.experiments.reporting import Claim, ExperimentResult
 from repro.machine.frequency import CpuFrequency
 from repro.machine.node import STANDARD_NODE
 from repro.mpi.datatypes import CommMode
@@ -20,7 +20,7 @@ from repro.perfmodel.predictor import predict
 from repro.perfmodel.trace import RunConfiguration
 from repro.statevector.partition import Partition
 
-__all__ = ["run", "PAPER_REGISTER", "PAPER_NODES"]
+__all__ = ["run", "PAPER_REGISTER", "PAPER_NODES", "CLAIMS"]
 
 #: The benchmark's register size: 64 GiB of amplitudes per node on 64
 #: standard nodes.
@@ -100,3 +100,32 @@ def run(
         "~20x jump at 32 (distributed), non-blocking ~10% cheaper there."
     )
     return result
+
+
+CLAIMS = (
+    Claim("tab1.blocking-time-q32", "Table 1", "9.63 s",
+          "abs(blocking_time_q32 - 9.63) < 1.0",
+          lambda m: abs(m["blocking_time_q32"] - 9.63) < 1.0),
+    Claim("tab1.nonblocking-time-q32", "Table 1", "8.82 s",
+          "abs(nonblocking_time_q32 - 8.82) < 0.9",
+          lambda m: abs(m["nonblocking_time_q32"] - 8.82) < 0.9),
+    Claim("tab1.blocking-energy-q32", "Table 1", "191 kJ",
+          "abs(blocking_energy_q32 - 191e3) < 20e3",
+          lambda m: abs(m["blocking_energy_q32"] - 191e3) < 20e3),
+    Claim("tab1.nonblocking-mitigates", "Table 1", "8.82 s / 179 kJ < 9.63 s / 191 kJ",
+          "nonblocking_{time,energy}_q32 < blocking_{time,energy}_q32",
+          lambda m: m["nonblocking_time_q32"] < m["blocking_time_q32"]
+              and m["nonblocking_energy_q32"] < m["blocking_energy_q32"]),
+    Claim("tab1.distributed-over-local", "Table 1", "~20x",
+          "15 < distributed_over_local < 25",
+          lambda m: 15 < m["distributed_over_local"] < 25),
+    Claim("tab1.numa-ramp", "Table 1", "ramp at qubits 30-31",
+          "blocking_time_q29 < _q30 < _q31 < 1.1",
+          lambda m: m["blocking_time_q29"] < m["blocking_time_q30"]
+              < m["blocking_time_q31"] < 1.1),
+    Claim("tab1.local-time", "Table 1", "~0.5 s",
+          "abs(local_time - 0.5) < 0.05", lambda m: abs(m["local_time"] - 0.5) < 0.05),
+    Claim("tab1.local-energy", "Table 1", "~15 kJ",
+          "abs(local_energy - 15e3) < 2.5e3",
+          lambda m: abs(m["local_energy"] - 15e3) < 2.5e3),
+)

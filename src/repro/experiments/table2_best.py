@@ -12,13 +12,13 @@ from repro.circuits.qft import builtin_qft_circuit, cache_blocked_qft_circuit
 from repro.core.options import RunOptions
 from repro.core.runner import SimulationRunner
 from repro.experiments import paper_data
-from repro.experiments.reporting import ExperimentResult
+from repro.experiments.reporting import Claim, ExperimentResult
 from repro.machine.frequency import CpuFrequency
 from repro.mpi.datatypes import CommMode
 from repro.perfmodel.calibration import DEFAULT_CALIBRATION, Calibration
 from repro.utils.bits import log2_exact
 
-__all__ = ["run", "PAPER_RUNS"]
+__all__ = ["run", "PAPER_RUNS", "CLAIMS"]
 
 #: The paper's (qubits, nodes) pairs.
 PAPER_RUNS = ((43, 2048), (44, 4096))
@@ -103,3 +103,32 @@ def run(
         f"~{impact.cost:.0f} GBP) per run."
     )
     return result
+
+
+CLAIMS = (
+    Claim("tab2.runtime-43q", "Table 2", "35%",
+          "0.30 <= runtime_improvement_43q <= 0.45",
+          lambda m: 0.30 <= m["runtime_improvement_43q"] <= 0.45),
+    Claim("tab2.runtime-44q", "Table 2", "40%",
+          "0.30 <= runtime_improvement_44q <= 0.45",
+          lambda m: 0.30 <= m["runtime_improvement_44q"] <= 0.45),
+    Claim("tab2.energy-43q", "Table 2", "30%",
+          "0.25 <= energy_saving_43q <= 0.40",
+          lambda m: 0.25 <= m["energy_saving_43q"] <= 0.40),
+    Claim("tab2.energy-44q", "Table 2", "35%",
+          "0.25 <= energy_saving_44q <= 0.40",
+          lambda m: 0.25 <= m["energy_saving_44q"] <= 0.40),
+    Claim("tab2.builtin-runtime-44q", "Table 2", "476 s",
+          "abs(builtin_runtime_44q - 476) / 476 < 0.15",
+          lambda m: abs(m["builtin_runtime_44q"] - 476) / 476 < 0.15),
+    Claim("tab2.fast-runtime-44q", "Table 2", "285 s",
+          "abs(fast_runtime_44q - 285) / 285 < 0.15",
+          lambda m: abs(m["fast_runtime_44q"] - 285) / 285 < 0.15),
+    Claim("tab2.energy-saved-44q", "Table 2", "233 MJ",
+          "150e6 < energy_saved_j_44q < 320e6",
+          lambda m: 150e6 < m["energy_saved_j_44q"] < 320e6),
+    Claim("tab2.halved-runtime-44q", "§4", "communication halved",
+          "runtime_improvement_44q > 0.30",
+          lambda m: m["runtime_improvement_44q"] > 0.30,
+          params={"halved_swaps": True}),
+)

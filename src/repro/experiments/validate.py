@@ -20,7 +20,7 @@ from repro.circuits import (
     random_state,
     textbook_qft_circuit,
 )
-from repro.experiments.reporting import ExperimentResult
+from repro.experiments.reporting import Claim, ExperimentResult
 from repro.machine.frequency import CpuFrequency
 from repro.machine.node import STANDARD_NODE
 from repro.mpi.datatypes import CommMode
@@ -32,7 +32,7 @@ from repro.statevector import (
     SoAStatevector,
 )
 
-__all__ = ["run"]
+__all__ = ["run", "CLAIMS"]
 
 
 def _check_textbook_qft() -> bool:
@@ -190,3 +190,9 @@ def run() -> ExperimentResult:
         "modelled (see docs/MODEL.md)."
     )
     return result
+
+
+CLAIMS = (
+    Claim("validate.all-ok", "ext", "-",
+          "all_ok == 1", lambda m: m["all_ok"] == 1),
+)

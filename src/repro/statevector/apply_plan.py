@@ -546,7 +546,6 @@ def fusion_units(
     circuit: Circuit,
     fusion: str | FusionConfig | None = None,
     *,
-    max_fused_qubits: int = MAX_FUSED_QUBITS,
     local_qubits: int | None = None,
 ) -> list[FusionUnit]:
     """The structural half of :func:`compile_plan`: its fusion units.
@@ -568,7 +567,7 @@ def fusion_units(
     """
     config = resolve_fusion(fusion)
     diag_qubits = (
-        config.diag_qubits if config.diag_qubits is not None else max_fused_qubits
+        config.diag_qubits if config.diag_qubits is not None else MAX_FUSED_QUBITS
     )
     units = _diag_fusion_units(circuit, config.fuse_diagonals, diag_qubits)
     if config.fuse_diagonals:
@@ -596,8 +595,6 @@ def compile_plan(
     circuit: Circuit,
     *,
     fusion: str | FusionConfig | None = None,
-    fuse_diagonals: bool | None = None,
-    max_fused_qubits: int = MAX_FUSED_QUBITS,
     local_qubits: int | None = None,
     cache: bool = True,
 ) -> ApplyPlan:
@@ -606,25 +603,16 @@ def compile_plan(
     ``fusion`` selects the fusion pass: a :class:`FusionConfig`, a mode
     string (``"off"`` | ``"diag"`` | ``"full[:k]"``), or ``None`` to
     resolve from ``$REPRO_FUSION`` (default ``diag``, the behaviour of
-    every prior release).  ``fuse_diagonals`` is the legacy boolean
-    control: ``False`` forces fusion fully off (per-gate granularity for
-    observers), ``True`` guarantees at least diagonal-run fusion.
+    every prior release).  ``"off"`` keeps per-gate granularity (what
+    observers need).
 
     ``local_qubits`` bounds block/permutation fusion to gates whose
     support lies entirely below it (the distributed executors pass their
     partition's local-qubit count; ``None`` means everything is local).
     Diagonal fusion is exempt -- diagonals never communicate.
     """
-    if max_fused_qubits < 1:
-        raise SimulationError(
-            f"max_fused_qubits must be >= 1, got {max_fused_qubits}"
-        )
     config = resolve_fusion(fusion)
-    if fuse_diagonals is False:
-        config = FusionConfig(mode="off")
-    elif fuse_diagonals and config.mode == "off":
-        config = FusionConfig(mode="diag")
-    key = (config.cache_key(), max_fused_qubits, local_qubits)
+    key = (config.cache_key(), local_qubits)
     if cache:
         entry = _plan_cache.get(id(circuit))
         if (
@@ -635,12 +623,7 @@ def compile_plan(
         ):
             return entry[3]
 
-    units = fusion_units(
-        circuit,
-        config,
-        max_fused_qubits=max_fused_qubits,
-        local_qubits=local_qubits,
-    )
+    units = fusion_units(circuit, config, local_qubits=local_qubits)
     steps = tuple(_unit_step(gate, covered) for gate, covered in units)
     if config.fuse_blocks:
         steps = tuple(

@@ -85,8 +85,8 @@ FULL_DIAG_QUBITS = 16
 class FusionConfig:
     """Resolved fusion settings for one plan compilation.
 
-    ``diag_qubits`` of ``None`` defers to the caller's diagonal-run cap
-    (``compile_plan``'s ``max_fused_qubits``); ``full`` mode raises it
+    ``diag_qubits`` of ``None`` means the default diagonal-run cap
+    (``apply_plan.MAX_FUSED_QUBITS``); ``full`` mode raises it
     to :data:`FULL_DIAG_QUBITS` so whole QFT ladders fuse to one sweep.
     """
 

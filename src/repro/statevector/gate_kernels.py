@@ -60,7 +60,6 @@ __all__ = [
     "apply_swap_local",
     "combine_distributed_single",
     "swap_in_halves",
-    "register_fused_kernel",
     "get_backend",
     "configured_backend",
     "set_backend",
@@ -497,24 +496,13 @@ def _apply_diagonal_broadcast(
 # -- fused-block kernels ------------------------------------------------------
 #
 # A fused block (Gate.fused_block) lowers to one batched matmul over the
-# 2**(m-k) sub-vectors of its k-qubit support.  The kernel is looked up
-# per backend through a registry so a future native/GPU backend can
-# plug its own implementation behind the same plan (mirror of the
-# REPRO_KERNELS seam for the scalar kernels).
-
-_FUSED_KERNELS: dict = {}
+# 2**(m-k) sub-vectors of its k-qubit support.  The reference backend
+# keeps its index-array version; strided and native share the strided
+# one.
 
 #: Amplitudes per matmul chunk on the contiguous fast path -- keeps the
 #: working set (input rows + output buffer) inside L2.
 _BATCH_CHUNK_AMPS = 1 << 18
-
-
-def register_fused_kernel(backend: str, fn) -> None:
-    """Register ``fn(amps, matrix, targets, controls)`` as the
-    fused-block kernel for ``backend`` (a ``KERNEL_BACKENDS`` name).
-    Returns nothing; replaces any previous registration.
-    """
-    _FUSED_KERNELS[settings.KERNELS.parse(backend, "register_fused_kernel")] = fn
 
 
 def apply_unitary_batched(
@@ -538,14 +526,10 @@ def apply_unitary_batched(
             f"matrix shape {matrix.shape} does not match {k} target(s)"
         )
     _check_bits(amps, targets + tuple(controls))
-    backend = get_backend()
-    fn = _FUSED_KERNELS.get(backend)
-    if fn is None:
-        raise SimulationError(
-            f"kernel backend {backend!r} has no fused-block kernel "
-            f"registered (see register_fused_kernel)"
-        )
-    fn(amps, matrix, targets, tuple(controls))
+    if get_backend() == "reference":
+        _reference.apply_unitary_batched(amps, matrix, targets, tuple(controls))
+    else:
+        _apply_unitary_batched_strided(amps, matrix, targets, tuple(controls))
 
 
 def _apply_unitary_batched_strided(
@@ -750,7 +734,3 @@ def swap_in_halves(
     # Already a pure strided-view kernel; shared by both backends.
     return _reference.swap_in_halves(local, remote, local_bit, my_bit_value)
 
-
-register_fused_kernel("strided", _apply_unitary_batched_strided)
-register_fused_kernel("native", _apply_unitary_batched_strided)
-register_fused_kernel("reference", _reference.apply_unitary_batched)

@@ -152,8 +152,8 @@ def apply_unitary_batched(
 
     :func:`apply_matrix` already applies an arbitrary ``2**k x 2**k``
     unitary through index arrays; the fused-block step needs nothing
-    more here.  The strided backend registers a batched reshape+matmul
-    instead (see ``gate_kernels.register_fused_kernel``).
+    more here.  The strided and native backends use a batched
+    reshape+matmul instead (``gate_kernels.apply_unitary_batched``).
     """
     apply_matrix(amps, matrix, targets, controls)
 

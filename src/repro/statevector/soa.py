@@ -7,8 +7,7 @@ imaginary arrays, in order to improve data locality".
 
 This module implements the separate-arrays layout with explicit real
 arithmetic so the two layouts can be compared *by measurement* on the
-same kernels (see ``benchmarks/bench_ext_layout.py`` and the
-``ext-layout`` experiment).  :class:`SoAStatevector` is numerically
+same kernels (see the ``ext-layout`` experiment).  :class:`SoAStatevector` is numerically
 exact and tested against :class:`~repro.statevector.dense.DenseStatevector`.
 """
 

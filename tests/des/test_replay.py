@@ -12,7 +12,6 @@ from repro.des import (
     simulate_trace,
 )
 from repro.errors import CalibrationError, DesError
-from repro.experiments import ext_des_crosscheck
 from repro.machine import CpuFrequency, STANDARD_NODE
 from repro.mpi import CommMode
 from repro.perfmodel import (
@@ -111,15 +110,6 @@ class TestMakespan:
 
 
 class TestPaperScale:
-    def test_table2_crosscheck_gates(self):
-        """The Table 2 replays agree with the closed form and keep the
-        paper's orderings."""
-        result = ext_des_crosscheck.run()
-        assert result.metric("within_tolerance") == 1.0
-        assert result.metric("max_abs_delta") < 0.10
-        assert result.metric("ordering_ok_43q") == 1.0
-        assert result.metric("ordering_ok_44q") == 1.0
-
     def test_qft44_on_4096_ranks_replays_few_events(self):
         """Deterministic cost bound: the orbit fold replays a handful of
         ranks, not 4,096 (the full replay processes ~1.9M events)."""

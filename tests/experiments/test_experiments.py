@@ -1,18 +1,12 @@
-"""Shape tests for every experiment: the paper's qualitative claims."""
+"""Structural tests for the experiments (rows, rendering, measured
+modes); their paper claims are checked in ``test_claims.py``."""
 
 import pytest
 
 from repro.experiments import (
-    ext_comm_modes,
-    ext_frequency,
     ext_fusion,
-    ext_generic_cb,
-    ext_halved_swap,
     fig2_runtimes,
     fig3_fractional,
-    fig4_swap,
-    fig5_profiles,
-    table1_hadamard,
     table2_best,
 )
 
@@ -28,25 +22,11 @@ def fig3():
 
 
 @pytest.fixture(scope="module")
-def tab1():
-    return table1_hadamard.run()
-
-
-@pytest.fixture(scope="module")
 def tab2():
     return table2_best.run()
 
 
 class TestFig2(object):
-    def test_partition_truncation(self, fig2):
-        """Highmem ends at 41 qubits, standard at 44 (paper §3.1)."""
-        assert fig2.metric("highmem_max_qubits") == 41
-        assert fig2.metric("standard_max_qubits") == 44
-
-    def test_highmem_less_than_twice_as_slow(self, fig2):
-        assert fig2.metric("highmem_slowdown_max") < 2.0
-        assert fig2.metric("highmem_slowdown_min") > 1.3
-
     def test_rows_cover_grid(self, fig2):
         assert len(fig2.rows) == 4 * 12
 
@@ -56,124 +36,18 @@ class TestFig2(object):
 
 
 class TestFig3:
-    def test_high_frequency_tradeoff(self, fig3):
-        """5-10% faster, ~25% more energy (we assert 15-30%)."""
-        assert 0.90 <= fig3.metric("high_freq_runtime_ratio") <= 0.97
-        assert 1.12 <= fig3.metric("high_freq_energy_ratio") <= 1.30
-
-    def test_highmem_tradeoff(self, fig3):
-        assert 1.3 <= fig3.metric("highmem_runtime_ratio") < 2.2
-        assert 0.9 <= fig3.metric("highmem_energy_ratio") <= 1.15
-        assert fig3.metric("highmem_cu_ratio") < 1.0
-
     def test_baseline_not_in_rows(self, fig3):
         assert all(row[0] != "standard/2GHz" for row in fig3.rows)
 
 
-class TestTable1:
-    def test_distributed_twenty_fold(self, tab1):
-        assert 15 <= tab1.metric("distributed_over_local") <= 25
-
-    def test_nonblocking_mitigates(self, tab1):
-        assert tab1.metric("nonblocking_time_q32") < tab1.metric(
-            "blocking_time_q32"
-        )
-        assert tab1.metric("nonblocking_energy_q32") < tab1.metric(
-            "blocking_energy_q32"
-        )
-
-    def test_numa_ramp_monotone(self, tab1):
-        t29 = tab1.metric("blocking_time_q29")
-        t30 = tab1.metric("blocking_time_q30")
-        t31 = tab1.metric("blocking_time_q31")
-        assert t29 < t30 < t31 < 1.1
-
-    def test_local_anchors(self, tab1):
-        assert abs(tab1.metric("local_time") - 0.5) < 0.05
-        assert abs(tab1.metric("local_energy") - 15e3) < 2.5e3
-
-
-class TestFig4:
-    def test_ranges(self):
-        result = fig4_swap.run()
-        assert 8.5 <= result.metric("blocking_time_min")
-        assert result.metric("blocking_time_max") <= 9.75
-        assert result.metric("nonblocking_time_max") < result.metric(
-            "blocking_time_min"
-        )
-        assert 150e3 <= result.metric("nonblocking_energy_min")
-        assert result.metric("blocking_energy_max") <= 195e3
-
-    def test_halved_variant_cheaper(self):
-        full = fig4_swap.run()
-        halved = fig4_swap.run(halved_swaps=True)
-        assert halved.metric("blocking_time_max") < full.metric(
-            "blocking_time_min"
-        )
-
-
-class TestFig5:
-    def test_mpi_ordering(self):
-        result = fig5_profiles.run()
-        h = result.metric("hadamard_worst_case_mpi_fraction")
-        b = result.metric("builtin_qft_mpi_fraction")
-        c = result.metric("cache_blocked_qft_mpi_fraction")
-        assert h > 0.9
-        assert 0.33 <= b <= 0.50
-        assert 0.18 <= c <= 0.30
-        assert c < b < h
-
-    def test_memory_compute_two_to_one(self):
-        result = fig5_profiles.run()
-        mem = result.metric("builtin_qft_memory_fraction")
-        cpu = result.metric("builtin_qft_compute_fraction")
-        assert 1.5 < mem / cpu < 8.0
-
-
 class TestTable2:
-    def test_headline_improvements(self, tab2):
-        assert 0.30 <= tab2.metric("runtime_improvement_44q") <= 0.45
-        assert 0.25 <= tab2.metric("energy_saving_44q") <= 0.40
-        assert 0.30 <= tab2.metric("runtime_improvement_43q") <= 0.45
-
-    def test_energy_saved_magnitude(self, tab2):
-        assert 150e6 <= tab2.metric("energy_saved_j_44q") <= 320e6
-
     def test_rows(self, tab2):
         assert len(tab2.rows) == 4
 
 
 class TestExtensions:
-    def test_halved_swap_claims(self):
-        result = ext_halved_swap.run()
-        # Communication halves.
-        assert result.metric("volume_halved_44q") * 2 == result.metric(
-            "volume_full_44q"
-        )
-        # 45 qubits only fit with halved buffers.
-        assert result.metric("fits_full_45q") == 0.0
-        assert result.metric("fits_halved_45q") == 1.0
-        assert result.metric("min_nodes_45q_halved") == 4096
-
-    def test_frequency_sweep(self):
-        result = ext_frequency.run()
-        assert result.metric("low_runtime_ratio") > 1.05
-        assert abs(result.metric("low_energy_ratio") - 1.0) < 0.1
-        assert result.metric("high_runtime_ratio") < 1.0
-
-    def test_comm_modes_advantage_grows(self):
-        result = ext_comm_modes.run()
-        assert result.metric("advantage_64") < result.metric("advantage_4096")
-        assert 0.05 < result.metric("advantage_64") < 0.15
-
-    def test_generic_cb(self):
-        result = ext_generic_cb.run()
-        for name in ("qft", "qpe", "random", "random_no_swaps"):
-            assert result.metric(f"{name}_after") <= result.metric(
-                f"{name}_before"
-            )
-
     def test_fusion_ablation(self):
+        """At 40 qubits / 256 nodes (the claims hold it at 44 / 4,096)."""
         result = ext_fusion.run(
             num_qubits=40,
             num_nodes=256,

@@ -17,22 +17,6 @@ class TestExtSampling:
     def test_registered(self):
         assert "ext-sampling" in EXPERIMENTS
 
-    def test_predictors_agree_on_measured_traces(self, result):
-        assert result.metric("within_tolerance") == 1.0
-        assert result.metric("max_abs_delta") <= 0.10
-
-    def test_demo_bit_identical(self, result):
-        assert result.metric("demo_bit_identical") == 1.0
-
-    def test_readout_share_small_but_positive(self, result):
-        # Readout is latency-bound bookkeeping next to the gate stream:
-        # visible in the bill, never dominant at these scales.
-        for key in (
-            "readout_share_qaoa_sampled_32",
-            "readout_share_grover_sampled_30",
-        ):
-            assert 0.0 < result.metric(key) < 0.2
-
     def test_rows_and_render(self, result):
         assert len(result.rows) == 2
         assert "ext-sampling" in result.render()

@@ -24,24 +24,3 @@ def test_report_carries_frontier_and_default_rows():
     assert result.rows[0][0] == "best"
     assert result.rows[-1][0] == "default"
     assert result.metrics["frontier_size"] == len(result.rows) - 1
-
-
-def test_best_point_saves_energy_vs_default():
-    result = _small_run()
-    assert result.metrics["energy_saving"] >= 0.25
-    assert (
-        result.metrics["best_energy_j"] < result.metrics["default_energy_j"]
-    )
-
-
-def test_deadline_has_two_x_slack():
-    result = _small_run()
-    assert result.metrics["deadline_s"] == 2.0 * result.metrics[
-        "default_runtime_s"
-    ]
-
-
-def test_spot_checks_cover_the_frontier():
-    result = _small_run()
-    assert result.metrics["spot_checked"] == result.metrics["frontier_size"]
-    assert result.metrics["max_des_delta"] <= 0.10

@@ -140,15 +140,3 @@ class TestConfiguration:
             ),
         )
         assert intra.per_gate_runtime_s() < inter.per_gate_runtime_s()
-
-
-class TestExperiment:
-    def test_qft_roughly_neutral(self):
-        """For the QFT, packing is nearly neutral (paper's 1/node is
-        sound): intra-node wins offset NIC contention."""
-        from repro.experiments import ext_ranks_per_node
-
-        result = ext_ranks_per_node.run(packings=(1, 4))
-        r1 = result.metric("runtime_rpn1")
-        r4 = result.metric("runtime_rpn4")
-        assert abs(r4 - r1) / r1 < 0.10

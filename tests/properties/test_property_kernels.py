@@ -188,7 +188,7 @@ def test_fused_plan_matches_unfused(params):
     circuit = random_circuit(n, gates, seed=seed)
     psi = random_state(n, seed=seed + 2)
     fused = compile_plan(circuit, cache=False)
-    unfused = compile_plan(circuit, fuse_diagonals=False, cache=False)
+    unfused = compile_plan(circuit, fusion="off", cache=False)
     a, b = psi.copy(), psi.copy()
     fused.run_dense(a)
     unfused.run_dense(b)

@@ -18,6 +18,7 @@ from repro.statevector.apply_plan import (
     clear_plan_cache,
     reduce_diagonal,
 )
+from repro.statevector.fusion import FusionConfig
 
 
 class TestCompileGateStep:
@@ -98,14 +99,14 @@ class TestFusion:
         for q in range(6):
             c.p(0.1 * (q + 1), q)
         # Pin diag mode: full mode raises the diagonal-run support cap.
-        plan = compile_plan(c, fusion="diag", max_fused_qubits=3, cache=False)
+        plan = compile_plan(
+            c, fusion=FusionConfig(mode="diag", diag_qubits=3), cache=False
+        )
         assert len(plan.steps) == 2
         assert all(len(s.targets) == 3 for s in plan.steps)
 
     def test_fusion_disabled(self):
-        plan = compile_plan(
-            self._phase_ladder(), fuse_diagonals=False, cache=False
-        )
+        plan = compile_plan(self._phase_ladder(), fusion="off", cache=False)
         assert len(plan.steps) == 4
         assert plan.num_fused == 0
 
@@ -115,10 +116,6 @@ class TestFusion:
             c.p(0.05 * (q + 1), q)
         plan = compile_plan(c, fusion="diag", cache=False)
         assert all(len(s.targets) <= MAX_FUSED_QUBITS for s in plan.steps)
-
-    def test_bad_cap_rejected(self):
-        with pytest.raises(SimulationError):
-            compile_plan(Circuit(1), max_fused_qubits=0, cache=False)
 
     def test_fused_execution_matches_gate_by_gate(self):
         circuit = self._phase_ladder()
@@ -151,7 +148,7 @@ class TestPlanCache:
         c = Circuit(3)
         c.p(0.1, 0).p(0.2, 1)
         fused = compile_plan(c)
-        unfused = compile_plan(c, fuse_diagonals=False)
+        unfused = compile_plan(c, fusion="off")
         assert len(fused.steps) == 1
         assert len(unfused.steps) == 2
 

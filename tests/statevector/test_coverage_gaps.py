@@ -135,8 +135,8 @@ class TestPlanCacheMutationGuard:
 
         clear_plan_cache()
         circuit = builtin_qft_circuit(6)
-        fused = compile_plan(circuit, fuse_diagonals=True)
-        unfused = compile_plan(circuit, fuse_diagonals=False)
+        fused = compile_plan(circuit, fusion="diag")
+        unfused = compile_plan(circuit, fusion="off")
         assert unfused is not fused
         assert unfused.num_fused == 0
 
@@ -150,7 +150,7 @@ class TestObserverDisablesFusion:
 
         n = 6
         circuit = builtin_qft_circuit(n)
-        fused = compile_plan(circuit, fuse_diagonals=True, cache=False)
+        fused = compile_plan(circuit, fusion="diag", cache=False)
         assert fused.num_fused > 0  # the contract is only meaningful then
 
         seen = []
