@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro.experiments import ext_precision, ext_scaling
+from repro.experiments import ext_gpu, ext_precision, ext_scaling
 from repro.experiments.cli import main
 
 
@@ -16,6 +16,16 @@ class TestExtScaling:
 
     def test_plot_attached(self, result):
         assert "runtime" in result.plot
+
+
+class TestExtGpu:
+    @pytest.fixture(scope="class")
+    def result(self):
+        return ext_gpu.run(qubit_sizes=(36, 38))
+
+    def test_gpu_faster(self, result):
+        assert result.metric("gpu_speedup_36q") > 3.0
+        assert result.metric("gpu_speedup_38q") > 3.0
 
 
 class TestExtPrecision:

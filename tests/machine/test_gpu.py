@@ -66,3 +66,10 @@ class TestGpuRuns:
                 predict(hadamard_benchmark(38, q), cfg).per_gate_runtime_s()
             )
         assert max(times) - min(times) < 1e-9
+
+    def test_gpu_experiment_shape(self):
+        from repro.experiments import ext_gpu
+
+        result = ext_gpu.run(qubit_sizes=(36, 40))
+        assert result.metric("gpu_speedup_36q") > 3.0
+        assert result.metric("gpu_mpi_40q") > result.metric("archer2_mpi_40q")
