@@ -140,6 +140,10 @@ def _cases(n: int):
     fused_targets = fused.targets
     block4 = _random_unitary(16, seed=4)
     block3 = _random_unitary(8, seed=3)
+    # A partner slice for the distributed updates; a Hadamard row keeps
+    # the repeated combine bounded.
+    remote = random_state(n, seed=1)
+    c = 1 / np.sqrt(2)
     return [
         ("hadamard_low", lambda a: kernels.apply_matrix(a, h, (lo,))),
         ("hadamard_high", lambda a: kernels.apply_matrix(a, h, (hi,))),
@@ -179,6 +183,17 @@ def _cases(n: int):
                 a, ((lo, hi), (1, mid), (2, hi - 1), (3, mid + 1))
             ),
         ),
+        # The per-rank updates of distributed steps, against a partner.
+        (
+            "combine_single",
+            lambda a: kernels.combine_distributed_single(a, remote, c, c),
+        ),
+        (
+            "combine_single_controlled",
+            lambda a: kernels.combine_distributed_single(a, remote, c, c, (lo,)),
+        ),
+        ("swap_halves_low", lambda a: kernels.swap_in_halves(a, remote, lo, 0)),
+        ("swap_halves_high", lambda a: kernels.swap_in_halves(a, remote, hi, 1)),
     ]
 
 
@@ -259,7 +274,12 @@ def _fusion_sweep(circuit, psi: np.ndarray, repeats: int) -> dict:
 #: one pass over the same cache lines: both are bound by memory
 #: bandwidth there (native 0.60x strided timed alone, 0.70-0.76x
 #: alternated, on the reference host), so that row is only held to
-#: parity.
+#: parity.  The two swap-in-halves rows are pure copies, bound by
+#: memory bandwidth on both backends at ``2**20`` amplitudes: a low
+#: bit copies single amplitudes (native 0.79x strided on the reference
+#: host; 0.3x on a cache-resident ``2**15`` slice), a high bit is one
+#: ``memcpy`` of half the state on both (1.04x), so the first is held
+#: to parity and the second to parity within run-to-run noise.
 NATIVE_ROWS = (
     "hadamard_low",
     "hadamard_high",
@@ -268,9 +288,17 @@ NATIVE_ROWS = (
     "two_controls_h",
     "controlled_phase_diag",
     "fused_diag_3gates",
+    "combine_single",
+    "combine_single_controlled",
+    "swap_halves_low",
+    "swap_halves_high",
 )
 NATIVE_MAX_RATIO = 0.75
-NATIVE_ROW_MAX_RATIO = {"controlled_phase_diag": 1.0}
+NATIVE_ROW_MAX_RATIO = {
+    "controlled_phase_diag": 1.0,
+    "swap_halves_low": 1.0,
+    "swap_halves_high": 1.25,
+}
 
 
 def _time_alternating(fn, amps: np.ndarray, repeats: int, backends) -> list:

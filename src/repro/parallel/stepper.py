@@ -3,7 +3,11 @@
 Each worker owns a static round-robin subset of the simulated ranks
 (:meth:`~repro.statevector.partition.Partition.ranks_for_worker`) and
 replays the same :class:`~repro.statevector.apply_plan.ApplyPlan`.
-Local steps run with no synchronisation at all; a distributed step's
+Local steps run with no synchronisation at all: each stretch of
+consecutive local SINGLE and DIAGONAL steps is one
+:func:`~repro.statevector.gate_kernels.apply_run` per owned rank (one C
+call under the native kernels), read from the plan's op table
+(:func:`~repro.statevector.apply_plan.op_table`).  A distributed step's
 data movement is described as a list of
 :class:`~repro.parallel.transport.CopySpec` records derived purely from
 the plan -- identical on every worker -- and handed to the worker's
@@ -41,12 +45,8 @@ from repro.errors import PoolError
 from repro.gates import Gate, GateLocality
 from repro.statevector import exact
 from repro.statevector import gate_kernels as kernels
-from repro.statevector.apply_plan import (
-    ApplyPlan,
-    ApplyStep,
-    StepKind,
-    reduce_diagonal,
-)
+from repro.statevector.apply_plan import ApplyPlan, ApplyStep, StepKind, op_table
+from repro.statevector.native import OpTable
 from repro.statevector.partition import Partition
 from repro.parallel.transport import (
     BLOB_SLOT_BYTES,
@@ -131,36 +131,12 @@ def rank_controls_satisfied(gate: Gate, partition: Partition, rank: int) -> bool
     return all((rank >> (c - m)) & 1 for c in gate.controls if c >= m)
 
 
-def diagonal_step_on_rank(
-    amps: np.ndarray, step: ApplyStep, partition: Partition, rank: int
-) -> None:
-    """Fully local (diagonal) step on one rank's slice.
-
-    Distributed controls decide whether the rank participates at all;
-    distributed targets have a constant bit value per rank, so the
-    diagonal is reduced over them once and the remaining local part runs
-    through the strided kernel -- no per-rank index arrays or masks.
-    """
-    m = partition.local_qubits
-    targets, controls, diag = step.targets, step.controls, step.diag
-    dist_controls = tuple(c for c in controls if c >= m)
-    if not all((rank >> (c - m)) & 1 for c in dist_controls):
-        return
-    dist_targets = tuple(t for t in targets if t >= m)
-    if dist_targets:
-        fixed = {t: (rank >> (t - m)) & 1 for t in dist_targets}
-        local_targets, reduced = reduce_diagonal(diag, targets, fixed)
-    else:
-        local_targets, reduced = targets, diag
-    kernels.apply_diagonal(
-        amps, reduced, local_targets, tuple(c for c in controls if c < m)
-    )
-
-
 def local_memory_step_on_rank(
     amps: np.ndarray, step: ApplyStep, partition: Partition, rank: int
 ) -> None:
-    """Local-memory step (all pairing targets local) on one rank's slice."""
+    """Local-memory step (all pairing targets local) that is not in the
+    op table -- a SWAP, REMAP, FUSED or GENERIC step -- on one rank's
+    slice."""
     gate = step.gate
     if not rank_controls_satisfied(gate, partition, rank):
         return
@@ -291,19 +267,22 @@ def decode_partials(blob: bytes) -> tuple[int, int]:
 
 def _exec_local(
     step: ApplyStep,
-    locality: GateLocality,
     partition: Partition,
     store: RankStore,
     owned: tuple[int, ...],
 ) -> None:
-    """Local step: each owned rank sweeps independently, no exchanges."""
-    body = (
-        diagonal_step_on_rank
-        if locality is GateLocality.FULLY_LOCAL
-        else local_memory_step_on_rank
-    )
+    """Local step outside the op table: each owned rank sweeps
+    independently, no exchanges."""
     for rank in _live(store, owned):
-        body(store.view(rank, LOCAL), step, partition, rank)
+        local_memory_step_on_rank(store.view(rank, LOCAL), step, partition, rank)
+
+
+def _exec_run(
+    table: OpTable, lo: int, hi: int, store: RankStore, owned: tuple[int, ...]
+) -> None:
+    """Op-table steps ``lo .. hi - 1``: one call per owned rank."""
+    for rank in _live(store, owned):
+        kernels.apply_run(store.view(rank, LOCAL), table, lo, hi, rank)
 
 
 def _exec_distributed_single(
@@ -604,6 +583,36 @@ def _exec_remap(
             )
 
 
+def _step_kind(step: ApplyStep, partition: Partition) -> str:
+    """The step's dispatch kind (its span and counter label)."""
+    if step.kind is StepKind.MEASURE:
+        # Measure pre-empts classification: its target's locality is
+        # irrelevant -- the norm reduction always spans every rank.
+        return "measure"
+    locality = partition.classify(step.gate)
+    if locality is GateLocality.FULLY_LOCAL:
+        return "diagonal"
+    if locality is GateLocality.LOCAL_MEMORY:
+        return "local"
+    if step.kind is StepKind.REMAP:
+        return "distributed_remap"
+    if step.kind is StepKind.SWAP:
+        return "distributed_swap"
+    return "distributed_single"
+
+
+def _plan_table(plan: ApplyPlan, partition: Partition) -> OpTable:
+    """The op table the plan carries, or (for a plan built by hand, not
+    by ``compile_plan``) one built for this partition."""
+    table = plan.ops
+    if table is None or (table.num_qubits, table.local_qubits) != (
+        partition.num_qubits,
+        partition.local_qubits,
+    ):
+        table = op_table(plan.steps, partition.num_qubits, partition.local_qubits)
+    return table
+
+
 def execute_plan(
     transport: RankTransport,
     store: RankStore,
@@ -624,66 +633,58 @@ def execute_plan(
     steps *before* that step executes -- the streamed state is exactly
     "all steps below ``step_index`` applied", which is what a restarted
     dispatch with ``resume_step=step_index`` resumes from.
+
+    Consecutive op-table steps run as one
+    :func:`~repro.statevector.gate_kernels.apply_run` per owned rank.
+    A run ends where the table's stretch does, before a checkpoint
+    boundary and before this worker's injected fail-stop step, so both
+    still fall between steps; with tracing on every run is one step,
+    so every step keeps its own ``worker.step`` span.
     """
     partition = Partition(task.num_qubits, task.num_ranks)
     owned = partition.ranks_for_worker(worker_id, num_workers)
+    steps = task.plan.steps
+    table = _plan_table(task.plan, partition)
+    kinds = [_step_kind(step, partition) for step in steps]
     fail_at = set(task.fail_at)
+    fail_steps = sorted(idx for wid, idx in fail_at if wid == worker_id)
+    cadence = task.checkpoint_steps if checkpoint is not None else None
     # Ordinals count *every* measure step of the plan, including ones a
     # restarted dispatch skips below resume_step: the k-th measurement
     # of the run must draw from counter k on every worker, always.
     measure_ordinals: dict[int, int] = {}
-    for idx, step in enumerate(task.plan.steps):
+    for idx, step in enumerate(steps):
         if step.kind is StepKind.MEASURE:
             measure_ordinals[idx] = task.measure_base + len(measure_ordinals)
     executed = 0
-    with obs.span(
-        "worker.plan", worker=worker_id, steps=len(task.plan.steps)
-    ):
+    with obs.span("worker.plan", worker=worker_id, steps=len(steps)):
         tracing = obs.is_enabled()
-        for idx, step in enumerate(task.plan.steps):
-            if idx < task.resume_step:
-                continue
-            if (
-                checkpoint is not None
-                and task.checkpoint_steps
-                and idx > task.resume_step
-                and idx % task.checkpoint_steps == 0
-            ):
+        idx = task.resume_step
+        while idx < len(steps):
+            step = steps[idx]
+            if cadence and idx > task.resume_step and idx % cadence == 0:
                 checkpoint(idx)
             if (worker_id, idx) in fail_at:
                 # Fail-stop injection (repro.faults): die abruptly, as a
                 # SIGKILL/OOM would -- no cleanup, peers see a vanished
                 # endpoint mid-exchange.
                 os._exit(FAIL_EXIT_CODE)
-            locality = None
-            if step.kind is StepKind.MEASURE:
-                # Measure pre-empts classification: its target's
-                # locality is irrelevant -- the norm reduction always
-                # spans every rank.
-                kind = "measure"
-            elif (
-                locality := partition.classify(step.gate)
-            ) in (
-                GateLocality.FULLY_LOCAL,
-                GateLocality.LOCAL_MEMORY,
-            ):
-                kind = (
-                    "diagonal"
-                    if locality is GateLocality.FULLY_LOCAL
-                    else "local"
-                )
-            elif step.kind is StepKind.REMAP:
-                kind = "distributed_remap"
-            elif step.kind is StepKind.SWAP:
-                kind = "distributed_swap"
-            else:
-                kind = "distributed_single"
+            run_end = table.run_ends[idx]
+            end = idx + 1
+            if run_end > end and not tracing:
+                end = run_end
+                if cadence:
+                    end = min(end, (idx // cadence + 1) * cadence)
+                end = min([end] + [f for f in fail_steps if f > idx])
+            kind = kinds[idx]
             if tracing:
-                obs.counter(
-                    "repro_kernel_dispatch_total", kind=kind
-                ).inc(len(owned))
+                obs.counter("repro_kernel_dispatch_total", kind=kind).inc(
+                    len(owned)
+                )
             with obs.span("worker.step", step=idx, kind=kind):
-                if kind == "measure":
+                if run_end > idx:
+                    _exec_run(table, idx, end, store, owned)
+                elif kind == "measure":
                     _exec_measure(
                         idx,
                         step,
@@ -697,11 +698,9 @@ def execute_plan(
                         emit=emit,
                     )
                 elif kind in ("diagonal", "local"):
-                    _exec_local(step, locality, partition, store, owned)
+                    _exec_local(step, partition, store, owned)
                 elif kind == "distributed_remap":
-                    _exec_remap(
-                        idx, step, partition, store, transport, owned
-                    )
+                    _exec_remap(idx, step, partition, store, transport, owned)
                 elif kind == "distributed_swap":
                     _exec_distributed_swap(
                         idx,
@@ -716,9 +715,11 @@ def execute_plan(
                     _exec_distributed_single(
                         idx, step, partition, store, transport, owned
                     )
-            executed += 1
+            executed += end - idx
             if task.emit_events and emit is not None:
-                emit(("step", idx, worker_id))
+                for done in range(idx, end):
+                    emit(("step", done, worker_id))
+            idx = end
     return executed
 
 

@@ -426,6 +426,31 @@ class _Peer:
         self.tx: list[memoryview] = []
 
 
+class _KeptBuffers:
+    """Per-rank buffers a TCP worker keeps across dispatches of one slice
+    length, so their pages are first touched once, not on every
+    dispatch.  A dispatch of another length replaces them all."""
+
+    def __init__(self) -> None:
+        self.length = -1
+        self.by_rank: dict[int, np.ndarray] = {}
+
+    def get(self, rank: int, length: int) -> np.ndarray:
+        if length != self.length:
+            self.length, self.by_rank = length, {}
+        buf = self.by_rank.get(rank)
+        if buf is None:
+            buf = self.by_rank[rank] = np.empty(length, dtype=np.complex128)
+        return buf
+
+
+#: This worker process's pair buffers and send scratch.  A worker runs
+#: one plan at a time, and every exchange has finished with both before
+#: its dispatch replies.
+_PAIR_BUFFERS = _KeptBuffers()
+_SEND_SCRATCH = _KeptBuffers()
+
+
 class TcpMeshTransport(RankTransport):
     """Chunked duplex exchanges over the worker mesh.
 
@@ -469,6 +494,7 @@ class TcpMeshTransport(RankTransport):
         owned: tuple[int, ...],
         slice_len: int,
         chunk_amps: int | None = None,
+        scratch: _KeptBuffers | None = None,
     ):
         self._peers = peers
         self._worker_of = worker_of
@@ -479,7 +505,7 @@ class TcpMeshTransport(RankTransport):
         self.chunk_amps = chunk_amps or settings.get(settings.POOL_CHUNK_AMPS)
         #: Per-owned-rank send scratch (the "double buffer"): packed
         #: lazily on the first exchange that sends from that rank.
-        self._scratch: dict[int, np.ndarray] = {}
+        self._scratch = scratch if scratch is not None else _KeptBuffers()
         #: Monotonic exchange tag; see the class docstring.
         self._next_exchange = 0
         self._stall_timeout = resolve_stall_timeout()
@@ -491,11 +517,7 @@ class TcpMeshTransport(RankTransport):
     # -- scratch ---------------------------------------------------------------
 
     def _scratch_for(self, rank: int) -> np.ndarray:
-        buf = self._scratch.get(rank)
-        if buf is None:
-            buf = np.empty(self._slice_len, dtype=np.complex128)
-            self._scratch[rank] = buf
-        return buf
+        return self._scratch.get(rank, self._slice_len)
 
     # -- the exchange ----------------------------------------------------------
 
@@ -975,7 +997,7 @@ def _run_plan_in_worker(ctrl, peers, worker_id, num_workers, task, slices):
             amps = amps.copy()
         local[rank] = amps
     pair = (
-        {rank: np.empty(n, dtype=np.complex128) for rank in owned}
+        {rank: _PAIR_BUFFERS.get(rank, n) for rank in owned}
         if task.needs_pair
         else {}
     )
@@ -988,6 +1010,7 @@ def _run_plan_in_worker(ctrl, peers, worker_id, num_workers, task, slices):
         owned,
         n,
         task.chunk_amps,
+        _SEND_SCRATCH,
     )
 
     def emit(event):

@@ -59,6 +59,8 @@ from repro.circuits.circuit import Circuit
 from repro.errors import SimulationError
 from repro.gates import Gate
 from repro.statevector import gate_kernels as kernels
+from repro.statevector import native
+from repro.statevector.gate_kernels import reduce_diagonal
 from repro.statevector.fusion import (
     FusionConfig,
     resolve_fusion,
@@ -72,6 +74,7 @@ __all__ = [
     "ApplyPlan",
     "compile_plan",
     "compile_gate_step",
+    "op_table",
     "fusion_units",
     "relabels",
     "reduce_diagonal",
@@ -164,6 +167,9 @@ class ApplyPlan:
     steps: tuple[ApplyStep, ...]
     #: Gates in the source circuit (>= len(steps) when runs were fused).
     num_gates: int
+    #: The steps packed for one C call per rank per run of local steps
+    #: (:func:`op_table`); set on plans compiled for a partition.
+    ops: native.OpTable | None = None
 
     def run_dense(self, amps: np.ndarray, *, on_measure=None) -> None:
         """Execute every step on a full statevector, in place.
@@ -189,6 +195,46 @@ class ApplyPlan:
         """Original gates covered by multi-gate steps (fused runs, and
         steps carrying relabelled SWAPs)."""
         return sum(s.num_gates for s in self.steps if s.num_gates > 1)
+
+
+def op_table(
+    steps: tuple[ApplyStep, ...], num_qubits: int, local_qubits: int
+) -> native.OpTable:
+    """The :class:`~repro.statevector.native.OpTable` of ``steps`` on a
+    partition with ``local_qubits`` local qubits.
+
+    It has a row for every DIAGONAL step and every SINGLE step whose
+    target is local -- the steps a rank runs on its own slice with no
+    exchange -- and an empty row for every other step.  The distributed
+    executors run each stretch of consecutive table steps as one
+    :func:`~repro.statevector.gate_kernels.apply_run` per rank.
+    """
+    m = local_qubits
+    rows = np.zeros((len(steps), native.OP_WORDS), dtype=np.uint64)
+    targets: list[int] = []
+    coeffs: list[np.ndarray] = []
+    ncoeffs = 0
+    for i, step in enumerate(steps):
+        if step.kind is StepKind.DIAGONAL:
+            kind, values = native.OP_DIAGONAL, step.diag
+        elif step.kind is StepKind.SINGLE and step.targets[0] < m:
+            kind, values = native.OP_SINGLE, step.matrix
+        else:
+            continue
+        values = np.asarray(values, dtype=np.complex128).ravel()
+        cmask = sum(1 << c for c in step.controls if c < m)
+        rcmask = sum(1 << (c - m) for c in step.controls if c >= m)
+        rows[i] = (kind, len(step.targets), cmask, rcmask, len(targets), ncoeffs)
+        targets += step.targets
+        coeffs.append(values)
+        ncoeffs += values.shape[0]
+    return native.OpTable(
+        num_qubits,
+        m,
+        rows,
+        np.array(targets, dtype=np.uint8),
+        np.concatenate(coeffs) if coeffs else np.zeros(0, dtype=np.complex128),
+    )
 
 
 def compile_gate_step(gate: Gate) -> ApplyStep:
@@ -609,7 +655,8 @@ def compile_plan(
     ``local_qubits`` bounds block/permutation fusion to gates whose
     support lies entirely below it (the distributed executors pass their
     partition's local-qubit count; ``None`` means everything is local).
-    Diagonal fusion is exempt -- diagonals never communicate.
+    Diagonal fusion is exempt -- diagonals never communicate.  A plan
+    compiled for a partition also carries its :func:`op_table`.
     """
     config = resolve_fusion(fusion)
     key = (config.cache_key(), local_qubits)
@@ -632,38 +679,16 @@ def compile_plan(
 
     plan = ApplyPlan(
         num_qubits=circuit.num_qubits,
-        steps=tuple(steps),
+        steps=steps,
         num_gates=len(circuit),
+        ops=(
+            None
+            if local_qubits is None
+            else op_table(steps, circuit.num_qubits, local_qubits)
+        ),
     )
     if cache:
         cid = id(circuit)
         ref = weakref.ref(circuit, lambda _r, cid=cid: _plan_cache.pop(cid, None))
         _plan_cache[cid] = (ref, key, circuit.gates, plan)
     return plan
-
-
-def reduce_diagonal(
-    diag: np.ndarray,
-    targets: tuple[int, ...],
-    fixed_bits: dict[int, int],
-) -> tuple[tuple[int, ...], np.ndarray]:
-    """Restrict a diagonal to the targets *not* listed in ``fixed_bits``.
-
-    ``fixed_bits`` maps a target qubit to the (0/1) value its index bit
-    takes -- on the distributed executor these are the rank-index bits,
-    whose value is constant across a rank's whole slice.  Returns the
-    remaining targets (original order) and the ``2**k_remaining`` entry
-    diagonal over them.
-    """
-    free_positions = [j for j, t in enumerate(targets) if t not in fixed_bits]
-    base = 0
-    for j, t in enumerate(targets):
-        if t in fixed_bits:
-            base |= (fixed_bits[t] & 1) << j
-    a = np.arange(1 << len(free_positions), dtype=np.int64)
-    full = np.full(a.shape, base, dtype=np.int64)
-    for i, j in enumerate(free_positions):
-        full |= ((a >> i) & 1) << j
-    reduced = diag[full]
-    remaining = tuple(targets[j] for j in free_positions)
-    return remaining, reduced

@@ -56,6 +56,7 @@ from repro.statevector.apply_plan import (
     StepKind,
     compile_gate_step,
     compile_plan,
+    op_table,
     relabels,
 )
 from repro.statevector.fusion import FusionConfig, resolve_fusion
@@ -250,9 +251,14 @@ class DistributedStatevector:
 
     def apply_gate(self, gate: Gate) -> "DistributedStatevector":
         """Apply one gate across all ranks (SPMD lockstep)."""
-        step = compile_gate_step(gate)
+        steps = (compile_gate_step(gate),)
         self._run_plan(
-            ApplyPlan(num_qubits=self.num_qubits, steps=(step,), num_gates=1)
+            ApplyPlan(
+                num_qubits=self.num_qubits,
+                steps=steps,
+                num_gates=1,
+                ops=op_table(steps, self.num_qubits, self.partition.local_qubits),
+            )
         )
         return self
 

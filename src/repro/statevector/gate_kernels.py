@@ -35,8 +35,11 @@ The default backend, ``native``, runs single-qubit matrices and
 diagonals of up to :data:`~repro.statevector.native.MAX_DIAG_TARGETS`
 targets on contiguous arrays through the C kernels of
 :mod:`repro.statevector.native`, one in-place pass each, and everything
-else through the strided kernels here.  Where the C kernels cannot be
-built, ``native`` resolves to ``strided``.
+else through the strided kernels here.  So do the combine and the
+swap-in-halves of distributed steps, and :func:`apply_run` hands C a
+whole run of local steps of an :class:`~repro.statevector.native.OpTable`
+in one call.  Where the C kernels cannot be built, ``native`` resolves
+to ``strided``.
 """
 
 from __future__ import annotations
@@ -60,6 +63,8 @@ __all__ = [
     "apply_swap_local",
     "combine_distributed_single",
     "swap_in_halves",
+    "apply_run",
+    "reduce_diagonal",
     "get_backend",
     "configured_backend",
     "set_backend",
@@ -708,6 +713,16 @@ def combine_distributed_single(
         raise SimulationError("local/remote buffers differ in shape")
     if controls:
         _check_bits(local, tuple(controls))
+    if get_backend() == "native" and _native_pair(local, remote):
+        native.apply_combine(
+            native.library(),
+            local,
+            remote,
+            (coeff_local, coeff_remote),
+            sum(1 << c for c in set(controls)),
+        )
+        return
+    if controls:
         local = _subview(local, (), tuple(controls))(0)
         remote = _subview(remote, (), tuple(controls))(0)
     local *= coeff_local
@@ -731,6 +746,115 @@ def swap_in_halves(
     may be any buffer of the same length (in particular the executor's
     reused exchange buffer).
     """
-    # Already a pure strided-view kernel; shared by both backends.
+    if get_backend() == "native" and _native_pair(local, remote):
+        nbits = _num_bits(local)
+        if local_bit >= nbits or my_bit_value not in (0, 1):
+            raise SimulationError(
+                f"bad swap-in-halves bit {local_bit} = {my_bit_value} "
+                f"for {nbits} bits"
+            )
+        native.apply_swap_halves(
+            native.library(), local, remote, nbits, local_bit, my_bit_value
+        )
+        return
+    # A pure strided-view kernel, shared by strided and reference.
     return _reference.swap_in_halves(local, remote, local_bit, my_bit_value)
+
+
+def _native_pair(local: np.ndarray, remote: np.ndarray) -> bool:
+    """Whether the two buffers of a distributed update can go to C:
+    both fit, one length, no shared bytes."""
+    return (
+        native.fits(local)
+        and native.fits(remote)
+        and local.shape == remote.shape
+        and not np.may_share_memory(local, remote)
+    )
+
+
+# -- runs of local steps --------------------------------------------------------
+
+
+def apply_run(
+    amps: np.ndarray, table: native.OpTable, lo: int, hi: int, rank: int
+) -> None:
+    """Steps ``lo .. hi - 1`` of ``table`` on rank ``rank``'s slice, in order.
+
+    Under ``native`` each stretch of steps that ``repro_run`` takes
+    (``table.c_ends``) is one C call; every other step -- all of them
+    under ``strided`` and ``reference`` -- is decoded from its row and
+    applied through :func:`apply_matrix` or :func:`apply_diagonal`,
+    which is what the step would do on its own.  Either way a step
+    skips a rank whose index misses one of its rank controls, and a
+    diagonal is first reduced over its rank-bit targets
+    (:func:`reduce_diagonal`), so every backend gives the bytes of its
+    step-by-step run.
+    """
+    if amps.shape != (1 << table.local_qubits,):
+        raise SimulationError(
+            f"a {amps.shape} slice does not match an op table of "
+            f"{table.local_qubits} local qubits"
+        )
+    if not 0 <= rank < 1 << (table.num_qubits - table.local_qubits):
+        raise SimulationError(f"rank {rank} is outside the op table's register")
+    if not 0 <= lo <= hi <= len(table.run_ends):
+        raise SimulationError(f"steps [{lo}, {hi}) are outside the op table")
+    c_run = get_backend() == "native" and native.fits(amps)
+    i = lo
+    while i < hi:
+        end = min(table.c_ends[i], hi) if c_run else i
+        if end > i:
+            native.apply_run(native.library(), amps, table, i, end, rank)
+            i = end
+        else:
+            _apply_op(amps, table, i, rank)
+            i += 1
+
+
+def _apply_op(amps: np.ndarray, table: native.OpTable, i: int, rank: int) -> None:
+    """Row ``i`` of ``table`` on one rank's slice, through the per-step
+    kernels."""
+    kind, k, cmask, rcmask, toff, coff = table.ops[i].tolist()
+    if kind == 0:
+        raise SimulationError(f"step {i} is not a local SINGLE or DIAGONAL step")
+    if rank & rcmask != rcmask:
+        return
+    m = table.local_qubits
+    targets = tuple(table.targets[toff : toff + k].tolist())
+    controls = tuple(b for b in range(m) if (cmask >> b) & 1)
+    if kind == native.OP_SINGLE:
+        apply_matrix(amps, table.coeffs[coff : coff + 4].reshape(2, 2), targets, controls)
+        return
+    diag = table.coeffs[coff : coff + (1 << k)]
+    fixed = {t: (rank >> (t - m)) & 1 for t in targets if t >= m}
+    if fixed:
+        targets, diag = reduce_diagonal(diag, targets, fixed)
+    apply_diagonal(amps, diag, targets, controls)
+
+
+def reduce_diagonal(
+    diag: np.ndarray,
+    targets: tuple[int, ...],
+    fixed_bits: dict[int, int],
+) -> tuple[tuple[int, ...], np.ndarray]:
+    """Restrict a diagonal to the targets *not* listed in ``fixed_bits``.
+
+    ``fixed_bits`` maps a target qubit to the (0/1) value its index bit
+    takes -- on the distributed executor these are the rank-index bits,
+    whose value is constant across a rank's whole slice.  Returns the
+    remaining targets (original order) and the ``2**k_remaining`` entry
+    diagonal over them.
+    """
+    free_positions = [j for j, t in enumerate(targets) if t not in fixed_bits]
+    base = 0
+    for j, t in enumerate(targets):
+        if t in fixed_bits:
+            base |= (fixed_bits[t] & 1) << j
+    a = np.arange(1 << len(free_positions), dtype=np.int64)
+    full = np.full(a.shape, base, dtype=np.int64)
+    for i, j in enumerate(free_positions):
+        full |= ((a >> i) & 1) << j
+    reduced = diag[full]
+    remaining = tuple(targets[j] for j in free_positions)
+    return remaining, reduced
 

@@ -1,4 +1,5 @@
-"""Native C kernels for the SINGLE and DIAGONAL step classes.
+"""Native C kernels for the SINGLE and DIAGONAL step classes, for runs
+of them, and for the per-rank updates of distributed steps.
 
 ``native_kernels.c`` ships next to this module.  The first kernel call
 of a process (never an import) builds it with the host's ``cc`` into a
@@ -20,6 +21,12 @@ user, or writable by group or others, is refused.
 handed to C: a contiguous, aligned, writable 1-D complex128 array.
 Bits and table sizes are checked before every call, so the C code
 never indexes outside the buffers it is given.
+
+An :class:`OpTable` is the packed form of a distributed plan's local
+SINGLE and DIAGONAL steps that ``repro_run`` reads: one row of
+:data:`OP_WORDS` words per plan step, a byte per target and one
+coefficient array.  It is checked when it is built, and ``repro_run``
+checks every row of a run again before it touches a slice.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ import ctypes
 import os
 import sys
 import threading
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +51,13 @@ __all__ = [
     "fits",
     "apply_single",
     "apply_diagonal",
+    "apply_run",
+    "apply_combine",
+    "apply_swap_halves",
+    "OpTable",
+    "OP_WORDS",
+    "OP_SINGLE",
+    "OP_DIAGONAL",
 ]
 
 #: The C source, shipped as package data.
@@ -56,6 +71,15 @@ FLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-shared", "-fPIC")
 #: Widest diagonal the C kernel accepts; equals ``MAX_FUSED_QUBITS``,
 #: the widest one diagonal fusion emits.
 MAX_DIAG_TARGETS = 10
+
+#: Words of one op-table row, and the row's fields in order (the
+#: ``OP_*`` enum of ``native_kernels.c``).
+OP_WORDS = 6
+OP_KIND, OP_K, OP_CMASK, OP_RCMASK, OP_TARGETS, OP_COEFFS = range(OP_WORDS)
+
+#: Op kinds; 0 marks a step that is not a local SINGLE or DIAGONAL.
+OP_SINGLE = 1
+OP_DIAGONAL = 2
 
 _BUILD_TIMEOUT_S = 120
 
@@ -180,7 +204,17 @@ def _load() -> ctypes.CDLL:
     u64, ptr = ctypes.c_uint64, ctypes.c_void_p
     lib.repro_single.argtypes = (ptr, u64, u64, u64, ptr)
     lib.repro_diagonal.argtypes = (ptr, u64, u64, u64, u64, ptr)
-    lib.repro_single.restype = lib.repro_diagonal.restype = ctypes.c_int
+    lib.repro_run.argtypes = (ptr, u64, u64, u64, ptr, u64, u64, ptr, u64, ptr, u64)
+    lib.repro_combine.argtypes = (ptr, ptr, u64, u64, ptr)
+    lib.repro_swap_halves.argtypes = (ptr, ptr, u64, u64, u64)
+    for fn in (
+        lib.repro_single,
+        lib.repro_diagonal,
+        lib.repro_run,
+        lib.repro_combine,
+        lib.repro_swap_halves,
+    ):
+        fn.restype = ctypes.c_int
     return lib
 
 
@@ -294,3 +328,180 @@ def apply_diagonal(
         _address(amps), nbits, packed, len(targets), _mask(controls), _address(d)
     ):
         raise SimulationError("native diagonal kernel rejected its arguments")
+
+
+def apply_combine(
+    lib: ctypes.CDLL,
+    local: np.ndarray,
+    remote: np.ndarray,
+    coeffs: tuple[complex, complex],
+    cmask: int,
+) -> None:
+    """``local = coeffs[0]*local + coeffs[1]*remote`` where the index has
+    every ``cmask`` bit set.  The caller has checked that both arrays
+    :func:`fits`, have one length and do not overlap."""
+    c = np.array(coeffs, dtype=np.complex128)
+    if lib.repro_combine(
+        _address(local), _address(remote), local.shape[0], cmask, _address(c)
+    ):
+        raise SimulationError("native combine kernel rejected its arguments")
+
+
+def apply_swap_halves(
+    lib: ctypes.CDLL,
+    local: np.ndarray,
+    remote: np.ndarray,
+    nbits: int,
+    local_bit: int,
+    my_bit_value: int,
+) -> None:
+    """The half of ``local`` whose ``local_bit`` is ``1 - my_bit_value``
+    takes ``remote``'s other half.  Same caller checks as
+    :func:`apply_combine`."""
+    if lib.repro_swap_halves(
+        _address(local), _address(remote), nbits, local_bit, my_bit_value
+    ):
+        raise SimulationError("native swap-halves kernel rejected its arguments")
+
+
+def _readonly(array: np.ndarray, dtype, ndim: int, name: str) -> np.ndarray:
+    out = np.array(array, dtype=dtype, copy=True, order="C")
+    if out.ndim != ndim:
+        raise SimulationError(f"op table {name} must be {ndim}-D, got {out.ndim}-D")
+    out.flags.writeable = False
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class OpTable:
+    """A distributed plan's local SINGLE and DIAGONAL steps, packed for
+    ``repro_run``.
+
+    Row ``i`` of ``ops`` describes plan step ``i``; its words are
+    ``(kind, k, cmask, rcmask, target offset, coefficient offset)``.
+    ``kind`` is :data:`OP_SINGLE`, :data:`OP_DIAGONAL` or 0 (the step
+    is not in the table).  The ``k`` targets are
+    ``targets[offset:offset + k]``, as qubits of the whole register, so
+    a diagonal may have targets among the rank bits (at and above
+    ``local_qubits``).  ``cmask`` holds the local controls as slice-index
+    bits, ``rcmask`` the others as rank-index bits.  The coefficients
+    are a row-major 2x2 matrix (4 entries) or a diagonal of ``2**k``
+    entries, first target least significant.
+
+    Nothing in it depends on a rank, so one table serves every rank and
+    every worker.  Construction checks every row and raises
+    :class:`~repro.errors.SimulationError` on a bit outside the slice
+    or the register, a table that does not match its targets, or an
+    offset outside its array.
+    """
+
+    num_qubits: int
+    local_qubits: int
+    ops: np.ndarray
+    targets: np.ndarray
+    coeffs: np.ndarray
+    #: ``run_ends[i]``: the end of the run of consecutive table steps
+    #: starting at ``i`` (``i`` itself when step ``i`` is not in it).
+    run_ends: tuple[int, ...] = field(init=False, repr=False)
+    #: The same for the steps ``repro_run`` takes (a diagonal with more
+    #: than :data:`MAX_DIAG_TARGETS` local targets runs on its own).
+    c_ends: tuple[int, ...] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        ops = _readonly(self.ops, np.uint64, 2, "ops")
+        targets = _readonly(self.targets, np.uint8, 1, "targets")
+        coeffs = _readonly(self.coeffs, np.complex128, 1, "coeffs")
+        n, m = self.num_qubits, self.local_qubits
+        if not 0 <= m <= n <= 62:
+            raise SimulationError(f"op table for {m} of {n} qubits is not a partition")
+        if ops.shape[1:] != (OP_WORDS,):
+            raise SimulationError(f"op table rows must hold {OP_WORDS} words")
+        in_c = []
+        for i, row in enumerate(ops.tolist()):
+            in_c.append(self._check_row(i, row, targets, coeffs.shape[0]))
+        run_ends, c_ends = [0] * len(in_c), [0] * len(in_c)
+        run_end = c_end = len(in_c)
+        for i in range(len(in_c) - 1, -1, -1):
+            run_end = run_end if ops[i, OP_KIND] else i
+            c_end = c_end if in_c[i] else i
+            run_ends[i], c_ends[i] = run_end, c_end
+        for name, value in (
+            ("ops", ops),
+            ("targets", targets),
+            ("coeffs", coeffs),
+            ("run_ends", tuple(run_ends)),
+            ("c_ends", tuple(c_ends)),
+        ):
+            object.__setattr__(self, name, value)
+
+    def _check_row(self, i: int, row, targets: np.ndarray, ncoeffs: int) -> bool:
+        """Check row ``i``; whether ``repro_run`` takes it."""
+        kind, k, cmask, rcmask, toff, coff = row
+        if kind == 0:
+            return False
+        n, m = self.num_qubits, self.local_qubits
+        where = f"op table row {i}"
+        if kind not in (OP_SINGLE, OP_DIAGONAL):
+            raise SimulationError(f"{where}: unknown op kind {kind}")
+        if toff + k > targets.shape[0]:
+            raise SimulationError(f"{where}: targets run past the target array")
+        bits = targets[toff : toff + k].tolist()
+        if kind == OP_SINGLE and (k != 1 or bits[0] >= m):
+            raise SimulationError(f"{where}: a SINGLE takes one local target")
+        if any(b >= n for b in bits) or len(set(bits)) != k:
+            raise SimulationError(f"{where}: targets {bits} are not distinct qubits")
+        if cmask >> m or rcmask >> (n - m):
+            raise SimulationError(f"{where}: a control bit lies outside the register")
+        if any(b < m and (cmask >> b) & 1 for b in bits):
+            raise SimulationError(f"{where}: targets and controls overlap")
+        if coff + (4 if kind == OP_SINGLE else 1 << k) > ncoeffs:
+            raise SimulationError(f"{where}: coefficients run past the coefficient array")
+        return kind == OP_SINGLE or sum(b < m for b in bits) <= MAX_DIAG_TARGETS
+
+    def __getstate__(self) -> dict:
+        # The addresses are this process's; a copy computes its own.
+        return {k: v for k, v in self.__dict__.items() if k != "_addresses"}
+
+    def __setstate__(self, state: dict) -> None:
+        for name in ("ops", "targets", "coeffs"):
+            state[name].flags.writeable = False
+        self.__dict__.update(state)
+
+    def addresses(self) -> tuple[int, int, int]:
+        """Addresses of ``ops``, ``targets`` and ``coeffs`` (read-only,
+        kept alive by the table)."""
+        found = self.__dict__.get("_addresses")
+        if found is None:
+            found = tuple(_address(a) for a in (self.ops, self.targets, self.coeffs))
+            self.__dict__["_addresses"] = found
+        return found
+
+
+def apply_run(
+    lib: ctypes.CDLL,
+    amps: np.ndarray,
+    table: OpTable,
+    lo: int,
+    hi: int,
+    rank: int,
+) -> None:
+    """Rows ``lo .. hi - 1`` of ``table``, in order, on rank ``rank``'s
+    slice, in one C call.  The caller has checked that ``amps``
+    :func:`fits` and holds ``2**table.local_qubits`` amplitudes, and
+    that ``rank`` is a rank of the register."""
+    ops, targets, coeffs = table.addresses()
+    m = table.local_qubits
+    if lib.repro_run(
+        _address(amps),
+        m,
+        table.num_qubits - m,
+        rank,
+        ops,
+        lo,
+        hi,
+        targets,
+        table.targets.shape[0],
+        coeffs,
+        table.coeffs.shape[0],
+    ):
+        raise SimulationError("native run kernel rejected its op table rows")

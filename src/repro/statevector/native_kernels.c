@@ -1,5 +1,6 @@
 /*
- * Native kernels for the SINGLE and DIAGONAL step classes.
+ * Native kernels for the SINGLE and DIAGONAL step classes, for runs of
+ * them, and for the two per-rank updates of distributed steps.
  *
  * Each kernel is one in-place pass over a contiguous complex128 array
  * of 2**nbits amplitudes (interleaved real, imaginary doubles), with
@@ -122,23 +123,17 @@ static inline void pair_run_blend(double *restrict lo, double *restrict hi,
         }                                                                \
     }
 
-/*
- * SINGLE: apply the 2x2 matrix m (row-major, 8 doubles) on bit
- * `target`, to the amplitudes whose `cmask` bits are all 1.
- *
- * For a target at or above BLEND_BITS, the pairs split into runs of
- * consecutive amplitudes below the lowest target or control bit at or
- * above BLEND_BITS; each run starts at the free-bit counter spread
- * over those bits, and controls below BLEND_BITS are blended inside
- * the run, so every run is long enough to vectorise.  Returns 0, or
- * -1 for arguments outside the array.
- */
-int repro_single(double *amps, uint64_t nbits, uint64_t target,
-                 uint64_t cmask, const double *m)
+/* Whether a SINGLE on `target` under `cmask` fits 2**nbits amplitudes. */
+static int single_ok(uint64_t nbits, uint64_t target, uint64_t cmask)
 {
-    if (nbits > 62 || target >= nbits || (cmask >> nbits) != 0
-        || (cmask & BIT(target)))
-        return -1;
+    return nbits <= 62 && target < nbits && (cmask >> nbits) == 0
+           && !(cmask & BIT(target));
+}
+
+/* repro_single's pass, on checked arguments. */
+static void single(double *amps, uint64_t nbits, uint64_t target,
+                   uint64_t cmask, const double *m)
+{
     const uint64_t tbit = BIT(target);
     if (target < BLEND_BITS) {
         const unsigned shift = (unsigned)target + 1;
@@ -153,7 +148,7 @@ int repro_single(double *amps, uint64_t nbits, uint64_t target,
         case 4: LOW_TARGET_ROWS(16) break;
         default: LOW_TARGET_ROWS(32) break;
         }
-        return 0;
+        return;
     }
     const uint64_t blend = cmask & (BIT(BLEND_BITS) - 1);
     const uint64_t special = (cmask & ~blend) | tbit;
@@ -169,6 +164,25 @@ int repro_single(double *amps, uint64_t nbits, uint64_t target,
         else
             pair_run(lo, hi, run, m);
     }
+}
+
+/*
+ * SINGLE: apply the 2x2 matrix m (row-major, 8 doubles) on bit
+ * `target`, to the amplitudes whose `cmask` bits are all 1.
+ *
+ * For a target at or above BLEND_BITS, the pairs split into runs of
+ * consecutive amplitudes below the lowest target or control bit at or
+ * above BLEND_BITS; each run starts at the free-bit counter spread
+ * over those bits, and controls below BLEND_BITS are blended inside
+ * the run, so every run is long enough to vectorise.  Returns 0, or
+ * -1 for arguments outside the array.
+ */
+int repro_single(double *amps, uint64_t nbits, uint64_t target,
+                 uint64_t cmask, const double *m)
+{
+    if (!single_ok(nbits, target, cmask))
+        return -1;
+    single(amps, nbits, target, cmask, m);
     return 0;
 }
 
@@ -310,6 +324,21 @@ static void diag_blocks(double *amps, uint64_t nbits, const unsigned *t,
     }
 }
 
+/* repro_diagonal's pass, on checked, unpacked targets. */
+static void diagonal(double *amps, uint64_t nbits, const unsigned *t,
+                     uint64_t k, uint64_t cmask, const double *d)
+{
+    uint64_t special = cmask;
+    for (unsigned q = 0; q < k; q++)
+        special |= BIT(t[q]);
+    const unsigned low =
+        special ? (unsigned)__builtin_ctzll(special) : (unsigned)nbits;
+    if (low >= RUN_BITS)
+        diag_runs(amps, nbits, low, t, k, cmask, d);
+    else
+        diag_blocks(amps, nbits, t, k, cmask, d);
+}
+
 /*
  * DIAGONAL: multiply amplitude i by d[idx(i)], where bit q of idx is
  * bit `targets[q]` of i, for the amplitudes whose `cmask` bits are all
@@ -331,11 +360,193 @@ int repro_diagonal(double *amps, uint64_t nbits, uint64_t packed,
             return -1;
         special |= BIT(t[q]);
     }
-    const unsigned low =
-        special ? (unsigned)__builtin_ctzll(special) : (unsigned)nbits;
-    if (low >= RUN_BITS)
-        diag_runs(amps, nbits, low, t, k, cmask, d);
-    else
-        diag_blocks(amps, nbits, t, k, cmask, d);
+    diagonal(amps, nbits, t, k, cmask, d);
+    return 0;
+}
+
+/* -- runs of local steps ------------------------------------------------ */
+
+/* One op-table row: OP_WORDS words, in this order. */
+enum { OP_KIND, OP_K, OP_CMASK, OP_RCMASK, OP_TARGETS, OP_COEFFS, OP_WORDS };
+
+/* Op kinds (0 marks a step that is not a local SINGLE or DIAGONAL). */
+enum { OP_SINGLE = 1, OP_DIAGONAL = 2 };
+
+/* Whether row `op` can run here: its targets and coefficients lie
+ * inside their arrays, its bits inside the slice (local) or the rank
+ * index (rank bits are nbits .. nbits + rbits - 1), and a diagonal has
+ * at most MAX_DIAG_TARGETS local targets. */
+static int op_ok(const uint64_t *op, uint64_t nbits, uint64_t rbits,
+                 const uint8_t *targets, uint64_t ntargets, uint64_t ncoeffs)
+{
+    const uint64_t k = op[OP_K], cmask = op[OP_CMASK], toff = op[OP_TARGETS];
+    const uint64_t coff = op[OP_COEFFS];
+    if ((op[OP_RCMASK] >> rbits) != 0 || toff > ntargets || k > ntargets - toff)
+        return 0;
+    if (op[OP_KIND] == OP_SINGLE)
+        return k == 1 && single_ok(nbits, targets[toff], cmask)
+               && coff <= ncoeffs && ncoeffs - coff >= 4;
+    if (op[OP_KIND] != OP_DIAGONAL || k > 62 || (cmask >> nbits) != 0)
+        return 0;
+    uint64_t seen = cmask, local = 0;
+    for (uint64_t q = 0; q < k; q++) {
+        const uint64_t b = targets[toff + q];
+        if (b >= nbits + rbits || (seen & BIT(b)))
+            return 0;
+        seen |= BIT(b);
+        local += b < nbits;
+    }
+    return local <= MAX_DIAG_TARGETS && coff <= ncoeffs
+           && ncoeffs - coff >= BIT(k);
+}
+
+/*
+ * Rows lo .. hi-1 of an op table, in order, on the slice of rank
+ * `rank`: the one call a rank makes for a run of local SINGLE and
+ * DIAGONAL steps.  Row fields are indices into `targets` (bytes, one
+ * per target, qubit numbers of the whole register) and into `coeffs`
+ * (complex entries: a row-major 2x2 matrix, or a diagonal of 2**k
+ * entries, first target least significant).
+ *
+ * A row runs only where every rank-control bit of `rank` is 1.  A
+ * diagonal's rank-bit targets are constant over the slice, so its
+ * table is first restricted to their values (entries are selected,
+ * never computed), then applied over its local targets -- the operands
+ * each step would pass on its own, so a run leaves the same bytes as
+ * its steps one by one.  Returns 0, or -1 before touching `amps` if
+ * any row of the run is out of bounds.
+ */
+int repro_run(double *amps, uint64_t nbits, uint64_t rbits, uint64_t rank,
+              const uint64_t *ops, uint64_t lo, uint64_t hi,
+              const uint8_t *targets, uint64_t ntargets,
+              const double *coeffs, uint64_t ncoeffs)
+{
+    if (nbits > 62 || rbits > 62 - nbits || (rank >> rbits) != 0 || lo > hi)
+        return -1;
+    for (uint64_t i = lo; i < hi; i++)
+        if (!op_ok(ops + OP_WORDS * i, nbits, rbits, targets, ntargets, ncoeffs))
+            return -1;
+    double reduced[2 * BIT(MAX_DIAG_TARGETS)];
+    for (uint64_t i = lo; i < hi; i++) {
+        const uint64_t *op = ops + OP_WORDS * i;
+        const uint64_t rcmask = op[OP_RCMASK];
+        if ((rank & rcmask) != rcmask)
+            continue;
+        const uint8_t *t = targets + op[OP_TARGETS];
+        const double *c = coeffs + 2 * op[OP_COEFFS];
+        if (op[OP_KIND] == OP_SINGLE) {
+            single(amps, nbits, t[0], op[OP_CMASK], c);
+            continue;
+        }
+        unsigned local[MAX_DIAG_TARGETS];
+        unsigned free_at[MAX_DIAG_TARGETS];
+        uint64_t kl = 0, base = 0;
+        for (uint64_t q = 0; q < op[OP_K]; q++) {
+            if (t[q] < nbits) {
+                local[kl] = t[q];
+                free_at[kl++] = (unsigned)q;
+            } else {
+                base |= ((rank >> (t[q] - nbits)) & 1) << q;
+            }
+        }
+        const double *d = c;
+        if (kl != op[OP_K]) {
+            for (uint64_t a = 0; a < BIT(kl); a++) {
+                uint64_t idx = base;
+                for (uint64_t j = 0; j < kl; j++)
+                    idx |= ((a >> j) & 1) << free_at[j];
+                reduced[2 * a] = c[2 * idx];
+                reduced[2 * a + 1] = c[2 * idx + 1];
+            }
+            d = reduced;
+        }
+        diagonal(amps, nbits, local, kl, op[OP_CMASK], d);
+    }
+    return 0;
+}
+
+/* -- the per-rank updates of distributed steps --------------------------- */
+
+/* local = c0*local + c1*remote over `len` amplitudes, where pair j is
+ * updated only if (j & blend) == blend; the others are stored back
+ * unchanged.  Terms as in pair_run_blend. */
+static inline void combine_run(double *restrict local,
+                               const double *restrict remote, uint64_t len,
+                               const double *c, uint64_t blend)
+{
+    if (!blend) {
+        const double ar = c[0], ai = c[1], br = c[2], bi = c[3];
+        const double nai = -ai, nbi = -bi;
+        for (uint64_t j = 0; j < len; j++) {
+            const double xr = local[2 * j], xi = local[2 * j + 1];
+            const double yr = remote[2 * j], yi = remote[2 * j + 1];
+            local[2 * j] = (ar * xr + nai * xi) + (br * yr + nbi * yi) + 0.0;
+            local[2 * j + 1] = (ar * xi + ai * xr) + (br * yi + bi * yr) + 0.0;
+        }
+        return;
+    }
+    v2d *restrict l = (v2d *)local;
+    const v2d *restrict r = (const v2d *)remote;
+    const v2d zero = {0.0, 0.0};
+    for (uint64_t j = 0; j < len; j++) {
+        const v2d x = l[j];
+        const v2d nx = (cmul(c[0], c[1], x) + cmul(c[2], c[3], r[j])) + zero;
+        l[j] = (j & blend) == blend ? nx : x;
+    }
+}
+
+/*
+ * The combine of a single-qubit gate on a rank bit:
+ * local[j] = c0*local[j] + c1*remote[j] for the j < len whose `cmask`
+ * bits are all 1 (c holds c0 then c1, 4 doubles).  With a mask, len
+ * must be a power of two above it.  One pass, no temporary.  Returns
+ * 0, or -1 for a mask outside the arrays.
+ */
+int repro_combine(double *local, const double *remote, uint64_t len,
+                  uint64_t cmask, const double *c)
+{
+    if (cmask && ((len & (len - 1)) != 0 || cmask >= len))
+        return -1;
+    const uint64_t blend = cmask & (BIT(BLEND_BITS) - 1);
+    const uint64_t special = cmask & ~blend;
+    if (!special) {
+        combine_run(local, remote, len, c, blend);
+        return 0;
+    }
+    const unsigned nbits = (unsigned)__builtin_ctzll(len);
+    const unsigned low = (unsigned)__builtin_ctzll(special);
+    const uint64_t runs =
+        BIT(nbits - low - (unsigned)__builtin_popcountll(special));
+    for (uint64_t r = 0; r < runs; r++) {
+        const uint64_t base = spread(r << low, special) | special;
+        combine_run(local + 2 * base, remote + 2 * base, BIT(low), c, blend);
+    }
+    return 0;
+}
+
+/* The row copies of repro_swap_halves for a constant row length W. */
+#define SWAP_ROWS(W)                                                         for (uint64_t r = 0; r < rows; r++) {                                        v2d *dst = (v2d *)local + (2 * r + 1 - b) * (W);                         const v2d *src = (const v2d *)remote + (2 * r + b) * (W);                for (uint64_t j = 0; j < (W); j++)                                           dst[j] = src[j];                                                 }
+
+/*
+ * The distributed SWAP of local bit `bit` with a rank bit whose value
+ * on this rank is `b`: the amplitudes whose local bit is 1 - b take the
+ * partner's amplitudes at the flipped bit, one strided copy pass.
+ * Returns 0, or -1 for a bit outside the arrays.
+ */
+int repro_swap_halves(double *local, const double *remote, uint64_t nbits,
+                      uint64_t bit, uint64_t b)
+{
+    if (nbits > 62 || bit >= nbits || b > 1)
+        return -1;
+    const uint64_t rows = BIT(nbits - bit - 1), width = BIT(bit);
+    switch (bit) {
+    case 0: SWAP_ROWS(1) break;
+    case 1: SWAP_ROWS(2) break;
+    case 2: SWAP_ROWS(4) break;
+    default:
+        for (uint64_t r = 0; r < rows; r++)
+            memcpy(local + 2 * (2 * r + 1 - b) * width,
+                   remote + 2 * (2 * r + b) * width, 16 * width);
+    }
     return 0;
 }

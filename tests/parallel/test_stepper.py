@@ -155,6 +155,42 @@ def test_checkpoint_then_resume_reproduces_the_full_run():
     assert resumed.tobytes() == full.tobytes()
 
 
+def _snapshots(plan, psi, cadence):
+    snapshots: dict[int, bytes] = {}
+    local = psi.reshape(RANKS, -1).copy()
+    store = Array2DStore(local, np.empty_like(local))
+    transport = ShmTransport(None, store, tuple(range(RANKS)))
+    execute_plan(
+        transport,
+        store,
+        _task(plan, checkpoint_steps=cadence),
+        worker_id=0,
+        num_workers=1,
+        checkpoint=lambda idx: snapshots.__setitem__(idx, local.tobytes()),
+    )
+    return snapshots, local.tobytes()
+
+
+def test_runs_split_at_checkpoints_like_one_step_runs():
+    # Untraced, stretches of local steps run as one apply_run; traced,
+    # every run is one step.  Checkpoints must see the same states.
+    circuit = random_circuit(N, 60, seed=12)
+    plan = _plan(circuit, fusion="off")
+    assert max(e - i for i, e in enumerate(plan.ops.run_ends)) > 3
+    psi = random_state(N, seed=12)
+    runs = _snapshots(plan, psi, 3)
+    was_enabled = obs.is_enabled()
+    obs.enable()
+    try:
+        steps = _snapshots(plan, psi, 3)
+    finally:
+        obs.reset()
+        if not was_enabled:
+            obs.disable()
+    assert sorted(runs[0]) == list(range(3, len(plan.steps), 3))
+    assert runs == steps
+
+
 def test_traced_run_counts_dispatches_per_owned_rank():
     was_enabled = obs.is_enabled()
     obs.reset()

@@ -88,6 +88,24 @@ class TestLoopbackPool:
             _tcp(7, 8, circuit, halved_swaps=True),
         )
 
+    def test_dispatch_after_another_slice_length_is_bit_identical(self):
+        # Workers keep their pair buffers and send scratch across
+        # dispatches of one slice length and replace them for another:
+        # 8 qubits, then 10, then 8 again, each against serial.
+        from repro.circuits import random_circuit
+
+        for n in (8, 10, 8):
+            circuit = random_circuit(n, 40, seed=n)
+            assert np.array_equal(_tcp(n, 4, circuit), _serial(n, 4, circuit))
+
+    def test_kept_buffers_are_replaced_not_accumulated(self):
+        kept = tcp_mod._KeptBuffers()
+        first = kept.get(0, 16)
+        assert kept.get(0, 16) is first
+        kept.get(1, 16)
+        assert kept.get(0, 32) is not first
+        assert kept.by_rank.keys() == {0} and kept.length == 32
+
     def test_single_worker_degenerate_mesh(self):
         # W=1: no mesh sockets at all; every copy is direct.
         circuit = qft_circuit(6)

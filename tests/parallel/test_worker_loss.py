@@ -93,6 +93,44 @@ class TestWorkerLossRestart:
         finally:
             pool.close()
 
+    def test_kill_and_checkpoint_inside_a_run_of_local_steps(self):
+        # 24 local gates on 8 qubits over 4 ranks (6 local qubits) are
+        # one run of table steps; the step-8 checkpoint and the kill at
+        # step 11 both fall inside it, so the run splits at both.
+        from repro.circuits import Circuit
+
+        circuit = Circuit(8)
+        for layer in range(8):
+            circuit.h(layer % 6).rz(0.3 * layer + 0.1, (layer + 1) % 6)
+            circuit.cx(layer % 6, (layer + 2) % 6)
+        circuit.h(7)
+        plan = compile_plan(circuit, fusion="off", local_qubits=6)
+        assert plan.ops.run_ends[0] == 24
+        task = PlanTask(
+            local_name=None,
+            pair_name=None,
+            num_qubits=8,
+            num_ranks=4,
+            halved_swaps=False,
+            plan=plan,
+            emit_events=False,
+            needs_pair=True,
+            checkpoint_steps=4,
+        )
+        expected = DistributedStatevector.zero_state(
+            8, 4, executor="serial", fusion="off"
+        ).apply_circuit(circuit).gather()
+        pool = TcpPool(LOOPBACK2)
+        try:
+            pool.inject_failures([(1, 11)])
+            finals = pool.run_plan(task, _zero_inputs(8, 4))
+            got = np.concatenate([finals[r] for r in range(4)])
+            assert got.tobytes() == expected.tobytes()
+            assert pool.restarts == 1
+            assert pool.last_resume_step == 8
+        finally:
+            pool.close()
+
     def test_injection_is_one_shot(self):
         # A second plan on the same pool runs clean -- the injection was
         # consumed by the restart.
