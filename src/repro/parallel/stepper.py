@@ -8,9 +8,10 @@ consecutive local SINGLE and DIAGONAL steps is one
 :func:`~repro.statevector.gate_kernels.apply_run` per owned rank (one C
 call under the native kernels), read from the plan's op table
 (:func:`~repro.statevector.apply_plan.op_table`).  A distributed step's
-data movement is described as a list of
-:class:`~repro.parallel.transport.CopySpec` records derived purely from
-the plan -- identical on every worker -- and handed to the worker's
+data movement is described by :func:`exchange_rounds`: lists of
+:class:`~repro.parallel.transport.CopySpec` records, one per round,
+derived purely from the plan -- identical on every worker, and the same
+lists the parent's message log records -- and handed to the worker's
 :class:`~repro.parallel.transport.RankTransport`:
 
 * in-process (``executor="serial"``) one worker owns every rank of a
@@ -35,7 +36,7 @@ the other stores have none, so for them the skip changes nothing.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -45,9 +46,10 @@ from repro.errors import PoolError
 from repro.gates import Gate, GateLocality
 from repro.statevector import exact
 from repro.statevector import gate_kernels as kernels
-from repro.statevector.apply_plan import ApplyPlan, ApplyStep, StepKind, op_table
+from repro.statevector.apply_plan import ApplyPlan, ApplyStep, StepKind
 from repro.statevector.native import OpTable
 from repro.statevector.partition import Partition
+from repro.statevector.plan import remap_masks, remap_split
 from repro.parallel.transport import (
     BLOB_SLOT_BYTES,
     LOCAL,
@@ -59,7 +61,13 @@ from repro.parallel.transport import (
     ShmTransport,
 )
 
-__all__ = ["PlanTask", "execute_plan", "run_plan_worker", "FAIL_EXIT_CODE"]
+__all__ = [
+    "PlanTask",
+    "exchange_rounds",
+    "execute_plan",
+    "run_plan_worker",
+    "FAIL_EXIT_CODE",
+]
 
 #: Exit code of a worker killed by fail-stop injection (distinct from
 #: any Python/interpreter exit so tests can tell the deaths apart).
@@ -125,32 +133,10 @@ def local_controls_of(gate: Gate, local_qubits: int) -> tuple[int, ...]:
     return tuple(c for c in gate.controls if c < local_qubits)
 
 
-def rank_controls_satisfied(gate: Gate, partition: Partition, rank: int) -> bool:
-    """True when the rank's index bits satisfy all distributed controls."""
-    m = partition.local_qubits
-    return all((rank >> (c - m)) & 1 for c in gate.controls if c >= m)
-
-
-def local_memory_step_on_rank(
-    amps: np.ndarray, step: ApplyStep, partition: Partition, rank: int
-) -> None:
-    """Local-memory step (all pairing targets local) that is not in the
-    op table -- a SWAP, REMAP, FUSED or GENERIC step -- on one rank's
-    slice."""
-    gate = step.gate
-    if not rank_controls_satisfied(gate, partition, rank):
-        return
-    controls = local_controls_of(gate, partition.local_qubits)
-    if step.kind is StepKind.REMAP:
-        # All transpositions landed local: one gather permutation (or
-        # sequential swaps for short runs -- identical either way).
-        kernels.apply_permutation(amps, gate.swap_pairs())
-    elif step.kind is StepKind.SWAP:
-        kernels.apply_swap_local(amps, step.targets[0], step.targets[1], controls)
-    elif step.kind is StepKind.FUSED:
-        kernels.apply_unitary_batched(amps, step.matrix, step.targets, controls)
-    else:
-        kernels.apply_matrix(amps, step.matrix, step.targets, controls)
+def rank_control_mask(gate: Gate, local_qubits: int) -> int:
+    """The rank-id bits of the gate's distributed controls: a rank
+    satisfies them when ``rank & mask == mask``."""
+    return sum(1 << (c - local_qubits) for c in gate.controls if c >= local_qubits)
 
 
 def remap_bucket_view(
@@ -191,19 +177,64 @@ def combine_coefficients(
     return matrix[1, 1], matrix[1, 0]
 
 
-def remap_split(
-    gate: Gate, m: int
-) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-    """A remap's transpositions split into (cross, purely local).
+# -- exchange rounds ----------------------------------------------------------------
 
-    :func:`~repro.statevector.plan.plan_gate` has already rejected any
-    transposition of two distributed qubits.
+
+def exchange_rounds(
+    step: ApplyStep, partition: Partition, halved_swaps: bool = False
+) -> list[list[CopySpec]]:
+    """Every rank's copies of a communicating step, one list per round.
+
+    The one description of a distributed exchange: the step bodies hand
+    these lists to the transport, and the parent's message log records
+    their rank pairs.  Each copy's reverse is in the same round, and no
+    rank receives twice in a round.  A remap takes the message
+    transport's ``2**g - 1`` bucket rounds
+    (:func:`~repro.statevector.plan.remap_masks`); any other
+    communicating step takes one round of whole slices, or of packed
+    halves for a halved SWAP.  A step that does not communicate has none.
     """
-    cross: list[tuple[int, int]] = []
-    local_pairs: list[tuple[int, int]] = []
-    for a, b in gate.swap_pairs():
-        (cross if b >= m else local_pairs).append((a, b))
-    return cross, local_pairs
+    kind = _step_kind(step, partition)
+    gate = step.gate
+    m = partition.local_qubits
+    n = partition.local_amplitudes
+    ranks = range(partition.num_ranks)
+    if kind == "distributed_remap":
+        cross, _local_pairs = remap_split(gate, m)
+        bucket = n >> len(cross)
+        return [
+            [
+                CopySpec(r, PAIR, bucket, 2 * bucket, r ^ mask, PAIR, 0, bucket)
+                for r in ranks
+            ]
+            for mask in remap_masks(cross, m)
+        ]
+    if kind == "distributed_swap" and min(gate.targets) >= m:
+        bit_a, bit_b = sorted(t - m for t in gate.targets)
+        mask = (1 << bit_a) | (1 << bit_b)
+        return [
+            [
+                CopySpec(r, PAIR, 0, n, r ^ mask, LOCAL, 0, n)
+                for r in ranks
+                if ((r >> bit_a) & 1) != ((r >> bit_b) & 1)
+            ]
+        ]
+    if kind not in ("distributed_swap", "distributed_single"):
+        return []
+    bit = 1 << (max(gate.pairing_targets()) - m)
+    if kind == "distributed_swap" and halved_swaps:
+        half = n // 2
+        return [[CopySpec(r, PAIR, half, n, r ^ bit, PAIR, 0, half) for r in ranks]]
+    # A distributed SWAP has no controls, so only a single-qubit gate
+    # leaves ranks out here.
+    controls = rank_control_mask(gate, m)
+    return [
+        [
+            CopySpec(r, PAIR, 0, n, r ^ bit, LOCAL, 0, n)
+            for r in ranks
+            if r & controls == controls
+        ]
+    ]
 
 
 # -- implicit zero slices ---------------------------------------------------------
@@ -271,10 +302,15 @@ def _exec_local(
     store: RankStore,
     owned: tuple[int, ...],
 ) -> None:
-    """Local step outside the op table: each owned rank sweeps
-    independently, no exchanges."""
+    """Local step outside the op table (a SWAP, REMAP, FUSED or GENERIC
+    step): each owned rank whose rank controls hold runs it on its own
+    slice, with the local controls only; no exchanges."""
+    m = partition.local_qubits
+    local_step = replace(step, controls=local_controls_of(step.gate, m))
+    controls = rank_control_mask(step.gate, m)
     for rank in _live(store, owned):
-        local_memory_step_on_rank(store.view(rank, LOCAL), step, partition, rank)
+        if rank & controls == controls:
+            local_step.run_local(store.view(rank, LOCAL))
 
 
 def _exec_run(
@@ -303,15 +339,8 @@ def _exec_distributed_single(
     rank_bit = partition.rank_bit(gate.pairing_targets()[0])
     matrix = step.matrix if step.matrix is not None else gate.matrix()
     local_controls = local_controls_of(gate, partition.local_qubits)
-    n = partition.local_amplitudes
-    copies = _nonzero_copies(
-        store,
-        [
-            CopySpec(r, PAIR, 0, n, r ^ (1 << rank_bit), LOCAL, 0, n)
-            for r in range(partition.num_ranks)
-            if rank_controls_satisfied(gate, partition, r)
-        ],
-    )
+    (copies,) = exchange_rounds(step, partition)
+    copies = _nonzero_copies(store, copies)
     if local_controls:
         transport.exchange(step_index, copies)
         for rank in _receivers(copies, owned):
@@ -348,24 +377,15 @@ def _exec_distributed_swap(
     halved_swaps: bool,
 ) -> None:
     """SWAP with one or both targets in the rank-index bits."""
-    gate = step.gate
     m = partition.local_qubits
     n = partition.local_amplitudes
-    t_low, t_high = sorted(gate.targets)
+    t_low, t_high = sorted(step.gate.targets)
+    (copies,) = exchange_rounds(step, partition, halved_swaps)
+    copies = _nonzero_copies(store, copies)
     if t_low >= m:
         # Both bits are rank bits: ranks whose two bit values differ
-        # trade entire slices with rank XOR mask.  The copy-back is a
-        # pure overwrite, so it rides the chunk callbacks.
-        bit_a, bit_b = t_low - m, t_high - m
-        mask = (1 << bit_a) | (1 << bit_b)
-        copies = _nonzero_copies(
-            store,
-            [
-                CopySpec(r, PAIR, 0, n, r ^ mask, LOCAL, 0, n)
-                for r in range(partition.num_ranks)
-                if ((r >> bit_a) & 1) != ((r >> bit_b) & 1)
-            ],
-        )
+        # trade entire slices.  The copy-back is a pure overwrite, so it
+        # rides the chunk callbacks.
 
         def on_ready(c: CopySpec, lo: int, hi: int) -> None:
             store.view(c.dst_rank, LOCAL)[lo:hi] = store.view(
@@ -386,13 +406,6 @@ def _exec_distributed_swap(
         # pair ranks symmetrically, so the owned receivers are exactly
         # the owned senders that must pack.
         width = 1 << local_bit
-        copies = _nonzero_copies(
-            store,
-            [
-                CopySpec(r, PAIR, half, n, r ^ (1 << rank_bit), PAIR, 0, half)
-                for r in range(partition.num_ranks)
-            ],
-        )
         receivers = _receivers(copies, owned)
         for rank in receivers:
             b = (rank >> rank_bit) & 1
@@ -418,13 +431,6 @@ def _exec_distributed_swap(
 
         transport.exchange(step_index, copies, on_ready)
     else:
-        copies = _nonzero_copies(
-            store,
-            [
-                CopySpec(r, PAIR, 0, n, r ^ (1 << rank_bit), LOCAL, 0, n)
-                for r in range(partition.num_ranks)
-            ],
-        )
         transport.exchange(step_index, copies)
         for rank in _receivers(copies, owned):
             kernels.swap_in_halves(
@@ -518,18 +524,14 @@ def _exec_remap(
         return v
 
     if transport.direct_gather:
-        full_mask = 0
-        for gb in g_bits:
-            full_mask |= 1 << gb
+        # Bucket v comes from the rank whose rank bits read v: the
+        # partner of round own ^ v, or the rank itself.
+        masks = (0,) + remap_masks(cross, m)
         transport.fence()
         gathered = []
         for rank in owned:
-            sources = []
-            for v in range(1 << g):
-                src_rank = rank & ~full_mask
-                for j, gb in enumerate(g_bits):
-                    src_rank |= ((v >> j) & 1) << gb
-                sources.append(src_rank)
+            own = own_pattern(rank)
+            sources = [rank ^ masks[own ^ v] for v in range(1 << g)]
             # Ranks gather only within their group, so a group of
             # implicit zeros stays zero and unmaterialised.
             if not _live(store, sources):
@@ -537,9 +539,7 @@ def _exec_remap(
             gathered.append(rank)
             for v, src_rank in enumerate(sources):
                 dest = remap_bucket_view(store.view(rank, PAIR), l_bits, v)
-                dest[...] = remap_bucket_view(
-                    store.view(src_rank, LOCAL), l_bits, own_pattern(rank)
-                )
+                dest[...] = remap_bucket_view(store.view(src_rank, LOCAL), l_bits, own)
         transport.fence()
         for rank in gathered:
             store.view(rank, LOCAL)[:] = store.view(rank, PAIR)
@@ -556,23 +556,13 @@ def _exec_remap(
         amps = store.view(rank, LOCAL)
         for a, b in local_pairs:
             kernels.apply_swap_local(amps, a, b, ())
-    if not cross:
-        return
     bucket = partition.local_amplitudes >> g
-    for delta in range(1, 1 << g):
-        mask = 0
-        for j, gb in enumerate(g_bits):
-            if (delta >> j) & 1:
-                mask |= 1 << gb
+    for delta, copies in enumerate(exchange_rounds(step, partition), 1):
         for rank in owned:
             view = remap_bucket_view(
                 store.view(rank, LOCAL), l_bits, own_pattern(rank) ^ delta
             )
             store.view(rank, PAIR)[:bucket].reshape(view.shape)[...] = view
-        copies = [
-            CopySpec(r, PAIR, bucket, 2 * bucket, r ^ mask, PAIR, 0, bucket)
-            for r in range(partition.num_ranks)
-        ]
         transport.exchange(step_index, copies)
         for rank in owned:
             view = remap_bucket_view(
@@ -599,18 +589,6 @@ def _step_kind(step: ApplyStep, partition: Partition) -> str:
     if step.kind is StepKind.SWAP:
         return "distributed_swap"
     return "distributed_single"
-
-
-def _plan_table(plan: ApplyPlan, partition: Partition) -> OpTable:
-    """The op table the plan carries, or (for a plan built by hand, not
-    by ``compile_plan``) one built for this partition."""
-    table = plan.ops
-    if table is None or (table.num_qubits, table.local_qubits) != (
-        partition.num_qubits,
-        partition.local_qubits,
-    ):
-        table = op_table(plan.steps, partition.num_qubits, partition.local_qubits)
-    return table
 
 
 def execute_plan(
@@ -644,7 +622,12 @@ def execute_plan(
     partition = Partition(task.num_qubits, task.num_ranks)
     owned = partition.ranks_for_worker(worker_id, num_workers)
     steps = task.plan.steps
-    table = _plan_table(task.plan, partition)
+    table = task.plan.ops
+    if table is None or (table.num_qubits, table.local_qubits) != (
+        partition.num_qubits,
+        partition.local_qubits,
+    ):
+        raise PoolError("plan carries no op table for this partition")
     kinds = [_step_kind(step, partition) for step in steps]
     fail_at = set(task.fail_at)
     fail_steps = sorted(idx for wid, idx in fail_at if wid == worker_id)

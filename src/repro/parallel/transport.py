@@ -31,8 +31,7 @@ itself, whose untouched ranks stay implicit zeros.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -67,16 +66,9 @@ PAIR = "pair"
 ReadyCallback = Callable[["CopySpec", int, int], None]
 
 
-@dataclass(frozen=True)
-class CopySpec:
-    """One rank-to-rank region copy of a distributed step.
-
-    ``dst_rank``'s ``dst_kind`` buffer ``[dst_lo:dst_hi)`` receives
-    ``src_rank``'s ``src_kind`` buffer ``[src_lo:src_hi)``.  Both ends
-    are flat (contiguous) ranges -- strided sources are packed into the
-    pair buffer by the step body before the exchange.
-    """
-
+# The fields of CopySpec: a NamedTuple class cannot define ``__new__``
+# itself, so the validating constructor lives on a subclass.
+class _CopyFields(NamedTuple):
     dst_rank: int
     dst_kind: str
     dst_lo: int
@@ -86,12 +78,40 @@ class CopySpec:
     src_lo: int
     src_hi: int
 
-    def __post_init__(self) -> None:
-        if self.dst_hi - self.dst_lo != self.src_hi - self.src_lo:
+
+class CopySpec(_CopyFields):
+    """One rank-to-rank region copy of a distributed step.
+
+    ``dst_rank``'s ``dst_kind`` buffer ``[dst_lo:dst_hi)`` receives
+    ``src_rank``'s ``src_kind`` buffer ``[src_lo:src_hi)``.  Both ends
+    are flat (contiguous) ranges -- strided sources are packed into the
+    pair buffer by the step body before the exchange.  A named tuple,
+    cheap to build: there is one per rank per exchange round, built on
+    every worker and again for the parent's message log.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        dst_rank: int,
+        dst_kind: str,
+        dst_lo: int,
+        dst_hi: int,
+        src_rank: int,
+        src_kind: str,
+        src_lo: int,
+        src_hi: int,
+    ) -> "CopySpec":
+        if dst_hi - dst_lo != src_hi - src_lo:
             raise PoolError(
-                f"copy length mismatch: dst [{self.dst_lo}:{self.dst_hi}) "
-                f"vs src [{self.src_lo}:{self.src_hi})"
+                f"copy length mismatch: dst [{dst_lo}:{dst_hi}) "
+                f"vs src [{src_lo}:{src_hi})"
             )
+        return tuple.__new__(
+            cls,
+            (dst_rank, dst_kind, dst_lo, dst_hi, src_rank, src_kind, src_lo, src_hi),
+        )
 
     @property
     def length(self) -> int:

@@ -21,8 +21,10 @@ that task executes:
   worker mesh when a host list is set.
 
 Whatever the executor, the parent validates every step before any runs,
-fires observer callbacks in gate order, and replays the exchange
-schedule into the communicator (:meth:`DistributedStatevector._run_plan`).
+fires observer callbacks in gate order, and logs each step's exchange
+rounds into the communicator (:meth:`DistributedStatevector._run_plan`):
+the copy lists of :func:`repro.parallel.stepper.exchange_rounds`, which
+the workers move.
 
 Measurement has one path.  Collapse decisions (mid-circuit MEASURE
 steps) and shots (:meth:`DistributedStatevector.sample_bitstrings`)
@@ -522,91 +524,32 @@ class DistributedStatevector:
                     rank, rank ^ (1 << r), _REDUCE_TAG_BASE + r, _REDUCE_BYTES
                 )
 
-    def _comm_pairs(self, rank_bit: int, gate: Gate) -> list[tuple[int, int]]:
-        """Rank pairs (low, high) differing at ``rank_bit``, controls satisfied."""
-        from repro.parallel.stepper import rank_controls_satisfied
-
-        pairs = []
-        for rank in range(self.num_ranks):
-            if (rank >> rank_bit) & 1:
-                continue
-            peer = rank | (1 << rank_bit)
-            if rank_controls_satisfied(gate, self.partition, rank):
-                # Peer differs only at the target bit, so its control
-                # bits agree with ours.
-                pairs.append((rank, peer))
-        return pairs
-
     def _log_step_schedule(
         self, step: ApplyStep, gate_plan: GatePlan, start_index: int
     ) -> None:
-        """Account one step's exchange messages (QuEST's pairwise schedule)."""
+        """Account one step's exchange messages (QuEST's pairwise schedule).
+
+        The log records the rounds the stepper runs
+        (:func:`~repro.parallel.stepper.exchange_rounds`): in each round,
+        one exchange per rank pair, lower rank first.
+        """
+        from repro.parallel.stepper import exchange_rounds
+
+        if not gate_plan.communicates:
+            return
         if step.kind is StepKind.MEASURE:
             self._log_measure_reduction()
             return
-        if gate_plan.locality in (
-            GateLocality.FULLY_LOCAL,
-            GateLocality.LOCAL_MEMORY,
-        ):
-            return
-        gate = step.gate
-        part = self.partition
-        m = part.local_qubits
-        n = part.local_amplitudes
-        tag_base = start_index << 8
-        if step.kind is StepKind.REMAP:
-            # The 2**g - 1 bucket-routing rounds of the message transport.
-            from repro.parallel.stepper import remap_split
-
-            cross, _local_pairs = remap_split(gate, m)
-            g = len(cross)
-            count = n >> g
-            for delta in range(1, 1 << g):
-                mask = 0
-                for j, (_a, b) in enumerate(cross):
-                    if (delta >> j) & 1:
-                        mask |= 1 << (b - m)
-                hb = 1 << (mask.bit_length() - 1)
-                for rank in range(self.num_ranks):
-                    if rank & hb:
-                        continue
+        for copies in exchange_rounds(step, self.partition, self.halved_swaps):
+            for c in copies:
+                if c.dst_rank < c.src_rank:
                     log_exchange_schedule(
                         self.comm,
-                        rank,
-                        rank ^ mask,
-                        count,
+                        c.dst_rank,
+                        c.src_rank,
+                        c.length,
                         itemsize=AMPLITUDE_BYTES,
                         mode=self.comm_mode,
                         max_message=self.max_message,
-                        tag_base=tag_base,
+                        tag_base=start_index << 8,
                     )
-            return
-        if step.kind is StepKind.SWAP:
-            t_low, t_high = sorted(gate.targets)
-            if t_low >= m:
-                bit_a, bit_b = t_low - m, t_high - m
-                mask = (1 << bit_a) | (1 << bit_b)
-                pairs = [
-                    (rank, rank ^ mask)
-                    for rank in range(self.num_ranks)
-                    if ((rank >> bit_a) & 1, (rank >> bit_b) & 1) == (1, 0)
-                ]
-                count = n
-            else:
-                pairs = self._comm_pairs(t_high - m, gate)
-                count = n // 2 if self.halved_swaps else n
-        else:
-            target = gate.pairing_targets()[0]
-            pairs = self._comm_pairs(part.rank_bit(target), gate)
-            count = n
-        for rank, peer in pairs:
-            log_exchange_schedule(
-                self.comm,
-                rank,
-                peer,
-                count,
-                itemsize=AMPLITUDE_BYTES,
-                mode=self.comm_mode,
-                max_message=self.max_message,
-                tag_base=tag_base,
-            )

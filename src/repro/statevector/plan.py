@@ -33,6 +33,8 @@ from repro.statevector.partition import Partition
 __all__ = [
     "GatePlan",
     "plan_gate",
+    "remap_masks",
+    "remap_split",
     "plan_circuit",
     "plan_reuse",
     "sampling_plan",
@@ -366,29 +368,12 @@ def _plan_distributed_remap(
     """
     m = partition.local_qubits
     local_bytes = partition.local_bytes
-    cross = []
-    n_local_pairs = 0
-    for a, b in gate.swap_pairs():
-        if a >= m:
-            raise SimulationError(
-                f"remap transposition ({a}, {b}) swaps two distributed "
-                f"qubits; the transpiler only emits local/global pairs"
-            )
-        if b >= m:
-            cross.append((a, b))
-        else:
-            n_local_pairs += 1
+    cross, local_pairs = remap_split(gate, m)
+    n_local_pairs = len(local_pairs)
     g = len(cross)
     rounds = (1 << g) - 1
     bucket_bytes = local_bytes >> g
     send = rounds * bucket_bytes
-    masks = []
-    for delta in range(1, 1 << g):
-        mask = 0
-        for j, (_a, b) in enumerate(cross):
-            if (delta >> j) & 1:
-                mask |= 1 << (b - m)
-        masks.append(mask)
     # Local traffic: pack the outgoing buckets and unpack the received
     # ones (read + write each way), plus the purely local transpositions.
     traffic = int(
@@ -404,8 +389,44 @@ def _plan_distributed_remap(
         touched_fraction=1.0 - 0.5**g,
         pair_rank_bit=max(b - m for _a, b in cross),
         comm_rounds=rounds,
-        pair_masks=tuple(masks),
+        pair_masks=remap_masks(cross, m),
     )
+
+
+def remap_split(
+    gate: Gate, m: int
+) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """A remap's transpositions split into (cross, purely local), on a
+    partition with ``m`` local qubits; a pair of two distributed qubits
+    raises."""
+    cross: list[tuple[int, int]] = []
+    local_pairs: list[tuple[int, int]] = []
+    for a, b in gate.swap_pairs():
+        if a >= m:
+            raise SimulationError(
+                f"remap transposition ({a}, {b}) swaps two distributed "
+                f"qubits; the transpiler only emits local/global pairs"
+            )
+        (cross if b >= m else local_pairs).append((a, b))
+    return cross, local_pairs
+
+
+def remap_masks(cross: list[tuple[int, int]], m: int) -> tuple[int, ...]:
+    """Rank XOR mask of each bucket-routing round of a remap.
+
+    ``cross`` holds the remap's ``(local, distributed)`` transpositions
+    on a partition with ``m`` local qubits.  Round ``delta - 1`` trades
+    with the partner that differs at the rank bits of the pairs set in
+    ``delta``, for ``delta = 1 .. 2**g - 1``.
+    """
+    masks = []
+    for delta in range(1, 1 << len(cross)):
+        mask = 0
+        for j, (_a, b) in enumerate(cross):
+            if (delta >> j) & 1:
+                mask |= 1 << (b - m)
+        masks.append(mask)
+    return tuple(masks)
 
 
 # Plan lists of the open plan_reuse() scope, keyed on circuit identity

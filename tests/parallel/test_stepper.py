@@ -4,28 +4,41 @@
 stores and transports the executors do not combine themselves: message
 routing of remaps (the TCP path) next to the direct gather, checkpoint
 and resume, and the shared-memory worker entry point with one party.
+The copy lists every executor moves (``exchange_rounds``) are held to
+the cost model's per-step exchange (``plan_gate``).
 """
 
 from __future__ import annotations
 
 import threading
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import obs
 from repro.circuits import Circuit, qft_circuit, random_circuit, random_state
+from repro.errors import PoolError
 from repro.gates import Gate
 from repro.parallel import shm_available
-from repro.parallel.stepper import PlanTask, execute_plan, run_plan_worker
+from repro.parallel.stepper import (
+    PlanTask,
+    exchange_rounds,
+    execute_plan,
+    run_plan_worker,
+)
 from repro.parallel.transport import (
     BLOB_SLOT_BYTES,
     Array2DStore,
     ShmTransport,
 )
 from repro.statevector import DistributedStatevector, Partition
-from repro.statevector.apply_plan import compile_plan
+from repro.statevector.apply_plan import compile_gate_step, compile_plan
+from repro.statevector.partition import AMPLITUDE_BYTES
+from repro.statevector.plan import plan_gate
 
 N = 8
 RANKS = 4
@@ -92,6 +105,81 @@ REMAPS = Circuit(
         Gate.remap(((4, 7),)),
     ],
 )
+
+
+@st.composite
+def distributed_steps(draw):
+    """A partition of 2-16 ranks and one communicating gate on it."""
+    d = draw(st.integers(1, 4))
+    m = draw(st.integers(3, 5))
+    local = list(range(m))
+    rank = list(range(m, m + d))
+    kind = draw(st.sampled_from(["single", "swap", "swap2", "remap"]))
+    if kind == "single":
+        target = draw(st.sampled_from(rank))
+        others = [q for q in local + rank if q != target]
+        controls = draw(st.lists(st.sampled_from(others), max_size=3, unique=True))
+        name = draw(st.sampled_from(["h", "x", "y"]))
+        gate = Gate.named(name, (target,), controls=tuple(controls))
+    elif kind == "swap":
+        gate = Gate.named(
+            "swap", (draw(st.sampled_from(local)), draw(st.sampled_from(rank)))
+        )
+    elif kind == "swap2" and d >= 2:
+        gate = Gate.named("swap", tuple(draw(st.permutations(rank))[:2]))
+    else:
+        g = draw(st.integers(1, min(3, d)))
+        lows = draw(st.permutations(local))
+        highs = draw(st.permutations(rank))[:g]
+        pairs = list(zip(lows[:g], highs))
+        if m - g >= 2 and draw(st.booleans()):
+            pairs.append((lows[g], lows[g + 1]))
+        gate = Gate.remap(pairs)
+    return Partition(m + d, 1 << d), compile_gate_step(gate)
+
+
+@settings(max_examples=300, deadline=None)
+@given(distributed_steps(), st.booleans())
+def test_exchange_rounds_move_what_the_cost_model_prices(case, halved_swaps):
+    partition, step = case
+    rounds = exchange_rounds(step, partition, halved_swaps)
+    plan = plan_gate(step.gate, partition, halved_swaps=halved_swaps)
+    assert len(rounds) == plan.comm_rounds
+    received: Counter[int] = Counter()
+    masks = []
+    for copies in rounds:
+        receivers = [c.dst_rank for c in copies]
+        assert len(receivers) == len(set(receivers))
+        lengths = {(c.dst_rank, c.src_rank): c.length for c in copies}
+        for c in copies:
+            assert lengths.get((c.src_rank, c.dst_rank)) == c.length
+            received[c.dst_rank] += c.length
+        (mask,) = {c.dst_rank ^ c.src_rank for c in copies}
+        masks.append(mask)
+    assert {n * AMPLITUDE_BYTES for n in received.values()} == {plan.send_bytes}
+    assert len(received) / partition.num_ranks == plan.comm_fraction
+    if plan.pair_masks:
+        assert tuple(masks) == plan.pair_masks
+    assert max(masks).bit_length() - 1 == plan.pair_rank_bit
+
+
+def test_steps_that_do_not_communicate_have_no_rounds():
+    partition = Partition(N, RANKS)
+    for gate in (
+        Gate.named("h", (2,), controls=(7,)),
+        Gate.named("z", (7,)),
+        Gate.named("swap", (1, 4)),
+        Gate.remap(((0, 3),)),
+        Gate.measure(7),
+    ):
+        assert exchange_rounds(compile_gate_step(gate), partition, True) == []
+
+
+def test_plan_without_an_op_table_for_the_partition_is_refused():
+    plan = compile_plan(qft_circuit(N))
+    assert plan.ops is None
+    with pytest.raises(PoolError, match="op table"):
+        _run(random_state(N, seed=1), plan)
 
 
 @pytest.mark.parametrize(

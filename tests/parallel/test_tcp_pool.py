@@ -848,7 +848,7 @@ class TestBlobCollective:
             num_qubits=3,
             num_ranks=2,
             halved_swaps=False,
-            plan=compile_plan(Circuit(3).measure(2)),
+            plan=compile_plan(Circuit(3).measure(2), local_qubits=2),
             emit_events=False,
         )
         transport, theirs = _loop_transport((0,), {0: 0, 1: 1})
