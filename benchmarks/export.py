@@ -144,6 +144,8 @@ def _cases(n: int):
     # the repeated combine bounded.
     remote = random_state(n, seed=1)
     c = 1 / np.sqrt(2)
+    # The other slice of an in-place pair, which the pair rows update.
+    partner = random_state(n, seed=2).copy()
     return [
         ("hadamard_low", lambda a: kernels.apply_matrix(a, h, (lo,))),
         ("hadamard_high", lambda a: kernels.apply_matrix(a, h, (hi,))),
@@ -194,6 +196,15 @@ def _cases(n: int):
         ),
         ("swap_halves_low", lambda a: kernels.swap_in_halves(a, remote, lo, 0)),
         ("swap_halves_high", lambda a: kernels.swap_in_halves(a, remote, hi, 1)),
+        # The same updates on both slices of a rank pair one process
+        # owns, in place (ns per amplitude of one slice).
+        ("pair_single", lambda a: kernels.apply_pair(a, partner, h)),
+        (
+            "pair_single_controlled",
+            lambda a: kernels.apply_pair(a, partner, h, (lo,)),
+        ),
+        ("swap_pair_low", lambda a: kernels.swap_pair_halves(a, partner, lo)),
+        ("swap_pair_high", lambda a: kernels.swap_pair_halves(a, partner, hi)),
     ]
 
 
@@ -279,7 +290,10 @@ def _fusion_sweep(circuit, psi: np.ndarray, repeats: int) -> dict:
 #: bit copies single amplitudes (native 0.79x strided on the reference
 #: host; 0.3x on a cache-resident ``2**15`` slice), a high bit is one
 #: ``memcpy`` of half the state on both (1.04x), so the first is held
-#: to parity and the second to parity within run-to-run noise.
+#: to parity and the second to parity within run-to-run noise.  The
+#: pair rows run the same updates on both slices of a rank pair in
+#: place; their two swap rows are pure copies too and take the
+#: swap-in-halves rows' ceilings.
 NATIVE_ROWS = (
     "hadamard_low",
     "hadamard_high",
@@ -292,12 +306,18 @@ NATIVE_ROWS = (
     "combine_single_controlled",
     "swap_halves_low",
     "swap_halves_high",
+    "pair_single",
+    "pair_single_controlled",
+    "swap_pair_low",
+    "swap_pair_high",
 )
 NATIVE_MAX_RATIO = 0.75
 NATIVE_ROW_MAX_RATIO = {
     "controlled_phase_diag": 1.0,
     "swap_halves_low": 1.0,
     "swap_halves_high": 1.25,
+    "swap_pair_low": 1.0,
+    "swap_pair_high": 1.25,
 }
 
 

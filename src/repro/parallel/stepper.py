@@ -11,24 +11,37 @@ call under the native kernels), read from the plan's op table
 data movement is described by :func:`exchange_rounds`: lists of
 :class:`~repro.parallel.transport.CopySpec` records, one per round,
 derived purely from the plan -- identical on every worker, and the same
-lists the parent's message log records -- and handed to the worker's
-:class:`~repro.parallel.transport.RankTransport`:
+lists the parent's message log records.
 
-* in-process (``executor="serial"``) one worker owns every rank of a
-  lazy :class:`~repro.statevector.slices.RankSlices` store, and the
-  copies run through :class:`~repro.parallel.transport.ShmTransport`'s
-  loop with no peer to fence against;
-* over shared memory the copies run between two barrier fences (the
-  two-barriers-per-step protocol);
+A rank pair whose two ranks one worker owns
+(:meth:`~repro.statevector.partition.Partition.worker_for_rank`) is
+updated in place: a single-qubit gate is one 2x2 pass over the two
+slices (:func:`~repro.statevector.gate_kernels.apply_pair`), a SWAP of
+a local bit with a rank bit one swap of the two halves that move
+(:func:`~repro.statevector.gate_kernels.swap_pair_halves`), a SWAP of
+two rank bits one exchange of the slices -- no pair buffer, no fence,
+no message.  Which pairs those are depends only on the plan, the
+partition and the worker count, so every worker splits every round the
+same way.  The in-process executor (``executor="serial"``) owns every
+rank, so none of its pairs reach the transport.  The copies between
+ranks of different owners go to the worker's
+:class:`~repro.parallel.transport.RankTransport`, when there are any:
+
+* over shared memory the copies run between two barrier fences;
 * over the TCP mesh the copies become length-prefixed messages, chunked
   so the ``on_ready`` callbacks below can apply the elementwise update
   to already-received chunks while later chunks are still in flight
   (compute/communication overlap).
 
+Remaps and measurements do not pair ranks this way: a remap always
+goes through the transport, a measurement through its scalar
+collective.
+
 Bit-identity across executors is by construction: every executor runs
-these step bodies, and every chunked update is elementwise, so
-splitting it over chunk boundaries performs the identical
-floating-point operation per amplitude.  A lazy store's implicit zero
+these step bodies, every chunked update is elementwise, so splitting
+it over chunk boundaries performs the identical floating-point
+operation per amplitude, and an in-place pair update leaves the bytes
+of the two per-rank updates it replaces.  A lazy store's implicit zero
 slices skip their local, measure and pack work (every step is linear);
 the other stores have none, so for them the skip changes nothing.
 """
@@ -251,13 +264,40 @@ def _live(store: RankStore, ranks) -> list[int]:
     return [r for r in ranks if not store.is_zero(r)]
 
 
-def _nonzero_copies(store: RankStore, copies: list[CopySpec]) -> list[CopySpec]:
-    """``copies`` minus those whose two ranks are both implicit zeros."""
-    return [
-        c
-        for c in copies
-        if not (store.is_zero(c.dst_rank) and store.is_zero(c.src_rank))
-    ]
+def _split_round(
+    copies: list[CopySpec],
+    partition: Partition,
+    store: RankStore,
+    owned: tuple[int, ...],
+    num_workers: int,
+) -> tuple[list[tuple[int, int]], list[CopySpec]]:
+    """One round's copies, split by owner: ``(pairs, copies)``.
+
+    ``pairs`` are the rank pairs ``(lo, hi)``, ``lo < hi``, whose two
+    ranks this worker owns; the step body updates them in place.
+    ``copies`` are the copies between ranks of different owners, the
+    same list on every worker.  Both leave out pairs whose two slices
+    are implicit zeros.
+    """
+    mine = set(owned)
+    pairs = []
+    remote = []
+    for c in copies:
+        if store.is_zero(c.dst_rank) and store.is_zero(c.src_rank):
+            continue
+        if partition.worker_for_rank(
+            c.dst_rank, num_workers
+        ) != partition.worker_for_rank(c.src_rank, num_workers):
+            remote.append(c)
+        elif c.dst_rank < c.src_rank and c.dst_rank in mine:
+            pairs.append((c.dst_rank, c.src_rank))
+    return pairs, remote
+
+
+def _count_pair_updates(pairs: list[tuple[int, int]], kind: str) -> None:
+    """Count a step this worker ran on rank pairs in place (traced runs)."""
+    if pairs and obs.is_enabled():
+        obs.counter("repro_pair_updates_total", kind=kind).inc()
 
 
 def _receivers(copies: list[CopySpec], owned: tuple[int, ...]) -> list[int]:
@@ -328,19 +368,29 @@ def _exec_distributed_single(
     store: RankStore,
     transport: RankTransport,
     owned: tuple[int, ...],
+    num_workers: int,
 ) -> None:
     """Single-target non-diagonal gate on a rank-index bit.
 
-    Without local controls the combine is elementwise, so it rides the
-    transport's ``on_ready`` chunks (overlap); with controls the update
-    needs whole-buffer strided views and runs after the full exchange.
+    Same-owner pairs take one 2x2 pass over their two slices.  Over the
+    transport, without local controls the combine is elementwise, so it
+    rides the transport's ``on_ready`` chunks (overlap); with controls
+    the update needs whole-buffer strided views and runs after the full
+    exchange.
     """
     gate = step.gate
     rank_bit = partition.rank_bit(gate.pairing_targets()[0])
     matrix = step.matrix if step.matrix is not None else gate.matrix()
     local_controls = local_controls_of(gate, partition.local_qubits)
     (copies,) = exchange_rounds(step, partition)
-    copies = _nonzero_copies(store, copies)
+    pairs, copies = _split_round(copies, partition, store, owned, num_workers)
+    for lo, hi in pairs:
+        kernels.apply_pair(
+            store.view(lo, LOCAL), store.view(hi, LOCAL), matrix, local_controls
+        )
+    _count_pair_updates(pairs, "single")
+    if not copies:
+        return
     if local_controls:
         transport.exchange(step_index, copies)
         for rank in _receivers(copies, owned):
@@ -374,6 +424,7 @@ def _exec_distributed_swap(
     store: RankStore,
     transport: RankTransport,
     owned: tuple[int, ...],
+    num_workers: int,
     halved_swaps: bool,
 ) -> None:
     """SWAP with one or both targets in the rank-index bits."""
@@ -381,11 +432,16 @@ def _exec_distributed_swap(
     n = partition.local_amplitudes
     t_low, t_high = sorted(step.gate.targets)
     (copies,) = exchange_rounds(step, partition, halved_swaps)
-    copies = _nonzero_copies(store, copies)
+    pairs, copies = _split_round(copies, partition, store, owned, num_workers)
     if t_low >= m:
         # Both bits are rank bits: ranks whose two bit values differ
         # trade entire slices.  The copy-back is a pure overwrite, so it
         # rides the chunk callbacks.
+        for lo, hi in pairs:
+            kernels.swap_slices(store.view(lo, LOCAL), store.view(hi, LOCAL))
+        _count_pair_updates(pairs, "swap_slices")
+        if not copies:
+            return
 
         def on_ready(c: CopySpec, lo: int, hi: int) -> None:
             store.view(c.dst_rank, LOCAL)[lo:hi] = store.view(
@@ -398,6 +454,14 @@ def _exec_distributed_swap(
     local_bit = t_low
     rank_bit = t_high - m
     half = n // 2
+    # A pair's low rank has the rank bit 0.
+    for lo, hi in pairs:
+        kernels.swap_pair_halves(
+            store.view(lo, LOCAL), store.view(hi, LOCAL), local_bit
+        )
+    _count_pair_updates(pairs, "swap_halves")
+    if not copies:
+        return
     if halved_swaps:
         # Pack the half the partner needs into the front of the own
         # pair buffer, receive the partner's packed half into the back.
@@ -692,11 +756,12 @@ def execute_plan(
                         store,
                         transport,
                         owned,
+                        num_workers,
                         task.halved_swaps,
                     )
                 else:
                     _exec_distributed_single(
-                        idx, step, partition, store, transport, owned
+                        idx, step, partition, store, transport, owned, num_workers
                     )
             executed += end - idx
             if task.emit_events and emit is not None:

@@ -4,14 +4,17 @@ The SPMD stepper (:mod:`repro.parallel.stepper`) describes every
 distributed step's data movement as a list of :class:`CopySpec` records
 -- "rank ``r``'s buffer region receives rank ``p``'s buffer region" --
 derived purely from the compiled plan, so every worker enumerates the
-*same* list in the same order.  A :class:`RankTransport` then realises
-those copies on a concrete medium:
+*same* list in the same order.  A copy whose two ranks one worker owns
+never reaches a transport: the stepper updates that rank pair in place.
+A :class:`RankTransport` realises the copies between ranks of different
+owners on a concrete medium:
 
 * :class:`ShmTransport` -- direct ``ndarray`` assignments guarded by a
   barrier: fence (sources ready), copy, fence (sources may be
   overwritten).  The shared-memory pool runs it over rows of one
-  segment; the in-process executor runs the same loop with a single
-  party (no barrier), where both fences are no-ops.
+  segment.  The in-process executor owns every rank, so only its
+  remaps and measurements call it, with a single party (no barrier),
+  where both fences are no-ops.
 * ``TcpMeshTransport`` (:mod:`repro.parallel.tcp`) -- workers own their
   rank slices privately and move regions over a length-prefixed TCP
   mesh.  Fences are free (message arrival *is* the synchronisation) and
@@ -171,8 +174,8 @@ def _timed_wait(barrier) -> None:
     """Barrier wait, timed into the barrier-wait histogram when tracing.
 
     The wait measures *skew*: how long this worker idled for its
-    slowest peer.  Disabled, this is a plain ``barrier.wait()`` behind
-    one flag test.
+    slowest peer; ``repro_pool_fences_total`` counts the waits.
+    Disabled, this is a plain ``barrier.wait()`` behind one flag test.
     """
     if not obs.is_enabled():
         barrier.wait()
@@ -182,6 +185,7 @@ def _timed_wait(barrier) -> None:
     obs.histogram("repro_pool_barrier_wait_seconds").observe(
         time.perf_counter() - t0
     )
+    obs.counter("repro_pool_fences_total").inc()
 
 
 class RankTransport:
@@ -234,12 +238,13 @@ class ShmTransport(RankTransport):
 
     Fence (every rank's source data for this step is ready), perform
     the owned copies as in-place assignments, fence (every copy is done;
-    sources may now be overwritten).  Two barriers per distributed step,
-    zero per local step -- and every worker executes the same fence
-    sequence derived solely from the plan, so workers that own no ranks
-    still participate in lockstep.  With ``barrier=None`` there is a
-    single party (the in-process executor): fences are no-ops and record
-    no barrier wait.
+    sources may now be overwritten).  Two barriers per exchange, zero
+    per local step and per step whose rank pairs all have one owner
+    each -- and every worker executes the same fence sequence derived
+    solely from the plan and the worker count, so workers that own no
+    ranks still participate in lockstep.  With ``barrier=None`` there
+    is a single party (the in-process executor): fences are no-ops and
+    record no barrier wait.
     """
 
     direct_gather = True

@@ -14,7 +14,9 @@ that task executes:
 
 * ``executor="serial"`` (default) runs it in this process: one worker
   owns every rank of a lazy :class:`~repro.statevector.slices.RankSlices`
-  store, so untouched ranks stay implicit zero slices;
+  store, so untouched ranks stay implicit zero slices and every rank
+  pair of a distributed gate is updated in place, with no exchange
+  copy;
 * ``executor="pool"`` places the rank slices (and the pair/exchange
   buffers) in named shared-memory segments and replays the plan across
   a persistent worker pool (:mod:`repro.parallel`), or across a TCP

@@ -36,10 +36,11 @@ diagonals of up to :data:`~repro.statevector.native.MAX_DIAG_TARGETS`
 targets on contiguous arrays through the C kernels of
 :mod:`repro.statevector.native`, one in-place pass each, and everything
 else through the strided kernels here.  So do the combine and the
-swap-in-halves of distributed steps, and :func:`apply_run` hands C a
-whole run of local steps of an :class:`~repro.statevector.native.OpTable`
-in one call.  Where the C kernels cannot be built, ``native`` resolves
-to ``strided``.
+swap-in-halves of distributed steps and their forms on both slices of a
+rank pair at once (:func:`apply_pair`, :func:`swap_pair_halves`), and
+:func:`apply_run` hands C a whole run of local steps of an
+:class:`~repro.statevector.native.OpTable` in one call.  Where the C
+kernels cannot be built, ``native`` resolves to ``strided``.
 """
 
 from __future__ import annotations
@@ -63,6 +64,9 @@ __all__ = [
     "apply_swap_local",
     "combine_distributed_single",
     "swap_in_halves",
+    "apply_pair",
+    "swap_pair_halves",
+    "swap_slices",
     "apply_run",
     "reduce_diagonal",
     "get_backend",
@@ -666,7 +670,7 @@ def apply_swap_local(
 
 
 def _exchange(x: np.ndarray, y: np.ndarray) -> None:
-    """Swap two disjoint, equal-shape views of one buffer in place.
+    """Swap two disjoint, equal-shape views (of one buffer or two) in place.
 
     Numpy copies the source of a view-to-view assignment first whenever
     the two address ranges interleave (it cannot cheaply prove them
@@ -759,6 +763,67 @@ def swap_in_halves(
         return
     # A pure strided-view kernel, shared by strided and reference.
     return _reference.swap_in_halves(local, remote, local_bit, my_bit_value)
+
+
+def apply_pair(
+    lo: np.ndarray,
+    hi: np.ndarray,
+    matrix: np.ndarray,
+    controls: tuple[int, ...] = (),
+) -> None:
+    """A single-qubit gate on a rank bit, on both slices of a rank pair.
+
+    ``lo`` is the slice of the rank whose target bit is 0, ``hi`` its
+    partner's; where every local control bit is 1 the pair
+    ``(lo[j], hi[j])`` becomes ``matrix @ (lo[j], hi[j])``.  The bytes
+    are those of :func:`combine_distributed_single` on each rank
+    against a copy of the other: under ``native`` one C pass computes
+    the same two sums of the same products (the ``hi`` side adds them
+    in the other order, and IEEE addition commutes); the numpy backends
+    run those two combines, keeping one copy of ``lo``.
+    """
+    if lo.shape != hi.shape:
+        raise SimulationError("local/remote buffers differ in shape")
+    if controls:
+        _check_bits(lo, tuple(controls))
+    if get_backend() == "native" and _native_pair(lo, hi):
+        native.apply_pair(
+            native.library(), lo, hi, matrix, sum(1 << c for c in set(controls))
+        )
+        return
+    old_lo = lo.copy()
+    combine_distributed_single(lo, hi, matrix[0, 0], matrix[0, 1], controls)
+    combine_distributed_single(hi, old_lo, matrix[1, 1], matrix[1, 0], controls)
+
+
+def swap_pair_halves(lo: np.ndarray, hi: np.ndarray, local_bit: int) -> None:
+    """Distributed SWAP of ``local_bit`` with a rank bit, on both slices
+    of a rank pair.
+
+    ``lo`` is the slice of the rank whose rank bit is 0: its amplitudes
+    whose ``local_bit`` is 1 trade places with ``hi``'s whose
+    ``local_bit`` is 0 -- :func:`swap_in_halves` on each rank against
+    the other's old slice, with no pair buffer.  The other halves do
+    not move.
+    """
+    if lo.shape != hi.shape:
+        raise SimulationError("local/remote buffers differ in shape")
+    nbits = _num_bits(lo)
+    if not 0 <= local_bit < nbits:
+        raise SimulationError(f"local bit {local_bit} outside {nbits}-bit array")
+    if get_backend() == "native" and _native_pair(lo, hi):
+        native.apply_swap_pair(native.library(), lo, hi, nbits, local_bit)
+        return
+    width = 1 << local_bit
+    _exchange(lo.reshape(-1, 2, width)[:, 1, :], hi.reshape(-1, 2, width)[:, 0, :])
+
+
+def swap_slices(a: np.ndarray, b: np.ndarray) -> None:
+    """Trade the contents of two equal-length slices in place (a SWAP of
+    two rank bits on a rank pair), through cache-sized temporaries."""
+    if a.shape != b.shape:
+        raise SimulationError("local/remote buffers differ in shape")
+    _exchange(a, b)
 
 
 def _native_pair(local: np.ndarray, remote: np.ndarray) -> bool:

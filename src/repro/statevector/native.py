@@ -1,5 +1,6 @@
 """Native C kernels for the SINGLE and DIAGONAL step classes, for runs
-of them, and for the per-rank updates of distributed steps.
+of them, for the per-rank updates of distributed steps, and for the
+same updates on both slices of a rank pair at once.
 
 ``native_kernels.c`` ships next to this module.  The first kernel call
 of a process (never an import) builds it with the host's ``cc`` into a
@@ -54,6 +55,8 @@ __all__ = [
     "apply_run",
     "apply_combine",
     "apply_swap_halves",
+    "apply_pair",
+    "apply_swap_pair",
     "OpTable",
     "OP_WORDS",
     "OP_SINGLE",
@@ -207,12 +210,16 @@ def _load() -> ctypes.CDLL:
     lib.repro_run.argtypes = (ptr, u64, u64, u64, ptr, u64, u64, ptr, u64, ptr, u64)
     lib.repro_combine.argtypes = (ptr, ptr, u64, u64, ptr)
     lib.repro_swap_halves.argtypes = (ptr, ptr, u64, u64, u64)
+    lib.repro_pair.argtypes = (ptr, ptr, u64, u64, ptr)
+    lib.repro_swap_pair.argtypes = (ptr, ptr, u64, u64)
     for fn in (
         lib.repro_single,
         lib.repro_diagonal,
         lib.repro_run,
         lib.repro_combine,
         lib.repro_swap_halves,
+        lib.repro_pair,
+        lib.repro_swap_pair,
     ):
         fn.restype = ctypes.c_int
     return lib
@@ -362,6 +369,33 @@ def apply_swap_halves(
         _address(local), _address(remote), nbits, local_bit, my_bit_value
     ):
         raise SimulationError("native swap-halves kernel rejected its arguments")
+
+
+def apply_pair(
+    lib: ctypes.CDLL,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    matrix: np.ndarray,
+    cmask: int,
+) -> None:
+    """The 2x2 ``matrix`` on the amplitude pairs ``(lo[j], hi[j])`` whose
+    index has every ``cmask`` bit set.  Same caller checks as
+    :func:`apply_combine`."""
+    m = np.ascontiguousarray(matrix, dtype=np.complex128)
+    if m.shape != (2, 2):
+        raise SimulationError(f"matrix shape {m.shape} does not match 1 target")
+    if lib.repro_pair(_address(lo), _address(hi), lo.shape[0], cmask, _address(m)):
+        raise SimulationError("native pair kernel rejected its arguments")
+
+
+def apply_swap_pair(
+    lib: ctypes.CDLL, lo: np.ndarray, hi: np.ndarray, nbits: int, local_bit: int
+) -> None:
+    """``lo``'s half whose ``local_bit`` is 1 trades places with ``hi``'s
+    half whose ``local_bit`` is 0.  Same caller checks as
+    :func:`apply_combine`."""
+    if lib.repro_swap_pair(_address(lo), _address(hi), nbits, local_bit):
+        raise SimulationError("native pair-swap kernel rejected its arguments")
 
 
 def _readonly(array: np.ndarray, dtype, ndim: int, name: str) -> np.ndarray:

@@ -1,6 +1,7 @@
 /*
  * Native kernels for the SINGLE and DIAGONAL step classes, for runs of
- * them, and for the two per-rank updates of distributed steps.
+ * them, for the two per-rank updates of distributed steps, and for the
+ * same updates on both slices of a rank pair one process owns.
  *
  * Each kernel is one in-place pass over a contiguous complex128 array
  * of 2**nbits amplitudes (interleaved real, imaginary doubles), with
@@ -547,6 +548,99 @@ int repro_swap_halves(double *local, const double *remote, uint64_t nbits,
         for (uint64_t r = 0; r < rows; r++)
             memcpy(local + 2 * (2 * r + 1 - b) * width,
                    remote + 2 * (2 * r + b) * width, 16 * width);
+    }
+    return 0;
+}
+
+/* -- rank pairs updated in place ---------------------------------------- */
+
+/*
+ * A single-qubit gate on a rank bit, on both slices of a rank pair at
+ * once: (lo[j], hi[j]) = m * (lo[j], hi[j]) for the j < len whose
+ * `cmask` bits are all 1 (m row-major, 8 doubles), where lo is the
+ * slice whose rank has the target bit 0.  lo takes m00*lo + m01*hi,
+ * as repro_combine on lo's rank does; hi takes m10*lo + m11*hi, the
+ * two sums of repro_combine on hi's rank in the other order, which
+ * IEEE addition does not see.  So one pass leaves the bytes of the two
+ * combines, with no pair buffer.  With a mask, len must be a power of
+ * two above it.  Returns 0, or -1 for a mask outside the arrays.
+ */
+int repro_pair(double *lo, double *hi, uint64_t len, uint64_t cmask,
+               const double *m)
+{
+    if (cmask && ((len & (len - 1)) != 0 || cmask >= len))
+        return -1;
+    const uint64_t blend = cmask & (BIT(BLEND_BITS) - 1);
+    const uint64_t special = cmask & ~blend;
+    if (!special) {
+        if (blend)
+            pair_run_blend(lo, hi, len, m, blend);
+        else
+            pair_run(lo, hi, len, m);
+        return 0;
+    }
+    const unsigned nbits = (unsigned)__builtin_ctzll(len);
+    const unsigned low = (unsigned)__builtin_ctzll(special);
+    const uint64_t runs =
+        BIT(nbits - low - (unsigned)__builtin_popcountll(special));
+    for (uint64_t r = 0; r < runs; r++) {
+        const uint64_t base = spread(r << low, special) | special;
+        if (blend)
+            pair_run_blend(lo + 2 * base, hi + 2 * base, BIT(low), m, blend);
+        else
+            pair_run(lo + 2 * base, hi + 2 * base, BIT(low), m);
+    }
+    return 0;
+}
+
+/* Amplitudes per memcpy of a long swap_run (128 KiB). */
+#define SWAP_CHUNK 8192
+
+/* Trade `len` amplitudes of a and b: element by element in short runs,
+ * through a stack buffer, a chunk of memcpys at a time, in long ones
+ * (which then stream like the copies of repro_swap_halves). */
+static inline void swap_run(v2d *restrict a, v2d *restrict b, uint64_t len)
+{
+    if (len < SWAP_CHUNK) {
+        for (uint64_t j = 0; j < len; j++) {
+            const v2d t = a[j];
+            a[j] = b[j];
+            b[j] = t;
+        }
+        return;
+    }
+    double tmp[2 * SWAP_CHUNK];
+    for (uint64_t j = 0; j < len; j += SWAP_CHUNK) {
+        const uint64_t bytes = 16 * (len - j < SWAP_CHUNK ? len - j : SWAP_CHUNK);
+        memcpy(tmp, a + j, bytes);
+        memcpy(a + j, b + j, bytes);
+        memcpy(b + j, tmp, bytes);
+    }
+}
+
+/* The row swaps of repro_swap_pair for a constant row length W. */
+#define SWAP_PAIR_ROWS(W)                                                \
+    for (uint64_t r = 0; r < rows; r++)                                  \
+        swap_run((v2d *)lo + (2 * r + 1) * (W), (v2d *)hi + 2 * r * (W), (W));
+
+/*
+ * The distributed SWAP of local bit `bit` with a rank bit, on both
+ * slices of a rank pair at once: lo's amplitudes whose local bit is 1
+ * trade places with hi's whose local bit is 0 (lo's rank has the rank
+ * bit 0).  The result is repro_swap_halves on each side, each reading
+ * the other side's old slice; the other halves do not move.  Returns
+ * 0, or -1 for a bit outside the arrays.
+ */
+int repro_swap_pair(double *lo, double *hi, uint64_t nbits, uint64_t bit)
+{
+    if (nbits > 62 || bit >= nbits)
+        return -1;
+    const uint64_t rows = BIT(nbits - bit - 1), width = BIT(bit);
+    switch (bit) {
+    case 0: SWAP_PAIR_ROWS(1) break;
+    case 1: SWAP_PAIR_ROWS(2) break;
+    case 2: SWAP_PAIR_ROWS(4) break;
+    default: SWAP_PAIR_ROWS(width) break;
     }
     return 0;
 }

@@ -127,6 +127,11 @@ class Partition:
             )
         return tuple(range(worker_id, self.num_ranks, num_workers))
 
+    def worker_for_rank(self, rank: int, num_workers: int) -> int:
+        """The worker whose :meth:`ranks_for_worker` holds ``rank``."""
+        self._check_rank(rank)
+        return rank % num_workers
+
     # -- index conversions ------------------------------------------------------
 
     def global_index(self, rank: int, local_index: int) -> int:

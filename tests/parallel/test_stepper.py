@@ -3,9 +3,11 @@
 ``execute_plan`` is what every executor runs; these tests drive it over
 stores and transports the executors do not combine themselves: message
 routing of remaps (the TCP path) next to the direct gather, checkpoint
-and resume, and the shared-memory worker entry point with one party.
-The copy lists every executor moves (``exchange_rounds``) are held to
-the cost model's per-step exchange (``plan_gate``).
+and resume, the shared-memory worker entry point with one party, and
+workers in threads whose transport records its calls (rank pairs one
+worker owns must never reach it).  The copy lists every executor moves
+(``exchange_rounds``) are held to the cost model's per-step exchange
+(``plan_gate``).
 """
 
 from __future__ import annotations
@@ -23,13 +25,14 @@ from repro import obs
 from repro.circuits import Circuit, qft_circuit, random_circuit, random_state
 from repro.errors import PoolError
 from repro.gates import Gate
-from repro.parallel import shm_available
+from repro.parallel import POOL_WORKERS_ENV, shm_available, shutdown_pool
 from repro.parallel.stepper import (
     PlanTask,
     exchange_rounds,
     execute_plan,
     run_plan_worker,
 )
+from repro.parallel.tcp import shutdown_tcp_pools
 from repro.parallel.transport import (
     BLOB_SLOT_BYTES,
     Array2DStore,
@@ -342,3 +345,188 @@ def test_shm_worker_entry_point_with_one_party():
     state.apply_circuit(circuit)
     assert got.tobytes() == state.gather().tobytes()
     assert [e[2:] for e in events if e[0] == "measure"] == state.measure_outcomes
+
+
+# -- rank pairs one worker owns ----------------------------------------------------
+
+
+class RecordingTransport(ShmTransport):
+    """Shared-memory copies that count their fences and exchanges."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.calls: Counter[str] = Counter()
+
+    def fence(self) -> None:
+        self.calls["fence"] += 1
+        super().fence()
+
+    def exchange(self, step_index, copies, on_ready=None) -> None:
+        self.calls["exchange"] += 1
+        super().exchange(step_index, copies, on_ready)
+
+
+def _run_workers(psi, circuit, ranks, num_workers, halved_swaps=False):
+    """Replay ``circuit`` with ``num_workers`` workers in threads over one
+    pair of arrays, as the shm pool does; returns the final state and
+    each worker's recorded transport calls."""
+    n = circuit.num_qubits
+    partition = Partition(n, ranks)
+    plan = compile_plan(circuit, fusion="diag", local_qubits=partition.local_qubits)
+    local = psi.reshape(ranks, -1).copy()
+    store = Array2DStore(local, np.empty_like(local))
+    barrier = threading.Barrier(num_workers)
+    task = PlanTask(
+        local_name=None,
+        pair_name=None,
+        num_qubits=n,
+        num_ranks=ranks,
+        halved_swaps=halved_swaps,
+        plan=plan,
+        emit_events=False,
+    )
+    transports = [
+        RecordingTransport(
+            barrier if num_workers > 1 else None,
+            store,
+            partition.ranks_for_worker(w, num_workers),
+        )
+        for w in range(num_workers)
+    ]
+    errors = []
+
+    def work(w: int) -> None:
+        try:
+            execute_plan(
+                transports[w], store, task, worker_id=w, num_workers=num_workers
+            )
+        except BaseException as exc:  # pragma: no cover - surfaced below
+            errors.append(exc)
+            barrier.abort()
+
+    threads = [threading.Thread(target=work, args=(w,)) for w in range(num_workers)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert not errors, errors
+    return local.reshape(-1), [t.calls for t in transports]
+
+
+#: 8 qubits on 8 ranks: local qubits 0-4, rank bits 0-2 are qubits 5-7.
+#: Over 2 workers, pairs on rank bit 0 have two owners, pairs on rank
+#: bits 1 and 2 one.
+PAIR_STEPS = {
+    "single_rank_bit_1": (Gate.named("h", (6,)), False),
+    "single_rank_bit_2_controlled": (
+        Gate.named("ry", (7,), params=(0.3,), controls=(1, 5)),
+        False,
+    ),
+    "swap_local_rank_bit_2": (Gate.named("swap", (2, 7)), False),
+    "rank_bits_1_2_swap": (Gate.named("swap", (6, 7)), False),
+    "single_rank_bit_0": (Gate.named("h", (5,)), True),
+    "single_rank_bit_0_controlled": (
+        Gate.named("x", (5,), controls=(0,)),
+        True,
+    ),
+    "swap_local_rank_bit_0": (Gate.named("swap", (3, 5)), True),
+    "rank_bits_0_1_swap": (Gate.named("swap", (5, 6)), True),
+}
+
+
+@pytest.mark.parametrize("halved_swaps", [False, True], ids=["full", "halved"])
+@pytest.mark.parametrize("name", sorted(PAIR_STEPS))
+def test_same_owner_pairs_make_no_transport_call(name, halved_swaps):
+    gate, crosses_workers = PAIR_STEPS[name]
+    circuit = Circuit(N, [gate])
+    psi = random_state(N, seed=len(name))
+    want = DistributedStatevector.from_amplitudes(
+        psi, 8, executor="serial", halved_swaps=halved_swaps, fusion="diag"
+    )
+    want.apply_circuit(circuit)
+    (got1, (calls1,)) = _run_workers(psi, circuit, 8, 1, halved_swaps)
+    assert calls1 == {}
+    got2, calls2 = _run_workers(psi, circuit, 8, 2, halved_swaps)
+    want_calls = {"exchange": 1, "fence": 2} if crosses_workers else {}
+    assert calls2 == [want_calls, want_calls]
+    assert got1.tobytes() == got2.tobytes() == want.gather().tobytes()
+
+
+def test_threaded_workers_match_serial_on_a_random_circuit():
+    # 3 workers over 8 ranks: only rank-bit SWAPs of bits 0 and 2 (rank
+    # difference 3) pair ranks of one owner; every other step crosses.
+    circuit = random_circuit(N, 80, seed=21)
+    circuit.append(Gate.named("swap", (5, 7)))
+    circuit.append(Gate.named("h", (6,), controls=(1,)))
+    psi = random_state(N, seed=21)
+    want = DistributedStatevector.from_amplitudes(
+        psi, 8, executor="serial", fusion="diag"
+    )
+    want = want.apply_circuit(circuit).gather()
+    for workers in (1, 2, 3, 5):
+        got, _calls = _run_workers(psi, circuit, 8, workers)
+        assert got.tobytes() == want.tobytes(), workers
+
+
+@pytest.fixture
+def three_worker_pools(monkeypatch):
+    """The shm pool and TCP mesh rebuilt with 3 workers, torn down after."""
+    shutdown_pool()
+    monkeypatch.setenv(POOL_WORKERS_ENV, "3")
+    yield "127.0.0.1:0,127.0.0.1:0,127.0.0.1:0"
+    shutdown_pool()
+    shutdown_tcp_pools()
+
+
+def test_three_worker_pools_match_serial_bitwise(three_worker_pools):
+    circuit = random_circuit(N, 60, seed=23)
+    circuit.append(Gate.named("swap", (5, 7)))
+    circuit.append(Gate.named("swap", (2, 6)))
+    psi = random_state(N, seed=23)
+    want = DistributedStatevector.from_amplitudes(psi, 8, executor="serial")
+    want = want.apply_circuit(circuit)
+    legs = [{"hosts": three_worker_pools}]
+    if shm_available():
+        legs.append({})
+    for leg in legs:
+        state = DistributedStatevector.from_amplitudes(
+            psi, 8, executor="pool", **leg
+        )
+        state.apply_circuit(circuit)
+        assert state.gather().tobytes() == want.gather().tobytes(), leg
+        assert state.comm.message_log == want.comm.message_log
+
+
+def test_traced_run_counts_pair_updates_and_fences():
+    circuit = Circuit(
+        N,
+        [
+            Gate.named("h", (6,)),
+            Gate.named("swap", (2, 7)),
+            Gate.named("swap", (6, 7)),
+            Gate.named("h", (5,)),
+        ],
+    )
+    psi = random_state(N, seed=8)
+    was_enabled = obs.is_enabled()
+    obs.reset()
+    obs.enable()
+    try:
+        _run_workers(psi, circuit, 8, 2)
+        counts = {
+            (m.name, dict(m.labels).get("kind")): m.value
+            for m in obs.metrics()
+            if m.name in ("repro_pair_updates_total", "repro_pool_fences_total")
+        }
+    finally:
+        obs.reset()
+        if not was_enabled:
+            obs.disable()
+    # Each worker counts each step it ran on pairs in place, and waits
+    # at the two fences of the one step whose pairs cross workers.
+    assert counts == {
+        ("repro_pair_updates_total", "single"): 2,
+        ("repro_pair_updates_total", "swap_halves"): 2,
+        ("repro_pair_updates_total", "swap_slices"): 2,
+        ("repro_pool_fences_total", None): 4,
+    }

@@ -103,6 +103,17 @@ class TestZeroStateLaziness:
         assert state._local.is_materialized(4)
         assert state._local.allocations == 2
 
+    def test_distributed_gates_allocate_no_pair_buffer(self):
+        # One process owns every rank, so each pair is updated in place.
+        state = _zero_state(10, 8)
+        state.apply_gate(Gate.named("h", (9,)))
+        state.apply_gate(Gate.named("swap", (2, 8)))
+        state.apply_gate(Gate.named("swap", (7, 9)))
+        # Slices 0 and 4, then 2 and 6, then 1 and 3 take amplitudes;
+        # 5 and 7 stay implicit zeros.
+        assert state._local.allocations == 6
+        assert all(pair is None for pair in state._local._pair)
+
     def test_lazy_state_still_exact(self):
         circuit = qft_circuit(8)
         lazy = _zero_state(8, 4)
