@@ -25,17 +25,9 @@ from repro.machine.slurm import SlurmJob
 from repro.perfmodel.predictor import predict
 from repro.perfmodel.trace import RunConfiguration
 from repro.statevector.distributed import DistributedStatevector
+from repro.statevector.partition import NUMERIC_QUBIT_LIMIT
 
 __all__ = ["SimulationRunner", "NUMERIC_QUBIT_LIMIT"]
-
-#: Above this register size only the model executor runs.  Raised from
-#: 22 after the lazy-slice + pool-executor work, and from 24 once the
-#: pluggable rank transport landed: a 26-qubit state is 1 GiB of
-#: amplitudes, allocated only as gates actually touch ranks, and the
-#: pool spreads the sweep across cores -- or across hosts over the TCP
-#: transport, where per-worker memory is ``1 GiB / num_workers`` (see
-#: BENCH_parallel.json / BENCH_scaleout.json for the measurements).
-NUMERIC_QUBIT_LIMIT = 26
 
 
 class SimulationRunner:

@@ -30,22 +30,50 @@ Quickstart::
     print(result.makespan_s, result.timeline.gantt())
 """
 
-from repro.des.engine import Engine, Process, Signal, Timeout
-from repro.des.replay import DesResult, simulate, simulate_trace
-from repro.des.resources import Fabric, Link, TokenPool
-from repro.des.schedule import (
-    ComputeOp,
-    ExchangeOp,
-    RankSchedule,
-    ScheduleSet,
-    export_schedules,
-)
-from repro.des.timeline import Span, Timeline, utilisation_series
-from repro.des.validation import (
-    DEFAULT_TOLERANCE,
-    CrossCheck,
-    assert_crosscheck,
-    crosscheck,
+from typing import TYPE_CHECKING
+
+from repro import _export_lazily
+
+if TYPE_CHECKING:
+    from repro.des.engine import Engine, Process, Signal, Timeout
+    from repro.des.replay import DesResult, simulate, simulate_trace
+    from repro.des.resources import Fabric, Link, TokenPool
+    from repro.des.schedule import (
+        ComputeOp,
+        ExchangeOp,
+        RankSchedule,
+        ScheduleSet,
+        export_schedules,
+    )
+    from repro.des.timeline import Span, Timeline, utilisation_series
+    from repro.des.validation import (
+        DEFAULT_TOLERANCE,
+        CrossCheck,
+        assert_crosscheck,
+        crosscheck,
+    )
+
+__getattr__, __dir__ = _export_lazily(
+    __name__,
+    {
+        "repro.des.engine": ("Engine", "Process", "Signal", "Timeout"),
+        "repro.des.replay": ("DesResult", "simulate", "simulate_trace"),
+        "repro.des.resources": ("Fabric", "Link", "TokenPool"),
+        "repro.des.schedule": (
+            "ComputeOp",
+            "ExchangeOp",
+            "RankSchedule",
+            "ScheduleSet",
+            "export_schedules",
+        ),
+        "repro.des.timeline": ("Span", "Timeline", "utilisation_series"),
+        "repro.des.validation": (
+            "DEFAULT_TOLERANCE",
+            "CrossCheck",
+            "assert_crosscheck",
+            "crosscheck",
+        ),
+    },
 )
 
 __all__ = [

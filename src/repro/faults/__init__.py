@@ -40,33 +40,72 @@ Quickstart::
     print(prediction.faults.describe())
 """
 
-from repro.faults.analytic import (
-    analytic_fault_report,
-    degraded_runtime,
-    fault_adjusted_energy,
-)
-from repro.faults.checkpoint import (
-    CheckpointOverlay,
-    FaultEvent,
-    apply_overlay,
-    daly_interval,
-    expected_slowdown,
-    young_interval,
-)
-from repro.faults.inject import (
-    ChunkFaultModel,
-    FaultReport,
-    FaultySchedule,
-    build_report,
-    degrade_fabric,
-)
-from repro.faults.plan import (
-    ZERO_FAULTS,
-    CheckpointPolicy,
-    FaultPlan,
-    LinkDegradation,
-    NodeFailure,
-    Straggler,
+from typing import TYPE_CHECKING
+
+from repro import _export_lazily
+
+if TYPE_CHECKING:
+    from repro.faults.analytic import (
+        analytic_fault_report,
+        degraded_runtime,
+        fault_adjusted_energy,
+    )
+    from repro.faults.checkpoint import (
+        CheckpointOverlay,
+        FaultEvent,
+        apply_overlay,
+        daly_interval,
+        expected_slowdown,
+        young_interval,
+    )
+    from repro.faults.inject import (
+        ChunkFaultModel,
+        FaultReport,
+        FaultySchedule,
+        build_report,
+        degrade_fabric,
+    )
+    from repro.faults.plan import (
+        ZERO_FAULTS,
+        CheckpointPolicy,
+        FaultPlan,
+        LinkDegradation,
+        NodeFailure,
+        Straggler,
+    )
+
+__getattr__, __dir__ = _export_lazily(
+    __name__,
+    {
+        "repro.faults.analytic": (
+            "analytic_fault_report",
+            "degraded_runtime",
+            "fault_adjusted_energy",
+        ),
+        "repro.faults.checkpoint": (
+            "CheckpointOverlay",
+            "FaultEvent",
+            "apply_overlay",
+            "daly_interval",
+            "expected_slowdown",
+            "young_interval",
+        ),
+        "repro.faults.inject": (
+            "ChunkFaultModel",
+            "FaultReport",
+            "FaultySchedule",
+            "build_report",
+            "degrade_fabric",
+        ),
+        "repro.faults.plan": (
+            "ZERO_FAULTS",
+            "CheckpointPolicy",
+            "FaultPlan",
+            "LinkDegradation",
+            "NodeFailure",
+            "Straggler",
+        ),
+    },
 )
 
 __all__ = [

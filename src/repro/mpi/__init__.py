@@ -10,19 +10,44 @@ rounds of each measurement's norm Allreduce through
 performance model prices the recorded schedule.
 """
 
-from repro.mpi.chunking import (
-    MAX_MESSAGE_BYTES,
-    element_chunk_bytes,
-    num_chunks,
-    split_message,
-)
-from repro.mpi.comm import SimComm
-from repro.mpi.datatypes import CommMode, CommStats, Message
-from repro.mpi.exchange import log_exchange_schedule
-from repro.mpi.topology import (
-    ARCHER2_NODES_PER_SWITCH,
-    ARCHER2_SWITCH_POWER_W,
-    NetworkTopology,
+from typing import TYPE_CHECKING
+
+from repro import _export_lazily
+
+if TYPE_CHECKING:
+    from repro.mpi.chunking import (
+        MAX_MESSAGE_BYTES,
+        element_chunk_bytes,
+        num_chunks,
+        split_message,
+    )
+    from repro.mpi.comm import SimComm
+    from repro.mpi.datatypes import CommMode, CommStats, Message
+    from repro.mpi.exchange import log_exchange_schedule
+    from repro.mpi.topology import (
+        ARCHER2_NODES_PER_SWITCH,
+        ARCHER2_SWITCH_POWER_W,
+        NetworkTopology,
+    )
+
+__getattr__, __dir__ = _export_lazily(
+    __name__,
+    {
+        "repro.mpi.chunking": (
+            "MAX_MESSAGE_BYTES",
+            "element_chunk_bytes",
+            "num_chunks",
+            "split_message",
+        ),
+        "repro.mpi.comm": ("SimComm",),
+        "repro.mpi.datatypes": ("CommMode", "CommStats", "Message"),
+        "repro.mpi.exchange": ("log_exchange_schedule",),
+        "repro.mpi.topology": (
+            "ARCHER2_NODES_PER_SWITCH",
+            "ARCHER2_SWITCH_POWER_W",
+            "NetworkTopology",
+        ),
+    },
 )
 
 __all__ = [

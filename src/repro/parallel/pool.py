@@ -14,11 +14,11 @@ lives for the process (closed by ``atexit``), so repeated
 once.  Both this pool and the TCP loopback pool
 (:mod:`repro.parallel.tcp`) start their workers from
 :func:`start_context`, a ``forkserver`` context whose server imports
-numpy and the worker modules once; each worker is a fork of that warm
-interpreter, which never ran pool or user code, so a pool (re)build
-costs a fork per worker rather than an interpreter boot and a numpy
-import per worker.  Where the forkserver cannot run the context falls
-back to ``spawn``.
+numpy, the worker modules and what the parent's main module imports
+once; each worker is a fork of that warm interpreter, which never ran
+pool or user code, so a pool (re)build costs a fork per worker rather
+than an interpreter boot and a round of imports per worker.  Where the
+forkserver cannot run the context falls back to ``spawn``.
 
 A forked worker inherits the *server's* environment, which is frozen
 when the first pool starts.  Every worker is therefore handed a
@@ -30,7 +30,9 @@ Failure handling is explicit: a worker that raises aborts the shared
 barrier so its peers unblock, and a worker that *dies* (SIGKILL, OOM)
 is detected by the parent, which aborts the barrier on its behalf,
 marks the pool broken and raises :class:`~repro.errors.PoolError`.  The
-next :func:`get_pool` call builds a fresh pool.
+next :func:`get_pool` call builds a fresh pool.  A build whose server
+or workers die before every worker is ready raises one
+:class:`~repro.errors.PoolError` (:func:`start_failure`).
 """
 
 from __future__ import annotations
@@ -39,10 +41,12 @@ import atexit
 import multiprocessing as mp
 import os
 import signal
+import sys
 import time
 import traceback
 from dataclasses import dataclass
-from multiprocessing import connection, util
+from multiprocessing import connection, forkserver, util
+from types import ModuleType
 from typing import Any, Callable
 
 from repro import obs, settings
@@ -65,7 +69,8 @@ _IN_WORKER_ENV = settings.IN_WORKER.name
 
 #: Modules the forkserver imports before it forks any worker: the two
 #: worker entry points and the plan stepper (which pull in numpy and
-#: the kernels).
+#: the kernels).  What the parent's main module imports follows them
+#: (:func:`_main_preload`).
 _PRELOAD = ["repro.parallel.pool", "repro.parallel.stepper", "repro.parallel.tcp"]
 
 #: Longest Unix socket path the OS can bind (``sun_path`` less its NUL).
@@ -102,8 +107,96 @@ def _choose_context(temp_dir: str):
     # The preload list is process-global: any other forkserver user in
     # this process shares the server and its (harmless) extra imports.
     context = mp.get_context("forkserver")
-    context.set_forkserver_preload(_PRELOAD)
+    context.set_forkserver_preload(_PRELOAD + _main_preload())
     return context
+
+
+def _main_preload() -> list[str]:
+    """The modules the parent's main module draws on, for the server.
+
+    A forkserver child, like a spawned one, runs the parent's main
+    module again before it unpickles its target, so that functions
+    defined there unpickle.  With the modules that the main module's
+    globals come from already imported in the server, that run finds
+    its imports cached.  The main module itself is not preloaded: under
+    its own name it would make each child's re-run warn, and CPython
+    3.11's server ignores a ``"__main__"`` entry.  Nothing is re-run,
+    so nothing is preloaded, for ``-c``, standard input or a
+    ``python -m pkg`` main (``pkg.__main__``).
+    """
+    main = sys.modules.get("__main__")
+    name = getattr(getattr(main, "__spec__", None), "name", None)
+    if name is None and getattr(main, "__file__", None) is None:
+        return []
+    if name is not None and name.endswith("__main__"):
+        return []
+    sources = {
+        value.__name__
+        if isinstance(value, ModuleType)
+        else getattr(value, "__module__", None)
+        for value in vars(main).values()
+    }
+    return sorted(
+        source
+        for source in sources
+        if isinstance(source, str)
+        and source in sys.modules
+        and source not in ("__main__", "__mp_main__", "builtins")
+    )
+
+
+def start_failure(problem: str) -> PoolError:
+    """The one error a pool build raises when its workers do not start.
+
+    Every worker runs the parent's main module again first, after the
+    forkserver imported what that module imports, so an exception
+    raised by one of those imports is the usual cause.  Its traceback
+    is on standard error.
+    """
+    main = sys.modules.get("__main__")
+    name = getattr(getattr(main, "__spec__", None), "name", None)
+    name = name or getattr(main, "__file__", None)
+    hint = (
+        f"; each worker runs the main module {name!r} again first, after "
+        "the forkserver imports what it imports, so an error raised there "
+        "(traceback on standard error) stops them"
+        if name
+        else ""
+    )
+    return PoolError(f"pool workers could not start: {problem}{hint}")
+
+
+def start_worker(proc) -> None:
+    """``proc.start()``, with a failure raised as :func:`start_failure`.
+
+    A start fails when the forkserver is gone -- most often because a
+    module it preloads raised at import -- or when a fork fails.
+    """
+    try:
+        proc.start()
+    except (EOFError, OSError) as exc:
+        if start_context().get_start_method() == "forkserver":
+            _await_server_exit()
+        raise start_failure(f"{proc.name} did not start ({exc!r})") from None
+
+
+def _await_server_exit(timeout: float = 1.0) -> None:
+    """Wait, without reaping it, for a failed forkserver to exit.
+
+    The next start reaps an exited server and starts a fresh one, but
+    takes a server still on its way out for a live one and connects to
+    its closed socket.  A server that is still running after
+    ``timeout`` is left to serve.
+    """
+    pid = forkserver._forkserver._forkserver_pid
+    deadline = time.monotonic() + timeout
+    while pid is not None and time.monotonic() < deadline:
+        try:
+            if os.waitid(os.P_PID, pid, os.WEXITED | os.WNOHANG | os.WNOWAIT):
+                return
+        except ChildProcessError:
+            return
+        time.sleep(0.01)
 
 
 def adopt_environment(env: dict) -> None:
@@ -199,6 +292,7 @@ def _worker_main(
     except (ValueError, OSError) as exc:  # pragma: no cover - exotic host
         obs.swallowed("pool.worker_sigint_ignore", exc)
     ctx = WorkerContext(worker_id, num_workers, barrier, events)
+    conn.send(("ready",))
     while True:
         try:
             command = conn.recv()
@@ -279,10 +373,39 @@ class WorkerPool:
                 daemon=True,
                 name=f"repro-pool-{i}",
             )
-            proc.start()
-            child_end.close()
+            try:
+                start_worker(proc)
+            except PoolError:
+                parent_end.close()
+                self.close()
+                raise
+            finally:
+                child_end.close()
             self._pipes.append(parent_end)
             self._procs.append(proc)
+        self._await_ready()
+
+    def _await_ready(self) -> None:
+        """Wait for every worker's ``ready``; raise if one dies first."""
+        pending = set(range(self.num_workers))
+        while pending:
+            ready = connection.wait([self._pipes[i] for i in pending], timeout=0.25)
+            lost = None
+            for pipe in ready:
+                i = self._pipes.index(pipe)
+                try:
+                    pipe.recv()
+                except (EOFError, OSError):
+                    lost = i
+                pending.discard(i)
+            if lost is None:
+                lost = next((i for i in pending if not _alive(self._procs[i])), None)
+            if lost is not None:
+                self.close()
+                raise start_failure(
+                    f"{self._procs[lost].name} exited with code "
+                    f"{self._procs[lost].exitcode} before it was ready"
+                )
 
     # -- health ---------------------------------------------------------------
 

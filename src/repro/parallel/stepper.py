@@ -54,14 +54,13 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from repro import obs
-from repro.core.runner import NUMERIC_QUBIT_LIMIT
 from repro.errors import PoolError
 from repro.gates import Gate, GateLocality
 from repro.statevector import exact
 from repro.statevector import gate_kernels as kernels
 from repro.statevector.apply_plan import ApplyPlan, ApplyStep, StepKind
 from repro.statevector.native import OpTable
-from repro.statevector.partition import Partition
+from repro.statevector.partition import NUMERIC_QUBIT_LIMIT, Partition
 from repro.statevector.plan import remap_masks, remap_split
 from repro.parallel.transport import (
     BLOB_SLOT_BYTES,

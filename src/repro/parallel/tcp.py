@@ -86,13 +86,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro import obs, settings
-from repro.core.runner import NUMERIC_QUBIT_LIMIT
 from repro.errors import PoolError, ValidationError
 from repro.parallel.pool import (
     _IN_WORKER_ENV,
+    _alive,
     adopt_environment,
     in_worker,
     start_context,
+    start_failure,
+    start_worker,
 )
 from repro.parallel.transport import (
     BLOB_SLOT_BYTES,
@@ -103,6 +105,7 @@ from repro.parallel.transport import (
     RankTransport,
 )
 from repro.statevector.gate_kernels import pinned_backend
+from repro.statevector.partition import NUMERIC_QUBIT_LIMIT
 
 __all__ = [
     "POOL_HOSTS_ENV",
@@ -173,6 +176,11 @@ _OOB_MIN_BYTES = 64 << 10
 _IOV_MAX = 1024
 
 _CONNECT_TIMEOUT_S = 30.0
+
+#: How often a pool build that waits for registrations checks that its
+#: local workers still run.
+_START_POLL_S = 0.25
+
 _DRAIN_TIMEOUT_S = 5.0
 
 #: Mesh bytes one readable wake-up takes from a peer before the pump
@@ -1225,7 +1233,9 @@ class TcpPool:
         # connections queued during registration must not crowd out a
         # worker's connect.
         listener.listen()
-        listener.settimeout(_CONNECT_TIMEOUT_S)
+        # Short accepts, so a local worker that dies before it registers
+        # is seen within a poll, not at the registration deadline.
+        listener.settimeout(_START_POLL_S)
         self._listener = listener
         coord_host, coord_port = listener.getsockname()[:2]
         self._procs = {}
@@ -1238,7 +1248,11 @@ class TcpPool:
                     daemon=True,
                     name=f"repro-tcp-{wid}",
                 )
-                proc.start()
+                try:
+                    start_worker(proc)
+                except PoolError:
+                    self._teardown()
+                    raise
                 self._procs[wid] = proc
             else:
                 obs.log.info(
@@ -1267,6 +1281,21 @@ class TcpPool:
             try:
                 sock, _addr = listener.accept()
             except socket.timeout:
+                lost = next(
+                    (
+                        wid
+                        for wid, proc in self._procs.items()
+                        if wid not in self._ctrl and not _alive(proc)
+                    ),
+                    None,
+                )
+                if lost is not None:
+                    proc = self._procs[lost]
+                    self._teardown()
+                    raise start_failure(
+                        f"{proc.name} exited with code {proc.exitcode} "
+                        "before it registered"
+                    )
                 continue
             _tune_socket(sock)
             sock.settimeout(_CONNECT_TIMEOUT_S)

@@ -21,10 +21,19 @@ from repro.errors import PartitionError
 from repro.gates import Gate, GateLocality, classify_gate
 from repro.utils.bits import is_power_of_two, log2_exact
 
-__all__ = ["Partition", "AMPLITUDE_BYTES"]
+__all__ = ["Partition", "AMPLITUDE_BYTES", "NUMERIC_QUBIT_LIMIT"]
 
 #: Bytes per complex double amplitude.
 AMPLITUDE_BYTES = 16
+
+#: Above this register size only the model executor runs.  Raised from
+#: 22 after the lazy-slice + pool-executor work, and from 24 once the
+#: pluggable rank transport landed: a 26-qubit state is 1 GiB of
+#: amplitudes, allocated only as gates actually touch ranks, and the
+#: pool spreads the sweep across cores -- or across hosts over the TCP
+#: transport, where per-worker memory is ``1 GiB / num_workers`` (see
+#: BENCH_parallel.json / BENCH_scaleout.json for the measurements).
+NUMERIC_QUBIT_LIMIT = 26
 
 
 @dataclass(frozen=True)
