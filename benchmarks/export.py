@@ -254,18 +254,19 @@ def _fusion_sweeps(repeats: int, n: int = _FUSION_SWEEP_QUBITS) -> dict:
 def _fusion_sweep(circuit, psi: np.ndarray, repeats: int) -> dict:
     """One workload's sweep: seconds and steps per mode, and speedups."""
     from repro.statevector.apply_plan import compile_plan
+    from repro.statevector.dense import DenseStatevector
 
     entry: dict[str, dict | float] = {}
     times: dict[str, float] = {}
     for mode in ("off", "diag", "full"):
         plan = compile_plan(circuit, fusion=mode, cache=False)
-        amps = psi.copy()
-        plan.run_dense(amps)  # warm-up: page in, prime BLAS
+        # Warm-up: page in, prime BLAS.
+        DenseStatevector.from_amplitudes(psi).apply_plan(plan)
         samples = []
         for _ in range(repeats):
-            amps = psi.copy()
+            state = DenseStatevector.from_amplitudes(psi)
             t0 = time.perf_counter()
-            plan.run_dense(amps)
+            state.apply_plan(plan)
             samples.append(time.perf_counter() - t0)
         times[mode] = statistics.median(samples)
         entry[mode] = {

@@ -27,6 +27,7 @@ from repro.machine.frequency import CpuFrequency
 from repro.mpi.datatypes import CommMode
 from repro.perfmodel.calibration import DEFAULT_CALIBRATION, Calibration
 from repro.statevector.apply_plan import compile_plan
+from repro.statevector.dense import DenseStatevector
 from repro.utils.bits import log2_exact
 
 __all__ = ["run", "CLAIMS"]
@@ -43,13 +44,13 @@ def _measure_modes(
     out: dict[str, tuple[float, int]] = {}
     for mode in _MEASURED_MODES:
         plan = compile_plan(circuit, fusion=mode, cache=False)
-        amps = psi.copy()
-        plan.run_dense(amps)  # warm-up: page in, prime BLAS
+        # Warm-up: page in, prime BLAS.
+        DenseStatevector.from_amplitudes(psi).apply_plan(plan)
         best = float("inf")
         for _ in range(repeats):
-            amps = psi.copy()
+            state = DenseStatevector.from_amplitudes(psi)
             t0 = time.perf_counter()
-            plan.run_dense(amps)
+            state.apply_plan(plan)
             best = min(best, time.perf_counter() - t0)
         out[mode] = (best, len(plan.steps))
     return out

@@ -1,4 +1,4 @@
-"""The one SPMD step interpreter behind every distributed executor.
+"""The one SPMD step interpreter behind every executor.
 
 Each worker owns a static round-robin subset of the simulated ranks
 (:meth:`~repro.statevector.partition.Partition.ranks_for_worker`) and
@@ -22,9 +22,10 @@ a local bit with a rank bit one swap of the two halves that move
 two rank bits one exchange of the slices -- no pair buffer, no fence,
 no message.  Which pairs those are depends only on the plan, the
 partition and the worker count, so every worker splits every round the
-same way.  The in-process executor (``executor="serial"``) owns every
-rank, so none of its pairs reach the transport.  The copies between
-ranks of different owners go to the worker's
+same way.  The in-process executors (:func:`execute_in_process`:
+serial, and dense as one rank) own every rank, so none of their pairs
+reach the transport.  The copies between ranks of different owners go
+to the worker's
 :class:`~repro.parallel.transport.RankTransport`, when there are any:
 
 * over shared memory the copies run between two barrier fences;
@@ -60,7 +61,7 @@ from repro.statevector import exact
 from repro.statevector import gate_kernels as kernels
 from repro.statevector.apply_plan import ApplyPlan, ApplyStep, StepKind
 from repro.statevector.native import OpTable
-from repro.statevector.partition import NUMERIC_QUBIT_LIMIT, Partition
+from repro.statevector.partition import DENSE_QUBIT_LIMIT, Partition
 from repro.statevector.plan import remap_masks, remap_split
 from repro.parallel.transport import (
     BLOB_SLOT_BYTES,
@@ -77,6 +78,7 @@ __all__ = [
     "PlanTask",
     "exchange_rounds",
     "execute_plan",
+    "execute_in_process",
     "run_plan_worker",
     "FAIL_EXIT_CODE",
 ]
@@ -87,9 +89,10 @@ FAIL_EXIT_CODE = 173
 
 #: Bits of one exact partial norm on the wire.  Every finite float64
 #: square is below ``2**2098`` units of ``2**-1074``, and one worker sums
-#: at most the ``2 * 2**NUMERIC_QUBIT_LIMIT`` components of the largest
-#: state, so every partial stays below ``2**_NORM_BITS``.
-_NORM_BITS = 2098 + NUMERIC_QUBIT_LIMIT + 1
+#: at most the ``2 * 2**DENSE_QUBIT_LIMIT`` components of the largest
+#: state (dense's one rank), so every partial stays below
+#: ``2**_NORM_BITS``.
+_NORM_BITS = 2098 + DENSE_QUBIT_LIMIT + 1
 
 #: Bytes of one partial norm: unsigned, big-endian, fixed width.
 _NORM_BYTES = -(-_NORM_BITS // 8)
@@ -768,6 +771,16 @@ def execute_plan(
                     emit(("step", done, worker_id))
             idx = end
     return executed
+
+
+def execute_in_process(store: RankStore, task: PlanTask, emit=None) -> int:
+    """Replay ``task`` here as worker 0 of 1, owning every rank of
+    ``store``, over a barrier-less :class:`ShmTransport` with one blob
+    row: the serial executor's lazy store, or dense's one-rank array."""
+    blobs = np.zeros((1, BLOB_SLOT_BYTES), np.uint8)
+    owned = tuple(range(task.num_ranks))
+    transport = ShmTransport(None, store, owned, worker_id=0, blobs=blobs)
+    return execute_plan(transport, store, task, worker_id=0, num_workers=1, emit=emit)
 
 
 def run_plan_worker(ctx, task: PlanTask):

@@ -31,13 +31,13 @@ becomes a rename of the qubits every later step touches instead of a
 read+write pass over the state, and the plan closes with the fewest
 local swaps that put the qubits back in order.
 
-Both executors consume plans: :meth:`DenseStatevector.apply_circuit`
-runs each step directly on the full amplitude array, and
-:meth:`DistributedStatevector.apply_circuit` runs the local part of each
-step per rank (reducing fused diagonals over the rank-index bits).
-Plans are cached per circuit, so re-applying the same circuit object --
-the common pattern in parameter sweeps and the property suite -- skips
-compilation entirely.
+Every executor runs plans through one step interpreter,
+:func:`repro.parallel.stepper.execute_plan`:
+:meth:`DistributedStatevector.apply_circuit` on its partition, and
+:meth:`DenseStatevector.apply_circuit` as its one-rank case.  Plans are
+cached per circuit and option key, so re-applying the same circuit
+object -- the common pattern in parameter sweeps and the property suite
+-- skips compilation entirely.
 
 Compilation has a structural half and a materialising half.
 :func:`fusion_units` decides which gates merge into which steps, from
@@ -74,6 +74,7 @@ __all__ = [
     "ApplyPlan",
     "compile_plan",
     "compile_gate_step",
+    "compile_gate_plan",
     "op_table",
     "fusion_units",
     "relabels",
@@ -168,27 +169,8 @@ class ApplyPlan:
     #: Gates in the source circuit (>= len(steps) when runs were fused).
     num_gates: int
     #: The steps packed for one C call per rank per run of local steps
-    #: (:func:`op_table`); set on plans compiled for a partition.
+    #: (:func:`op_table`); every compiled plan carries it.
     ops: native.OpTable | None = None
-
-    def run_dense(self, amps: np.ndarray, *, on_measure=None) -> None:
-        """Execute every step on a full statevector, in place.
-
-        ``on_measure`` receives ``(step, amps)`` for each MEASURE step;
-        running a measuring plan without a handler is an error (the
-        handler owns the seed/ordinal bookkeeping).
-        """
-        for step in self.steps:
-            if step.kind is StepKind.MEASURE:
-                if on_measure is None:
-                    raise SimulationError(
-                        "circuit contains measure gates; execute it "
-                        "through a simulator that supplies a "
-                        "measurement handler"
-                    )
-                on_measure(step, amps)
-            else:
-                step.run_local(amps)
 
     @property
     def num_fused(self) -> int:
@@ -302,6 +284,13 @@ def compile_gate_step(gate: Gate) -> ApplyStep:
         controls=gate.controls,
         matrix=gate.matrix(),
     )
+
+
+def compile_gate_plan(gate: Gate, num_qubits: int, local_qubits: int) -> ApplyPlan:
+    """A one-step plan of ``gate`` with its :func:`op_table`."""
+    steps = (compile_gate_step(gate),)
+    ops = op_table(steps, num_qubits, local_qubits)
+    return ApplyPlan(num_qubits, steps, num_gates=1, ops=ops)
 
 
 #: Full-mode diagonal sweeps widen scattered low supports: the broadcast
@@ -623,12 +612,13 @@ def fusion_units(
     return units
 
 
-# Plans are cached keyed on the circuit's identity; the stored gate tuple
-# guards against in-place circuit mutation between applications, and a
-# weakref finaliser evicts entries when the circuit is collected.  The
-# option key includes the resolved fusion config and the locality bound,
-# so plans compiled under different REPRO_FUSION settings (or different
-# rank partitions) never alias.
+# Plans are cached keyed on the circuit's identity, one plan per option
+# key (the resolved fusion config and the locality bound), so plans for
+# different REPRO_FUSION settings or partitions -- a dense and a
+# distributed run of one circuit -- neither alias nor evict each other.
+# The stored gate tuple guards against in-place circuit mutation between
+# applications, and a weakref finaliser evicts entries when the circuit
+# is collected.
 _plan_cache: dict[int, tuple] = {}
 
 
@@ -654,21 +644,21 @@ def compile_plan(
 
     ``local_qubits`` bounds block/permutation fusion to gates whose
     support lies entirely below it (the distributed executors pass their
-    partition's local-qubit count; ``None`` means everything is local).
-    Diagonal fusion is exempt -- diagonals never communicate.  A plan
-    compiled for a partition also carries its :func:`op_table`.
+    partition's local-qubit count; ``None`` means everything is local,
+    the dense executor's one rank).  Diagonal fusion is exempt --
+    diagonals never communicate.  The plan carries its :func:`op_table`.
     """
     config = resolve_fusion(fusion)
+    if local_qubits is None:
+        local_qubits = circuit.num_qubits
     key = (config.cache_key(), local_qubits)
+    plans = None
     if cache:
         entry = _plan_cache.get(id(circuit))
-        if (
-            entry is not None
-            and entry[0]() is circuit
-            and entry[1] == key
-            and entry[2] == circuit.gates
-        ):
-            return entry[3]
+        if entry is not None and entry[0]() is circuit and entry[1] == circuit.gates:
+            plans = entry[2]
+            if key in plans:
+                return plans[key]
 
     units = fusion_units(circuit, config, local_qubits=local_qubits)
     steps = tuple(_unit_step(gate, covered) for gate, covered in units)
@@ -681,14 +671,13 @@ def compile_plan(
         num_qubits=circuit.num_qubits,
         steps=steps,
         num_gates=len(circuit),
-        ops=(
-            None
-            if local_qubits is None
-            else op_table(steps, circuit.num_qubits, local_qubits)
-        ),
+        ops=op_table(steps, circuit.num_qubits, local_qubits),
     )
     if cache:
-        cid = id(circuit)
-        ref = weakref.ref(circuit, lambda _r, cid=cid: _plan_cache.pop(cid, None))
-        _plan_cache[cid] = (ref, key, circuit.gates, plan)
+        if plans is None:
+            cid = id(circuit)
+            ref = weakref.ref(circuit, lambda _r, cid=cid: _plan_cache.pop(cid, None))
+            plans = {}
+            _plan_cache[cid] = (ref, circuit.gates, plans)
+        plans[key] = plan
     return plan

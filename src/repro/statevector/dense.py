@@ -1,8 +1,12 @@
 """Single-process dense statevector simulator (the correctness reference).
 
 This is the plain Schrodinger-algorithm simulator the paper's section 1
-describes: the full ``2**n`` amplitude vector in one array, evolved gate
-by gate.  The distributed simulator is property-tested against it.
+describes: the full ``2**n`` amplitude vector in one array.  As in
+QuEST, where a one-process run is the distributed code on ``2**0``
+ranks, it evolves through the step interpreter every executor runs
+(:func:`repro.parallel.stepper.execute_in_process`) as one worker owning
+one rank, so it emits the same spans when traced.  Unlike the
+distributed executors it also keeps complex64 states.
 """
 
 from __future__ import annotations
@@ -13,12 +17,9 @@ from repro.circuits.circuit import Circuit
 from repro.errors import SimulationError
 from repro.gates import Gate
 from repro.statevector import exact
-from repro.statevector.apply_plan import (
-    ApplyPlan,
-    StepKind,
-    compile_gate_step,
-    compile_plan,
-)
+from repro.statevector.apply_plan import ApplyPlan, compile_gate_plan, compile_plan
+from repro.statevector.partition import DENSE_QUBIT_LIMIT
+from repro.statevector.slices import RankSlices
 from repro.utils.bits import log2_exact
 
 __all__ = ["DenseStatevector"]
@@ -37,9 +38,9 @@ class DenseStatevector:
     ):
         if num_qubits < 1:
             raise SimulationError(f"num_qubits must be >= 1, got {num_qubits}")
-        if num_qubits > 28:
+        if num_qubits > DENSE_QUBIT_LIMIT:
             raise SimulationError(
-                f"dense reference simulator capped at 28 qubits "
+                f"dense reference simulator capped at {DENSE_QUBIT_LIMIT} qubits "
                 f"({num_qubits} requested); use the model executor for scale"
             )
         dtype = np.dtype(dtype)
@@ -128,12 +129,8 @@ class DenseStatevector:
                 f"gate {gate} touches qubit {gate.max_qubit} of a "
                 f"{self._num_qubits}-qubit state"
             )
-        step = compile_gate_step(gate)
-        if step.kind is StepKind.MEASURE:
-            self._on_measure(step, self._amps)
-        else:
-            step.run_local(self._amps)
-        return self
+        n = self._num_qubits
+        return self.apply_plan(compile_gate_plan(gate, n, n))
 
     def apply_circuit(self, circuit: Circuit) -> "DenseStatevector":
         """Apply every gate of ``circuit`` in order (via a compiled plan)."""
@@ -145,30 +142,37 @@ class DenseStatevector:
         return self.apply_plan(compile_plan(circuit))
 
     def apply_plan(self, plan: "ApplyPlan") -> "DenseStatevector":
-        """Execute a pre-compiled :class:`ApplyPlan` in place."""
-        if plan.num_qubits != self._num_qubits:
+        """Execute a pre-compiled :class:`ApplyPlan` in place (compiled
+        with every qubit local, :func:`compile_plan`'s default)."""
+        from repro.parallel.stepper import PlanTask, execute_in_process
+
+        n = self._num_qubits
+        if plan.num_qubits != n:
+            raise SimulationError(f"plan width {plan.num_qubits} != state width {n}")
+        if plan.ops is None or plan.ops.local_qubits != n:
             raise SimulationError(
-                f"plan width {plan.num_qubits} != state width "
-                f"{self._num_qubits}"
+                f"dense runs only plans compiled with all {n} qubits local "
+                "(compile_plan's default local_qubits)"
             )
-        plan.run_dense(self._amps, on_measure=self._on_measure)
+        task = PlanTask(
+            local_name=None,
+            pair_name=None,
+            num_qubits=n,
+            num_ranks=1,
+            halved_swaps=False,
+            plan=plan,
+            emit_events=False,
+            measure_seed=self._measure_seed,
+            measure_base=self._measure_count,
+        )
+        store = RankSlices.from_backing(self._amps.reshape(1, -1))
+        execute_in_process(store, task, self._record_measure)
         return self
 
-    def _on_measure(self, step, amps: np.ndarray) -> None:
-        """Collapse one qubit with a seed-deterministic outcome.
-
-        The step collapses its physical bit and records the circuit
-        qubit (they differ after a relabel).
-        """
-        qubit = step.targets[0]
-        n0, ntotal = exact.partial_norms(amps, qubit, 0, self._num_qubits)
-        outcome = exact.measure_outcome(
-            self._measure_seed, self._measure_count, n0, ntotal
-        )
-        n_sel = n0 if outcome == 0 else ntotal - n0
-        scale = exact.collapse_scale(n_sel, ntotal)
-        exact.collapse_slice(amps, qubit, outcome, scale, 0, self._num_qubits)
-        self.measure_outcomes.append((step.measured_qubit, outcome))
+    def _record_measure(self, event: tuple) -> None:
+        """Book worker 0's ``("measure", ordinal, qubit, outcome)`` event."""
+        _kind, _ordinal, qubit, outcome = event
+        self.measure_outcomes.append((qubit, outcome))
         self._measure_count += 1
 
     # -- measurement (delegates) --------------------------------------------

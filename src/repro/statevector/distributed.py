@@ -58,9 +58,8 @@ from repro.statevector.apply_plan import (
     ApplyPlan,
     ApplyStep,
     StepKind,
-    compile_gate_step,
+    compile_gate_plan,
     compile_plan,
-    op_table,
     relabels,
 )
 from repro.statevector.fusion import FusionConfig, resolve_fusion
@@ -255,14 +254,8 @@ class DistributedStatevector:
 
     def apply_gate(self, gate: Gate) -> "DistributedStatevector":
         """Apply one gate across all ranks (SPMD lockstep)."""
-        steps = (compile_gate_step(gate),)
         self._run_plan(
-            ApplyPlan(
-                num_qubits=self.num_qubits,
-                steps=steps,
-                num_gates=1,
-                ops=op_table(steps, self.num_qubits, self.partition.local_qubits),
-            )
+            compile_gate_plan(gate, self.num_qubits, self.partition.local_qubits)
         )
         return self
 
@@ -439,19 +432,9 @@ class DistributedStatevector:
 
     def _execute_in_process(self, _pool, task, on_event) -> None:
         """One worker owns every rank of the lazy slice store (no pool)."""
-        from repro.parallel.stepper import execute_plan
-        from repro.parallel.transport import BLOB_SLOT_BYTES, ShmTransport
+        from repro.parallel.stepper import execute_in_process
 
-        transport = ShmTransport(
-            None,
-            self._local,
-            tuple(range(self.num_ranks)),
-            worker_id=0,
-            blobs=np.zeros((1, BLOB_SLOT_BYTES), np.uint8),
-        )
-        execute_plan(
-            transport, self._local, task, worker_id=0, num_workers=1, emit=on_event
-        )
+        execute_in_process(self._local, task, on_event)
 
     def _ensure_shared_pair(self) -> None:
         """Allocate the shared pair-buffer segment (first distributed plan)."""

@@ -21,7 +21,7 @@ from repro.errors import PartitionError
 from repro.gates import Gate, GateLocality, classify_gate
 from repro.utils.bits import is_power_of_two, log2_exact
 
-__all__ = ["Partition", "AMPLITUDE_BYTES", "NUMERIC_QUBIT_LIMIT"]
+__all__ = ["Partition", "AMPLITUDE_BYTES", "NUMERIC_QUBIT_LIMIT", "DENSE_QUBIT_LIMIT"]
 
 #: Bytes per complex double amplitude.
 AMPLITUDE_BYTES = 16
@@ -34,6 +34,9 @@ AMPLITUDE_BYTES = 16
 #: transport, where per-worker memory is ``1 GiB / num_workers`` (see
 #: BENCH_parallel.json / BENCH_scaleout.json for the measurements).
 NUMERIC_QUBIT_LIMIT = 26
+
+#: The dense executor's cap: one rank of ``2**28`` amplitudes, one worker.
+DENSE_QUBIT_LIMIT = 28
 
 
 @dataclass(frozen=True)

@@ -180,7 +180,7 @@ def test_steps_that_do_not_communicate_have_no_rounds():
 
 def test_plan_without_an_op_table_for_the_partition_is_refused():
     plan = compile_plan(qft_circuit(N))
-    assert plan.ops is None
+    assert plan.ops.local_qubits == N
     with pytest.raises(PoolError, match="op table"):
         _run(random_state(N, seed=1), plan)
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from repro.circuits.ansatz import hardware_efficient_ansatz, qaoa_ansatz
 from repro.parallel import shm_available
-from repro.statevector import DistributedStatevector
+from repro.statevector import DenseStatevector, DistributedStatevector
 from repro.statevector.apply_plan import compile_plan
 from repro.statevector.partition import Partition
 from repro.transpile import transpile
@@ -72,9 +72,7 @@ def test_dense_execution_bit_identical_across_binds(
     for _ in range(2):
         circuit = _bound_transpiled(family, n, layers, seed, 2, strategy)
         plan = compile_plan(circuit, fusion=fusion, cache=False)
-        psi = np.zeros(1 << n, dtype=np.complex128)
-        psi[0] = 1.0
-        plan.run_dense(psi)
+        psi = DenseStatevector.zero_state(n).apply_plan(plan).amplitudes
         amps.append(psi)
     assert amps[0].tobytes() == amps[1].tobytes()
 
@@ -119,9 +117,7 @@ def test_serial_matches_dense_under_same_fusion(params, strategy, fusion):
     ranks = 2
     circuit = _bound_transpiled(family, n, layers, seed, ranks, strategy)
     plan = compile_plan(circuit, fusion=fusion, cache=False)
-    dense = np.zeros(1 << n, dtype=np.complex128)
-    dense[0] = 1.0
-    plan.run_dense(dense)
+    dense = DenseStatevector.zero_state(n).apply_plan(plan).amplitudes
     state = DistributedStatevector.zero_state(
         n, ranks, executor="serial", fusion=fusion
     )

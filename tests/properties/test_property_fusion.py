@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.circuits import random_circuit, random_state
 from repro.parallel import shm_available
-from repro.statevector import DistributedStatevector
+from repro.statevector import DenseStatevector, DistributedStatevector
 from repro.statevector.apply_plan import compile_plan
 
 FUSION_MODES = ("off", "diag", "full:2", "full:3", "full:4", "full:5")
@@ -24,9 +24,8 @@ circuit_params = st.tuples(
 
 
 def _unfused_dense(circuit, psi):
-    amps = psi.copy()
-    compile_plan(circuit, fusion="off", cache=False).run_dense(amps)
-    return amps
+    plan = compile_plan(circuit, fusion="off", cache=False)
+    return DenseStatevector.from_amplitudes(psi).apply_plan(plan).amplitudes
 
 
 class TestDenseFusion:
@@ -36,8 +35,8 @@ class TestDenseFusion:
         n, num_gates, seed = params
         circuit = random_circuit(n, num_gates, seed=seed)
         psi = random_state(n, seed=seed + 1)
-        fused = psi.copy()
-        compile_plan(circuit, fusion=mode, cache=False).run_dense(fused)
+        plan = compile_plan(circuit, fusion=mode, cache=False)
+        fused = DenseStatevector.from_amplitudes(psi).apply_plan(plan).amplitudes
         assert np.allclose(fused, _unfused_dense(circuit, psi), atol=1e-10)
 
     @given(params=circuit_params)

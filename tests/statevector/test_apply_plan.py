@@ -120,8 +120,8 @@ class TestFusion:
     def test_fused_execution_matches_gate_by_gate(self):
         circuit = self._phase_ladder()
         psi = random_state(4, seed=9)
-        amps = psi.copy()
-        compile_plan(circuit, cache=False).run_dense(amps)
+        plan = compile_plan(circuit, cache=False)
+        amps = DenseStatevector.from_amplitudes(psi).apply_plan(plan).amplitudes
         expected = DenseStatevector.from_amplitudes(psi)
         for gate in circuit:
             expected.apply_gate(gate)
@@ -151,6 +151,19 @@ class TestPlanCache:
         unfused = compile_plan(c, fusion="off")
         assert len(fused.steps) == 1
         assert len(unfused.steps) == 2
+
+    def test_each_key_keeps_its_own_entry(self):
+        # Dense (every qubit local) and distributed (15 local) legs of
+        # one circuit interleave; neither compile may evict the other.
+        circuit = random_circuit(18, 40, seed=4)
+        dense = compile_plan(circuit)
+        distributed = compile_plan(circuit, local_qubits=15)
+        assert compile_plan(circuit) is dense
+        assert compile_plan(circuit, local_qubits=15) is distributed
+        assert compile_plan(circuit, local_qubits=18) is dense
+        off = compile_plan(circuit, fusion="off")
+        assert compile_plan(circuit) is dense
+        assert compile_plan(circuit, fusion="off") is off
 
     def test_cache_false_bypasses(self):
         circuit = Circuit(2).h(0)

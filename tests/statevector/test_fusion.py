@@ -23,6 +23,7 @@ from repro.statevector.apply_plan import (
     clear_plan_cache,
     compile_plan,
 )
+from repro.statevector.dense import DenseStatevector
 from repro.statevector.fusion import (
     DEFAULT_BLOCK_QUBITS,
     FULL_DIAG_QUBITS,
@@ -329,9 +330,9 @@ class TestBlockFusionPass:
         plan = compile_plan(c, fusion="full", cache=False)
         fc = Circuit(6, [step.gate for step in plan.steps])
         psi = random_state(6, seed=11)
-        a, b = psi.copy(), psi.copy()
-        plan.run_dense(a)
-        compile_plan(fc, fusion="off", cache=False).run_dense(b)
+        a = DenseStatevector.from_amplitudes(psi).apply_plan(plan).amplitudes
+        unfused = compile_plan(fc, fusion="off", cache=False)
+        b = DenseStatevector.from_amplitudes(psi).apply_plan(unfused).amplitudes
         assert np.allclose(a, b, atol=1e-12)
 
 

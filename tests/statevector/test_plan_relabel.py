@@ -190,10 +190,9 @@ class TestRestore:
                     q = layout[q]
             assert len(restore) == n - cycles
         psi = random_state(n, seed=len(pairs))
-        ref = psi.copy()
-        compile_plan(c, fusion="off", cache=False).run_dense(ref)
-        got = psi.copy()
-        plan.run_dense(got)
+        unfused = compile_plan(c, fusion="off", cache=False)
+        ref = DenseStatevector.from_amplitudes(psi).apply_plan(unfused).amplitudes
+        got = DenseStatevector.from_amplitudes(psi).apply_plan(plan).amplitudes
         assert np.allclose(got, ref, rtol=0, atol=1e-12)
 
     def test_restoring_swaps_allocate_a_quarter_each(self):
