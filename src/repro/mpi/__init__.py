@@ -6,7 +6,8 @@ non-blocking -- without real message passing.  :class:`SimComm` is a
 ledger of that schedule: the distributed simulator records every pair
 exchange through :func:`log_exchange_schedule` and the recursive-doubling
 rounds of each measurement's norm Allreduce through
-:meth:`SimComm.record_only`.  No payload crosses this layer; the
+:meth:`SimComm.record_only` once per plan (each run appends them with
+:meth:`SimComm.extend`).  No payload crosses this layer; the
 performance model prices the recorded schedule.
 """
 

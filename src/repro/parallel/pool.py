@@ -45,7 +45,7 @@ import sys
 import time
 import traceback
 from dataclasses import dataclass
-from multiprocessing import connection, forkserver, util
+from multiprocessing import connection, forkserver, reduction, util
 from types import ModuleType
 from typing import Any, Callable
 
@@ -492,8 +492,10 @@ class WorkerPool:
 
     def _spmd_wait(self, fn, payload, context, on_event) -> list[Any]:
         """The send/wait/collect body of :meth:`spmd`."""
+        # Every worker gets the same command: pickle it once.
+        command = reduction.ForkingPickler.dumps(("spmd", fn, payload, context))
         for pipe in self._pipes:
-            pipe.send(("spmd", fn, payload, context))
+            pipe.send_bytes(command)
         results: dict[int, Any] = {}
         errors: dict[int, tuple[str, str]] = {}
         pending = set(range(self.num_workers))

@@ -11,7 +11,9 @@ call under the native kernels), read from the plan's op table
 data movement is described by :func:`exchange_rounds`: lists of
 :class:`~repro.parallel.transport.CopySpec` records, one per round,
 derived purely from the plan -- identical on every worker, and the same
-lists the parent's message log records.
+lists the parent's message log records.  :func:`step_schedule` keeps
+each step's kind and rounds on the plan, so a worker derives them once
+per dispatch and an in-process rerun (serial, dense) not at all.
 
 A rank pair whose two ranks one worker owns
 (:meth:`~repro.statevector.partition.Partition.worker_for_rank`) is
@@ -77,6 +79,7 @@ from repro.parallel.transport import (
 __all__ = [
     "PlanTask",
     "exchange_rounds",
+    "step_schedule",
     "execute_plan",
     "execute_in_process",
     "run_plan_worker",
@@ -252,6 +255,18 @@ def exchange_rounds(
     ]
 
 
+def step_schedule(plan: ApplyPlan, partition: Partition, halved_swaps: bool):
+    """Each step's dispatch kind and :func:`exchange_rounds`, kept on the
+    plan per partition and ``halved_swaps`` (shared lists: read only)."""
+    return plan.memoised(
+        ("rounds", partition, halved_swaps),
+        lambda: (
+            tuple(_step_kind(step, partition) for step in plan.steps),
+            tuple(exchange_rounds(s, partition, halved_swaps) for s in plan.steps),
+        ),
+    )
+
+
 # -- implicit zero slices ---------------------------------------------------------
 #
 # A lazy store (the in-process executor's RankSlices) leaves untouched
@@ -366,6 +381,7 @@ def _exec_run(
 def _exec_distributed_single(
     step_index: int,
     step: ApplyStep,
+    rounds: list[list[CopySpec]],
     partition: Partition,
     store: RankStore,
     transport: RankTransport,
@@ -384,7 +400,7 @@ def _exec_distributed_single(
     rank_bit = partition.rank_bit(gate.pairing_targets()[0])
     matrix = step.matrix if step.matrix is not None else gate.matrix()
     local_controls = local_controls_of(gate, partition.local_qubits)
-    (copies,) = exchange_rounds(step, partition)
+    (copies,) = rounds
     pairs, copies = _split_round(copies, partition, store, owned, num_workers)
     for lo, hi in pairs:
         kernels.apply_pair(
@@ -422,6 +438,7 @@ def _exec_distributed_single(
 def _exec_distributed_swap(
     step_index: int,
     step: ApplyStep,
+    rounds: list[list[CopySpec]],
     partition: Partition,
     store: RankStore,
     transport: RankTransport,
@@ -433,7 +450,7 @@ def _exec_distributed_swap(
     m = partition.local_qubits
     n = partition.local_amplitudes
     t_low, t_high = sorted(step.gate.targets)
-    (copies,) = exchange_rounds(step, partition, halved_swaps)
+    (copies,) = rounds
     pairs, copies = _split_round(copies, partition, store, owned, num_workers)
     if t_low >= m:
         # Both bits are rank bits: ranks whose two bit values differ
@@ -563,6 +580,7 @@ def _exec_measure(
 def _exec_remap(
     step_index: int,
     step: ApplyStep,
+    rounds: list[list[CopySpec]],
     partition: Partition,
     store: RankStore,
     transport: RankTransport,
@@ -623,7 +641,7 @@ def _exec_remap(
         for a, b in local_pairs:
             kernels.apply_swap_local(amps, a, b, ())
     bucket = partition.local_amplitudes >> g
-    for delta, copies in enumerate(exchange_rounds(step, partition), 1):
+    for delta, copies in enumerate(rounds, 1):
         for rank in owned:
             view = remap_bucket_view(
                 store.view(rank, LOCAL), l_bits, own_pattern(rank) ^ delta
@@ -694,7 +712,7 @@ def execute_plan(
         partition.local_qubits,
     ):
         raise PoolError("plan carries no op table for this partition")
-    kinds = [_step_kind(step, partition) for step in steps]
+    kinds, rounds = step_schedule(task.plan, partition, task.halved_swaps)
     fail_at = set(task.fail_at)
     fail_steps = sorted(idx for wid, idx in fail_at if wid == worker_id)
     cadence = task.checkpoint_steps if checkpoint is not None else None
@@ -748,23 +766,14 @@ def execute_plan(
                     )
                 elif kind in ("diagonal", "local"):
                     _exec_local(step, partition, store, owned)
-                elif kind == "distributed_remap":
-                    _exec_remap(idx, step, partition, store, transport, owned)
-                elif kind == "distributed_swap":
-                    _exec_distributed_swap(
-                        idx,
-                        step,
-                        partition,
-                        store,
-                        transport,
-                        owned,
-                        num_workers,
-                        task.halved_swaps,
-                    )
                 else:
-                    _exec_distributed_single(
-                        idx, step, partition, store, transport, owned, num_workers
-                    )
+                    args = (idx, step, rounds[idx], partition, store, transport, owned)
+                    if kind == "distributed_remap":
+                        _exec_remap(*args)
+                    elif kind == "distributed_swap":
+                        _exec_distributed_swap(*args, num_workers, task.halved_swaps)
+                    else:
+                        _exec_distributed_single(*args, num_workers)
             executed += end - idx
             if task.emit_events and emit is not None:
                 for done in range(idx, end):

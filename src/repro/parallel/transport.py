@@ -89,8 +89,8 @@ class CopySpec(_CopyFields):
     ``src_rank``'s ``src_kind`` buffer ``[src_lo:src_hi)``.  Both ends
     are flat (contiguous) ranges -- strided sources are packed into the
     pair buffer by the step body before the exchange.  A named tuple,
-    cheap to build: there is one per rank per exchange round, built on
-    every worker and again for the parent's message log.
+    cheap to build: there is one per rank per exchange round, built once
+    per plan in each process (:func:`repro.parallel.stepper.step_schedule`).
     """
 
     __slots__ = ()

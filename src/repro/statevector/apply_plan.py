@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import enum
 import weakref
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -171,12 +171,45 @@ class ApplyPlan:
     #: The steps packed for one C call per rank per run of local steps
     #: (:func:`op_table`); every compiled plan carries it.
     ops: native.OpTable | None = None
+    #: What executors derive from this plan alone (:meth:`memoised`);
+    #: neither compared nor pickled, so it dies with the plan.
+    _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def num_fused(self) -> int:
         """Original gates covered by multi-gate steps (fused runs, and
         steps carrying relabelled SWAPs)."""
         return sum(s.num_gates for s in self.steps if s.num_gates > 1)
+
+    def memoised(self, key, build):
+        """``build()``, once per ``key`` for this plan (a raise stores nothing)."""
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
+
+    def __getstate__(self) -> dict:
+        # Steps ship as rows of fields; a table step without its
+        # operator, which the table's coefficients hold (op_table).
+        state = {f.name: getattr(self, f.name) for f in fields(self) if f.init}
+        if self.ops is not None:
+            state["steps"] = tuple(
+                (s.kind, s.gate, s.gates, s.targets, s.controls)
+                + ((None, None) if row[native.OP_KIND] else (s.matrix, s.diag))
+                for s, row in zip(self.steps, self.ops.ops.tolist())
+            )
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state, _memo={})
+        if self.ops is not None:
+            steps, coeffs = [], self.ops.coeffs
+            for row, (kind, k, *_, at) in zip(self.steps, self.ops.ops.tolist()):
+                if kind == native.OP_SINGLE:
+                    row = row[:5] + (coeffs[at : at + 4].reshape(2, 2), None)
+                elif kind == native.OP_DIAGONAL:
+                    row = row[:5] + (None, coeffs[at : at + (1 << k)])
+                steps.append(ApplyStep(*row))
+            self.__dict__["steps"] = tuple(steps)
 
 
 def op_table(

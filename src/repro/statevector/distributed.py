@@ -26,7 +26,8 @@ Whatever the executor, the parent validates every step before any runs,
 fires observer callbacks in gate order, and logs each step's exchange
 rounds into the communicator (:meth:`DistributedStatevector._run_plan`):
 the copy lists of :func:`repro.parallel.stepper.exchange_rounds`, which
-the workers move.
+the workers move.  All of it is compiled once per plan and options and
+kept on the plan (:func:`_compile_schedule`); a run replays nothing.
 
 Measurement has one path.  Collapse decisions (mid-circuit MEASURE
 steps) and shots (:meth:`DistributedStatevector.sample_bitstrings`)
@@ -44,19 +45,19 @@ the mid twenties of qubits).  Paper-scale runs use the same
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from repro import obs
 from repro.circuits.circuit import Circuit
 from repro.errors import SimulationError, ValidationError
-from repro.gates import Gate, GateLocality
+from repro.gates import Gate
 from repro.mpi import CommMode, MAX_MESSAGE_BYTES, SimComm, log_exchange_schedule
+from repro.mpi.datatypes import CommStats, Message
 from repro.statevector import exact
 from repro.statevector.apply_plan import (
     ApplyPlan,
-    ApplyStep,
     StepKind,
     compile_gate_plan,
     compile_plan,
@@ -264,17 +265,18 @@ class DistributedStatevector:
     def _run_plan(self, plan: ApplyPlan) -> None:
         """Run a compiled plan through the step interpreter.
 
-        The parent validates every step and derives its
-        :class:`~repro.statevector.plan.GatePlan` *before* any step runs
-        (so errors raise with the state untouched), then the task
-        executes in this process, across the shared-memory pool or
-        across the TCP mesh.  Meanwhile the parent turns per-step
-        completion events into in-order observer callbacks and accounts
-        the exact exchange schedule of every step.
+        The plan's first run under this state's partition and exchange
+        options compiles its schedule (:func:`_compile_schedule`), which
+        validates every step *before* any runs, so errors raise with the
+        state untouched on every call.  The task then executes in this
+        process, across the shared-memory pool or across the TCP mesh;
+        meanwhile the parent fires in-order observer callbacks and
+        appends each step's stored messages to the communicator.
         """
-        from repro.parallel.stepper import PlanTask
+        from repro.parallel.stepper import PlanTask, execute_in_process
 
-        prepared, needs_pair = self._prepare_plan(plan)
+        key = (self.partition, self.halved_swaps, self.max_message, self.comm_mode)
+        schedule = plan.memoised(key, lambda: _compile_schedule(plan, *key))
         task = PlanTask(
             local_name=None,
             pair_name=None,
@@ -283,158 +285,92 @@ class DistributedStatevector:
             halved_swaps=self.halved_swaps,
             plan=plan,
             emit_events=self.observer is not None,
-            needs_pair=needs_pair,
+            needs_pair=schedule.needs_pair,
             measure_seed=self.measure_seed,
             measure_base=self._measure_count,
             kernels=configured_backend(),
         )
         if self.executor == "serial":
-            pool, execute = None, self._execute_in_process
+            pool = None
         elif self.transport == "tcp":
             from repro.parallel.tcp import get_tcp_pool
 
-            pool, execute = get_tcp_pool(self.hosts), self._execute_tcp
+            pool = get_tcp_pool(self.hosts)
         else:
             from repro.parallel import get_pool
 
-            pool, execute = get_pool(), self._execute_shm
-        complete_through, on_event = self._step_replayer(
-            plan, prepared, pool.num_workers if pool is not None else 1
+            pool = get_pool()
+        complete_through, on_event, outcomes = self._step_replayer(
+            plan, schedule, pool.num_workers if pool is not None else 1
         )
-        on_event, captured = self._measure_event_capture(plan, on_event)
-        execute(pool, task, on_event)
-        complete_through(len(prepared))
-        self._record_pool_measures(captured)
+        if pool is None:
+            # One worker owns every rank of the lazy slice store.
+            execute_in_process(self._local, task, on_event)
+        elif self.transport == "tcp":
+            self._execute_tcp(pool, task, on_event)
+        else:
+            self._execute_shm(pool, task, on_event, schedule.has_measure)
+        complete_through(len(plan.steps))
+        self.measure_outcomes += [outcomes[k] for k in sorted(outcomes)]
+        self._measure_count += len(outcomes)
         self._gate_index += plan.num_gates
 
-    def _prepare_plan(
-        self, plan: ApplyPlan
-    ) -> tuple[list[tuple[ApplyStep, GatePlan, int]], bool]:
-        """Validate every step and derive its GatePlan before dispatch.
-
-        Errors raise here, before any worker touches the state.  Returns
-        the prepared ``(step, gate_plan, gate_index)`` triples and
-        whether any step needs the pair exchange buffer.  ``gate_index``
-        is the circuit position of the step's own gate: relabelled SWAPs
-        and REMAPs ride at the front of a step's covered gates, and are
-        skipped, so a communicating step's message tags are those of its
-        gate's place in the circuit.
-        """
-        prepared: list[tuple[ApplyStep, GatePlan, int]] = []
-        gate_index = self._gate_index
-        needs_pair = False
-        m = self.partition.local_qubits
-        for step in plan.steps:
-            gate = step.gate
-            if gate.max_qubit >= self.num_qubits:
-                raise SimulationError(
-                    f"gate {gate} touches qubit {gate.max_qubit} of a "
-                    f"{self.num_qubits}-qubit state"
-                )
-            gate_plan = plan_gate(
-                gate,
-                self.partition,
-                halved_swaps=self.halved_swaps,
-                max_message=self.max_message,
-            )
-            if step.kind is not StepKind.MEASURE and gate_plan.locality not in (
-                GateLocality.FULLY_LOCAL,
-                GateLocality.LOCAL_MEMORY,
-            ):
-                # Measure steps reduce scalars through the blob channel,
-                # never amplitudes through the pair buffer.
-                needs_pair = True
-                if step.kind is StepKind.SWAP and gate.controls:
-                    raise SimulationError(
-                        "controlled distributed SWAP is not supported (QuEST "
-                        "decomposes it); remove controls or keep targets local"
-                    )
-            lead = 0
-            while lead < step.num_gates - 1 and relabels(step.gates[lead], m):
-                lead += 1
-            prepared.append((step, gate_plan, gate_index + lead))
-            gate_index += step.num_gates
-        if needs_pair and self.max_message < AMPLITUDE_BYTES:
-            raise ValidationError(
-                f"max_message {self.max_message} is smaller than one "
-                f"amplitude ({AMPLITUDE_BYTES} B); the exchange cannot "
-                "make progress"
-            )
-        return prepared, needs_pair
-
-    def _step_replayer(
-        self,
-        plan: ApplyPlan,
-        prepared: list[tuple[ApplyStep, GatePlan, int]],
-        num_workers: int,
-    ):
-        """(complete_through, on_event) for in-order observer replay.
+    def _step_replayer(self, plan: ApplyPlan, schedule: "_Schedule", num_workers: int):
+        """(complete_through, on_event, outcomes) for in-order logging,
+        observer callbacks and measure outcomes.
 
         Workers report step completions in arbitrary interleavings;
         callbacks fire in gate order once *every* worker has finished
-        the step.  ``>=`` (not ``==``) tolerates re-emitted events after
-        a checkpoint restart replays part of the plan.
+        the step, each after its step's messages are logged.  ``>=``
+        (not ``==``) tolerates re-emitted events after a checkpoint
+        restart replays part of the plan.  Worker 0 reports each
+        collapse as ``("measure", ordinal, qubit, outcome)``; outcomes
+        are kept by ordinal (restart duplicates are identical).
         """
         fired = [0]
+        counts = [0] * len(plan.steps)
+        outcomes: dict[int, tuple[int, int]] = {}
 
         def complete_through(limit: int) -> None:
             while fired[0] < limit:
-                step, gate_plan, start_index = prepared[fired[0]]
-                self._log_step_schedule(step, gate_plan, start_index)
+                lo = fired[0]
+                hi = limit if self.observer is None else lo + 1
+                self._log_steps(schedule, lo, hi)
                 if self.observer is not None:
-                    self.observer(start_index, step.gate, gate_plan)
-                fired[0] += 1
+                    self.observer(
+                        self._gate_index + schedule.offsets[lo],
+                        plan.steps[lo].gate,
+                        schedule.gate_plans[lo],
+                    )
+                fired[0] = hi
 
-        on_event = None
-        if self.observer is not None:
-            counts = [0] * len(plan.steps)
-
-            def on_event(event: tuple) -> None:
-                if event[0] != "step":
-                    return
+        def on_event(event: tuple) -> None:
+            if event[0] == "measure":
+                outcomes[event[1]] = (event[2], event[3])
+            elif event[0] == "step":
                 counts[event[1]] += 1
                 limit = fired[0]
                 while limit < len(counts) and counts[limit] >= num_workers:
                     limit += 1
                 complete_through(limit)
 
-        return complete_through, on_event
+        return complete_through, on_event, outcomes
 
-    def _measure_event_capture(self, plan: ApplyPlan, on_event):
-        """Wrap ``on_event`` to collect worker-reported measure outcomes.
-
-        Worker 0 emits one ``("measure", ordinal, qubit, outcome)``
-        event per collapse; the wrapper stores them by ordinal (restart
-        duplicates are identical, so overwrites are benign) and forwards
-        everything else.  Returns ``(wrapped, captured)``; ``captured``
-        is None when the plan never measures.
-        """
-        if not any(s.kind is StepKind.MEASURE for s in plan.steps):
-            return on_event, None
-        captured: dict[int, tuple[int, int]] = {}
-
-        def wrapped(event: tuple) -> None:
-            if event[0] == "measure":
-                captured[event[1]] = (event[2], event[3])
-                return
-            if on_event is not None:
-                on_event(event)
-
-        return wrapped, captured
-
-    def _record_pool_measures(self, captured) -> None:
-        """Fold worker-reported outcomes into the parent's bookkeeping."""
-        if not captured:
-            return
-        for ordinal in sorted(captured):
-            self.measure_outcomes.append(captured[ordinal])
-            self._measure_count += 1
-
-    def _execute_in_process(self, _pool, task, on_event) -> None:
-        """One worker owns every rank of the lazy slice store (no pool)."""
-        from repro.parallel.stepper import execute_in_process
-
-        execute_in_process(self._local, task, on_event)
+    def _log_steps(self, schedule: "_Schedule", lo: int, hi: int) -> None:
+        """Append the stored messages of steps ``lo .. hi - 1``, exchange
+        tags shifted to this plan's first gate; a whole plan adds its
+        stored traffic totals."""
+        start = schedule.log_ends[lo - 1] if lo else 0
+        end = schedule.log_ends[hi - 1]
+        messages = schedule.log[start:end]
+        if self._gate_index:
+            shift = self._gate_index << 8
+            messages = [
+                Message(m.source, m.dest, m.tag + shift * relative, m.nbytes)
+                for m, relative in zip(messages, schedule.relative[start:end])
+            ]
+        whole = end - start == len(schedule.log)
+        self.comm.extend(messages, schedule.stats if whole else None)
 
     def _ensure_shared_pair(self) -> None:
         """Allocate the shared pair-buffer segment (first distributed plan)."""
@@ -458,13 +394,12 @@ class DistributedStatevector:
                 (num_workers, BLOB_SLOT_BYTES), np.uint8
             )
 
-    def _execute_shm(self, pool, task, on_event) -> None:
+    def _execute_shm(self, pool, task, on_event, has_measure: bool) -> None:
         """Workers attach the shared segments and replay in lockstep."""
         from repro.parallel.stepper import run_plan_worker
 
         if task.needs_pair:
             self._ensure_shared_pair()
-        has_measure = any(s.kind is StepKind.MEASURE for s in task.plan.steps)
         if has_measure:
             self._ensure_shared_blobs(pool.num_workers)
         obs.counter("repro_pool_plans_total").inc()
@@ -492,49 +427,113 @@ class DistributedStatevector:
         for rank, amps in finals.items():
             self._local[rank][:] = amps
 
-    # -- schedule replay ----------------------------------------------------------
 
-    def _log_measure_reduction(self) -> None:
-        """Record the norm-reduction Allreduce in the message log.
+@dataclass(frozen=True)
+class _Schedule:
+    """A plan's run on one partition under one set of exchange options."""
 
-        Outcome decisions never ride this collective -- they use the
-        exact integer partials -- but the *schedule* shows the
-        ``log2(R)`` recursive-doubling rounds a real machine would run:
-        in round ``r`` every rank sends its ``(n0, ntotal)`` pair of
-        doubles to the rank differing at rank bit ``r``.
-        """
-        for r in range(self.num_ranks.bit_length() - 1):
-            for rank in range(self.num_ranks):
-                self.comm.record_only(
-                    rank, rank ^ (1 << r), _REDUCE_TAG_BASE + r, _REDUCE_BYTES
-                )
+    gate_plans: tuple[GatePlan, ...]
+    #: Each step's own gate, counted from the plan's first gate.
+    offsets: tuple[int, ...]
+    needs_pair: bool
+    has_measure: bool
+    #: The run's messages with the plan's first gate at 0, whether each
+    #: tag is gate-relative (the measure reduction's are absolute),
+    #: where each step's messages end, and their traffic totals.
+    log: tuple[Message, ...]
+    relative: tuple[bool, ...]
+    log_ends: tuple[int, ...]
+    stats: CommStats
 
-    def _log_step_schedule(
-        self, step: ApplyStep, gate_plan: GatePlan, start_index: int
-    ) -> None:
-        """Account one step's exchange messages (QuEST's pairwise schedule).
 
-        The log records the rounds the stepper runs
-        (:func:`~repro.parallel.stepper.exchange_rounds`): in each round,
-        one exchange per rank pair, lower rank first.
-        """
-        from repro.parallel.stepper import exchange_rounds
+def _compile_schedule(
+    plan: ApplyPlan,
+    partition: Partition,
+    halved_swaps: bool,
+    max_message: int,
+    comm_mode: CommMode,
+) -> _Schedule:
+    """Validate every step of ``plan`` and fix its run on ``partition``.
 
-        if not gate_plan.communicates:
-            return
-        if step.kind is StepKind.MEASURE:
-            self._log_measure_reduction()
-            return
-        for copies in exchange_rounds(step, self.partition, self.halved_swaps):
-            for c in copies:
+    Errors raise before any worker touches the state.  A step's offset
+    is that of its own gate: relabelled SWAPs and REMAPs ride ahead of
+    it among the covered gates, so a step's tags are its gate's.  The
+    log is QuEST's pairwise schedule: per exchange round, one exchange
+    per rank pair, lower rank first.  A measurement logs the
+    ``log2(R)`` recursive-doubling rounds of its norm Allreduce (each
+    rank sends its ``(n0, ntotal)`` doubles to the rank differing at
+    rank bit ``r``), though decisions use the exact integer partials.
+    """
+    from repro.parallel.stepper import step_schedule
+
+    m = partition.local_qubits
+    gate_plans: list[GatePlan] = []
+    offsets: list[int] = []
+    gate_index = 0
+    for step in plan.steps:
+        gate = step.gate
+        if gate.max_qubit >= partition.num_qubits:
+            raise SimulationError(
+                f"gate {gate} touches qubit {gate.max_qubit} of a "
+                f"{partition.num_qubits}-qubit state"
+            )
+        gate_plan = plan_gate(
+            gate, partition, halved_swaps=halved_swaps, max_message=max_message
+        )
+        if step.kind is StepKind.SWAP and gate.controls and gate_plan.communicates:
+            raise SimulationError(
+                "controlled distributed SWAP is not supported (QuEST "
+                "decomposes it); remove controls or keep targets local"
+            )
+        lead = 0
+        while lead < step.num_gates - 1 and relabels(step.gates[lead], m):
+            lead += 1
+        gate_plans.append(gate_plan)
+        offsets.append(gate_index + lead)
+        gate_index += step.num_gates
+    kinds, rounds = step_schedule(plan, partition, halved_swaps)
+    # Measure steps reduce scalars through the blob channel, never
+    # amplitudes through the pair buffer.
+    needs_pair = any(kind.startswith("distributed_") for kind in kinds)
+    if needs_pair and max_message < AMPLITUDE_BYTES:
+        raise ValidationError(
+            f"max_message {max_message} is smaller than one "
+            f"amplitude ({AMPLITUDE_BYTES} B); the exchange cannot "
+            "make progress"
+        )
+
+    comm = SimComm(partition.num_ranks)
+    relative: list[bool] = []
+    ends: list[int] = []
+    for kind, step_rounds, gate_plan, offset in zip(kinds, rounds, gate_plans, offsets):
+        if gate_plan.communicates and kind == "measure":
+            for r in range(partition.rank_qubits):
+                for rank in range(partition.num_ranks):
+                    comm.record_only(
+                        rank, rank ^ (1 << r), _REDUCE_TAG_BASE + r, _REDUCE_BYTES
+                    )
+        elif gate_plan.communicates:
+            for c in (c for copies in step_rounds for c in copies):
                 if c.dst_rank < c.src_rank:
                     log_exchange_schedule(
-                        self.comm,
+                        comm,
                         c.dst_rank,
                         c.src_rank,
                         c.length,
                         itemsize=AMPLITUDE_BYTES,
-                        mode=self.comm_mode,
-                        max_message=self.max_message,
-                        tag_base=start_index << 8,
+                        mode=comm_mode,
+                        max_message=max_message,
+                        tag_base=offset << 8,
                     )
+        ends.append(len(comm.message_log))
+        relative += [kind != "measure"] * (ends[-1] - len(relative))
+    return _Schedule(
+        gate_plans=tuple(gate_plans),
+        offsets=tuple(offsets),
+        needs_pair=needs_pair,
+        has_measure="measure" in kinds,
+        log=tuple(comm.message_log),
+        relative=tuple(relative),
+        log_ends=tuple(ends),
+        stats=comm.stats,
+    )

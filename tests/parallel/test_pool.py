@@ -9,6 +9,7 @@ from __future__ import annotations
 import os
 import signal
 import time
+from multiprocessing import reduction
 
 import pytest
 
@@ -108,6 +109,26 @@ class TestPoolBasics:
         assert results == [
             (i, pool.num_workers, "payload") for i in range(pool.num_workers)
         ]
+
+    def test_spmd_dispatch_is_pickled_once(self, monkeypatch):
+        pool = WorkerPool(2)
+        try:
+            dumps = reduction.ForkingPickler.dumps
+            commands = []
+
+            def counted(obj, protocol=None):
+                if isinstance(obj, tuple) and obj[:1] == ("spmd",):
+                    commands.append(obj)
+                return dumps(obj, protocol)
+
+            monkeypatch.setattr(reduction.ForkingPickler, "dumps", counted)
+            assert pool.spmd(spmd_identity, "payload") == [
+                (0, 2, "payload"),
+                (1, 2, "payload"),
+            ]
+            assert len(commands) == 1
+        finally:
+            pool.close()
 
     def test_spmd_barrier_lockstep(self):
         pool = get_pool()

@@ -407,10 +407,13 @@ def test_invalid_later_step_leaves_state_untouched(executor, bad):
     before = state.gather().copy()
     log_before = list(state.comm.message_log)
     circuit = Circuit(6, [Gate.named("x", (1,)), bad])
-    with pytest.raises(SimulationError):
-        state.apply_circuit(circuit)
-    assert state.gather().tobytes() == before.tobytes()
-    assert state.comm.message_log == log_before
+    # The second call reuses the cached plan: a plan whose compile
+    # failed must fail again, before any step runs.
+    for _ in range(2):
+        with pytest.raises(SimulationError):
+            state.apply_circuit(circuit)
+        assert state.gather().tobytes() == before.tobytes()
+        assert state.comm.message_log == log_before
 
 
 # -- same spans on every executor ----------------------------------------------
