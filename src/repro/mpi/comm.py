@@ -45,21 +45,11 @@ class SimComm:
         self.stats.record(message)
         self.message_log.append(message)
 
-    def extend(self, messages, totals: CommStats | None = None) -> None:
-        """Account messages already checked for a communicator of this
-        size, in order; ``totals`` are their stats when precomputed."""
+    def extend(self, messages) -> None:
+        """Account ``messages``, already checked for this size, in order."""
         self.message_log.extend(messages)
-        if totals is None:
-            for message in messages:
-                self.stats.record(message)
-            return
-        stats = self.stats
-        stats.messages_sent += totals.messages_sent
-        stats.bytes_sent += totals.bytes_sent
-        for name in ("per_rank_bytes", "per_rank_messages"):
-            mine = getattr(stats, name)
-            for rank, value in getattr(totals, name).items():
-                mine[rank] = mine.get(rank, 0) + value
+        for message in messages:
+            self.stats.record(message)
 
     def reset_stats(self) -> None:
         """Zero the traffic counters and the message log."""

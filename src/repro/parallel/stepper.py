@@ -212,7 +212,15 @@ def exchange_rounds(
     communicating step takes one round of whole slices, or of packed
     halves for a halved SWAP.  A step that does not communicate has none.
     """
-    kind = _step_kind(step, partition)
+    return _rounds(_step_kind(step, partition), step, partition, halved_swaps)
+
+
+def _rounds(
+    kind: str, step: ApplyStep, partition: Partition, halved_swaps: bool
+) -> list[list[CopySpec]]:
+    """:func:`exchange_rounds` of a step already classified as ``kind``."""
+    if not kind.startswith("distributed_"):
+        return []
     gate = step.gate
     m = partition.local_qubits
     n = partition.local_amplitudes
@@ -237,8 +245,6 @@ def exchange_rounds(
                 if ((r >> bit_a) & 1) != ((r >> bit_b) & 1)
             ]
         ]
-    if kind not in ("distributed_swap", "distributed_single"):
-        return []
     bit = 1 << (max(gate.pairing_targets()) - m)
     if kind == "distributed_swap" and halved_swaps:
         half = n // 2
@@ -258,13 +264,15 @@ def exchange_rounds(
 def step_schedule(plan: ApplyPlan, partition: Partition, halved_swaps: bool):
     """Each step's dispatch kind and :func:`exchange_rounds`, kept on the
     plan per partition and ``halved_swaps`` (shared lists: read only)."""
-    return plan.memoised(
-        ("rounds", partition, halved_swaps),
-        lambda: (
-            tuple(_step_kind(step, partition) for step in plan.steps),
-            tuple(exchange_rounds(s, partition, halved_swaps) for s in plan.steps),
-        ),
-    )
+
+    def build():
+        kinds, rounds = [], []
+        for step in plan.steps:
+            kinds.append(_step_kind(step, partition))
+            rounds.append(_rounds(kinds[-1], step, partition, halved_swaps))
+        return kinds, rounds
+
+    return plan.memoised(("rounds", partition, halved_swaps), build)
 
 
 # -- implicit zero slices ---------------------------------------------------------

@@ -183,9 +183,10 @@ class ApplyPlan:
 
     def memoised(self, key, build):
         """``build()``, once per ``key`` for this plan (a raise stores nothing)."""
-        if key not in self._memo:
-            self._memo[key] = build()
-        return self._memo[key]
+        value = self._memo.get(key)
+        if value is None:
+            value = self._memo[key] = build()
+        return value
 
     def __getstate__(self) -> dict:
         # Steps ship as rows of fields; a table step without its

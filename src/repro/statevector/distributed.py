@@ -45,7 +45,8 @@ the mid twenties of qubits).  Paper-scale runs use the same
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,7 +55,7 @@ from repro.circuits.circuit import Circuit
 from repro.errors import SimulationError, ValidationError
 from repro.gates import Gate
 from repro.mpi import CommMode, MAX_MESSAGE_BYTES, SimComm, log_exchange_schedule
-from repro.mpi.datatypes import CommStats, Message
+from repro.mpi.datatypes import Message
 from repro.statevector import exact
 from repro.statevector.apply_plan import (
     ApplyPlan,
@@ -276,7 +277,8 @@ class DistributedStatevector:
         from repro.parallel.stepper import PlanTask, execute_in_process
 
         key = (self.partition, self.halved_swaps, self.max_message, self.comm_mode)
-        schedule = plan.memoised(key, lambda: _compile_schedule(plan, *key))
+        base = self._gate_index
+        schedule = plan.memoised(key, lambda: _compile_schedule(plan, *key, base))
         task = PlanTask(
             local_name=None,
             pair_name=None,
@@ -329,6 +331,7 @@ class DistributedStatevector:
         """
         fired = [0]
         counts = [0] * len(plan.steps)
+        options = dict(halved_swaps=self.halved_swaps, max_message=self.max_message)
         outcomes: dict[int, tuple[int, int]] = {}
 
         def complete_through(limit: int) -> None:
@@ -337,10 +340,11 @@ class DistributedStatevector:
                 hi = limit if self.observer is None else lo + 1
                 self._log_steps(schedule, lo, hi)
                 if self.observer is not None:
+                    step = plan.steps[lo]
                     self.observer(
                         self._gate_index + schedule.offsets[lo],
-                        plan.steps[lo].gate,
-                        schedule.gate_plans[lo],
+                        step.gate,
+                        plan_gate(step.gate, self.partition, **options),
                     )
                 fired[0] = hi
 
@@ -358,19 +362,17 @@ class DistributedStatevector:
 
     def _log_steps(self, schedule: "_Schedule", lo: int, hi: int) -> None:
         """Append the stored messages of steps ``lo .. hi - 1``, exchange
-        tags shifted to this plan's first gate; a whole plan adds its
-        stored traffic totals."""
+        tags shifted from the compiling run's first gate to this one's."""
         start = schedule.log_ends[lo - 1] if lo else 0
         end = schedule.log_ends[hi - 1]
         messages = schedule.log[start:end]
-        if self._gate_index:
-            shift = self._gate_index << 8
+        shift = (self._gate_index - schedule.gate_base) << 8
+        if shift:
             messages = [
                 Message(m.source, m.dest, m.tag + shift * relative, m.nbytes)
                 for m, relative in zip(messages, schedule.relative[start:end])
             ]
-        whole = end - start == len(schedule.log)
-        self.comm.extend(messages, schedule.stats if whole else None)
+        self.comm.extend(messages)
 
     def _ensure_shared_pair(self) -> None:
         """Allocate the shared pair-buffer segment (first distributed plan)."""
@@ -428,22 +430,21 @@ class DistributedStatevector:
             self._local[rank][:] = amps
 
 
-@dataclass(frozen=True)
-class _Schedule:
+class _Schedule(NamedTuple):
     """A plan's run on one partition under one set of exchange options."""
 
-    gate_plans: tuple[GatePlan, ...]
     #: Each step's own gate, counted from the plan's first gate.
-    offsets: tuple[int, ...]
+    offsets: list[int]
     needs_pair: bool
     has_measure: bool
-    #: The run's messages with the plan's first gate at 0, whether each
-    #: tag is gate-relative (the measure reduction's are absolute),
-    #: where each step's messages end, and their traffic totals.
-    log: tuple[Message, ...]
-    relative: tuple[bool, ...]
-    log_ends: tuple[int, ...]
-    stats: CommStats
+    #: The run's messages with the plan's first gate at ``gate_base``
+    #: (that of the run that compiled it), whether each tag is
+    #: gate-relative (the measure reduction's are absolute), and where
+    #: each step's messages end.
+    gate_base: int
+    log: list[Message]
+    relative: list[bool]
+    log_ends: list[int]
 
 
 def _compile_schedule(
@@ -452,6 +453,7 @@ def _compile_schedule(
     halved_swaps: bool,
     max_message: int,
     comm_mode: CommMode,
+    gate_base: int,
 ) -> _Schedule:
     """Validate every step of ``plan`` and fix its run on ``partition``.
 
@@ -467,7 +469,7 @@ def _compile_schedule(
     from repro.parallel.stepper import step_schedule
 
     m = partition.local_qubits
-    gate_plans: list[GatePlan] = []
+    communicates: list[bool] = []
     offsets: list[int] = []
     gate_index = 0
     for step in plan.steps:
@@ -488,13 +490,13 @@ def _compile_schedule(
         lead = 0
         while lead < step.num_gates - 1 and relabels(step.gates[lead], m):
             lead += 1
-        gate_plans.append(gate_plan)
+        communicates.append(gate_plan.communicates)
         offsets.append(gate_index + lead)
         gate_index += step.num_gates
     kinds, rounds = step_schedule(plan, partition, halved_swaps)
-    # Measure steps reduce scalars through the blob channel, never
-    # amplitudes through the pair buffer.
-    needs_pair = any(kind.startswith("distributed_") for kind in kinds)
+    # Steps with exchange rounds move amplitudes through the pair buffer;
+    # measure steps reduce scalars through the blob channel.
+    needs_pair = any(rounds)
     if needs_pair and max_message < AMPLITUDE_BYTES:
         raise ValidationError(
             f"max_message {max_message} is smaller than one "
@@ -505,14 +507,14 @@ def _compile_schedule(
     comm = SimComm(partition.num_ranks)
     relative: list[bool] = []
     ends: list[int] = []
-    for kind, step_rounds, gate_plan, offset in zip(kinds, rounds, gate_plans, offsets):
-        if gate_plan.communicates and kind == "measure":
+    for kind, step_rounds, talks, offset in zip(kinds, rounds, communicates, offsets):
+        if talks and kind == "measure":
             for r in range(partition.rank_qubits):
                 for rank in range(partition.num_ranks):
                     comm.record_only(
                         rank, rank ^ (1 << r), _REDUCE_TAG_BASE + r, _REDUCE_BYTES
                     )
-        elif gate_plan.communicates:
+        elif talks:
             for c in (c for copies in step_rounds for c in copies):
                 if c.dst_rank < c.src_rank:
                     log_exchange_schedule(
@@ -523,17 +525,16 @@ def _compile_schedule(
                         itemsize=AMPLITUDE_BYTES,
                         mode=comm_mode,
                         max_message=max_message,
-                        tag_base=offset << 8,
+                        tag_base=(gate_base + offset) << 8,
                     )
         ends.append(len(comm.message_log))
         relative += [kind != "measure"] * (ends[-1] - len(relative))
     return _Schedule(
-        gate_plans=tuple(gate_plans),
-        offsets=tuple(offsets),
-        needs_pair=needs_pair,
-        has_measure="measure" in kinds,
-        log=tuple(comm.message_log),
-        relative=tuple(relative),
-        log_ends=tuple(ends),
-        stats=comm.stats,
+        offsets,
+        needs_pair,
+        "measure" in kinds,
+        gate_base,
+        comm.message_log,
+        relative,
+        ends,
     )

@@ -1,7 +1,7 @@
 """A partitioned plan is compiled once; a run only replays it.
 
 ``DistributedStatevector`` keeps each plan's schedule on the plan --
-step kinds, exchange rounds, gate plans and message-log records -- per
+step kinds, exchange rounds, gate offsets and message-log records -- per
 partition and exchange options.  These tests hold the log and the
 traffic counters of repeated runs to a per-step replay written out
 here (each step's exchange rounds logged one rank pair at a time, as
@@ -24,11 +24,17 @@ from hypothesis import strategies as st
 from repro.circuits import Circuit, random_circuit, random_state
 from repro.gates import Gate
 from repro.mpi import MAX_MESSAGE_BYTES, CommMode, SimComm, log_exchange_schedule
+from repro.parallel import stepper
 from repro.parallel.stepper import exchange_rounds
 from repro.parallel.tcp import shutdown_tcp_pools
-from repro.statevector import DistributedStatevector
+from repro.statevector import DistributedStatevector, Partition
 from repro.statevector import distributed
-from repro.statevector.apply_plan import StepKind, compile_plan, relabels
+from repro.statevector.apply_plan import (
+    StepKind,
+    compile_gate_plan,
+    compile_plan,
+    relabels,
+)
 from repro.statevector.plan import plan_gate
 from repro.tune.workloads import build_workload
 
@@ -176,6 +182,25 @@ class TestLogIsTheStepReplay:
             assert state.comm.stats == expected.stats
         assert len(plans) == 1  # every state ran the one cached plan
 
+    def test_a_plan_logs_from_each_runs_first_gate(self):
+        # Compiled by a run that starts at gate 1, rerun from gate 0:
+        # exchange tags move with the run, measure reductions do not.
+        circuit = build_workload("qaoa-sampled", 8, seed=3).circuit
+        plan = compile_plan(circuit, local_qubits=6, cache=False)
+        h = Gate.named("h", (7,))
+        late = DistributedStatevector.zero_state(8, 4)
+        late.apply_gate(h)
+        late._run_plan(plan)
+        fresh = DistributedStatevector.zero_state(8, 4)
+        fresh._run_plan(plan)
+        for state, base in ((late, 1), (fresh, 0)):
+            expected = SimComm(4)
+            if base:
+                _replayed_log(compile_gate_plan(h, 8, 6), state, expected, 0)
+            _replayed_log(plan, state, expected, base)
+            assert state.comm.message_log == expected.message_log
+            assert state.comm.stats == expected.stats
+
 
 class TestCompiledOnce:
     def test_a_second_run_plans_no_gate(self, monkeypatch):
@@ -195,6 +220,21 @@ class TestCompiledOnce:
         other = DistributedStatevector.zero_state(8, 4, fusion="diag", max_message=64)
         other.apply_circuit(circuit)
         assert len(calls) == len(_plan_of(state, circuit).steps)
+
+    def test_each_step_is_classified_once(self, monkeypatch):
+        circuit = build_workload("random", 8).circuit
+        plan = compile_plan(circuit, local_qubits=6, cache=False)
+        seen = []
+        original = stepper._step_kind
+
+        def counted(step, partition):
+            seen.append(step)
+            return original(step, partition)
+
+        monkeypatch.setattr(stepper, "_step_kind", counted)
+        kinds, _rounds = stepper.step_schedule(plan, Partition(8, 4), False)
+        assert any(kind.startswith("distributed_") for kind in kinds)
+        assert len(seen) == len(plan.steps)
 
     def test_apply_gate_keeps_no_one_shot_plan(self, monkeypatch):
         refs = []
