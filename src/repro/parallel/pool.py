@@ -252,21 +252,18 @@ def default_pool_size() -> int:
 
 @dataclass
 class WorkerContext:
-    """Hands SPMD tasks their identity and synchronisation primitives."""
+    """Hands SPMD tasks their identity and synchronisation primitives.
+
+    There is no channel back to the parent besides the task's return
+    value: a task reports what it found when it returns.
+    """
 
     worker_id: int
     num_workers: int
     barrier: Any
-    events: Any
-
-    def emit(self, event: tuple) -> None:
-        """Send a progress event to the parent (observer plumbing)."""
-        self.events.put(event)
 
 
-def _worker_main(
-    worker_id: int, num_workers: int, conn, barrier, events, env: dict
-) -> None:
+def _worker_main(worker_id: int, num_workers: int, conn, barrier, env: dict) -> None:
     """Worker loop: execute commands from the parent until told to exit.
 
     Each command carries ``(collect, overrides)`` from the parent at
@@ -291,7 +288,7 @@ def _worker_main(
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     except (ValueError, OSError) as exc:  # pragma: no cover - exotic host
         obs.swallowed("pool.worker_sigint_ignore", exc)
-    ctx = WorkerContext(worker_id, num_workers, barrier, events)
+    ctx = WorkerContext(worker_id, num_workers, barrier)
     conn.send(("ready",))
     while True:
         try:
@@ -359,7 +356,6 @@ class WorkerPool:
         self.num_workers = num_workers
         context = start_context()
         self.barrier = context.Barrier(num_workers)
-        self.events = context.SimpleQueue()
         self._pipes = []
         self._procs = []
         self._broken = False
@@ -369,7 +365,7 @@ class WorkerPool:
             parent_end, child_end = context.Pipe()
             proc = context.Process(
                 target=_worker_main,
-                args=(i, num_workers, child_end, self.barrier, self.events, env),
+                args=(i, num_workers, child_end, self.barrier, env),
                 daemon=True,
                 name=f"repro-pool-{i}",
             )
@@ -436,12 +432,6 @@ class WorkerPool:
             "%d pool worker(s) died unexpectedly; pool marked broken", count
         )
 
-    def _drain_events(self, on_event) -> None:
-        while not self.events.empty():
-            event = self.events.get()
-            if on_event is not None:
-                on_event(event)
-
     @staticmethod
     def _merge_reply_obs(reply: tuple) -> None:
         """Fold a worker reply's piggybacked obs payload into this process."""
@@ -461,26 +451,20 @@ class WorkerPool:
 
     # -- SPMD mode -----------------------------------------------------------
 
-    def spmd(
-        self,
-        fn: Callable[[WorkerContext, Any], Any],
-        payload: Any,
-        *,
-        on_event: Callable[[tuple], None] | None = None,
-    ) -> list[Any]:
+    def spmd(self, fn: Callable[[WorkerContext, Any], Any], payload: Any) -> list[Any]:
         """Run ``fn(ctx, payload)`` on every worker; return all results.
 
-        ``fn`` must be a picklable module-level function.  Progress
-        events the workers :meth:`WorkerContext.emit` are forwarded to
-        ``on_event`` while the parent waits.  Raises
-        :class:`~repro.errors.PoolError` if any worker raises or dies.
+        ``fn`` must be a picklable module-level function.  Its return
+        value is all a worker reports: the parent hears nothing else
+        while it waits.  Raises :class:`~repro.errors.PoolError` if any
+        worker raises or dies.
         """
         if self.broken:
             raise PoolError("worker pool is broken; call get_pool() again")
         obs.counter("repro_pool_spmd_total").inc()
         context = (obs.is_enabled(), settings.snapshot())
         try:
-            return self._spmd_wait(fn, payload, context, on_event)
+            return self._spmd_wait(fn, payload, context)
         except KeyboardInterrupt:
             # An interactive interrupt is a shutdown request, not a
             # worker crash: mark the pool closing *before* the atexit
@@ -490,7 +474,7 @@ class WorkerPool:
             self._broken = True
             raise
 
-    def _spmd_wait(self, fn, payload, context, on_event) -> list[Any]:
+    def _spmd_wait(self, fn, payload, context) -> list[Any]:
         """The send/wait/collect body of :meth:`spmd`."""
         # Every worker gets the same command: pickle it once.
         command = reduction.ForkingPickler.dumps(("spmd", fn, payload, context))
@@ -504,7 +488,6 @@ class WorkerPool:
             ready = connection.wait(
                 [self._pipes[i] for i in pending], timeout=0.25
             )
-            self._drain_events(on_event)
             if not ready:
                 for i in list(pending):
                     if not _alive(self._procs[i]):
@@ -540,7 +523,6 @@ class WorkerPool:
                     results[i] = reply[1]
                 else:
                     errors[i] = (reply[1], reply[2])
-        self._drain_events(on_event)
         if dead:
             raise PoolError(
                 f"worker(s) {sorted(dead)} died during an SPMD task; "
@@ -608,7 +590,6 @@ class WorkerPool:
             ready = connection.wait(
                 [self._pipes[i] for i in inflight], timeout=0.25
             )
-            self._drain_events(None)
             if not ready:
                 for i in list(inflight):
                     if not _alive(self._procs[i]):

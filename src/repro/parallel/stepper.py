@@ -113,6 +113,9 @@ class PlanTask:
     slices to the coordinator every ``checkpoint_steps`` steps, skip
     every step below ``resume_step`` on a restarted dispatch, and
     ``os._exit`` at an injected ``(worker_id, step)`` fail-stop point.
+    A task asks for no progress reports: a worker's measure outcomes
+    come back with its result, and the parent replays message logging
+    and observer callbacks from the plan once the run has returned.
     """
 
     local_name: str | None
@@ -121,7 +124,6 @@ class PlanTask:
     num_ranks: int
     halved_swaps: bool
     plan: ApplyPlan
-    emit_events: bool
     needs_pair: bool = False
     #: Exchange chunk size in amplitudes (None: transport default).
     chunk_amps: int | None = None
@@ -542,8 +544,7 @@ def _exec_measure(
     *,
     seed: int,
     ordinal: int,
-    worker_id: int,
-    emit=None,
+    outcomes: list[tuple[int, int]],
 ) -> None:
     """Mid-circuit collapse: exact partials, blob allgather, local rewrite.
 
@@ -553,10 +554,9 @@ def _exec_measure(
     collective, and re-sums -- integer addition is
     associative, so every worker derives the identical global pair and
     hence the identical outcome.  Implicit zero slices contribute
-    nothing and collapse to themselves.  Worker 0 reports the outcome
-    upstream unconditionally (the parent's bookkeeping needs it even
-    with no observer attached), against the logical qubit: the step
-    collapses the physical bit a relabel may have renamed.
+    nothing and collapse to themselves.  The outcome is appended to the
+    worker's ``outcomes`` against the logical qubit: the step collapses
+    the physical bit a relabel may have renamed.
     """
     qubit = step.targets[0]
     m = partition.local_qubits
@@ -581,8 +581,7 @@ def _exec_measure(
         exact.collapse_slice(
             store.view(rank, LOCAL), qubit, outcome, scale, rank, m
         )
-    if worker_id == 0 and emit is not None:
-        emit(("measure", ordinal, step.measured_qubit, outcome))
+    outcomes.append((step.measured_qubit, outcome))
 
 
 def _exec_remap(
@@ -690,14 +689,17 @@ def execute_plan(
     *,
     worker_id: int,
     num_workers: int,
-    emit=None,
+    outcomes: list[tuple[int, int]] | None = None,
     checkpoint=None,
 ) -> int:
     """Replay ``task.plan`` over ``transport``; returns steps executed.
 
     Every worker derives an identical exchange sequence from the plan,
     so workers that own no ranks still participate in lockstep (over
-    shm the fences demand it; over TCP the message pairing does).
+    shm the fences demand it; over TCP the message pairing does).  The
+    run reports nothing while it runs: each MEASURE step appends its
+    ``(qubit, outcome)`` to ``outcomes`` (identical on every worker),
+    which the caller reads when the run returns.
 
     ``checkpoint(step_index)`` fires every ``task.checkpoint_steps``
     steps *before* that step executes -- the streamed state is exactly
@@ -721,6 +723,8 @@ def execute_plan(
     ):
         raise PoolError("plan carries no op table for this partition")
     kinds, rounds = step_schedule(task.plan, partition, task.halved_swaps)
+    if outcomes is None:
+        outcomes = []
     fail_at = set(task.fail_at)
     fail_steps = sorted(idx for wid, idx in fail_at if wid == worker_id)
     cadence = task.checkpoint_steps if checkpoint is not None else None
@@ -769,8 +773,7 @@ def execute_plan(
                         owned,
                         seed=task.measure_seed,
                         ordinal=measure_ordinals[idx],
-                        worker_id=worker_id,
-                        emit=emit,
+                        outcomes=outcomes,
                     )
                 elif kind in ("diagonal", "local"):
                     _exec_local(step, partition, store, owned)
@@ -783,26 +786,29 @@ def execute_plan(
                     else:
                         _exec_distributed_single(*args, num_workers)
             executed += end - idx
-            if task.emit_events and emit is not None:
-                for done in range(idx, end):
-                    emit(("step", done, worker_id))
             idx = end
     return executed
 
 
-def execute_in_process(store: RankStore, task: PlanTask, emit=None) -> int:
+def execute_in_process(store: RankStore, task: PlanTask) -> list[tuple[int, int]]:
     """Replay ``task`` here as worker 0 of 1, owning every rank of
     ``store``, over a barrier-less :class:`ShmTransport` with one blob
-    row: the serial executor's lazy store, or dense's one-rank array."""
+    row: the serial executor's lazy store, or dense's one-rank array.
+    Returns the run's measure outcomes."""
     blobs = np.zeros((1, BLOB_SLOT_BYTES), np.uint8)
     owned = tuple(range(task.num_ranks))
     transport = ShmTransport(None, store, owned, worker_id=0, blobs=blobs)
-    return execute_plan(transport, store, task, worker_id=0, num_workers=1, emit=emit)
+    outcomes: list[tuple[int, int]] = []
+    execute_plan(
+        transport, store, task, worker_id=0, num_workers=1, outcomes=outcomes
+    )
+    return outcomes
 
 
-def run_plan_worker(ctx, task: PlanTask):
+def run_plan_worker(ctx, task: PlanTask) -> list[tuple[int, int]]:
     """Shared-memory SPMD entry point: replay over the named segments,
-    on the coordinator's kernel backend.
+    on the coordinator's kernel backend; returns the run's measure
+    outcomes (every worker's are the same).
 
     The parent has already validated every step -- errors here are bugs,
     and the pool's abort path surfaces them.
@@ -841,13 +847,14 @@ def _run_plan_on_segments(ctx, task: PlanTask):
             worker_id=ctx.worker_id,
             blobs=blob_att.array if blob_att is not None else None,
         )
+        outcomes: list[tuple[int, int]] = []
         execute_plan(
             transport,
             store,
             task,
             worker_id=ctx.worker_id,
             num_workers=ctx.num_workers,
-            emit=ctx.emit,
+            outcomes=outcomes,
         )
     finally:
         local_att.close()
@@ -855,4 +862,4 @@ def _run_plan_on_segments(ctx, task: PlanTask):
             pair_att.close()
         if blob_att is not None:
             blob_att.close()
-    return ("done", ctx.worker_id, len(task.plan.steps))
+    return outcomes

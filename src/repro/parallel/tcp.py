@@ -5,7 +5,7 @@ module lets the same SPMD plan replay span hosts:
 
 * a **coordinator** (the parent process) listens on a control socket
   (``REPRO_POOL_BIND``, default loopback/ephemeral) and dispatches
-  plans, collects events/checkpoints/results;
+  plans, collects checkpoints and results;
 * each **worker** owns its rank slices privately, connects to the
   coordinator, and builds a full mesh of worker-to-worker TCP
   connections over which distributed steps move amplitude regions as
@@ -21,14 +21,16 @@ for*: start them on the other host with::
         --worker-id K --token TOKEN [--bind HOST[:PORT]]
 
 Fault tolerance: workers stream their owned slices to the coordinator
-every ``checkpoint_steps`` plan steps.  The task's own cadence wins;
+every ``checkpoint_steps`` plan steps, with the measure outcomes so
+far.  The task's own cadence wins;
 otherwise ``REPRO_POOL_CHECKPOINT_STEPS`` sets it (``0`` disables
 streaming), and when that is unset plans of 8 or more steps stream four
 checkpoints (cadence ``len(steps) // 4``).  When a worker dies
 mid-run the coordinator tears the pool down, respawns it, and
 re-dispatches from the last *complete* checkpoint (falling back to the
 original input state) instead of aborting -- up to
-:data:`MAX_RESTARTS` times.
+:data:`MAX_RESTARTS` times.  A worker sends nothing else while it runs:
+its final slices and measure outcomes come back in its ``"ok"`` reply.
 
 Wire formats (all integers big-endian):
 
@@ -985,6 +987,8 @@ def _build_mesh(
 
 
 def _run_plan_in_worker(ctrl, peers, worker_id, num_workers, task, slices):
+    """Replay ``task`` on this worker's slices; returns its final slices
+    and the run's measure outcomes."""
     from repro.parallel.stepper import execute_plan
     from repro.statevector.partition import Partition
 
@@ -1021,13 +1025,14 @@ def _run_plan_in_worker(ctrl, peers, worker_id, num_workers, task, slices):
         _SEND_SCRATCH,
     )
 
-    def emit(event):
-        _send_msg(ctrl, ("event", event))
+    outcomes: list[tuple[int, int]] = []
 
     def checkpoint(step_index):
         obs.counter("repro_pool_checkpoint_streams_total").inc()
         t0 = time.perf_counter() if obs.is_enabled() else None
-        _send_msg(ctrl, ("ckpt", step_index, {r: local[r] for r in owned}))
+        # The outcomes so far: a restart from this checkpoint skips the
+        # measures that drew them.
+        _send_msg(ctrl, ("ckpt", step_index, {r: local[r] for r in owned}, outcomes))
         if t0 is not None:
             obs.histogram("repro_pool_checkpoint_seconds").observe(
                 time.perf_counter() - t0
@@ -1040,7 +1045,7 @@ def _run_plan_in_worker(ctrl, peers, worker_id, num_workers, task, slices):
             task,
             worker_id=worker_id,
             num_workers=num_workers,
-            emit=emit,
+            outcomes=outcomes,
             checkpoint=checkpoint,
         )
     except BaseException:
@@ -1048,7 +1053,7 @@ def _run_plan_in_worker(ctrl, peers, worker_id, num_workers, task, slices):
         raise
     finally:
         transport.close()
-    return {rank: local[rank] for rank in owned}
+    return {rank: local[rank] for rank in owned}, outcomes
 
 
 def _worker_loop(ctrl, listener, worker_id, num_workers, token) -> None:
@@ -1078,10 +1083,10 @@ def _worker_loop(ctrl, listener, worker_id, num_workers, token) -> None:
                     obs.enable()
                 try:
                     with settings.overridden(overrides), pinned_backend(task.kernels):
-                        finals = _run_plan_in_worker(
+                        result = _run_plan_in_worker(
                             ctrl, peers, worker_id, num_workers, task, slices
                         )
-                    reply = ("ok", finals, None)
+                    reply = ("ok", result, None)
                 except BaseException as exc:  # noqa: BLE001 - forwarded
                     reply = (
                         "err",
@@ -1188,7 +1193,8 @@ class _WorkerLost(Exception):
     def __init__(self, lost: set[int], checkpoint):
         super().__init__(f"worker(s) {sorted(lost)} lost")
         self.lost = lost
-        self.checkpoint = checkpoint  # (resume_step, {rank: array}) | None
+        #: ``(resume_step, {rank: array}, outcomes)`` or None.
+        self.checkpoint = checkpoint
 
 
 class TcpPool:
@@ -1427,13 +1433,18 @@ class TcpPool:
 
     # -- dispatch --------------------------------------------------------------
 
-    def run_plan(self, task, slices, *, on_event=None) -> dict[int, np.ndarray]:
-        """Run one PlanTask over the mesh; returns the final rank slices.
+    def run_plan(
+        self, task, slices
+    ) -> tuple[dict[int, np.ndarray], list[tuple[int, int]]]:
+        """Run one PlanTask over the mesh; returns the final rank slices
+        and the run's ``(qubit, outcome)`` measure outcomes.
 
         ``slices`` maps every rank to its input amplitudes (None for an
         implicit zero slice).  A worker loss triggers teardown, respawn
         and re-dispatch from the last complete streamed checkpoint
-        (or the original inputs), up to :data:`MAX_RESTARTS` times.
+        (or the original inputs), up to :data:`MAX_RESTARTS` times; the
+        outcomes of measures below the resume step come from the
+        checkpoint.
         """
         if self._broken:
             raise PoolError("TCP pool is broken; call get_tcp_pool() again")
@@ -1450,13 +1461,15 @@ class TcpPool:
         self._fail_injection = ()
         resume = 0
         current = dict(slices)
+        done: list[tuple[int, int]] = []
         attempts = 0
         while True:
             attempt_task = replace(
                 task, resume_step=resume, fail_at=injection
             )
             try:
-                return self._dispatch(attempt_task, current, on_event)
+                finals, outcomes = self._dispatch(attempt_task, current)
+                return finals, done + outcomes
             except _WorkerLost as lost:
                 injection = ()  # fail-stop fires once
                 attempts += 1
@@ -1477,11 +1490,12 @@ class TcpPool:
                         "them and call get_tcp_pool() again"
                     ) from None
                 if lost.checkpoint is not None:
-                    resume = lost.checkpoint[0]
-                    current = dict(lost.checkpoint[1])
+                    resume, current, since = lost.checkpoint
+                    done = done + since
                 else:
                     resume = 0
                     current = dict(slices)
+                    done = []
                 self.last_resume_step = resume
                 obs.counter("repro_pool_restarts_total").inc()
                 obs.log.warning(
@@ -1494,7 +1508,7 @@ class TcpPool:
                 )
                 self._build()
 
-    def _dispatch(self, task, slices, on_event) -> dict[int, np.ndarray]:
+    def _dispatch(self, task, slices):
         from repro.statevector.partition import Partition
 
         context = (obs.is_enabled(), settings.snapshot())
@@ -1507,10 +1521,11 @@ class TcpPool:
             payload = {rank: slices.get(rank) for rank in owned}
             ctrl_bytes += _send_msg(sock, ("plan", shared, payload, context))
         finals: dict[int, np.ndarray] = {}
+        outcomes: list[tuple[int, int]] = []
         errors: dict[int, tuple[str, str]] = {}
         lost: set[int] = set()
-        ckpt_parts: dict[int, dict[int, dict[int, np.ndarray]]] = {}
-        last_ckpt: tuple[int, dict[int, np.ndarray]] | None = None
+        ckpt_parts: dict[int, dict[int, tuple]] = {}
+        last_ckpt = None
         pending = set(self._ctrl)
         sel = selectors.DefaultSelector()
         for wid, sock in self._ctrl.items():
@@ -1536,23 +1551,23 @@ class TcpPool:
                         continue
                     ctrl_bytes += size
                     kind = message[0]
-                    if kind == "event":
-                        if on_event is not None:
-                            on_event(message[1])
-                    elif kind == "ckpt":
-                        step, part = message[1], message[2]
-                        ckpt_parts.setdefault(step, {})[wid] = part
+                    if kind == "ckpt":
+                        step = message[1]
+                        ckpt_parts.setdefault(step, {})[wid] = message[2:]
                         if len(ckpt_parts[step]) == self.num_workers:
+                            parts = ckpt_parts.pop(step)
                             merged: dict[int, np.ndarray] = {}
-                            for piece in ckpt_parts.pop(step).values():
+                            for piece, _done in parts.values():
                                 merged.update(piece)
                             if last_ckpt is None or step > last_ckpt[0]:
-                                last_ckpt = (step, merged)
+                                last_ckpt = (step, merged, parts[0][1])
                             obs.counter("repro_pool_checkpoints_total").inc()
                     elif kind == "ok":
                         pending.discard(wid)
                         sel.unregister(key.fileobj)
-                        finals.update(message[1])
+                        finals.update(message[1][0])
+                        if wid == 0:
+                            outcomes = message[1][1]
                         if message[2]:
                             obs.merge_state(message[2])
                     elif kind == "err":
@@ -1581,7 +1596,7 @@ class TcpPool:
                 message, tb = errors[wid]
             self._teardown()
             raise PoolError(f"TCP pool worker {wid} failed: {message}\n{tb}")
-        return finals
+        return finals, outcomes
 
 
 _pools: dict[tuple[HostSpec, ...], TcpPool] = {}

@@ -624,8 +624,7 @@ def fusion_units(
     a qubit map, renames every later unit through it and closes with
     the fewest local swaps that restore logical order; then, in
     ``full`` mode, the block and permutation stage (which also merges
-    the restoring swaps).  ``off`` mode -- and so every observer-driven
-    plan -- stays per-gate.  Returns one ``(gate, covered)`` unit per
+    the restoring swaps).  ``off`` mode stays per-gate.  Returns one ``(gate, covered)`` unit per
     step the plan will have: ``gate`` is the (possibly synthetic or
     renamed) gate the step executes, ``covered`` the circuit gates it
     accounts for, relabelled ones included.  No fused diagonal or
@@ -673,8 +672,7 @@ def compile_plan(
     ``fusion`` selects the fusion pass: a :class:`FusionConfig`, a mode
     string (``"off"`` | ``"diag"`` | ``"full[:k]"``), or ``None`` to
     resolve from ``$REPRO_FUSION`` (default ``diag``, the behaviour of
-    every prior release).  ``"off"`` keeps per-gate granularity (what
-    observers need).
+    every prior release).  ``"off"`` keeps per-gate granularity.
 
     ``local_qubits`` bounds block/permutation fusion to gates whose
     support lies entirely below it (the distributed executors pass their

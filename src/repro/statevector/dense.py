@@ -161,19 +161,14 @@ class DenseStatevector:
             num_ranks=1,
             halved_swaps=False,
             plan=plan,
-            emit_events=False,
             measure_seed=self._measure_seed,
             measure_base=self._measure_count,
         )
         store = RankSlices.from_backing(self._amps.reshape(1, -1))
-        execute_in_process(store, task, self._record_measure)
+        outcomes = execute_in_process(store, task)
+        self.measure_outcomes += outcomes
+        self._measure_count += len(outcomes)
         return self
-
-    def _record_measure(self, event: tuple) -> None:
-        """Book worker 0's ``("measure", ordinal, qubit, outcome)`` event."""
-        _kind, _ordinal, qubit, outcome = event
-        self.measure_outcomes.append((qubit, outcome))
-        self._measure_count += 1
 
     # -- measurement (delegates) --------------------------------------------
 

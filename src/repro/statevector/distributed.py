@@ -22,12 +22,16 @@ that task executes:
   a persistent worker pool (:mod:`repro.parallel`), or across a TCP
   worker mesh when a host list is set.
 
-Whatever the executor, the parent validates every step before any runs,
-fires observer callbacks in gate order, and logs each step's exchange
-rounds into the communicator (:meth:`DistributedStatevector._run_plan`):
-the copy lists of :func:`repro.parallel.stepper.exchange_rounds`, which
-the workers move.  All of it is compiled once per plan and options and
-kept on the plan (:func:`_compile_schedule`); a run replays nothing.
+Whatever the executor, the parent validates every step before any runs
+and logs each step's exchange rounds into the communicator
+(:meth:`DistributedStatevector._run_plan`): the copy lists of
+:func:`repro.parallel.stepper.exchange_rounds`, which the workers move.
+All of it is compiled once per plan and options and kept on the plan
+(:func:`_compile_schedule`).  Workers report nothing while they run:
+measure outcomes arrive with the run's result, and the parent then
+replays the log and the observer callbacks from the plan, one callback
+per circuit gate in gate order.  An observer therefore changes neither
+the plan nor the run.
 
 Measurement has one path.  Collapse decisions (mid-circuit MEASURE
 steps) and shots (:meth:`DistributedStatevector.sample_bitstrings`)
@@ -232,17 +236,16 @@ class DistributedStatevector:
         ``fusion=``, else ``$REPRO_FUSION``); block/permutation fusion
         is bounded to the partition's local qubits so every
         communicating gate still reaches the exchange layer
-        individually.  An attached observer forces fusion fully off
-        (observers see one callback per original gate).
+        individually.  An attached observer still sees one callback per
+        circuit gate, replayed after the run (:meth:`_replay`).
         """
         if circuit.num_qubits != self.num_qubits:
             raise SimulationError(
                 f"circuit width {circuit.num_qubits} != state width "
                 f"{self.num_qubits}"
             )
-        fusion = FusionConfig(mode="off") if self.observer is not None else self.fusion
         plan = compile_plan(
-            circuit, fusion=fusion, local_qubits=self.partition.local_qubits
+            circuit, fusion=self.fusion, local_qubits=self.partition.local_qubits
         )
         with obs.span(
             "apply_circuit",
@@ -270,9 +273,9 @@ class DistributedStatevector:
         options compiles its schedule (:func:`_compile_schedule`), which
         validates every step *before* any runs, so errors raise with the
         state untouched on every call.  The task then executes in this
-        process, across the shared-memory pool or across the TCP mesh;
-        meanwhile the parent fires in-order observer callbacks and
-        appends each step's stored messages to the communicator.
+        process, across the shared-memory pool or across the TCP mesh,
+        and returns the run's measure outcomes; then the parent appends
+        the stored messages and fires the observer (:meth:`_replay`).
         """
         from repro.parallel.stepper import PlanTask, execute_in_process
 
@@ -286,79 +289,47 @@ class DistributedStatevector:
             num_ranks=self.num_ranks,
             halved_swaps=self.halved_swaps,
             plan=plan,
-            emit_events=self.observer is not None,
             needs_pair=schedule.needs_pair,
             measure_seed=self.measure_seed,
             measure_base=self._measure_count,
             kernels=configured_backend(),
         )
         if self.executor == "serial":
-            pool = None
-        elif self.transport == "tcp":
-            from repro.parallel.tcp import get_tcp_pool
-
-            pool = get_tcp_pool(self.hosts)
-        else:
-            from repro.parallel import get_pool
-
-            pool = get_pool()
-        complete_through, on_event, outcomes = self._step_replayer(
-            plan, schedule, pool.num_workers if pool is not None else 1
-        )
-        if pool is None:
             # One worker owns every rank of the lazy slice store.
-            execute_in_process(self._local, task, on_event)
+            outcomes = execute_in_process(self._local, task)
         elif self.transport == "tcp":
-            self._execute_tcp(pool, task, on_event)
+            outcomes = self._execute_tcp(task)
         else:
-            self._execute_shm(pool, task, on_event, schedule.has_measure)
-        complete_through(len(plan.steps))
-        self.measure_outcomes += [outcomes[k] for k in sorted(outcomes)]
+            outcomes = self._execute_shm(task, schedule.has_measure)
+        self._replay(plan, schedule)
+        self.measure_outcomes += outcomes
         self._measure_count += len(outcomes)
         self._gate_index += plan.num_gates
 
-    def _step_replayer(self, plan: ApplyPlan, schedule: "_Schedule", num_workers: int):
-        """(complete_through, on_event, outcomes) for in-order logging,
-        observer callbacks and measure outcomes.
+    def _replay(self, plan: ApplyPlan, schedule: "_Schedule") -> None:
+        """Log the run's messages and fire the observer, after the run.
 
-        Workers report step completions in arbitrary interleavings;
-        callbacks fire in gate order once *every* worker has finished
-        the step, each after its step's messages are logged.  ``>=``
-        (not ``==``) tolerates re-emitted events after a checkpoint
-        restart replays part of the plan.  Worker 0 reports each
-        collapse as ``("measure", ordinal, qubit, outcome)``; outcomes
-        are kept by ordinal (restart duplicates are identical).
+        Without an observer the whole log goes in at once.  With one,
+        every circuit gate the steps cover gets one callback, in gate
+        order, with its own :func:`plan_gate`; a step's messages go in
+        just before the callback of the step's own gate (a step that
+        covers no gate is a local restoring swap, with none).
         """
-        fired = [0]
-        counts = [0] * len(plan.steps)
+        if self.observer is None:
+            self._log_steps(schedule, 0, len(plan.steps))
+            return
         options = dict(halved_swaps=self.halved_swaps, max_message=self.max_message)
-        outcomes: dict[int, tuple[int, int]] = {}
-
-        def complete_through(limit: int) -> None:
-            while fired[0] < limit:
-                lo = fired[0]
-                hi = limit if self.observer is None else lo + 1
-                self._log_steps(schedule, lo, hi)
-                if self.observer is not None:
-                    step = plan.steps[lo]
-                    self.observer(
-                        self._gate_index + schedule.offsets[lo],
-                        step.gate,
-                        plan_gate(step.gate, self.partition, **options),
-                    )
-                fired[0] = hi
-
-        def on_event(event: tuple) -> None:
-            if event[0] == "measure":
-                outcomes[event[1]] = (event[2], event[3])
-            elif event[0] == "step":
-                counts[event[1]] += 1
-                limit = fired[0]
-                while limit < len(counts) and counts[limit] >= num_workers:
-                    limit += 1
-                complete_through(limit)
-
-        return complete_through, on_event, outcomes
+        index = 0
+        for i, step in enumerate(plan.steps):
+            for gate in step.gates:
+                if index == schedule.offsets[i]:
+                    self._log_steps(schedule, i, i + 1)
+                self.observer(
+                    self._gate_index + index,
+                    gate,
+                    plan_gate(gate, self.partition, **options),
+                )
+                index += 1
 
     def _log_steps(self, schedule: "_Schedule", lo: int, hi: int) -> None:
         """Append the stored messages of steps ``lo .. hi - 1``, exchange
@@ -396,10 +367,13 @@ class DistributedStatevector:
                 (num_workers, BLOB_SLOT_BYTES), np.uint8
             )
 
-    def _execute_shm(self, pool, task, on_event, has_measure: bool) -> None:
-        """Workers attach the shared segments and replay in lockstep."""
+    def _execute_shm(self, task, has_measure: bool) -> list[tuple[int, int]]:
+        """Workers attach the shared segments and replay in lockstep;
+        returns worker 0's measure outcomes."""
+        from repro.parallel import get_pool
         from repro.parallel.stepper import run_plan_worker
 
+        pool = get_pool()
         if task.needs_pair:
             self._ensure_shared_pair()
         if has_measure:
@@ -411,23 +385,27 @@ class DistributedStatevector:
             pair_name=self._shared_pair.name if task.needs_pair else None,
             blob_name=self._shared_blobs.name if has_measure else None,
         )
-        pool.spmd(run_plan_worker, task, on_event=on_event)
+        return pool.spmd(run_plan_worker, task)[0]
 
-    def _execute_tcp(self, pool, task, on_event) -> None:
-        """Ship owned slices over the mesh and take the finals back.
+    def _execute_tcp(self, task) -> list[tuple[int, int]]:
+        """Ship owned slices over the mesh, take the finals back and
+        return the run's measure outcomes.
 
         Implicit zero slices travel as ``None``.  The communicator still
         records what the *modelled* machine would send, independent of
         which real transport moved the data.
         """
+        from repro.parallel.tcp import get_tcp_pool
+
         obs.counter("repro_pool_plans_total").inc()
         slices = {
             r: (self._local.read(r) if self._local.is_materialized(r) else None)
             for r in range(self.num_ranks)
         }
-        finals = pool.run_plan(task, slices, on_event=on_event)
+        finals, outcomes = get_tcp_pool(self.hosts).run_plan(task, slices)
         for rank, amps in finals.items():
             self._local[rank][:] = amps
+        return outcomes
 
 
 class _Schedule(NamedTuple):

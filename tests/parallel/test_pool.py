@@ -37,12 +37,6 @@ def spmd_barrier_sum(ctx, payload):
     return ctx.worker_id + payload
 
 
-def spmd_emit_events(ctx, payload):
-    for i in range(payload):
-        ctx.emit(("tick", i, ctx.worker_id))
-    return ctx.worker_id
-
-
 def spmd_worker_zero_raises(ctx, payload):
     if ctx.worker_id == 0:
         raise RuntimeError("deliberate failure in worker 0")
@@ -134,15 +128,6 @@ class TestPoolBasics:
         pool = get_pool()
         results = pool.spmd(spmd_barrier_sum, 100)
         assert results == [100 + i for i in range(pool.num_workers)]
-
-    def test_spmd_forwards_events(self):
-        pool = get_pool()
-        events = []
-        pool.spmd(spmd_emit_events, 3, on_event=events.append)
-        assert len(events) == 3 * pool.num_workers
-        for worker in range(pool.num_workers):
-            ticks = [e[1] for e in events if e[2] == worker]
-            assert ticks == [0, 1, 2]
 
     def test_workers_know_they_are_workers(self):
         pool = get_pool()

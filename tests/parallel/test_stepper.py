@@ -61,7 +61,6 @@ def _task(plan, **kwargs) -> PlanTask:
         num_ranks=RANKS,
         halved_swaps=False,
         plan=plan,
-        emit_events=False,
         **kwargs,
     )
 
@@ -314,7 +313,6 @@ def test_shm_worker_entry_point_with_one_party():
     local = SharedArray(shape, np.complex128)
     pair = SharedArray(shape, np.complex128)
     blobs = SharedArray((1, BLOB_SLOT_BYTES), np.uint8)
-    events: list[tuple] = []
     try:
         local.array[...] = psi.reshape(shape)
         task = PlanTask(
@@ -324,7 +322,6 @@ def test_shm_worker_entry_point_with_one_party():
             num_ranks=RANKS,
             halved_swaps=False,
             plan=_plan(circuit),
-            emit_events=False,
             measure_seed=3,
             blob_name=blobs.name,
         )
@@ -332,9 +329,8 @@ def test_shm_worker_entry_point_with_one_party():
             worker_id=0,
             num_workers=1,
             barrier=threading.Barrier(1),
-            emit=events.append,
         )
-        assert run_plan_worker(ctx, task) == ("done", 0, len(task.plan.steps))
+        outcomes = run_plan_worker(ctx, task)
         got = local.array.reshape(-1).copy()
     finally:
         for segment in (local, pair, blobs):
@@ -344,7 +340,7 @@ def test_shm_worker_entry_point_with_one_party():
     )
     state.apply_circuit(circuit)
     assert got.tobytes() == state.gather().tobytes()
-    assert [e[2:] for e in events if e[0] == "measure"] == state.measure_outcomes
+    assert outcomes == state.measure_outcomes
 
 
 # -- rank pairs one worker owns ----------------------------------------------------
@@ -383,7 +379,6 @@ def _run_workers(psi, circuit, ranks, num_workers, halved_swaps=False):
         num_ranks=ranks,
         halved_swaps=halved_swaps,
         plan=plan,
-        emit_events=False,
     )
     transports = [
         RecordingTransport(

@@ -140,11 +140,10 @@ class TestLoopbackPool:
                 num_ranks=4,
                 halved_swaps=False,
                 plan=plan,
-                emit_events=False,
                 needs_pair=True,
                 chunk_amps=4,
             )
-            finals = pool.run_plan(
+            finals, _ = pool.run_plan(
                 task, {0: init, 1: None, 2: None, 3: None}
             )
             got = np.concatenate([finals[r] for r in range(4)])
@@ -192,13 +191,12 @@ class TestLoopbackPool:
             num_ranks=8,
             halved_swaps=False,
             plan=plan,
-            emit_events=False,
             needs_pair=True,
             chunk_amps=2,
         )
         pool = TcpPool(LOOPBACK3)
         try:
-            finals = pool.run_plan(
+            finals, _ = pool.run_plan(
                 task, {0: init, **{r: None for r in range(1, 8)}}
             )
             got = np.concatenate([finals[r] for r in range(8)])
@@ -849,7 +847,6 @@ class TestBlobCollective:
             num_ranks=2,
             halved_swaps=False,
             plan=compile_plan(Circuit(3).measure(2), local_qubits=2),
-            emit_events=False,
         )
         transport, theirs = _loop_transport((0,), {0: 0, 1: 1})
         sock = transport._peers[1].sock

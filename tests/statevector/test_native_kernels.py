@@ -368,7 +368,6 @@ def _task(kernels: str) -> stepper.PlanTask:
         num_ranks=2,
         halved_swaps=False,
         plan=ApplyPlan(num_qubits=3, steps=(step,), num_gates=1),
-        emit_events=False,
         kernels=kernels,
     )
 

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from repro.circuits import Circuit, random_circuit, random_state
 from repro.gates import Gate
 from repro.mpi import MAX_MESSAGE_BYTES, CommMode, SimComm, log_exchange_schedule
-from repro.parallel import stepper
+from repro.parallel import shm_available, stepper
 from repro.parallel.stepper import exchange_rounds
 from repro.parallel.tcp import shutdown_tcp_pools
 from repro.statevector import DistributedStatevector, Partition
@@ -95,9 +95,8 @@ def _replayed_log(
 
 def _plan_of(state: DistributedStatevector, circuit: Circuit):
     """The cached plan ``state.apply_circuit(circuit)`` runs."""
-    fusion = "off" if state.observer is not None else state.fusion
     return compile_plan(
-        circuit, fusion=fusion, local_qubits=state.partition.local_qubits
+        circuit, fusion=state.fusion, local_qubits=state.partition.local_qubits
     )
 
 
@@ -200,6 +199,43 @@ class TestLogIsTheStepReplay:
             _replayed_log(plan, state, expected, base)
             assert state.comm.message_log == expected.message_log
             assert state.comm.stats == expected.stats
+
+
+EXECUTORS = {
+    "serial": {"executor": "serial"},
+    "shm": {"executor": "pool"},
+    "tcp": {"executor": "pool", "hosts": "127.0.0.1:0,127.0.0.1:0"},
+}
+
+
+class TestObserverChangesNothing:
+    @pytest.mark.parametrize("executor", sorted(EXECUTORS))
+    @pytest.mark.parametrize("seed", [5, 17])
+    def test_observed_run_equals_unobserved(self, executor, seed):
+        # Observers are replayed from the plan after the run, so an
+        # observed run compiles and runs the same (fused) plan.
+        if executor == "shm" and not shm_available():
+            pytest.skip("named shared memory unavailable on this host")
+        gates = list(random_circuit(8, 60, seed=seed))
+        gates.insert(20, Gate.measure(2))
+        gates.insert(45, Gate.measure(7))
+        circuit = Circuit(8, gates)
+        psi = random_state(8, seed=seed)
+        seen = []
+        runs = []
+        for observer in (None, lambda i, gate, _plan: seen.append((i, gate))):
+            state = DistributedStatevector.from_amplitudes(
+                psi, 4, measure_seed=seed, observer=observer, **EXECUTORS[executor]
+            )
+            state.apply_circuit(circuit)
+            state.apply_circuit(circuit)
+            runs.append(state)
+        plain, observed = runs
+        assert observed.gather().tobytes() == plain.gather().tobytes()
+        assert observed.comm.message_log == plain.comm.message_log
+        assert observed.comm.stats == plain.comm.stats
+        assert observed.measure_outcomes == plain.measure_outcomes
+        assert seen == list(enumerate(list(circuit.gates) * 2))
 
 
 class TestCompiledOnce:
