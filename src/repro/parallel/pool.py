@@ -49,8 +49,11 @@ from multiprocessing import connection, forkserver, reduction, util
 from types import ModuleType
 from typing import Any, Callable
 
+import numpy as np
+
 from repro import obs, settings
 from repro.errors import PoolError, ValidationError
+from repro.parallel.transport import BLOB_SLOT_BYTES
 
 __all__ = [
     "WorkerPool",
@@ -254,16 +257,24 @@ def default_pool_size() -> int:
 class WorkerContext:
     """Hands SPMD tasks their identity and synchronisation primitives.
 
-    There is no channel back to the parent besides the task's return
-    value: a task reports what it found when it returns.
+    ``blobs`` is the pool's shared block of blob rows, one
+    ``BLOB_SLOT_BYTES`` uint8 row per worker, where the shm transport's
+    scalar collective meets
+    (:meth:`~repro.parallel.transport.ShmTransport.allgather_blob`).  It
+    belongs to the pool, as the barrier does, so a state runs on a pool
+    of any size.  There is no channel back to the parent besides the
+    task's return value: a task reports what it found when it returns.
     """
 
     worker_id: int
     num_workers: int
     barrier: Any
+    blobs: np.ndarray
 
 
-def _worker_main(worker_id: int, num_workers: int, conn, barrier, env: dict) -> None:
+def _worker_main(
+    worker_id: int, num_workers: int, conn, barrier, blobs, env: dict
+) -> None:
     """Worker loop: execute commands from the parent until told to exit.
 
     Each command carries ``(collect, overrides)`` from the parent at
@@ -288,7 +299,8 @@ def _worker_main(worker_id: int, num_workers: int, conn, barrier, env: dict) -> 
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     except (ValueError, OSError) as exc:  # pragma: no cover - exotic host
         obs.swallowed("pool.worker_sigint_ignore", exc)
-    ctx = WorkerContext(worker_id, num_workers, barrier)
+    rows = np.frombuffer(blobs, np.uint8).reshape(num_workers, BLOB_SLOT_BYTES)
+    ctx = WorkerContext(worker_id, num_workers, barrier, rows)
     conn.send(("ready",))
     while True:
         try:
@@ -356,6 +368,11 @@ class WorkerPool:
         self.num_workers = num_workers
         context = start_context()
         self.barrier = context.Barrier(num_workers)
+        # The blob rows: anonymous shared memory, with nothing to
+        # unlink, that reaches forkserver and spawn workers alike as a
+        # process argument.  Held for the pool's life, so the parent's
+        # heap never hands the block to another allocation meanwhile.
+        self._blobs = context.RawArray("B", num_workers * BLOB_SLOT_BYTES)
         self._pipes = []
         self._procs = []
         self._broken = False
@@ -365,7 +382,7 @@ class WorkerPool:
             parent_end, child_end = context.Pipe()
             proc = context.Process(
                 target=_worker_main,
-                args=(i, num_workers, child_end, self.barrier, env),
+                args=(i, num_workers, child_end, self.barrier, self._blobs, env),
                 daemon=True,
                 name=f"repro-pool-{i}",
             )

@@ -65,11 +65,10 @@ from repro.statevector.apply_plan import ApplyPlan, ApplyStep, StepKind
 from repro.statevector.native import OpTable
 from repro.statevector.partition import DENSE_QUBIT_LIMIT, Partition
 from repro.statevector.plan import remap_masks, remap_split
+from repro.statevector.slices import RankSlices
 from repro.parallel.transport import (
-    BLOB_SLOT_BYTES,
     LOCAL,
     PAIR,
-    Array2DStore,
     CopySpec,
     RankStore,
     RankTransport,
@@ -103,30 +102,25 @@ _NORM_BYTES = -(-_NORM_BITS // 8)
 
 @dataclass(frozen=True)
 class PlanTask:
-    """Everything a worker needs to replay a plan over its transport.
+    """What a worker runs: a plan on a partition, and how.
 
-    The shared-memory pool attaches the named segments
-    (``local_name``/``pair_name``); the TCP pool ships rank slices in
-    the dispatch message instead and sets ``needs_pair`` when any step
-    communicates.  ``resume_step``/``checkpoint_steps``/``fail_at``
-    drive the checkpoint-restart protocol: workers stream their owned
-    slices to the coordinator every ``checkpoint_steps`` steps, skip
-    every step below ``resume_step`` on a restarted dispatch, and
-    ``os._exit`` at an injected ``(worker_id, step)`` fail-stop point.
-    A task asks for no progress reports: a worker's measure outcomes
-    come back with its result, and the parent replays message logging
-    and observer callbacks from the plan once the run has returned.
+    The task says nothing of where the amplitudes live: the shm pool
+    hands it over with the name of the state's segment
+    (:func:`run_plan_worker`), the TCP pool with the worker's rank
+    slices, and the in-process executors with their store.
+    ``resume_step``/``checkpoint_steps``/``fail_at`` drive the
+    checkpoint-restart protocol: workers stream their owned slices to
+    the coordinator every ``checkpoint_steps`` steps, skip every step
+    below ``resume_step`` on a restarted dispatch, and ``os._exit`` at
+    an injected ``(worker_id, step)`` fail-stop point.  A task asks for
+    no progress reports: a worker's measure outcomes come back with its
+    result, and the parent replays message logging and observer
+    callbacks from the plan once the run has returned.
     """
 
-    local_name: str | None
-    pair_name: str | None
-    num_qubits: int
-    num_ranks: int
+    partition: Partition
     halved_swaps: bool
     plan: ApplyPlan
-    needs_pair: bool = False
-    #: Exchange chunk size in amplitudes (None: transport default).
-    chunk_amps: int | None = None
     resume_step: int = 0
     checkpoint_steps: int | None = None
     fail_at: tuple[tuple[int, int], ...] = field(default_factory=tuple)
@@ -135,9 +129,6 @@ class PlanTask:
     #: Ordinal of this plan's first measurement in the parent's run
     #: (earlier plans may already have measured).
     measure_base: int = 0
-    #: Shared blob segment for the shm allgather (None over TCP, whose
-    #: transport gathers through mesh frames).
-    blob_name: str | None = None
     #: Kernel backend the coordinator resolved
     #: (``gate_kernels.configured_backend()``); pool workers run it or
     #: raise (``gate_kernels.pinned_backend``), the serial executor runs
@@ -713,7 +704,7 @@ def execute_plan(
     still fall between steps; with tracing on every run is one step,
     so every step keeps its own ``worker.step`` span.
     """
-    partition = Partition(task.num_qubits, task.num_ranks)
+    partition = task.partition
     owned = partition.ranks_for_worker(worker_id, num_workers)
     steps = task.plan.steps
     table = task.plan.ops
@@ -792,12 +783,10 @@ def execute_plan(
 
 def execute_in_process(store: RankStore, task: PlanTask) -> list[tuple[int, int]]:
     """Replay ``task`` here as worker 0 of 1, owning every rank of
-    ``store``, over a barrier-less :class:`ShmTransport` with one blob
-    row: the serial executor's lazy store, or dense's one-rank array.
-    Returns the run's measure outcomes."""
-    blobs = np.zeros((1, BLOB_SLOT_BYTES), np.uint8)
-    owned = tuple(range(task.num_ranks))
-    transport = ShmTransport(None, store, owned, worker_id=0, blobs=blobs)
+    ``store``, over a single-party :class:`ShmTransport`: the serial
+    executor's lazy store, or dense's one-rank array.  Returns the run's
+    measure outcomes."""
+    transport = ShmTransport(None, store, tuple(range(task.partition.num_ranks)))
     outcomes: list[tuple[int, int]] = []
     execute_plan(
         transport, store, task, worker_id=0, num_workers=1, outcomes=outcomes
@@ -805,61 +794,45 @@ def execute_in_process(store: RankStore, task: PlanTask) -> list[tuple[int, int]
     return outcomes
 
 
-def run_plan_worker(ctx, task: PlanTask) -> list[tuple[int, int]]:
-    """Shared-memory SPMD entry point: replay over the named segments,
-    on the coordinator's kernel backend; returns the run's measure
-    outcomes (every worker's are the same).
+def run_plan_worker(ctx, job: tuple[str, PlanTask]) -> list[tuple[int, int]]:
+    """Shared-memory SPMD entry point for ``job = (segment_name, task)``.
+
+    Runs on the coordinator's kernel backend, over the state's one
+    ``(2, R, n)`` segment -- row 0 the rank slices, row 1 their pair
+    buffers -- and the pool's blob rows (``ctx.blobs``).  Returns the
+    run's measure outcomes (every worker's are the same).
 
     The parent has already validated every step -- errors here are bugs,
     and the pool's abort path surfaces them.
     """
-    with kernels.pinned_backend(task.kernels):
-        return _run_plan_on_segments(ctx, task)
-
-
-def _run_plan_on_segments(ctx, task: PlanTask):
     from repro.parallel.shm import attach_array
 
-    partition = Partition(task.num_qubits, task.num_ranks)
-    owned = partition.ranks_for_worker(ctx.worker_id, ctx.num_workers)
-    shape = (task.num_ranks, partition.local_amplitudes)
-    local_att = attach_array(task.local_name, shape, np.complex128)
-    pair_att = (
-        attach_array(task.pair_name, shape, np.complex128)
-        if task.pair_name is not None
-        else None
-    )
-    blob_att = (
-        attach_array(
-            task.blob_name, (ctx.num_workers, BLOB_SLOT_BYTES), np.uint8
+    name, task = job
+    partition = task.partition
+    with kernels.pinned_backend(task.kernels):
+        segment = attach_array(
+            name,
+            (2, partition.num_ranks, partition.local_amplitudes),
+            np.complex128,
         )
-        if task.blob_name is not None
-        else None
-    )
-    try:
-        store = Array2DStore(
-            local_att.array, pair_att.array if pair_att is not None else None
-        )
-        transport = ShmTransport(
-            ctx.barrier,
-            store,
-            owned,
-            worker_id=ctx.worker_id,
-            blobs=blob_att.array if blob_att is not None else None,
-        )
-        outcomes: list[tuple[int, int]] = []
-        execute_plan(
-            transport,
-            store,
-            task,
-            worker_id=ctx.worker_id,
-            num_workers=ctx.num_workers,
-            outcomes=outcomes,
-        )
-    finally:
-        local_att.close()
-        if pair_att is not None:
-            pair_att.close()
-        if blob_att is not None:
-            blob_att.close()
+        try:
+            store = RankSlices.from_backing(segment.array[0], segment.array[1])
+            transport = ShmTransport(
+                ctx.barrier,
+                store,
+                partition.ranks_for_worker(ctx.worker_id, ctx.num_workers),
+                worker_id=ctx.worker_id,
+                blobs=ctx.blobs,
+            )
+            outcomes: list[tuple[int, int]] = []
+            execute_plan(
+                transport,
+                store,
+                task,
+                worker_id=ctx.worker_id,
+                num_workers=ctx.num_workers,
+                outcomes=outcomes,
+            )
+        finally:
+            segment.close()
     return outcomes

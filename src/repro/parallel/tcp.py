@@ -990,9 +990,8 @@ def _run_plan_in_worker(ctrl, peers, worker_id, num_workers, task, slices):
     """Replay ``task`` on this worker's slices; returns its final slices
     and the run's measure outcomes."""
     from repro.parallel.stepper import execute_plan
-    from repro.statevector.partition import Partition
 
-    partition = Partition(task.num_qubits, task.num_ranks)
+    partition = task.partition
     owned = partition.ranks_for_worker(worker_id, num_workers)
     n = partition.local_amplitudes
     local: dict[int, np.ndarray] = {}
@@ -1008,11 +1007,7 @@ def _run_plan_in_worker(ctrl, peers, worker_id, num_workers, task, slices):
         if any(amps is other for other in local.values()):
             amps = amps.copy()
         local[rank] = amps
-    pair = (
-        {rank: _PAIR_BUFFERS.get(rank, n) for rank in owned}
-        if task.needs_pair
-        else {}
-    )
+    pair = {rank: _PAIR_BUFFERS.get(rank, n) for rank in owned}
     store = DictStore(local, pair)
     transport = TcpMeshTransport(
         peers,
@@ -1021,8 +1016,7 @@ def _run_plan_in_worker(ctrl, peers, worker_id, num_workers, task, slices):
         store,
         owned,
         n,
-        task.chunk_amps,
-        _SEND_SCRATCH,
+        scratch=_SEND_SCRATCH,
     )
 
     outcomes: list[tuple[int, int]] = []
@@ -1509,10 +1503,8 @@ class TcpPool:
                 self._build()
 
     def _dispatch(self, task, slices):
-        from repro.statevector.partition import Partition
-
         context = (obs.is_enabled(), settings.snapshot())
-        partition = Partition(task.num_qubits, task.num_ranks)
+        partition = task.partition
         ctrl_bytes = 0
         # Every worker gets the same task: pickle its plan once.
         shared = _Pickled(task)

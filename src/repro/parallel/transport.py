@@ -11,10 +11,12 @@ owners on a concrete medium:
 
 * :class:`ShmTransport` -- direct ``ndarray`` assignments guarded by a
   barrier: fence (sources ready), copy, fence (sources may be
-  overwritten).  The shared-memory pool runs it over rows of one
-  segment.  The in-process executor owns every rank, so only its
-  remaps and measurements call it, with a single party (no barrier),
-  where both fences are no-ops.
+  overwritten).  The shared-memory pool runs it over the rows of each
+  state's one segment, and gathers measure partials through the
+  pool's blob rows.  The in-process executor owns every rank, so only
+  its remaps and measurements call it, with a single party (no
+  barrier), where both fences are no-ops and a gather returns the
+  caller's own payload.
 * ``TcpMeshTransport`` (:mod:`repro.parallel.tcp`) -- workers own their
   rank slices privately and move regions over a length-prefixed TCP
   mesh.  Fences are free (message arrival *is* the synchronisation) and
@@ -26,9 +28,11 @@ owners on a concrete medium:
 The two buffer kinds mirror QuEST's layout: ``"local"`` is the rank's
 amplitude slice, ``"pair"`` its reusable exchange buffer (QuEST's
 ``pairStateVec``).  A :class:`RankStore` resolves ``(rank, kind)`` to
-the backing array so step bodies are medium-agnostic; the in-process
-executor's store is :class:`~repro.statevector.slices.RankSlices`
-itself, whose untouched ranks stay implicit zeros.
+the backing array so step bodies are medium-agnostic.  The in-process
+executors and the shm pool keep their buffers in a
+:class:`~repro.statevector.slices.RankSlices` (lazy in process, so
+untouched ranks stay implicit zeros; rows of the state's segment in
+the pool), the TCP workers theirs in a :class:`DictStore`.
 """
 
 from __future__ import annotations
@@ -47,17 +51,16 @@ __all__ = [
     "BLOB_SLOT_BYTES",
     "CopySpec",
     "RankStore",
-    "Array2DStore",
     "DictStore",
     "RankTransport",
     "ShmTransport",
 ]
 
-#: Bytes reserved per worker for one scalar-collective payload, and the
-#: largest blob frame the TCP mesh accepts.  Measurement's payload is its
-#: ``(n0, ntotal)`` pair as two fixed-width integers (2 x 266 B, see
-#: :func:`repro.parallel.stepper.encode_partials`); the shm slot adds a
-#: 4-byte length prefix.
+#: Bytes of each worker's blob row in the shm pool's shared block, and
+#: the largest blob frame the TCP mesh accepts.  Measurement's payload
+#: is its ``(n0, ntotal)`` pair as two fixed-width integers (2 x 266 B,
+#: see :func:`repro.parallel.stepper.encode_partials`); the shm row adds
+#: a 4-byte length prefix.
 BLOB_SLOT_BYTES = 4096
 
 #: Buffer kinds a :class:`CopySpec` may address.
@@ -132,21 +135,6 @@ class RankStore:
     def is_zero(self, rank: int) -> bool:
         """True when the rank's slice is an implicit zero (never here)."""
         return False
-
-
-class Array2DStore(RankStore):
-    """All ranks' buffers as rows of shared 2-D arrays (shm segments)."""
-
-    def __init__(self, local2d: np.ndarray, pair2d: np.ndarray | None):
-        self._local = local2d
-        self._pair = pair2d
-
-    def view(self, rank: int, kind: str) -> np.ndarray:
-        if kind == LOCAL:
-            return self._local[rank]
-        if self._pair is None:
-            raise PoolError("plan needs a pair buffer but none was attached")
-        return self._pair[rank]
 
 
 class DictStore(RankStore):
@@ -242,9 +230,11 @@ class ShmTransport(RankTransport):
     per local step and per step whose rank pairs all have one owner
     each -- and every worker executes the same fence sequence derived
     solely from the plan and the worker count, so workers that own no
-    ranks still participate in lockstep.  With ``barrier=None`` there
-    is a single party (the in-process executor): fences are no-ops and
-    record no barrier wait.
+    ranks still participate in lockstep.  ``blobs`` are the pool's
+    per-worker blob rows (``WorkerContext.blobs``), where the scalar
+    collective meets.  With ``barrier=None`` there is a single party
+    (the in-process executor): fences are no-ops and record no barrier
+    wait, and the collective needs no rows.
     """
 
     direct_gather = True
@@ -269,18 +259,17 @@ class ShmTransport(RankTransport):
             _timed_wait(self.barrier)
 
     def allgather_blob(self, tag: int, payload: bytes) -> list[bytes]:
-        """Shared-segment allgather: write own row, fence, read all rows.
+        """Blob-row allgather: write own row, fence, read all rows.
 
-        Each worker owns one uint8 row of the blob segment; the payload
-        lands behind a 4-byte big-endian length prefix.  The first fence
-        publishes every row, the second releases them for the next
-        collective.
+        Each worker owns one uint8 row of the pool's blob block; the
+        payload lands behind a 4-byte big-endian length prefix.  The
+        first fence publishes every row, the second releases them for
+        the next collective.  A single party gathers its own payload.
         """
+        if self.barrier is None:
+            return [payload]
         if self._blobs is None or self._worker_id is None:
-            raise PoolError(
-                "plan measures but no blob segment was attached to the "
-                "shm transport"
-            )
+            raise PoolError("the shm transport has no blob rows to gather in")
         row = self._blobs[self._worker_id]
         if len(payload) + 4 > row.shape[0]:
             raise PoolError(

@@ -18,7 +18,7 @@ from repro.errors import SimulationError
 from repro.gates import Gate
 from repro.statevector import exact
 from repro.statevector.apply_plan import ApplyPlan, compile_gate_plan, compile_plan
-from repro.statevector.partition import DENSE_QUBIT_LIMIT
+from repro.statevector.partition import DENSE_QUBIT_LIMIT, Partition
 from repro.statevector.slices import RankSlices
 from repro.utils.bits import log2_exact
 
@@ -155,10 +155,7 @@ class DenseStatevector:
                 "(compile_plan's default local_qubits)"
             )
         task = PlanTask(
-            local_name=None,
-            pair_name=None,
-            num_qubits=n,
-            num_ranks=1,
+            partition=Partition(n, 1),
             halved_swaps=False,
             plan=plan,
             measure_seed=self._measure_seed,

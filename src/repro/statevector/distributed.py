@@ -17,10 +17,10 @@ that task executes:
   store, so untouched ranks stay implicit zero slices and every rank
   pair of a distributed gate is updated in place, with no exchange
   copy;
-* ``executor="pool"`` places the rank slices (and the pair/exchange
-  buffers) in named shared-memory segments and replays the plan across
-  a persistent worker pool (:mod:`repro.parallel`), or across a TCP
-  worker mesh when a host list is set.
+* ``executor="pool"`` places the rank slices and their pair/exchange
+  buffers in one named shared-memory segment and replays the plan
+  across a persistent worker pool (:mod:`repro.parallel`), or across a
+  TCP worker mesh when a host list is set.
 
 Whatever the executor, the parent validates every step before any runs
 and logs each step's exchange rounds into the communicator
@@ -49,7 +49,6 @@ the mid twenties of qubits).  Paper-scale runs use the same
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
@@ -116,18 +115,19 @@ class DistributedStatevector:
         self.transport = "tcp" if self.hosts else "shm"
         self.fusion = resolve_fusion(fusion)
         self.comm = SimComm(partition.num_ranks)
-        self._shared_local = None
-        self._shared_pair = None
-        self._shared_blobs = None
+        self._segment = None
         if self.executor == "pool" and self.transport == "shm":
             from repro.parallel.shm import SharedArray
 
-            # One segment holds every rank's slice; the OS hands over
-            # zero pages, so a fresh segment *is* |0...0> minus one amp.
-            self._shared_local = SharedArray(
-                (partition.num_ranks, partition.local_amplitudes), np.complex128
+            # One segment: row 0 holds every rank's slice, row 1 their
+            # pair buffers, as QuEST allocates pairStateVec with the
+            # register.  The OS hands over zero pages, so a fresh
+            # segment *is* |0...0> minus one amp, and pair pages no
+            # exchange touches cost nothing.
+            self._segment = SharedArray(
+                (2, partition.num_ranks, partition.local_amplitudes), np.complex128
             )
-            self._local = RankSlices.from_backing(self._shared_local.array)
+            self._local = RankSlices.from_backing(*self._segment.array)
         else:
             # Lazy: slices materialise on first write.  |0...0> touches
             # only rank 0; every other rank stays an implicit zero slice
@@ -283,13 +283,9 @@ class DistributedStatevector:
         base = self._gate_index
         schedule = plan.memoised(key, lambda: _compile_schedule(plan, *key, base))
         task = PlanTask(
-            local_name=None,
-            pair_name=None,
-            num_qubits=self.num_qubits,
-            num_ranks=self.num_ranks,
+            partition=self.partition,
             halved_swaps=self.halved_swaps,
             plan=plan,
-            needs_pair=schedule.needs_pair,
             measure_seed=self.measure_seed,
             measure_base=self._measure_count,
             kernels=configured_backend(),
@@ -300,7 +296,7 @@ class DistributedStatevector:
         elif self.transport == "tcp":
             outcomes = self._execute_tcp(task)
         else:
-            outcomes = self._execute_shm(task, schedule.has_measure)
+            outcomes = self._execute_shm(task)
         self._replay(plan, schedule)
         self.measure_outcomes += outcomes
         self._measure_count += len(outcomes)
@@ -335,7 +331,7 @@ class DistributedStatevector:
         """Append the stored messages of steps ``lo .. hi - 1``, exchange
         tags shifted from the compiling run's first gate to this one's."""
         start = schedule.log_ends[lo - 1] if lo else 0
-        end = schedule.log_ends[hi - 1]
+        end = schedule.log_ends[hi - 1] if hi else 0
         messages = schedule.log[start:end]
         shift = (self._gate_index - schedule.gate_base) << 8
         if shift:
@@ -345,47 +341,14 @@ class DistributedStatevector:
             ]
         self.comm.extend(messages)
 
-    def _ensure_shared_pair(self) -> None:
-        """Allocate the shared pair-buffer segment (first distributed plan)."""
-        if self._shared_pair is None:
-            from repro.parallel.shm import SharedArray
-
-            self._shared_pair = SharedArray(
-                (self.num_ranks, self.partition.local_amplitudes), np.complex128
-            )
-
-    def _ensure_shared_blobs(self, num_workers: int) -> None:
-        """Allocate the per-worker blob rows the shm allgather uses."""
-        if (
-            self._shared_blobs is None
-            or self._shared_blobs.array.shape[0] != num_workers
-        ):
-            from repro.parallel.shm import SharedArray
-            from repro.parallel.transport import BLOB_SLOT_BYTES
-
-            self._shared_blobs = SharedArray(
-                (num_workers, BLOB_SLOT_BYTES), np.uint8
-            )
-
-    def _execute_shm(self, task, has_measure: bool) -> list[tuple[int, int]]:
-        """Workers attach the shared segments and replay in lockstep;
+    def _execute_shm(self, task) -> list[tuple[int, int]]:
+        """Workers attach the state's segment and replay in lockstep;
         returns worker 0's measure outcomes."""
         from repro.parallel import get_pool
         from repro.parallel.stepper import run_plan_worker
 
-        pool = get_pool()
-        if task.needs_pair:
-            self._ensure_shared_pair()
-        if has_measure:
-            self._ensure_shared_blobs(pool.num_workers)
         obs.counter("repro_pool_plans_total").inc()
-        task = replace(
-            task,
-            local_name=self._shared_local.name,
-            pair_name=self._shared_pair.name if task.needs_pair else None,
-            blob_name=self._shared_blobs.name if has_measure else None,
-        )
-        return pool.spmd(run_plan_worker, task)[0]
+        return get_pool().spmd(run_plan_worker, (self._segment.name, task))[0]
 
     def _execute_tcp(self, task) -> list[tuple[int, int]]:
         """Ship owned slices over the mesh, take the finals back and
@@ -413,8 +376,6 @@ class _Schedule(NamedTuple):
 
     #: Each step's own gate, counted from the plan's first gate.
     offsets: list[int]
-    needs_pair: bool
-    has_measure: bool
     #: The run's messages with the plan's first gate at ``gate_base``
     #: (that of the run that compiled it), whether each tag is
     #: gate-relative (the measure reduction's are absolute), and where
@@ -472,10 +433,7 @@ def _compile_schedule(
         offsets.append(gate_index + lead)
         gate_index += step.num_gates
     kinds, rounds = step_schedule(plan, partition, halved_swaps)
-    # Steps with exchange rounds move amplitudes through the pair buffer;
-    # measure steps reduce scalars through the blob channel.
-    needs_pair = any(rounds)
-    if needs_pair and max_message < AMPLITUDE_BYTES:
+    if any(rounds) and max_message < AMPLITUDE_BYTES:
         raise ValidationError(
             f"max_message {max_message} is smaller than one "
             f"amplitude ({AMPLITUDE_BYTES} B); the exchange cannot "
@@ -507,12 +465,4 @@ def _compile_schedule(
                     )
         ends.append(len(comm.message_log))
         relative += [kind != "measure"] * (ends[-1] - len(relative))
-    return _Schedule(
-        offsets,
-        needs_pair,
-        "measure" in kinds,
-        gate_base,
-        comm.message_log,
-        relative,
-        ends,
-    )
+    return _Schedule(offsets, gate_base, comm.message_log, relative, ends)

@@ -12,16 +12,18 @@ Two backings exist:
 
 * lazy (default): slices start as ``None`` and are created with
   ``np.empty`` + ``fill(0)`` on first write access;
-* shared (pool executor): one pre-existing 2-D array -- rows of a
-  shared-memory segment -- where every slice is materialised by
-  construction (the OS hands over zero pages, so nothing is paid
-  either).
+* backed (:meth:`RankSlices.from_backing`): one pre-existing 2-D array
+  where every slice is materialised by construction -- dense's one
+  rank, or row 0 of a shm pool state's ``(2, R, n)`` segment, whose
+  row 1 holds the pair buffers (the OS hands over zero pages, so
+  nothing is paid either).
 
-:class:`RankSlices` is also the in-process executor's
-:class:`~repro.parallel.transport.RankStore`: ``view(rank, "local")``
-is write access, ``view(rank, "pair")`` the rank's exchange buffer
-(allocated on first use), and :meth:`RankSlices.is_zero` tells the
-step interpreter which ranks it may skip.
+:class:`RankSlices` is also the step interpreter's
+:class:`~repro.parallel.transport.RankStore` in process and in shm
+pool workers: ``view(rank, "local")`` is write access,
+``view(rank, "pair")`` the rank's exchange buffer (a row of the pair
+backing, else allocated on first use), and :meth:`RankSlices.is_zero`
+tells the step interpreter which ranks it may skip.
 """
 
 from __future__ import annotations
@@ -53,15 +55,21 @@ class RankSlices:
         self._pair: list[np.ndarray | None] = [None] * num_ranks
 
     @classmethod
-    def from_backing(cls, backing: np.ndarray) -> "RankSlices":
-        """Wrap a pre-allocated ``(num_ranks, slice_len)`` array (no laziness)."""
+    def from_backing(
+        cls, backing: np.ndarray, pair: np.ndarray | None = None
+    ) -> "RankSlices":
+        """Wrap a pre-allocated ``(num_ranks, slice_len)`` array (no
+        laziness), and optionally one of the same shape whose rows are
+        the ranks' pair buffers (else allocated on first use)."""
         if backing.ndim != 2:
             raise PartitionError(
                 f"backing must be 2-D (ranks x amplitudes), got {backing.ndim}-D"
             )
         slices = cls(backing.shape[0], backing.shape[1])
         slices._backing = backing
-        slices._slices = [backing[r] for r in range(backing.shape[0])]
+        slices._slices = list(backing)
+        if pair is not None:
+            slices._pair = list(pair)
         return slices
 
     # -- access ----------------------------------------------------------------

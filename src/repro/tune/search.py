@@ -326,10 +326,10 @@ def tune(
         qubits=num_qubits,
         space=space.size,
     ):
-        has_measure = circuit.has_measurements()
+        measures = circuit.has_measurements()
         for raw_lever in space.points():
             lever = _normalise_lever(constraint, raw_lever)
-            if has_measure and lever.transpile != "naive":
+            if measures and lever.transpile != "naive":
                 skipped += 1
                 obs.counter("repro_tune_skipped_total").inc()
                 continue

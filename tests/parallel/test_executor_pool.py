@@ -146,6 +146,70 @@ class TestObservableEquivalence:
         assert serial._gate_index == pool._gate_index
 
 
+def _measuring_circuit(n: int):
+    """Rank-crossing gates around two mid-circuit measures, one on a
+    rank qubit and one on a local qubit."""
+    circuit = random_circuit(n, 40, seed=31)
+    circuit.h(n - 1).cx(n - 1, 0).measure(n - 2).swap(1, n - 1).measure(2)
+    return circuit.h(n - 2).cx(0, n - 1)
+
+
+class TestStateSegment:
+    """A pool state is one segment; the blob rows belong to the pool."""
+
+    @pytest.fixture(autouse=True)
+    def _shm_pool(self, monkeypatch):
+        from repro.parallel import POOL_HOSTS_ENV
+
+        monkeypatch.delenv(POOL_HOSTS_ENV, raising=False)
+
+    def _assert_matches(self, pool, serial):
+        assert pool.gather().tobytes() == serial.gather().tobytes()
+        assert pool.comm.message_log == serial.comm.message_log
+        assert pool.measure_outcomes == serial.measure_outcomes
+
+    def test_one_segment_per_state(self):
+        from repro import obs
+
+        circuit = _measuring_circuit(9)
+        psi = random_state(9, seed=31)
+        serial = DistributedStatevector.from_amplitudes(
+            psi, 8, executor="serial", measure_seed=5
+        )
+        serial.apply_circuit(circuit)
+        created = obs.counter("repro_shm_segments_created_total")
+        before = created.value
+        pool = DistributedStatevector.from_amplitudes(
+            psi, 8, executor="pool", measure_seed=5
+        )
+        pool.apply_circuit(circuit)
+        assert created.value == before + 1
+        self._assert_matches(pool, serial)
+
+    def test_blob_rows_follow_a_pool_rebuild(self, monkeypatch):
+        from repro.parallel import POOL_WORKERS_ENV, get_pool, shutdown_pool
+
+        circuit = _measuring_circuit(9)
+        psi = random_state(9, seed=32)
+        serial = DistributedStatevector.from_amplitudes(
+            psi, 8, executor="serial", measure_seed=7
+        )
+        pool = DistributedStatevector.from_amplitudes(
+            psi, 8, executor="pool", measure_seed=7
+        )
+        try:
+            for workers in (2, 3):
+                shutdown_pool()
+                monkeypatch.setenv(POOL_WORKERS_ENV, str(workers))
+                assert get_pool().num_workers == workers
+                serial.apply_circuit(circuit)
+                pool.apply_circuit(circuit)
+                self._assert_matches(pool, serial)
+        finally:
+            shutdown_pool()
+        assert len(pool.measure_outcomes) == 4
+
+
 class TestValidationParity:
     def test_out_of_range_gate_raises_before_touching_state(self):
         pool = DistributedStatevector.zero_state(5, 4, executor="pool")

@@ -33,15 +33,12 @@ from repro.parallel.stepper import (
     run_plan_worker,
 )
 from repro.parallel.tcp import shutdown_tcp_pools
-from repro.parallel.transport import (
-    BLOB_SLOT_BYTES,
-    Array2DStore,
-    ShmTransport,
-)
+from repro.parallel.transport import BLOB_SLOT_BYTES, ShmTransport
 from repro.statevector import DistributedStatevector, Partition
 from repro.statevector.apply_plan import compile_gate_step, compile_plan
 from repro.statevector.partition import AMPLITUDE_BYTES
 from repro.statevector.plan import plan_gate
+from repro.statevector.slices import RankSlices
 
 N = 8
 RANKS = 4
@@ -55,10 +52,7 @@ class MessageRoutedTransport(ShmTransport):
 
 def _task(plan, **kwargs) -> PlanTask:
     return PlanTask(
-        local_name=None,
-        pair_name=None,
-        num_qubits=N,
-        num_ranks=RANKS,
+        partition=Partition(N, RANKS),
         halved_swaps=False,
         plan=plan,
         **kwargs,
@@ -67,14 +61,8 @@ def _task(plan, **kwargs) -> PlanTask:
 
 def _run(psi, plan, transport_cls=ShmTransport, checkpoint=None, **kwargs):
     local = psi.reshape(RANKS, -1).copy()
-    store = Array2DStore(local, np.empty_like(local))
-    transport = transport_cls(
-        None,
-        store,
-        tuple(range(RANKS)),
-        worker_id=0,
-        blobs=np.zeros((1, BLOB_SLOT_BYTES), np.uint8),
-    )
+    store = RankSlices.from_backing(local, np.empty_like(local))
+    transport = transport_cls(None, store, tuple(range(RANKS)))
     executed = execute_plan(
         transport,
         store,
@@ -224,7 +212,7 @@ def test_checkpoint_then_resume_reproduces_the_full_run():
 
     local = psi.reshape(RANKS, -1).copy()
     local_ref.append(local)
-    store = Array2DStore(local, np.empty_like(local))
+    store = RankSlices.from_backing(local, np.empty_like(local))
     transport = ShmTransport(None, store, tuple(range(RANKS)))
     execute_plan(
         transport,
@@ -248,7 +236,7 @@ def test_checkpoint_then_resume_reproduces_the_full_run():
 def _snapshots(plan, psi, cadence):
     snapshots: dict[int, bytes] = {}
     local = psi.reshape(RANKS, -1).copy()
-    store = Array2DStore(local, np.empty_like(local))
+    store = RankSlices.from_backing(local, np.empty_like(local))
     transport = ShmTransport(None, store, tuple(range(RANKS)))
     execute_plan(
         transport,
@@ -309,32 +297,20 @@ def test_shm_worker_entry_point_with_one_party():
     circuit = qft_circuit(N)
     circuit.measure(7)
     psi = random_state(N, seed=6)
-    shape = (RANKS, (1 << N) // RANKS)
-    local = SharedArray(shape, np.complex128)
-    pair = SharedArray(shape, np.complex128)
-    blobs = SharedArray((1, BLOB_SLOT_BYTES), np.uint8)
+    segment = SharedArray((2, RANKS, (1 << N) // RANKS), np.complex128)
     try:
-        local.array[...] = psi.reshape(shape)
-        task = PlanTask(
-            local_name=local.name,
-            pair_name=pair.name,
-            num_qubits=N,
-            num_ranks=RANKS,
-            halved_swaps=False,
-            plan=_plan(circuit),
-            measure_seed=3,
-            blob_name=blobs.name,
-        )
+        segment.array[0] = psi.reshape(RANKS, -1)
+        task = _task(_plan(circuit), measure_seed=3)
         ctx = SimpleNamespace(
             worker_id=0,
             num_workers=1,
             barrier=threading.Barrier(1),
+            blobs=np.zeros((1, BLOB_SLOT_BYTES), np.uint8),
         )
-        outcomes = run_plan_worker(ctx, task)
-        got = local.array.reshape(-1).copy()
+        outcomes = run_plan_worker(ctx, (segment.name, task))
+        got = segment.array[0].reshape(-1).copy()
     finally:
-        for segment in (local, pair, blobs):
-            segment.close()
+        segment.close()
     state = DistributedStatevector.from_amplitudes(
         psi, RANKS, executor="serial", fusion="diag", measure_seed=3
     )
@@ -370,13 +346,10 @@ def _run_workers(psi, circuit, ranks, num_workers, halved_swaps=False):
     partition = Partition(n, ranks)
     plan = compile_plan(circuit, fusion="diag", local_qubits=partition.local_qubits)
     local = psi.reshape(ranks, -1).copy()
-    store = Array2DStore(local, np.empty_like(local))
+    store = RankSlices.from_backing(local, np.empty_like(local))
     barrier = threading.Barrier(num_workers)
     task = PlanTask(
-        local_name=None,
-        pair_name=None,
-        num_qubits=n,
-        num_ranks=ranks,
+        partition=partition,
         halved_swaps=halved_swaps,
         plan=plan,
     )

@@ -33,6 +33,7 @@ from repro.parallel.tcp import (
 )
 from repro.parallel.transport import LOCAL, PAIR, CopySpec, DictStore
 from repro.statevector.distributed import DistributedStatevector
+from repro.statevector.partition import Partition
 
 LOOPBACK2 = "127.0.0.1:0,127.0.0.1:0"
 LOOPBACK3 = "127.0.0.1:0,127.0.0.1:0,127.0.0.1:0"
@@ -134,14 +135,9 @@ class TestLoopbackPool:
             init = np.zeros(16, dtype=np.complex128)
             init[0] = 1.0
             task = PlanTask(
-                local_name=None,
-                pair_name=None,
-                num_qubits=6,
-                num_ranks=4,
+                partition=Partition(6, 4),
                 halved_swaps=False,
                 plan=plan,
-                needs_pair=True,
-                chunk_amps=4,
             )
             finals, _ = pool.run_plan(
                 task, {0: init, 1: None, 2: None, 3: None}
@@ -158,6 +154,7 @@ class TestLoopbackPool:
         # Frames used to be tagged (step, seq) and collided across
         # rounds; the monotonic exchange counter keeps them apart.
         # Tiny chunks maximise the in-flight frame interleaving.
+        from repro import settings
         from repro.circuits import Circuit
         from repro.gates import Gate
         from repro.parallel.stepper import PlanTask
@@ -185,20 +182,16 @@ class TestLoopbackPool:
         init = np.zeros(64, dtype=np.complex128)
         init[0] = 1.0
         task = PlanTask(
-            local_name=None,
-            pair_name=None,
-            num_qubits=9,
-            num_ranks=8,
+            partition=Partition(9, 8),
             halved_swaps=False,
             plan=plan,
-            needs_pair=True,
-            chunk_amps=2,
         )
         pool = TcpPool(LOOPBACK3)
         try:
-            finals, _ = pool.run_plan(
-                task, {0: init, **{r: None for r in range(1, 8)}}
-            )
+            with settings.overridden({tcp_mod.CHUNK_AMPS_ENV: "2"}):
+                finals, _ = pool.run_plan(
+                    task, {0: init, **{r: None for r in range(1, 8)}}
+                )
             got = np.concatenate([finals[r] for r in range(8)])
             assert np.array_equal(expected, got)
         finally:
@@ -389,8 +382,13 @@ class TestMeshProtocol:
     def test_frame_from_wrong_peer_rejected(self):
         # A frame whose (exchange, seq) matches a pending receive but
         # which arrives from a peer that does not own the copy's source
-        # rank is a protocol violation, not data to accept.
-        transport, theirs = _loop_transport((0,), {0: 0, 1: 1, 2: 2})
+        # rank is a protocol violation, not data to accept.  The chunk
+        # holds the whole 64 B frame whatever $REPRO_POOL_CHUNK_AMPS
+        # says, so the frame passes its size check and meets the peer
+        # check.
+        transport, theirs = _loop_transport(
+            (0,), {0: 0, 1: 1, 2: 2}, chunk_amps=4
+        )
         sock = transport._peers[1].sock
         try:
             # Expect rank 2's data (owned by worker 2) on exchange 0.
@@ -841,10 +839,7 @@ class TestBlobCollective:
         assert not _TRIPWIRE_CALLS and len(evil) < width
         evil = evil.ljust(width, b"\0")
         task = stepper.PlanTask(
-            local_name=None,
-            pair_name=None,
-            num_qubits=3,
-            num_ranks=2,
+            partition=Partition(3, 2),
             halved_swaps=False,
             plan=compile_plan(Circuit(3).measure(2), local_qubits=2),
         )

@@ -9,10 +9,10 @@ from repro.errors import PoolError
 from repro.parallel.transport import (
     LOCAL,
     PAIR,
-    Array2DStore,
     CopySpec,
     DictStore,
 )
+from repro.statevector.slices import RankSlices
 
 
 class TestCopySpec:
@@ -30,19 +30,15 @@ class TestCopySpec:
             c.dst_lo = 2
 
 
-class TestArray2DStore:
+class TestBackedRankSlices:
     def test_views_are_rows(self):
-        local = np.arange(8, dtype=np.complex128).reshape(2, 4)
-        pair = np.zeros((2, 4), dtype=np.complex128)
-        store = Array2DStore(local, pair)
-        assert np.array_equal(store.view(1, LOCAL), local[1])
+        # A shm pool state's store: rows of its (2, R, n) segment.
+        rows = np.zeros((2, 2, 4), dtype=np.complex128)
+        rows[0] = np.arange(8).reshape(2, 4)
+        store = RankSlices.from_backing(rows[0], rows[1])
+        assert np.array_equal(store.view(1, LOCAL), rows[0, 1])
         store.view(0, PAIR)[2] = 7.0
-        assert pair[0, 2] == 7.0
-
-    def test_missing_pair_raises(self):
-        store = Array2DStore(np.zeros((2, 4), dtype=np.complex128), None)
-        with pytest.raises(PoolError, match="pair buffer"):
-            store.view(0, PAIR)
+        assert rows[1, 0, 2] == 7.0
 
 
 class TestDictStore:

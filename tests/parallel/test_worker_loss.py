@@ -29,6 +29,7 @@ from repro.parallel.tcp import (
 from repro.statevector.apply_plan import StepKind, compile_plan
 from repro.statevector.distributed import DistributedStatevector
 from repro.statevector.fusion import resolve_fusion
+from repro.statevector.partition import Partition
 from repro.tune.workloads import build_workload
 
 LOOPBACK2 = "127.0.0.1:0,127.0.0.1:0"
@@ -47,13 +48,9 @@ def _compiled_task(n, ranks, *, checkpoint_steps=None, fusion=None):
         circuit, fusion=resolve_fusion(fusion), local_qubits=local_qubits
     )
     return circuit, PlanTask(
-        local_name=None,
-        pair_name=None,
-        num_qubits=n,
-        num_ranks=ranks,
+        partition=Partition(n, ranks),
         halved_swaps=False,
         plan=plan,
-        needs_pair=True,
         checkpoint_steps=checkpoint_steps,
     )
 
@@ -115,13 +112,9 @@ class TestWorkerLossRestart:
         plan = compile_plan(circuit, fusion="off", local_qubits=6)
         assert plan.ops.run_ends[0] == 24
         task = PlanTask(
-            local_name=None,
-            pair_name=None,
-            num_qubits=8,
-            num_ranks=4,
+            partition=Partition(8, 4),
             halved_swaps=False,
             plan=plan,
-            needs_pair=True,
             checkpoint_steps=4,
         )
         expected = DistributedStatevector.zero_state(

@@ -30,7 +30,7 @@ from repro.errors import PoolError
 from repro.gates import Gate
 from repro.parallel import shm_available, stepper, tcp
 from repro.parallel.tcp import shutdown_tcp_pools
-from repro.statevector import DistributedStatevector, compile_gate_step
+from repro.statevector import DistributedStatevector, Partition, compile_gate_step
 from repro.statevector import gate_kernels as k
 from repro.statevector import gate_kernels_reference as ref
 from repro.statevector import native
@@ -362,10 +362,7 @@ def _failing_loader(monkeypatch):
 def _task(kernels: str) -> stepper.PlanTask:
     step = compile_gate_step(Gate.named("h", (0,)))
     return stepper.PlanTask(
-        local_name=None,
-        pair_name=None,
-        num_qubits=3,
-        num_ranks=2,
+        partition=Partition(3, 2),
         halved_swaps=False,
         plan=ApplyPlan(num_qubits=3, steps=(step,), num_gates=1),
         kernels=kernels,
@@ -386,9 +383,11 @@ def test_pin_names_the_host_that_cannot_load_native(monkeypatch, capfd):
 
 def test_shm_worker_refuses_native_it_cannot_load(monkeypatch, capfd):
     _failing_loader(monkeypatch)
+    # The backend is pinned before the segment is attached, so the
+    # segment name is never looked up.
     ctx = SimpleNamespace(worker_id=0, num_workers=1)
     with pytest.raises(PoolError, match="cannot load the native kernels"):
-        stepper.run_plan_worker(ctx, _task("native"))
+        stepper.run_plan_worker(ctx, ("repro_absent", _task("native")))
     capfd.readouterr()
 
 
